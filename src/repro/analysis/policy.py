@@ -170,8 +170,8 @@ def policy_for(path: str) -> Policy:
 
 #: Packages under ``repro/`` whose modules are shard-isolation checked:
 #: everything the per-core receive path touches (see docs/shardcheck.md).
-#: ``net`` joined with the struct-of-arrays batches — PacketBatch columns
-#: are per-shard state the moment an RxQueue stages them.
+#: ``net`` is in scope because Packets and Segments are per-shard state
+#: from the moment an RxQueue rings them.
 SHARD_PACKAGES = frozenset({"steer", "nic", "core", "trace", "net"})
 
 

@@ -10,12 +10,11 @@ the ``deliver`` callback, which in the full simulation is the TCP receiver.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
 from repro.cpu.accounting import GroCpuAccountant, NullAccountant
-from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.net.segment import Segment
@@ -41,12 +40,14 @@ class GroEngine(abc.ABC):
         if self.tracer is not None:
             index = self.tracer.component_index("gro")
             self.stats.bind(self.tracer.metrics, prefix=f"gro{index}")
-        #: Lazily-built pool the columnar paths rehydrate fallback packets
-        #: from (see :meth:`rehydrate_pool`); None until first needed.
         self._rehydrate_pool: Optional[PacketPool] = None
 
     def rehydrate_pool(self) -> PacketPool:
-        """The pool native-batch rows are materialized from on fallback."""
+        """This engine's lazily-built packet pool.
+
+        Nothing in ``src/`` draws from it; ``benchmarks/e2e/metrics.py``
+        reads it for ``net.pool_hit_ratio``, so the accessor stays.
+        """
         pool = self._rehydrate_pool
         if pool is None:
             pool = self._rehydrate_pool = PacketPool()
@@ -60,25 +61,14 @@ class GroEngine(abc.ABC):
     def receive(self, packet: Packet, now: int) -> None:
         """Process one packet arriving from the driver at time ``now``."""
 
-    def receive_batch(self, packets, now: int) -> None:
+    def receive_batch(self, packets: List[Packet], now: int) -> None:
         """Process one NAPI poll's worth of packets, all at time ``now``.
 
         The NAPI layer hands the whole poll batch down at once (the kernel
         equivalent: the driver's poll loop calling ``napi_gro_receive`` per
         descriptor inside one softirq).  Engines may override this to hoist
         per-packet overhead out of the loop; the default just loops.
-
-        ``packets`` may also be a struct-of-arrays
-        :class:`~repro.net.batch.PacketBatch`; the default rehydrates real
-        packets (from :meth:`rehydrate_pool` for native batches) so engines
-        without a columnar path — e.g. ChainedGRO, which keeps the very
-        packet objects in its linked lists — stay correct unchanged.
         """
-        if isinstance(packets, PacketBatch):
-            if packets.is_native:
-                packets = packets.to_packets(self.rehydrate_pool())
-            else:
-                packets = packets.packets
         for packet in packets:
             self.receive(packet, now)
 

@@ -14,7 +14,7 @@ instantiates its data structures per-queue.  The engine:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
@@ -23,8 +23,7 @@ from repro.core.flow_entry import FlowEntry
 from repro.core.flush import FlushReason
 from repro.core.gro_table import GroTable
 from repro.core.phases import Phase
-from repro.cpu.accounting import GroCpuAccountant, NullAccountant
-from repro.net.batch import FLUSH_MASK, ODD_SIG_MASK, PacketBatch, SoaSegment
+from repro.cpu.accounting import GroCpuAccountant
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 from repro.net.segment import BatchingMode, Segment
@@ -48,20 +47,6 @@ class JugglerGRO(GroEngine):
         #: allocates nothing — the same contract as ``self.tracer``.
         self.sanitizer = sanitize_runtime.current()
         self.table.sanitizer = self.sanitizer
-        #: Columnar-path diagnostics.  Deliberately *not* on GroStats: the
-        #: mirror-equivalence test asserts stats equality across the
-        #: per-packet and columnar paths, and these two necessarily differ.
-        self.soa_fast_packets = 0
-        self.soa_fallback_packets = 0
-        #: Stable bound methods, created once: ``_receive_soa`` unpacks
-        #: this instead of re-binding seven methods per poll, which is what
-        #: keeps the degenerate length-1 batch within 10% of ``receive()``
-        #: (benchmarks/test_batch_overhead.py).  Mutable collaborators
-        #: (tracer, sanitizer, stats) are still read per call.
-        self._soa_hot = (self._passthrough, self._deliver_packet,
-                         self._admit_new_flow, self._receive_established,
-                         self._event_checks, self._deliver_segment,
-                         self.rehydrate_pool())
 
     def attach_tracer(self, tracer) -> None:
         """Enable tracing on engine and table together."""
@@ -110,58 +95,16 @@ class JugglerGRO(GroEngine):
     # -- the receive path ----------------------------------------------------
 
     def receive(self, packet: Packet, now: int) -> None:
-        """Per-packet entry point, called from the NAPI poll loop."""
-        self.accountant.on_rx_packet()
-        self.accountant.on_gro_packet()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.packet_rx(now, packet.flow, packet.seq, packet.end_seq,
-                             packet.payload_len)
+        """Per-packet entry point: a length-1 batch."""
+        self.receive_batch([packet], now)
 
-        if (packet.payload_len == 0
-                or packet.flow.proto not in self.config.protocols):
-            # Pure ACKs are never batched, and traffic from unconfigured
-            # transports is not Juggler's business (§4: "we primarily focus
-            # on the handling of TCP traffic") — both bypass the flow table.
-            self._passthrough(packet, now)
-            return
+    def receive_batch(self, packets: List[Packet], now: int) -> None:
+        """One NAPI poll's packets through the per-packet pipeline.
 
-        self.stats.packets += 1
-        entry = self.table.lookup(packet.flow)
-        if entry is None:
-            entry = self._admit_new_flow(packet, now)
-        entry.last_seen = now
-
-        if entry.phase is Phase.BUILD_UP:
-            # seq_next may still move backwards while we learn it (§4.2.2).
-            entry.learn_seq_next(packet.seq)
-            self._buffer_packet(entry, packet, now)
-        else:
-            self._receive_established(entry, packet, now)
-
-        self._event_checks(entry, now)
-        if self.sanitizer is not None:
-            self.sanitizer.check_flow(entry)
-
-    def receive_batch(self, packets, now: int) -> None:
-        """One NAPI poll's packets through the same per-packet pipeline.
-
-        A struct-of-arrays :class:`~repro.net.batch.PacketBatch` takes the
-        columnar path (:meth:`_receive_soa`); a plain packet list mirrors
-        :meth:`receive` exactly (same calls, same order) with the
-        engine-level attribute lookups hoisted out of the loop.
-        Behavioural equivalence of ``receive``, this loop, and the columnar
-        path is pinned by ``tests/core/test_receive_batch_mirror.py`` —
-        change any one of them and that test arbitrates.
+        The only body of lookup → admit → build-up/established → event
+        checks → sanitizer; engine-level attribute lookups are hoisted out
+        of the loop.
         """
-        if type(packets) is PacketBatch:
-            if type(self.accountant) is NullAccountant:
-                self._receive_soa(packets, now)
-            else:
-                # CPU-accounted experiments charge costs per packet by
-                # design; keep them on the per-packet reference path.
-                GroEngine.receive_batch(self, packets, now)
-            return
         accountant = self.accountant
         tracer = self.tracer
         sanitizer = self.sanitizer
@@ -177,6 +120,10 @@ class JugglerGRO(GroEngine):
                                  packet.end_seq, packet.payload_len)
             if (packet.payload_len == 0
                     or packet.flow.proto not in protocols):
+                # Pure ACKs are never batched, and traffic from unconfigured
+                # transports is not Juggler's business (§4: "we primarily
+                # focus on the handling of TCP traffic") — both bypass the
+                # flow table.
                 self._passthrough(packet, now)
                 continue
             stats.packets += 1
@@ -185,6 +132,8 @@ class JugglerGRO(GroEngine):
                 entry = self._admit_new_flow(packet, now)
             entry.last_seen = now
             if entry.phase is buildup:
+                # seq_next may still move backwards while we learn it
+                # (§4.2.2).
                 entry.learn_seq_next(packet.seq)
                 self._buffer_packet(entry, packet, now)
             else:
@@ -192,518 +141,6 @@ class JugglerGRO(GroEngine):
             self._event_checks(entry, now)
             if sanitizer is not None:
                 sanitizer.check_flow(entry)
-
-    def _receive_soa(self, batch: PacketBatch, now: int) -> None:
-        """Columnar fast path over a struct-of-arrays batch.
-
-        Walks the batch's flow-run index; for each run of an established
-        (active/post-merge) flow it processes fast-path-eligible rows
-        inline against hoisted flow state — binary-search insert,
-        int-signature merge probes, per-packet event checks — with stats
-        batched per run and zero per-row object construction in native
-        mode.  Everything else punts, row by row, to :meth:`receive`:
-        admission/eviction, build-up and loss-recovery flows,
-        retransmissions (``seq < seq_next``), flush-forcing flags,
-        CE marks, TCP options, and zero/jumbo payloads.  Punts re-read
-        ``seq_next``/``phase`` afterwards, so resuming in-loop is exact:
-        each row is classified independently against refreshed state.
-        """
-        if batch.runs is None:
-            batch.seal()
-        stats = self.stats
-        table = self.table
-        lookup = table.lookup
-        san = self.sanitizer
-        tracer = self.tracer
-        (passthrough, deliver_packet, admit, receive_established,
-         event_checks, deliver_segment, pool) = self._soa_hot
-        protocols = self.config.protocols
-        buildup = Phase.BUILD_UP
-        max_payload = self.config.max_segment_bytes
-        seg_budget = max_payload - MSS
-        active = Phase.ACTIVE_MERGE
-        post = Phase.POST_MERGE
-        frags = BatchingMode.FRAGS_ARRAY
-        duplicate = FlushReason.DUPLICATE
-        segment_full = FlushReason.SEGMENT_FULL
-        flags_reason = FlushReason.FLAGS
-        unmergeable = FlushReason.UNMERGEABLE
-        flows = batch.flows
-        objs = batch.packets
-        seqs = lens = fcol = scol = tcol = None
-        if objs is None:
-            # Sealed native batch: the columns are frozen arrays — read
-            # the slots straight, skipping five property dispatches.
-            seqs = batch._seq
-            lens = batch._payload_len
-            fcol = batch._flags
-            scol = batch._sig
-            tcol = batch._sent_at
-        fast = 0
-        fallback = 0
-        fl = 0
-        for slot, start, stop in batch.runs:
-            flow = flows[slot]
-            entry = lookup(flow)
-            if (flow.proto not in protocols or entry is None
-                    or entry.seq_next is None
-                    or (entry.phase is not active
-                        and entry.phase is not post)):
-                # Admission (and any eviction it triggers), build-up and
-                # loss recovery all stay on the reference path — the
-                # fast/fallback boundary contract.  The loop is
-                # :meth:`receive`'s body with the engine-level lookups
-                # hoisted and the accountant hooks elided (the columnar
-                # dispatch guarantees a NullAccountant, whose hooks are
-                # no-ops).  The build-up branch further unrolls
-                # ``_buffer_packet``/``OfoQueue.insert``/``_event_checks``
-                # in their *general* form — tuple signatures, flush-forcing
-                # flags, duplicates — since build-up packets may be
-                # anything.  Build-up queues only ever contain plain
-                # Segments (the phase is entered once, from admission, and
-                # its packets never take the columnar path), but each
-                # dispatch still guards on the concrete class and falls
-                # back to the Segment methods otherwise.
-                for j in range(start, stop):
-                    pk = objs[j] if objs is not None else \
-                        batch.materialize(j, pool)
-                    if tracer is not None:
-                        tracer.packet_rx(now, pk.flow, pk.seq, pk.end_seq,
-                                         pk.payload_len)
-                    if (pk.payload_len == 0
-                            or pk.flow.proto not in protocols):
-                        passthrough(pk, now)
-                        continue
-                    stats.packets += 1
-                    if entry is None:
-                        entry = admit(pk, now)
-                    entry.last_seen = now
-                    if entry.phase is not buildup:
-                        receive_established(entry, pk, now)
-                        event_checks(entry, now)
-                        if san is not None:
-                            san.check_flow(entry)
-                        continue
-                    # seq_next may still move backwards while we learn it
-                    # (§4.2.2) — learn_seq_next, inlined.
-                    s2 = pk.seq
-                    sq = entry.seq_next
-                    if sq is None or s2 < sq:
-                        entry.seq_next = sq = s2
-                    # -- OfoQueue.insert, inlined (general form) ---------
-                    ln2 = pk.payload_len
-                    e2 = s2 + ln2
-                    nds = entry.ofo.nodes
-                    n2 = len(nds)
-                    scanned2 = 0
-                    if n2 == 0:
-                        idx2 = 0
-                        pred2 = None
-                        succ2 = None
-                    else:
-                        last2 = nds[-1]
-                        if s2 >= last2.seq:
-                            idx2 = n2
-                            pred2 = last2
-                            succ2 = None
-                        else:
-                            lo = 0
-                            hi = n2
-                            while lo < hi:
-                                mid = (lo + hi) >> 1
-                                if nds[mid].seq <= s2:
-                                    lo = mid + 1
-                                else:
-                                    hi = mid
-                            idx2 = lo
-                            rem = n2 - idx2
-                            scanned2 = rem if rem < idx2 + 1 else idx2 + 1
-                            stats.nodes_scanned += scanned2
-                            pred2 = nds[idx2 - 1] if idx2 else None
-                            succ2 = nds[idx2]
-                    if ((pred2 is not None and s2 < pred2.end_seq)
-                            or (succ2 is not None and e2 > succ2.seq)):
-                        # Overlaps buffered bytes: duplicate (never buffer
-                        # twice); _event_checks still runs below.
-                        stats.duplicates += 1
-                        deliver_packet(pk, duplicate, now)
-                    else:
-                        psig = pk.sig
-                        merged2 = True
-                        if (pred2 is not None and not pred2._closed
-                                and pred2.end_seq == s2 and pred2.sig == psig
-                                and pred2._payload + ln2 <= max_payload):
-                            # Segment.append (general: tracks _closed).
-                            if pred2.__class__ is Segment:
-                                pred2.packets.append(pk)
-                                pred2.end_seq = e2
-                                pred2.mtus += 1
-                                pred2._payload += ln2
-                                pred2._closed = pk.forces_flush
-                                if pk.sent_at < pred2.first_sent_at:
-                                    pred2.first_sent_at = pk.sent_at
-                            else:
-                                pred2.append(pk)
-                            if (succ2 is not None and not pred2._closed
-                                    and succ2.seq == pred2.end_seq
-                                    and succ2.sig == pred2.sig
-                                    and pred2._payload + succ2._payload
-                                    <= max_payload):
-                                # The append closed the gap: extend.
-                                if (pred2.__class__ is Segment
-                                        and succ2.__class__ is Segment):
-                                    pred2.packets.extend(succ2.packets)
-                                    pred2.end_seq = succ2.end_seq
-                                    pred2.mtus += succ2.mtus
-                                    pred2._payload += succ2._payload
-                                    pred2._closed = succ2._closed
-                                    if (succ2.first_sent_at
-                                            < pred2.first_sent_at):
-                                        pred2.first_sent_at = \
-                                            succ2.first_sent_at
-                                else:
-                                    pred2.extend(succ2)
-                                del nds[idx2]
-                        elif (succ2 is not None
-                                and (not pk.forces_flush
-                                     or e2 == succ2.end_seq)
-                                and e2 == succ2.seq and psig == succ2.sig
-                                and succ2._payload + ln2 <= max_payload):
-                            # Segment.prepend (PSH may only be a tail).
-                            if succ2.__class__ is Segment:
-                                succ2.packets.insert(0, pk)
-                                succ2.seq = s2
-                                succ2.mtus += 1
-                                succ2._payload += ln2
-                                if pk.sent_at < succ2.first_sent_at:
-                                    succ2.first_sent_at = pk.sent_at
-                            else:
-                                succ2.prepend(pk)
-                        else:
-                            merged2 = False
-                            seg = Segment.__new__(Segment)
-                            seg.flow = pk.flow
-                            seg.packets = [pk]
-                            seg.mode = frags
-                            seg.seq = s2
-                            seg.end_seq = e2
-                            seg.mtus = 1
-                            seg.first_sent_at = pk.sent_at
-                            seg.flushed_at = 0
-                            seg.in_order = True
-                            seg.sig = psig
-                            seg.sig_key = pk.sig_key
-                            seg._payload = ln2
-                            seg._closed = pk.forces_flush
-                            if idx2 == len(nds):
-                                nds.append(seg)
-                            else:
-                                nds.insert(idx2, seg)
-                        if merged2:
-                            stats.merges += 1
-                            if tracer is not None:
-                                tracer.merge(now, entry.key, s2, e2,
-                                             scanned2)
-                        # refresh_hole_state (a pre-existing hole keeps
-                        # its timestamp; sq is known after learning).
-                        if nds and nds[0].seq > sq:
-                            if entry.hole_since is None:
-                                entry.hole_since = now
-                        else:
-                            entry.hole_since = None
-                        if san is not None:
-                            san.check_ofo(entry)
-                    # -- _event_checks, inlined (Table 2 rows 1-4) -------
-                    while nds:
-                        head = nds[0]
-                        if head.seq != sq:
-                            break
-                        if head._payload > seg_budget:
-                            reason = segment_full
-                        elif head._closed:
-                            reason = flags_reason
-                        elif len(nds) > 1 and nds[1].seq == head.end_seq:
-                            reason = unmergeable
-                        else:
-                            break
-                        # _flush_head: build-up's first event flush is the
-                        # phase's exit point (§4.2.2).
-                        if san is not None:
-                            san.check_event_flush(entry, reason)
-                        del nds[0]
-                        if entry.phase is buildup:
-                            table.move(entry, active, now)
-                        if head.end_seq > sq:
-                            sq = head.end_seq
-                        entry.seq_next = sq
-                        entry.flush_timestamp = now
-                        deliver_segment(head, reason, now)
-                    # _after_flush_transitions.
-                    if nds:
-                        if nds[0].seq > sq:
-                            if entry.hole_since is None:
-                                entry.hole_since = now
-                        else:
-                            entry.hole_since = None
-                    else:
-                        entry.hole_since = None
-                        if entry.phase is active:
-                            table.move(entry, post, now)
-                    if san is not None:
-                        san.check_flow(entry)
-                fallback += stop - start
-                continue
-            entry.last_seen = now
-            nodes = entry.ofo.nodes
-            sn = entry.seq_next
-            phase = entry.phase
-            key = entry.key
-            in_loop = 0
-            scanned_sum = 0
-            merges_sum = 0
-            dups_sum = 0
-            for i in range(start, stop):
-                if objs is not None:
-                    pk = objs[i]
-                    ln = pk.payload_len
-                    s = pk.seq
-                    sk = pk.sig_key
-                    odd = (ln <= 0 or ln > MSS or pk.forces_flush
-                           or (sk & ODD_SIG_MASK))
-                else:
-                    pk = None
-                    ln = lens[i]
-                    s = seqs[i]
-                    sk = scol[i]
-                    fl = fcol[i]
-                    odd = (ln <= 0 or ln > MSS or (fl & FLUSH_MASK)
-                           or (sk & ODD_SIG_MASK))
-                if odd or s < sn:
-                    # Same inlined receive() body as the run-level punt,
-                    # specialized: the entry is known (admission cannot
-                    # occur) and the phase is established, so only the
-                    # zero-payload passthrough needs separate handling.
-                    if pk is None:
-                        pk = batch.materialize(i, pool)
-                    if tracer is not None:
-                        tracer.packet_rx(now, flow, pk.seq, pk.end_seq, ln)
-                    if ln == 0:
-                        passthrough(pk, now)
-                    else:
-                        stats.packets += 1
-                        entry.last_seen = now
-                        receive_established(entry, pk, now)
-                        event_checks(entry, now)
-                        if san is not None:
-                            san.check_flow(entry)
-                        sn = entry.seq_next
-                        phase = entry.phase
-                    fallback += 1
-                    continue
-                e = s + ln
-                if tracer is not None:
-                    tracer.packet_rx(now, flow, s, e, ln)
-                in_loop += 1
-                if phase is post:
-                    table.move(entry, active, now)
-                    phase = active
-                # -- OfoQueue.insert, inlined ----------------------------
-                n = len(nodes)
-                scanned = 0
-                if n == 0:
-                    idx = 0
-                    pred = None
-                    succ = None
-                else:
-                    last = nodes[-1]
-                    if s >= last.seq:
-                        idx = n
-                        pred = last
-                        succ = None
-                    else:
-                        lo = 0
-                        hi = n
-                        while lo < hi:
-                            mid = (lo + hi) >> 1
-                            if nodes[mid].seq <= s:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        idx = lo
-                        rem = n - idx
-                        scanned = rem if rem < idx + 1 else idx + 1
-                        scanned_sum += scanned
-                        pred = nodes[idx - 1] if idx else None
-                        succ = nodes[idx]
-                if ((pred is not None and s < pred.end_seq)
-                        or (succ is not None and e > succ.seq)):
-                    # Overlaps buffered bytes: duplicate — deliver for
-                    # TCP's DSACK machinery, never buffer twice.
-                    dups_sum += 1
-                    if pk is None:
-                        pk = batch.materialize(i, pool)
-                    self._deliver_packet(pk, duplicate, now)
-                    if san is not None:
-                        san.check_flow(entry)
-                    continue
-                merged = True
-                if (pred is not None and not pred._closed
-                        and pred.end_seq == s and pred.sig_key == sk
-                        and pred._payload + ln <= max_payload):
-                    cls = pred.__class__
-                    if pk is not None:
-                        sent = pk.sent_at
-                        if cls is Segment:
-                            pred.packets.append(pk)
-                            pred.end_seq = e
-                            pred.mtus += 1
-                            pred._payload += ln
-                            if sent < pred.first_sent_at:
-                                pred.first_sent_at = sent
-                        else:
-                            pred.append(pk)
-                    else:
-                        sent = tcol[i]
-                        if cls is SoaSegment and pred._mat is None:
-                            pred._pseq.append(s)
-                            pred._plen.append(ln)
-                            pred._pflags.append(fl)
-                            pred._psent.append(sent)
-                            pred.end_seq = e
-                            pred.mtus += 1
-                            pred._payload += ln
-                            if sent < pred.first_sent_at:
-                                pred.first_sent_at = sent
-                        elif cls is SoaSegment:
-                            pred.append_value(s, e, ln, fl, sent)
-                        else:
-                            pred.append(batch.materialize(i, pool))
-                    if (succ is not None and succ.seq == e
-                            and succ.sig_key == pred.sig_key
-                            and pred._payload + succ._payload <= max_payload):
-                        # The append closed the gap to the successor.
-                        if pred.__class__ is Segment and succ.__class__ is Segment:
-                            pred.packets.extend(succ.packets)
-                            pred.end_seq = succ.end_seq
-                            pred.mtus += succ.mtus
-                            pred._payload += succ._payload
-                            pred._closed = succ._closed
-                            if succ.first_sent_at < pred.first_sent_at:
-                                pred.first_sent_at = succ.first_sent_at
-                        else:
-                            pred.extend(succ)
-                        del nodes[idx]
-                elif (succ is not None and succ.seq == e
-                        and succ.sig_key == sk
-                        and succ._payload + ln <= max_payload):
-                    cls = succ.__class__
-                    if pk is not None:
-                        sent = pk.sent_at
-                        if cls is Segment:
-                            succ.packets.insert(0, pk)
-                            succ.seq = s
-                            succ.mtus += 1
-                            succ._payload += ln
-                            if sent < succ.first_sent_at:
-                                succ.first_sent_at = sent
-                        else:
-                            succ.prepend(pk)
-                    else:
-                        sent = tcol[i]
-                        if cls is SoaSegment and succ._mat is None:
-                            succ._pseq.insert(0, s)
-                            succ._plen.insert(0, ln)
-                            succ._pflags.insert(0, fl)
-                            succ._psent.insert(0, sent)
-                            succ.seq = s
-                            succ.mtus += 1
-                            succ._payload += ln
-                            if sent < succ.first_sent_at:
-                                succ.first_sent_at = sent
-                        elif cls is SoaSegment:
-                            succ.prepend_value(s, ln, fl, sent)
-                        else:
-                            succ.prepend(batch.materialize(i, pool))
-                else:
-                    merged = False
-                    if pk is not None:
-                        seg = Segment.__new__(Segment)
-                        seg.flow = pk.flow
-                        seg.packets = [pk]
-                        seg.mode = frags
-                        seg.seq = s
-                        seg.end_seq = e
-                        seg.mtus = 1
-                        seg.first_sent_at = pk.sent_at
-                        seg.flushed_at = 0
-                        seg.in_order = True
-                        seg.sig = pk.sig
-                        seg.sig_key = sk
-                        seg._payload = ln
-                        seg._closed = False
-                    else:
-                        seg = SoaSegment.open(flow, s, e, ln, fl, tcol[i])
-                    if idx == len(nodes):
-                        nodes.append(seg)
-                    else:
-                        nodes.insert(idx, seg)
-                if merged:
-                    merges_sum += 1
-                    if tracer is not None:
-                        tracer.merge(now, key, s, e, scanned)
-                # -- refresh_hole_state (pre-event-check, as in
-                # _buffer_packet: a pre-existing hole keeps its timestamp)
-                if nodes[0].seq > sn:
-                    if entry.hole_since is None:
-                        entry.hole_since = now
-                else:
-                    entry.hole_since = None
-                if san is not None:
-                    san.check_ofo(entry)
-                # -- event-driven flush checks (Table 2 rows 1-4) --------
-                while nodes:
-                    head = nodes[0]
-                    if head.seq != sn:
-                        break
-                    if head._payload > seg_budget:
-                        reason = segment_full
-                    elif head._closed:
-                        reason = flags_reason
-                    elif len(nodes) > 1 and nodes[1].seq == head.end_seq:
-                        reason = unmergeable
-                    else:
-                        break
-                    if san is not None:
-                        san.check_event_flush(entry, reason)
-                    del nodes[0]
-                    sn = head.end_seq
-                    entry.seq_next = sn
-                    entry.flush_timestamp = now
-                    deliver_segment(head, reason, now)
-                # -- after-flush transitions -----------------------------
-                if nodes:
-                    if nodes[0].seq > sn:
-                        if entry.hole_since is None:
-                            entry.hole_since = now
-                    else:
-                        entry.hole_since = None
-                else:
-                    entry.hole_since = None
-                    if phase is active:
-                        # Queue drained by in-sequence flushing: park on
-                        # the inactive list (§4.2.4).
-                        table.move(entry, post, now)
-                        phase = post
-                if san is not None:
-                    san.check_flow(entry)
-            if in_loop:
-                stats.packets += in_loop
-                stats.nodes_scanned += scanned_sum
-                stats.merges += merges_sum
-                stats.duplicates += dups_sum
-                fast += in_loop
-        self.soa_fast_packets += fast
-        self.soa_fallback_packets += fallback
 
     def _admit_new_flow(self, packet: Packet, now: int) -> FlowEntry:
         """Initial phase: create the entry, evicting if the table is full."""

@@ -18,9 +18,8 @@ from typing import Dict, Optional
 
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
-from repro.cpu.accounting import GroCpuAccountant, NullAccountant
+from repro.cpu.accounting import GroCpuAccountant
 from repro.net.addr import FiveTuple
-from repro.net.batch import FLUSH_MASK, ODD_SIG_MASK, PacketBatch, SoaSegment
 from repro.net.constants import MAX_GRO_SEGMENT, MSS
 from repro.net.packet import Packet
 from repro.net.segment import BatchingMode, Segment
@@ -78,134 +77,6 @@ class StandardGRO(GroEngine):
             self._deliver_segment(segment, FlushReason.FLAGS, now)
             return
         self._batch[packet.flow] = segment
-
-    def receive_batch(self, packets, now: int) -> None:
-        """Columnar path for struct-of-arrays batches; lists just loop.
-
-        Same fast/fallback contract as the Juggler engine: eligible rows
-        (payload in (0, MSS], no flush-forcing flags, no CE/options) run
-        inline per flow run with int-signature merge probes; everything
-        else punts to :meth:`receive`.  Equivalence is pinned by
-        ``tests/core/test_receive_batch_mirror.py``.
-        """
-        if type(packets) is not PacketBatch:
-            for packet in packets:
-                self.receive(packet, now)
-            return
-        if type(self.accountant) is not NullAccountant:
-            GroEngine.receive_batch(self, packets, now)
-            return
-        if packets.runs is None:
-            packets.seal()
-        stats = self.stats
-        batch_map = self._batch
-        receive = self.receive
-        maxseg = self.max_segment_bytes
-        seg_budget = maxseg - MSS
-        unmergeable = FlushReason.UNMERGEABLE
-        out_of_seq = FlushReason.OUT_OF_SEQUENCE
-        segment_full = FlushReason.SEGMENT_FULL
-        frags = BatchingMode.FRAGS_ARRAY
-        flows = packets.flows
-        objs = packets.packets
-        pool = None
-        seqs = lens = fcol = scol = tcol = None
-        if objs is None:
-            pool = self.rehydrate_pool()
-            seqs = packets.seq
-            lens = packets.payload_len
-            fcol = packets.flags
-            scol = packets.sig
-            tcol = packets.sent_at
-        fl = 0
-        for slot, start, stop in packets.runs:
-            flow = flows[slot]
-            held = batch_map.get(flow)
-            in_loop = 0
-            merges = 0
-            for i in range(start, stop):
-                if objs is not None:
-                    pk = objs[i]
-                    ln = pk.payload_len
-                    s = pk.seq
-                    sk = pk.sig_key
-                    odd = (ln <= 0 or ln > MSS or pk.forces_flush
-                           or (sk & ODD_SIG_MASK))
-                else:
-                    pk = None
-                    ln = lens[i]
-                    s = seqs[i]
-                    sk = scol[i]
-                    fl = fcol[i]
-                    odd = (ln <= 0 or ln > MSS or (fl & FLUSH_MASK)
-                           or (sk & ODD_SIG_MASK))
-                if odd:
-                    if pk is None:
-                        pk = packets.materialize(i, pool)
-                    receive(pk, now)
-                    held = batch_map.get(flow)
-                    continue
-                in_loop += 1
-                if held is not None:
-                    if (held.end_seq == s and held.sig_key == sk
-                            and held._payload + ln <= maxseg):
-                        if pk is not None:
-                            if held.__class__ is Segment:
-                                held.packets.append(pk)
-                                held.end_seq = s + ln
-                                held.mtus += 1
-                                held._payload += ln
-                                if pk.sent_at < held.first_sent_at:
-                                    held.first_sent_at = pk.sent_at
-                            else:
-                                held.append(pk)
-                        elif held.__class__ is SoaSegment and held._mat is None:
-                            held._pseq.append(s)
-                            held._plen.append(ln)
-                            held._pflags.append(fl)
-                            sent = tcol[i]
-                            held._psent.append(sent)
-                            held.end_seq = s + ln
-                            held.mtus += 1
-                            held._payload += ln
-                            if sent < held.first_sent_at:
-                                held.first_sent_at = sent
-                        elif held.__class__ is SoaSegment:
-                            held.append_value(s, s + ln, ln, fl, tcol[i])
-                        else:
-                            held.append(packets.materialize(i, pool))
-                        merges += 1
-                        # Eligible rows never close the segment (no
-                        # flush-forcing flags), so only the size check
-                        # from the object path applies here.
-                        if held._payload > seg_budget:
-                            self._flush(flow, segment_full, now)
-                            held = None
-                        continue
-                    reason = unmergeable if s == held.end_seq else out_of_seq
-                    self._flush(flow, reason, now)
-                if pk is not None:
-                    seg = Segment.__new__(Segment)
-                    seg.flow = pk.flow
-                    seg.packets = [pk]
-                    seg.mode = frags
-                    seg.seq = s
-                    seg.end_seq = s + ln
-                    seg.mtus = 1
-                    seg.first_sent_at = pk.sent_at
-                    seg.flushed_at = 0
-                    seg.in_order = True
-                    seg.sig = pk.sig
-                    seg.sig_key = sk
-                    seg._payload = ln
-                    seg._closed = False
-                else:
-                    seg = SoaSegment.open(flow, s, s + ln, ln, fl, tcol[i])
-                batch_map[flow] = seg
-                held = seg
-            if in_loop:
-                stats.packets += in_loop
-                stats.merges += merges
 
     def _flush(self, flow: FiveTuple, reason: FlushReason, now: int) -> None:
         segment = self._batch.pop(flow)

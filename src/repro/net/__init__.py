@@ -19,7 +19,6 @@ from repro.net.constants import (
     transmit_time_ns,
 )
 from repro.net.addr import FiveTuple
-from repro.net.batch import PacketBatch, SoaSegment
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.net.segment import Segment, BatchingMode
@@ -39,9 +38,7 @@ __all__ = [
     "FiveTuple",
     "TcpFlags",
     "Packet",
-    "PacketBatch",
     "Segment",
-    "SoaSegment",
     "BatchingMode",
     "segment_tso_burst",
 ]

@@ -49,8 +49,6 @@ class Packet:
         "is_retransmission",
         "path_id",
         "sig",
-        "sig_key",
-        "fint",
         "forces_flush",
         "corrupt",
         "origin",
@@ -101,14 +99,7 @@ class Packet:
         # GRO-hot-path fields, precomputed once here instead of per merge
         # check (IntFlag arithmetic is far too slow for a per-probe cost).
         f = int(flags)
-        self.fint = f
         self.sig = (options, ce, f & ~0x08)  # ~PSH
-        #: Integer merge signature for columnar paths: flag bits (sans PSH)
-        #: plus 0x100 when any TCP options ride along and 0x200 for CE.
-        #: Injective w.r.t. ``sig`` whenever ``options == ()`` — packets
-        #: carrying options collapse onto the 0x100 bit, so columnar code
-        #: must treat that bit as "opaque, fall back to the tuple".
-        self.sig_key = (f & ~0x08) | (0x100 if options else 0) | (0x200 if ce else 0)
         self.forces_flush = (f & 0x2F) != 0  # PSH|URG|SYN|FIN|RST
 
     def reset(
@@ -149,7 +140,6 @@ class Packet:
         """
         self.ce = True
         self.sig = (self.options, True, self.sig[2])
-        self.sig_key |= 0x200
 
     @property
     def end_seq(self) -> int:

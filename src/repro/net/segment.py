@@ -35,7 +35,7 @@ class Segment:
     """
 
     __slots__ = ("flow", "seq", "end_seq", "mtus", "mode", "packets",
-                 "first_sent_at", "flushed_at", "in_order", "sig", "sig_key",
+                 "first_sent_at", "flushed_at", "in_order", "sig",
                  "_payload", "_closed")
 
     def __init__(self, packets: List[Packet], mode: BatchingMode = BatchingMode.FRAGS_ARRAY):
@@ -51,10 +51,6 @@ class Segment:
         #: prepends may only add a packet with the same signature, so it is
         #: the whole segment's signature.
         self.sig = head.sig
-        #: Integer encoding of :attr:`sig` (see Packet.sig_key).  For
-        #: option-free packets the encoding is injective, so columnar merge
-        #: probes compare this single int instead of the tuple.
-        self.sig_key = head.sig_key
         if len(packets) == 1:
             # The common case — GRO opens every run with a single packet.
             self.end_seq = head.end_seq
@@ -104,8 +100,7 @@ class Segment:
         """Payload bytes carried by CE-marked packets inside this segment.
 
         The TCP receiver charges these into its DCTCP-style ``ce_bytes``
-        feedback; column-backed segments (repro.net.batch.SoaSegment)
-        override this with an O(1) answer.
+        feedback.
         """
         return sum(p.payload_len for p in self.packets if p.ce)
 

@@ -7,7 +7,6 @@ from typing import Callable, List, Optional
 
 from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
-from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine
@@ -34,12 +33,6 @@ class NicConfig:
     coalesce_frames: int = 0
     #: Ring buffer capacity per queue, in packets.
     ring_size: int = 4096
-    #: Struct-of-arrays rings: queues stage arrivals as a columnar
-    #: :class:`~repro.net.batch.PacketBatch` and hand it to the engine's
-    #: ``receive_batch`` whole — no per-packet objects on the fast path
-    #: (ROADMAP item 2).  Off by default; the figure experiments pin the
-    #: object path.
-    columnar: bool = False
 
     def __post_init__(self) -> None:
         if self.num_queues < 1:
@@ -88,7 +81,6 @@ class Nic:
             coalesce_ns=self.config.coalesce_ns,
             coalesce_frames=self.config.coalesce_frames,
             ring_size=self.config.ring_size,
-            columnar=self.config.columnar,
             name=name,
             tracer=self.tracer,
             metrics_prefix=prefix,
@@ -108,50 +100,6 @@ class Nic:
             queues[steer(packet.flow)].enqueue(packet)
 
         self.receive = receive  # type: ignore[method-assign]
-
-    def receive_batch(self, batch: PacketBatch) -> None:
-        """Entry point for a whole columnar wire batch: steer and DMA.
-
-        The demux runs on the columns — the per-row queue index is derived
-        from the flow-slot column, so a stateless policy (RSS, static pins)
-        is consulted once per *flow slot* rather than once per packet;
-        stateful policies (Flow Director ticks samplers and installs rules
-        per packet) are driven per row in arrival order so their internal
-        state matches the object path exactly.  Rows are gathered into one
-        sub-batch per queue, preserving per-queue arrival order.
-        """
-        if batch.packets is not None:
-            for packet in batch.packets:
-                self.receive(packet)
-            return
-        batch.seal()
-        queues = self.queues
-        if len(queues) == 1:
-            queues[0].enqueue_batch(batch)
-            return
-        steer = self.steering.queue_index
-        slots = batch.slot
-        n = batch.length
-        if self.steering.stateless:
-            qmap = [steer(flow) for flow in batch.flows]
-            rows_of: dict = {}
-            for i in range(n):
-                q = qmap[slots[i]]
-                rows = rows_of.get(q)
-                if rows is None:
-                    rows = rows_of[q] = []
-                rows.append(i)
-        else:
-            flows = batch.flows
-            rows_of = {}
-            for i in range(n):
-                q = steer(flows[slots[i]])
-                rows = rows_of.get(q)
-                if rows is None:
-                    rows = rows_of[q] = []
-                rows.append(i)
-        for q, rows in rows_of.items():
-            queues[q].enqueue_batch(batch.gather(rows))
 
     def queue_for(self, packet: Packet) -> RxQueue:
         """The RX queue this packet's flow is steered to (pure probe)."""

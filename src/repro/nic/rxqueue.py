@@ -12,13 +12,10 @@ interval and in one high resolution timer callback per gro_table").
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import GroEngine
-from repro.net.addr import FiveTuple
-from repro.net.batch import PacketBatch
-from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.net.pool import release_terminal
 from repro.sim.engine import Engine
@@ -38,16 +35,9 @@ class RxQueue:
         coalesce_frames: int = 0,
         ring_size: int = 4096,
         name: str = "rxq",
-        columnar: bool = False,
     ):
         self._engine = engine
         self.gro = gro
-        #: Struct-of-arrays ring mode: arrivals land in an open
-        #: :class:`PacketBatch` (filled column-wise via
-        #: :meth:`enqueue_wire`, or absorbed from objects by
-        #: :meth:`enqueue`) and the poll hands the sealed batch to
-        #: ``gro.receive_batch`` — no per-packet objects on the fast path.
-        self.columnar = columnar
         self.coalesce_ns = coalesce_ns
         #: Fire the interrupt early once this many frames are pending
         #: (0 disables the frame trigger; real NICs coalesce on
@@ -56,9 +46,6 @@ class RxQueue:
         self.ring_size = ring_size
         self.name = name
         self._ring: Deque[Packet] = deque()
-        #: The open staging batch of columnar mode (None while empty or in
-        #: object mode) — the "ring" the NIC fills column-wise.
-        self._wire: Optional[PacketBatch] = None
         self.tracer = trace_runtime.current()
         #: Optional OSAN (see repro.analysis.ownership); None keeps every
         #: hook below at one attribute load + one identity test.  The
@@ -82,9 +69,8 @@ class RxQueue:
 
     @property
     def backlog(self) -> int:
-        """Packets waiting in the ring (object deque or staged columns)."""
-        wire = self._wire
-        return len(self._ring) + (wire.length if wire is not None else 0)
+        """Packets waiting in the ring."""
+        return len(self._ring)
 
     def claim(self, domain) -> None:
         """Bind this queue (and its engine's table) to a shard domain.
@@ -97,17 +83,6 @@ class RxQueue:
         table = getattr(self.gro, "table", None)
         if table is not None:
             table.owner_domain = domain
-        if self._wire is not None:
-            # Columns already staged inherit the shard too.
-            self._wire.owner_domain = domain
-
-    def _staging(self) -> PacketBatch:
-        """The open columnar batch, created on first arrival of a poll."""
-        wire = self._wire
-        if wire is None:
-            wire = self._wire = PacketBatch()
-            wire.owner_domain = self.owner_domain
-        return wire
 
     def _kick(self, backlog: int) -> None:
         """Arm (or fast-forward) the coalescing interrupt after an arrival."""
@@ -125,12 +100,9 @@ class RxQueue:
 
         Deliberately *not* ownership-checked: the ring is the documented
         wire->core handoff — the producer side of the shard boundary
-        (see docs/shardcheck.md).  In columnar mode the packet is absorbed
-        into the staged columns (by value when representable, releasing the
-        object to its pool; object-carried otherwise — see
-        :meth:`PacketBatch.append_packet`).
+        (see docs/shardcheck.md).
         """
-        if self.backlog >= self.ring_size:
+        if len(self._ring) >= self.ring_size:
             self.dropped += 1
             release_terminal(packet)
             return
@@ -140,87 +112,9 @@ class RxQueue:
             self.checksum_drops += 1
             release_terminal(packet)
             return
-        now = self._engine.now
-        packet.received_at = now
-        if self.columnar:
-            wire = self._staging()
-            wire.append_packet(packet, received_at=now)
-            self._kick(wire.length)
-            return
+        packet.received_at = self._engine.now
         self._ring.append(packet)
         self._kick(len(self._ring))
-
-    def enqueue_wire(self, flow: FiveTuple, seq: int, payload_len: int, *,
-                     flags: int = int(TcpFlags.ACK), ce: bool = False,
-                     sent_at: int = 0, tso: int = -1, options: tuple = (),
-                     corrupt: bool = False) -> None:
-        """DMA one wire frame straight into the columns — no ``Packet``.
-
-        The columnar ring fill of ROADMAP item 2: header fields land in the
-        staged batch's parallel arrays, and checksum (``corrupt``) and
-        ring-overflow drops are decided *before* anything is allocated, so
-        a dropped frame costs a counter increment and nothing else.
-        Columnar mode only.
-        """
-        if not self.columnar:
-            raise ValueError(
-                f"{self.name}: enqueue_wire() needs columnar mode "
-                "(RxQueue(..., columnar=True))")
-        if self.backlog >= self.ring_size:
-            self.dropped += 1
-            return
-        if corrupt:
-            self.checksum_drops += 1
-            return
-        wire = self._staging()
-        wire.append_wire(flow, seq, payload_len, flags=flags, ce=ce,
-                         sent_at=sent_at, received_at=self._engine.now,
-                         tso=tso, options=options)
-        self._kick(wire.length)
-
-    def enqueue_batch(self, batch: PacketBatch) -> None:
-        """DMA a demuxed sub-batch into the ring (NIC columnar steering).
-
-        ``batch`` is a sealed native batch (one queue's rows of a wire
-        batch, from :meth:`Nic.receive_batch`); its rows are copied into
-        this queue's staged columns row-by-row so per-row ring-overflow
-        accounting matches the object path.  Frames in a wire batch have
-        already passed checksum verification (see ``append_wire``).
-        """
-        if not self.columnar:
-            for packet in batch.to_packets():
-                self.enqueue(packet)
-            return
-        now = self._engine.now
-        wire = self._staging()
-        flows = batch.flows
-        slots = batch.slot
-        seqs = batch.seq
-        lens = batch.payload_len
-        fcol = batch.flags
-        scol = batch.sig
-        tcol = batch.sent_at
-        tso = batch.tso
-        extras = batch._extras
-        for i in range(batch.length):
-            if self.backlog >= self.ring_size:
-                self.dropped += 1
-                continue
-            j = wire.append_wire(flows[slots[i]], seqs[i], lens[i],
-                                 flags=fcol[i], sent_at=tcol[i],
-                                 received_at=now, tso=tso[i])
-            # Signature copied verbatim (same reason as gather(): rebuilds
-            # would shed the options/CE/object-carried odd bits).
-            wire._sig[j] = int(scol[i])
-            if extras is not None and i in extras:
-                extra = extras[i]
-                carried = extra.get("packet")
-                if carried is not None:
-                    carried.received_at = now
-                if wire._extras is None:
-                    wire._extras = {}
-                wire._extras[j] = extra
-        self._kick(wire.length)
 
     def _interrupt(self) -> None:
         """Coalesced interrupt: enter polling mode and drain the ring."""
@@ -242,14 +136,6 @@ class RxQueue:
                 self._ring.clear()
                 self.delivered += len(batch)
                 self.gro.receive_batch(batch, now)
-            wire = self._wire
-            if wire is not None and wire.length:
-                self._wire = None
-                if osan is not None:
-                    # The staged columns must belong to this shard.
-                    osan.check(wire, "poll")
-                self.delivered += wire.length
-                self.gro.receive_batch(wire.seal(), now)
             self.gro.poll_complete(now)
         finally:
             if osan is not None:
@@ -314,11 +200,5 @@ class RxQueue:
             self._ring.clear()
             self.delivered += len(batch)
             self.gro.receive_batch(batch, now)
-        wire = self._wire
-        if wire is not None and wire.length:
-            self._wire = None
-            wire.owner_domain = None  # handed back at the drain rendezvous
-            self.delivered += wire.length
-            self.gro.receive_batch(wire.seal(), now)
         self.gro.flush_all(now)
         self._hrtimer.cancel()

@@ -102,50 +102,6 @@ def _bench_standard_many_flows() -> tuple:
         lambda: workloads.drive_gro(gro, packets, batch=_BATCH) or len(packets))
 
 
-def _bench_juggler_soa_many_flows() -> tuple:
-    """The pure column-wise receive path: prebuilt native batches (no
-    ``Packet`` objects anywhere) through JugglerGRO's SoA fast path."""
-    packets = workloads.reordered_stream(workloads.MANY_FLOWS,
-                                         _MANY_FLOWS_PKTS)
-    batches = workloads.native_batches(packets, batch=_BATCH)
-    n = len(packets)
-    gro = JugglerGRO(lambda s: None, config=JugglerConfig())
-    items, elapsed = _timed_rate(
-        lambda: workloads.drive_gro_batches(gro, batches) or n)
-    assert gro.stats.packets == n
-    assert gro.soa_fast_packets > 0
-    return items, elapsed
-
-
-def _bench_nic_batch_fill() -> tuple:
-    """The columnar ring fill: ``enqueue_wire`` per frame into one RxQueue,
-    sealed and handed to GRO at each coalescing interrupt."""
-    from repro.nic.rxqueue import RxQueue
-
-    packets = workloads.reordered_stream(workloads.MANY_FLOWS,
-                                         _MANY_FLOWS_PKTS)
-    rows = [(p.flow, p.seq, p.payload_len, p.fint) for p in packets]
-    n = len(rows)
-
-    def work() -> int:
-        engine = Engine()
-        gro = JugglerGRO(lambda s: None, config=JugglerConfig())
-        queue = RxQueue(engine, gro, coalesce_ns=100 * _BATCH,
-                        coalesce_frames=_BATCH, columnar=True)
-        enqueue_wire = queue.enqueue_wire
-        run_until = engine.run_until
-        for start in range(0, n, _BATCH):
-            for flow, seq, ln, fl in rows[start:start + _BATCH]:
-                enqueue_wire(flow, seq, ln, flags=fl)
-            # Let the frame-triggered interrupt fire: one poll per batch.
-            run_until(engine.now + 100 * _BATCH)
-        run_until(engine.now + 10_000_000)
-        queue.drain()
-        assert gro.stats.packets == n, gro.stats.packets
-        return n
-    return _timed_rate(work)
-
-
 # -- engine benches -----------------------------------------------------------
 
 _CHURN_EVENTS = 200_000
@@ -317,16 +273,6 @@ BENCHES: Dict[str, BenchSpec] = {
             "gro.standard_many_flows", "pkts/s", True,
             _bench_standard_many_flows,
             "256 reordered flows through StandardGRO"),
-        BenchSpec(
-            "gro.juggler_soa_many_flows", "pkts/s", True,
-            _bench_juggler_soa_many_flows,
-            "256 reordered flows as prebuilt native column batches "
-            "through JugglerGRO's SoA path (zero Packet objects)"),
-        BenchSpec(
-            "nic.batch_fill", "pkts/s", True,
-            _bench_nic_batch_fill,
-            "columnar RX ring fill: enqueue_wire per frame, sealed "
-            "batch per coalescing interrupt, through JugglerGRO"),
         BenchSpec(
             "engine.event_churn", "events/s", True,
             _bench_engine_events,

@@ -22,7 +22,7 @@ from repro.perf.bench import BenchResult
 #: Default relative band; generous because CI machines are noisy.
 DEFAULT_TOLERANCE = 0.30
 
-#: Default baseline location: the repo root, next to BENCH_campaign.json.
+#: Default baseline location: the repo root.
 BASELINE_NAME = "BENCH_core.json"
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.net.addr import FiveTuple
-from repro.net.batch import PacketBatch
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 from repro.sim.rng import RngRegistry
@@ -60,64 +59,15 @@ def reordered_stream(
 
 def drive_gro(gro, packets: List[Packet], *, batch: int = 32,
               ns_per_packet: int = 100) -> None:
-    """Drive a GRO engine the way the NAPI layer does: per-poll batches,
-    one ``poll_complete`` per batch.
-
-    Uses the engine's batch entry point when it has one (the optimized
-    path) and falls back to per-packet ``receive`` otherwise, so the same
-    bench runs against pre- and post-optimization code.
-    """
-    receive_batch = getattr(gro, "receive_batch", None)
+    """Drive a GRO engine the way the NAPI layer does: each poll handed
+    down as a plain list (what ``RxQueue._interrupt`` does), one
+    ``poll_complete`` per poll."""
     now = 0
     for start in range(0, len(packets), batch):
         chunk = packets[start:start + batch]
         now = (start + len(chunk)) * ns_per_packet
-        if receive_batch is not None:
-            # Wrap each poll the way the columnar RX ring hands it down —
-            # an object-backed PacketBatch with its flow-run index built —
-            # so engines with a columnar path take it.
-            receive_batch(PacketBatch.from_packets(chunk), now)
-        else:
-            for packet in chunk:
-                gro.receive(packet, now)
+        gro.receive_batch(chunk, now)
         gro.poll_complete(now)
-    gro.flush_all(now + 1)
-
-
-def native_batches(packets: List[Packet], *, batch: int = 32,
-                   ns_per_packet: int = 100) -> List[PacketBatch]:
-    """Pre-build the sealed native (column-only) batches for ``packets``.
-
-    One batch per poll of :func:`drive_gro_batches`, filled the way the
-    columnar RX ring fills them — ``append_wire`` per row, then ``seal`` —
-    so driving them measures pure column-wise GRO with zero ``Packet``
-    objects in sight.
-    """
-    batches: List[PacketBatch] = []
-    for start in range(0, len(packets), batch):
-        chunk = packets[start:start + batch]
-        b = PacketBatch()
-        received_at = (start + len(chunk)) * ns_per_packet
-        for p in chunk:
-            b.append_wire(p.flow, p.seq, p.payload_len, flags=p.fint,
-                          ce=p.ce, sent_at=p.sent_at,
-                          received_at=received_at)
-        batches.append(b.seal())
-    return batches
-
-
-def drive_gro_batches(gro, batches: List[PacketBatch], *, batch: int = 32,
-                      ns_per_packet: int = 100) -> None:
-    """Drive prebuilt native batches through ``gro.receive_batch``."""
-    receive_batch = gro.receive_batch
-    poll_complete = gro.poll_complete
-    now = 0
-    pkts = 0
-    for b in batches:
-        pkts += b.length
-        now = pkts * ns_per_packet
-        receive_batch(b, now)
-        poll_complete(now)
     gro.flush_all(now + 1)
 
 

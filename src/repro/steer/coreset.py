@@ -71,7 +71,6 @@ class CoreSet:
         coalesce_ns: int,
         coalesce_frames: int,
         ring_size: int,
-        columnar: bool = False,
         name: str = "nic",
         tracer=None,
         metrics_prefix: Optional[str] = None,
@@ -87,7 +86,6 @@ class CoreSet:
                 coalesce_ns=coalesce_ns,
                 coalesce_frames=coalesce_frames,
                 ring_size=ring_size,
-                columnar=columnar,
                 name=f"{name}.rxq{i}",
             )
             self.cores.append(RxCore(i, queue, f"{name}.core{i}"))

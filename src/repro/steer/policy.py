@@ -43,12 +43,6 @@ class SteeringPolicy(abc.ABC):
 
     #: Short name used by experiment grids and reports.
     name = "abstract"
-    #: True when :meth:`queue_index` is a pure function of the flow key —
-    #: the columnar NIC demux then consults it once per *flow slot* of a
-    #: batch instead of once per packet.  Stateful policies (Flow Director
-    #: ticks samplers and installs rules per lookup) must leave this False
-    #: so the batch path drives them per row in arrival order.
-    stateless = False
 
     def __init__(self) -> None:
         self._n = 1
@@ -126,7 +120,6 @@ class RssSteering(SteeringPolicy):
     """
 
     name = "rss"
-    stateless = True
 
     def bind(self, num_queues: int, *, engine=None, tracer=None,
              metrics_prefix: Optional[str] = None) -> None:

@@ -106,9 +106,6 @@ class TcpReceiver:
         """TCP-layer handling, after the app core got to the segment."""
         self.occupancy -= segment.payload_len
         self.segments_received += 1
-        # One column reduction (O(1) for SoaSegment) instead of touching
-        # every packet object — value-merged segments never materialize
-        # their packet list just to learn they are CE-free.
         self._pending_ce_bytes += segment.ce_payload_bytes
         advanced = False
         dsack = None

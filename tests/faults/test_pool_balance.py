@@ -119,50 +119,6 @@ def test_ring_overflow_and_checksum_drops_balance_the_pool():
     assert pool.in_flight == 0
 
 
-def test_columnar_ring_absorbs_and_drops_balance_the_pool():
-    """Column mode: absorption releases at the ring edge, drops release too."""
-    engine = Engine()
-    gro = StandardGRO(lambda s: None)
-    rxq = RxQueue(engine, gro, coalesce_ns=1000, ring_size=8, columnar=True)
-    pool = PacketPool()
-    # 8 absorbed into the staged columns (released immediately), 4 overflow.
-    for i in range(12):
-        rxq.enqueue(pool.acquire(FLOW, i * MSS, MSS))
-    assert rxq.dropped == 4
-    assert pool.in_flight == 0  # nothing live: columns carry the values
-    engine.run_until(1_000_000)  # poll drains the staged columns into GRO
-    corrupt = pool.acquire(FLOW, 999 * MSS, MSS)
-    corrupt.corrupt = True
-    rxq.enqueue(corrupt)
-    assert rxq.checksum_drops == 1
-    assert pool.in_flight == 0
-
-
-def test_columnar_fallback_rehydration_balances_the_pool():
-    """Fallback rows drawn from the rehydrate pool all come back."""
-    from repro.core import JugglerConfig, JugglerGRO
-
-    engine = Engine()
-    delivered = []
-    gro = JugglerGRO(delivered.append, JugglerConfig())
-    rxq = RxQueue(engine, gro, coalesce_ns=1000, columnar=True)
-    # Light per-flow reordering: plenty of OOO rows punt to the fallback
-    # path and materialize from gro.rehydrate_pool().
-    order = [0, 2, 1, 4, 3, 6, 5, 8, 7, 9]
-    for i in range(4):
-        flow = FiveTuple(10 + i, 2, 2000 + i, 80)
-        for k in order:
-            rxq.enqueue_wire(flow, k * MSS, MSS)
-    engine.run_until(1_000_000)
-    rxq.drain()
-    pool = gro.rehydrate_pool()
-    assert pool.allocated + pool.recycled > 0  # the fallback really ran
-    for segment in delivered:
-        for packet in segment.packets:
-            release_terminal(packet)
-    assert pool.in_flight == 0
-
-
 def test_recycled_packets_reset_fault_state():
     """A recycled frame must not resurrect its previous corruption."""
     pool = PacketPool()
