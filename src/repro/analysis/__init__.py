@@ -13,16 +13,6 @@ Two halves (docs/analysis.md is the reference):
   order), installed process-wide via :mod:`repro.analysis.runtime` or
   ``JUGGLER_SANITIZE=1`` and zero-cost when off.
 
-Plus the shard-isolation race detector (docs/shardcheck.md):
-
-* :mod:`repro.analysis.shardcheck` — a static escape/alias pass over the
-  receive-path packages (the ``shard-*`` rules of ``juggler-repro
-  analyze``);
-* :mod:`repro.analysis.ownership` — OSAN, a runtime ownership sanitizer:
-  per-:class:`RxCore` domains, owner tags on the packet-path structures,
-  transfers only at documented rendezvous points; enabled with
-  ``JUGGLER_OSAN=1``.
-
 This ``__init__`` is deliberately lazy: ``repro.core`` imports
 :mod:`repro.analysis.runtime` at module load, and the sanitizer in turn
 needs ``repro.core``'s enums — eager re-exports here would close an import
@@ -41,14 +31,6 @@ _LAZY = {
     "Sanitizer": ("repro.analysis.sanitizer", "Sanitizer"),
     "SanitizerError": ("repro.analysis.sanitizer", "SanitizerError"),
     "LEGAL_TRANSITIONS": ("repro.analysis.sanitizer", "LEGAL_TRANSITIONS"),
-    "check_source": ("repro.analysis.shardcheck", "check_source"),
-    "check_file": ("repro.analysis.shardcheck", "check_file"),
-    "check_tree": ("repro.analysis.shardcheck", "check_tree"),
-    "Domain": ("repro.analysis.ownership", "Domain"),
-    "OwnershipError": ("repro.analysis.ownership", "OwnershipError"),
-    "OwnershipSanitizer": ("repro.analysis.ownership",
-                           "OwnershipSanitizer"),
-    "RENDEZVOUS_POINTS": ("repro.analysis.ownership", "RENDEZVOUS_POINTS"),
 }
 
 __all__ = sorted(_LAZY) + ["runtime"]

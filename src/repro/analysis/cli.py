@@ -2,16 +2,13 @@
 
 ::
 
-    juggler-repro analyze                      # lint + shardcheck src/repro
+    juggler-repro analyze                      # lint src/repro
     juggler-repro analyze path/to/file.py dir/ # lint explicit targets
     juggler-repro analyze --format json        # machine-readable findings
     juggler-repro analyze --rules              # print the rule catalog
-    juggler-repro analyze --no-shard           # determinism rules only
 
-Every file gets two passes: the determinism linter
-(:mod:`repro.analysis.lint`) and the shard-isolation escape pass
-(:mod:`repro.analysis.shardcheck`, the ``shard-*`` rules — see
-``docs/shardcheck.md``).  Exit status: 0 clean, 1 findings, 2 usage
+Every file goes through the determinism linter
+(:mod:`repro.analysis.lint`).  Exit status: 0 clean, 1 findings, 2 usage
 error.  CI runs this alongside ruff and mypy in the ``analysis`` job
 (see ``.github/workflows/ci.yml``); the per-package policies and the
 pragma syntax are documented in ``docs/analysis.md``.
@@ -36,13 +33,11 @@ def default_tree() -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.lint import iter_python_files, lint_file
     from repro.analysis.policy import RULE_DESCRIPTIONS, policy_for
-    from repro.analysis.shardcheck import check_file
 
     parser = argparse.ArgumentParser(
         prog="juggler-repro analyze",
-        description="Determinism / purity linter and shard-isolation "
-                    "escape pass for the reproduction tree "
-                    "(docs/analysis.md, docs/shardcheck.md).",
+        description="Determinism / purity linter for the reproduction "
+                    "tree (docs/analysis.md).",
     )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -53,9 +48,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--rules", action="store_true",
         help="print the rule catalog and exit")
-    parser.add_argument(
-        "--no-shard", action="store_true",
-        help="skip the shard-isolation pass (determinism rules only)")
     args = parser.parse_args(argv)
 
     if args.rules:
@@ -73,8 +65,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path in iter_python_files(target):
             files += 1
             findings.extend(lint_file(path))
-            if not args.no_shard:
-                findings.extend(check_file(path))
 
     if args.format == "json":
         print(json.dumps([

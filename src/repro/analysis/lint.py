@@ -43,7 +43,6 @@ from repro.analysis.policy import (
     Policy,
     RAW_RNG,
     SET_ITERATION,
-    SHARD_RULES,
     UNORDERED_POP,
     WALL_CLOCK,
     module_exemptions,
@@ -352,22 +351,14 @@ class _Visitor(ast.NodeVisitor):
                            "value")
 
 
-#: Valid rule names a pragma may reference — determinism *and* shard
-#: rules, so a ``det: allow(shard-*)`` pragma in a file both passes scan
-#: is not misreported as unknown by the determinism pass.
-RULE_NAMES = ALL_RULES | SHARD_RULES
-
-
-def apply_pragmas(raw_findings: List[Finding], source: str, path: str,
-                  *, report_unknown: bool = True) -> List[Finding]:
+def apply_pragmas(raw_findings: List[Finding], source: str,
+                  path: str) -> List[Finding]:
     """Resolve ``det: allow`` pragmas against a raw finding list.
 
     A pragma on the finding's line (or the line above) naming the same
     rule waives it — but only with a justification after ``--``; a bare
-    pragma becomes a ``bad-pragma`` finding itself.  With
-    ``report_unknown`` (the determinism pass only, so two passes over the
-    same file don't double-report), pragmas naming rules outside
-    :data:`RULE_NAMES` are also flagged.  Returns findings sorted by
+    pragma becomes a ``bad-pragma`` finding itself, and so does a pragma
+    naming a rule outside :data:`ALL_RULES`.  Returns findings sorted by
     location.
     """
     pragmas = parse_pragmas(source)
@@ -383,12 +374,11 @@ def apply_pragmas(raw_findings: List[Finding], source: str, path: str,
                 "after '--'"))
             continue
         findings.append(finding)
-    if report_unknown:
-        for pragma in pragmas.values():
-            if pragma.rule not in RULE_NAMES:
-                findings.append(Finding(
-                    path, pragma.line, 0, BAD_PRAGMA,
-                    f"pragma names unknown rule '{pragma.rule}'"))
+    for pragma in pragmas.values():
+        if pragma.rule not in ALL_RULES:
+            findings.append(Finding(
+                path, pragma.line, 0, BAD_PRAGMA,
+                f"pragma names unknown rule '{pragma.rule}'"))
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings
 

@@ -34,12 +34,6 @@ ID_ORDERING = "id-ordering"
 UNORDERED_POP = "unordered-pop"
 BAD_PRAGMA = "bad-pragma"
 
-#: Shard-isolation rule identifiers (repro.analysis.shardcheck).
-SHARD_MODULE_STATE = "shard-module-state"
-SHARD_CLOSURE_CAPTURE = "shard-closure-capture"
-SHARD_CROSS_CORE = "shard-cross-core-arg"
-SHARD_SHARED_CONTAINER = "shard-shared-container"
-
 #: Every rule the determinism linter knows.  ``bad-pragma`` is meta and
 #: always on.
 ALL_RULES = frozenset({
@@ -51,14 +45,6 @@ ALL_RULES = frozenset({
     FLOAT_NS,
     ID_ORDERING,
     UNORDERED_POP,
-})
-
-#: Every rule the shard-isolation escape pass knows.
-SHARD_RULES = frozenset({
-    SHARD_MODULE_STATE,
-    SHARD_CLOSURE_CAPTURE,
-    SHARD_CROSS_CORE,
-    SHARD_SHARED_CONTAINER,
 })
 
 RULE_DESCRIPTIONS = {
@@ -80,18 +66,6 @@ RULE_DESCRIPTIONS = {
                    "pop a deterministic key or sort first",
     BAD_PRAGMA: "malformed det: pragma (justification after '--' is "
                 "mandatory)",
-    SHARD_MODULE_STATE: "module-level mutable state reachable from the "
-                        "receive path — shards would share it; move it "
-                        "into per-core objects",
-    SHARD_CLOSURE_CAPTURE: "closure built in a loop captures shared "
-                           "mutable state (or the loop variable late-"
-                           "bound) — bind per-core values as defaults",
-    SHARD_CROSS_CORE: "object from one core's context passed into "
-                      "another core's method — flow state must not "
-                      "straddle shards",
-    SHARD_SHARED_CONTAINER: "one mutable container handed to multiple "
-                            "shard constructors without a copy — wrap "
-                            "in dict()/list() per shard",
 }
 
 
@@ -166,29 +140,6 @@ def policy_for(path: str) -> Policy:
         if policy is not None:
             return policy
     return STRICT
-
-
-#: Packages under ``repro/`` whose modules are shard-isolation checked:
-#: everything the per-core receive path touches (see docs/shardcheck.md).
-#: ``net`` is in scope because Packets and Segments are per-shard state
-#: from the moment an RxQueue rings them.
-SHARD_PACKAGES = frozenset({"steer", "nic", "core", "trace", "net"})
-
-
-def shard_rules_for(path: str) -> FrozenSet[str]:
-    """Shard-isolation rules active for a source file path.
-
-    Only the packages the receive path runs through are checked; driver
-    and experiment layers may share state freely because they never run
-    inside a shard.  Unattributable paths (test fixtures) are checked —
-    mirroring :func:`policy_for`'s strict default — so planted-escape
-    fixtures stay live specimens.
-    """
-    norm = path.replace("\\", "/")
-    match = re.search(r"repro/([A-Za-z_]\w*)(?:/|\.py$)", norm)
-    if match and match.group(1) not in SHARD_PACKAGES:
-        return frozenset()
-    return SHARD_RULES
 
 
 def module_exemptions(path: str) -> FrozenSet[str]:

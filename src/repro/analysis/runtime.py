@@ -12,12 +12,6 @@ keep the reference (or ``None``).  Three ways to turn JSAN on:
 When nothing installs a sanitizer, :func:`current` returns ``None`` and
 every hook in the engine degrades to one attribute load and one identity
 test — see ``benchmarks/test_sanitizer_overhead.py``.
-
-OSAN (:mod:`repro.analysis.ownership`) installs through the exact same
-idiom, independently: ``JUGGLER_OSAN=1`` / :func:`install_osan` /
-:func:`ownership_checking`, read once at construction time via
-:func:`current_osan`.  The two sanitizers compose — a run may check
-state-machine legality, shard ownership, both, or neither.
 """
 
 from __future__ import annotations
@@ -27,9 +21,6 @@ from typing import Iterator, Optional
 
 _current = None
 _env_checked = False
-
-_current_osan = None
-_osan_env_checked = False
 
 
 def current() -> Optional["Sanitizer"]:
@@ -64,41 +55,9 @@ def uninstall() -> None:
 
 def reset() -> None:
     """Forget any installation *and* re-arm the environment probe (tests)."""
-    global _current, _env_checked, _current_osan, _osan_env_checked
+    global _current, _env_checked
     _current = None
     _env_checked = False
-    _current_osan = None
-    _osan_env_checked = False
-
-
-def current_osan() -> Optional["OwnershipSanitizer"]:
-    """The installed ownership sanitizer, or None when checking is off.
-
-    The first call consults ``JUGGLER_OSAN``; later calls are a plain
-    global read.
-    """
-    global _current_osan, _osan_env_checked
-    if _current_osan is None and not _osan_env_checked:
-        _osan_env_checked = True
-        from repro.analysis.ownership import from_env
-
-        _current_osan = from_env()
-    return _current_osan
-
-
-def install_osan(osan: "OwnershipSanitizer") -> "OwnershipSanitizer":
-    """Make ``osan`` process-wide for components built from now on."""
-    global _current_osan, _osan_env_checked
-    _current_osan = osan
-    _osan_env_checked = True
-    return osan
-
-
-def uninstall_osan() -> None:
-    """Disable ownership checking for components built from now on."""
-    global _current_osan, _osan_env_checked
-    _current_osan = None
-    _osan_env_checked = True
 
 
 @contextmanager
@@ -116,20 +75,3 @@ def sanitizing(sanitizer: Optional["Sanitizer"] = None) -> Iterator["Sanitizer"]
     finally:
         _current, _env_checked = saved, saved_checked
 
-
-@contextmanager
-def ownership_checking(
-    osan: Optional["OwnershipSanitizer"] = None,
-) -> Iterator["OwnershipSanitizer"]:
-    """Install a (fresh, by default) OSAN for the duration of a block."""
-    global _current_osan, _osan_env_checked
-    if osan is None:
-        from repro.analysis.ownership import OwnershipSanitizer
-
-        osan = OwnershipSanitizer()
-    saved, saved_checked = _current_osan, _osan_env_checked
-    install_osan(osan)
-    try:
-        yield osan
-    finally:
-        _current_osan, _osan_env_checked = saved, saved_checked

@@ -37,7 +37,6 @@ class FlowEntry:
         "hole_since",
         "created_at",
         "last_seen",
-        "owner_domain",
     )
 
     def __init__(self, key: FiveTuple, now: int, max_payload: Optional[int] = None):
@@ -57,10 +56,6 @@ class FlowEntry:
         self.hole_since: Optional[int] = None
         self.created_at = now
         self.last_seen = now
-        #: OSAN shard ownership tag (see repro.analysis.ownership); None
-        #: means unowned/ambient.  Assigned by GroTable.add when the
-        #: table itself is bound to a per-core context.
-        self.owner_domain = None
 
     @property
     def has_hole(self) -> bool:

@@ -36,12 +36,6 @@ class GroTable:
         #: None when sanitizing is disabled, so every hook below costs one
         #: identity test on the hot path.
         self.sanitizer = sanitize_runtime.current()
-        #: Optional :class:`~repro.analysis.ownership.OwnershipSanitizer`
-        #: (OSAN), same cost contract.  ``owner_domain`` is set when the
-        #: table is claimed by a per-core context (see RxQueue.claim);
-        #: None means shared/ambient and exempt from ownership checks.
-        self.osan = sanitize_runtime.current_osan()
-        self.owner_domain = None
         self._flows: Dict[FiveTuple, FlowEntry] = {}
         self._lists: Dict[str, Dict[FiveTuple, FlowEntry]] = {
             "active": {},
@@ -92,12 +86,6 @@ class GroTable:
         self._lists[entry.phase.list_name][entry.key] = entry
         if self.sanitizer is not None:
             self.sanitizer.check_admission(self, entry)
-        if self.osan is not None:
-            self.osan.check(self, "add")
-            if self.owner_domain is not None:
-                # New flow state inherits the table's shard at bind time.
-                entry.owner_domain = self.owner_domain
-                entry.ofo.owner_domain = self.owner_domain
 
     def move(self, entry: FlowEntry, phase: Phase, now: int = 0) -> None:
         """Transition ``entry`` to ``phase``, re-homing it on the right list.
@@ -109,8 +97,6 @@ class GroTable:
         old_phase = entry.phase
         if self.sanitizer is not None:
             self.sanitizer.check_transition(entry, old_phase, phase)
-        if self.osan is not None:
-            self.osan.check(entry, "move")
         old_list = self._lists[old_phase.list_name]
         old_list.pop(entry.key, None)
         entry.phase = phase
@@ -120,8 +106,6 @@ class GroTable:
 
     def remove(self, entry: FlowEntry) -> None:
         """Drop ``entry`` from the table entirely (eviction / teardown)."""
-        if self.osan is not None:
-            self.osan.check(entry, "remove")
         del self._flows[entry.key]
         self._lists[entry.phase.list_name].pop(entry.key, None)
 
@@ -134,8 +118,6 @@ class GroTable:
         phases and evicts the oldest entry; ``"active_first"`` inverts the
         preference (ablation baselines).
         """
-        if self.osan is not None:
-            self.osan.check(self, "pick_victim")
         if not self._flows:
             raise LookupError("gro_table is empty; nothing to evict")
         if policy == "fifo":

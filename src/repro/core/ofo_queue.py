@@ -51,15 +51,12 @@ class InsertResult:
 class OfoQueue:
     """Sorted, non-overlapping runs of buffered packets for one flow."""
 
-    __slots__ = ("nodes", "max_payload", "_result", "owner_domain")
+    __slots__ = ("nodes", "max_payload", "_result")
 
     def __init__(self, max_payload: Optional[int] = None):
         self.nodes: List[Segment] = []
         self.max_payload = max_payload
         self._result = InsertResult()
-        #: OSAN shard ownership tag (see repro.analysis.ownership); set
-        #: alongside the owning FlowEntry's, None = unowned/ambient.
-        self.owner_domain = None
 
     def __len__(self) -> int:
         return len(self.nodes)

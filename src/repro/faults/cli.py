@@ -23,6 +23,7 @@ import json
 import os
 import sys
 
+from repro.analysis import runtime as sanitize_runtime
 from repro.faults.experiments import (
     MatrixParams,
     gro_factory,
@@ -70,7 +71,7 @@ def cmd_run(argv) -> int:
         overrides["seed"] = args.seed
     params = dataclasses.replace(MatrixParams(), **overrides)
 
-    sanitize = os.environ.get("JUGGLER_SANITIZE", "") not in ("", "0")
+    sanitize = sanitize_runtime.current() is not None
     print(f"plan '{plan.name}': {len(plan.faults)} fault(s), "
           f"seed {plan.seed}; engine={args.gro}, "
           f"duration={params.duration_ms} ms, "

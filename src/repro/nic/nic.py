@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
 from repro.net.packet import Packet
 from repro.nic.rxqueue import RxQueue
@@ -67,9 +66,7 @@ class Nic:
     ):
         self.config = config if config is not None else NicConfig()
         self.name = name
-        self._engine = engine
         self.tracer = trace_runtime.current()
-        self._osan = sanitize_runtime.current_osan()
         prefix = None
         if self.tracer is not None:
             prefix = f"steer{self.tracer.component_index('steer')}"
@@ -121,24 +118,8 @@ class Nic:
         counters into the metrics registry — multi-queue runs previously
         reported only the NIC-level ``dropped`` aggregate, losing which
         queue overflowed.
-
-        This is the ``nic.drain`` rendezvous point of the shard isolation
-        contract (docs/shardcheck.md): per-core state is handed back to
-        the ambient (unowned) domain so post-run reporting may read it
-        freely.
         """
         for queue in self.queues:
             queue.drain()
         if self.tracer is not None:
             self.cores.reconcile(self.tracer.metrics)
-        if self._osan is not None:
-            now = self._engine.now
-            for queue in self.queues:
-                if queue.owner_domain is None:
-                    continue
-                table = getattr(queue.gro, "table", None)
-                if table is not None:
-                    self._osan.transfer(table, None, point="nic.drain",
-                                        now=now)
-                self._osan.transfer(queue, None, point="nic.drain",
-                                    now=now)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import GroEngine
 from repro.net.packet import Packet
 from repro.net.pool import release_terminal
@@ -47,11 +46,6 @@ class RxQueue:
         self.name = name
         self._ring: Deque[Packet] = deque()
         self.tracer = trace_runtime.current()
-        #: Optional OSAN (see repro.analysis.ownership); None keeps every
-        #: hook below at one attribute load + one identity test.  The
-        #: queue is unowned until a per-core context claims it.
-        self._osan = sanitize_runtime.current_osan()
-        self.owner_domain = None
         self._irq = Timer(engine, self._interrupt)
         self._hrtimer = Timer(engine, self._hrtimer_fire)
         #: Ring overflows (packet drops at the host).
@@ -72,18 +66,6 @@ class RxQueue:
         """Packets waiting in the ring."""
         return len(self._ring)
 
-    def claim(self, domain) -> None:
-        """Bind this queue (and its engine's table) to a shard domain.
-
-        Called by :class:`~repro.steer.coreset.CoreSet` when OSAN is
-        active: every poll and timer callback below then runs *as* the
-        domain, and any reach into another core's state raises.
-        """
-        self.owner_domain = domain
-        table = getattr(self.gro, "table", None)
-        if table is not None:
-            table.owner_domain = domain
-
     def _kick(self, backlog: int) -> None:
         """Arm (or fast-forward) the coalescing interrupt after an arrival."""
         if self.stalled:
@@ -96,12 +78,7 @@ class RxQueue:
             self._irq.arm_after(0)
 
     def enqueue(self, packet: Packet) -> None:
-        """DMA one packet into the ring (called by the wire at arrival time).
-
-        Deliberately *not* ownership-checked: the ring is the documented
-        wire->core handoff — the producer side of the shard boundary
-        (see docs/shardcheck.md).
-        """
+        """DMA one packet into the ring (called by the wire at arrival time)."""
         if len(self._ring) >= self.ring_size:
             self.dropped += 1
             release_terminal(packet)
@@ -121,25 +98,15 @@ class RxQueue:
         now = self._engine.now
         if self.tracer is not None:
             self.tracer.timer(now, f"{self.name}.irq")
-        osan = self._osan
-        if osan is not None:
-            # Catches one core's poll handler synchronously driving
-            # another core's queue, then runs the poll *as* our domain.
-            osan.check(self, "poll")
-            osan.enter(self.owner_domain)
-        try:
-            if self._ring:
-                # Hand the whole poll batch down at once (kernel: the driver
-                # poll loop runs napi_gro_receive per descriptor in one
-                # softirq).
-                batch = list(self._ring)
-                self._ring.clear()
-                self.delivered += len(batch)
-                self.gro.receive_batch(batch, now)
-            self.gro.poll_complete(now)
-        finally:
-            if osan is not None:
-                osan.exit()
+        if self._ring:
+            # Hand the whole poll batch down at once (kernel: the driver
+            # poll loop runs napi_gro_receive per descriptor in one
+            # softirq).
+            batch = list(self._ring)
+            self._ring.clear()
+            self.delivered += len(batch)
+            self.gro.receive_batch(batch, now)
+        self.gro.poll_complete(now)
         self.polls += 1
         self._rearm_hrtimer()
 
@@ -147,15 +114,7 @@ class RxQueue:
         """Per-table high-resolution timer: timeout checks between polls."""
         if self.tracer is not None:
             self.tracer.timer(self._engine.now, f"{self.name}.hrtimer")
-        osan = self._osan
-        if osan is not None:
-            osan.check(self, "hrtimer")
-            osan.enter(self.owner_domain)
-        try:
-            self.gro.check_timeouts(self._engine.now)
-        finally:
-            if osan is not None:
-                osan.exit()
+        self.gro.check_timeouts(self._engine.now)
         self._rearm_hrtimer()
 
     def _rearm_hrtimer(self) -> None:
@@ -185,15 +144,7 @@ class RxQueue:
         self._rearm_hrtimer()
 
     def drain(self) -> None:
-        """Force-process everything (experiment teardown).
-
-        Runs *ambient* (no domain entered): drain is the reconciliation
-        side of the ``nic.drain`` rendezvous, where per-core state is
-        collapsed back into shared totals — but draining one core's queue
-        from inside *another* core's domain is still a race.
-        """
-        if self._osan is not None:
-            self._osan.check(self, "drain")
+        """Force-process everything (experiment teardown)."""
         now = self._engine.now
         if self._ring:
             batch = list(self._ring)

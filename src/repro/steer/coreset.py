@@ -5,8 +5,7 @@ owns its own :class:`~repro.nic.rxqueue.RxQueue` and, through it, its own
 GRO engine with a private ``gro_table`` shard — the §4 independence
 invariant ("different RX queues operate independently and have their
 private data structures") made structural.  Nothing in a core's context is
-reachable from another core, which is what makes per-core parallel engines
-(ROADMAP) a scheduling change rather than a locking project.
+reachable from another core.
 
 When a tracer is installed, each shard registers ``steer.shardN.*`` gauges
 (occupancy, eviction pressure, deliveries, drops) into the shared
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine
@@ -31,15 +29,12 @@ RECONCILED_FIELDS = ("polls", "delivered", "dropped", "checksum_drops")
 class RxCore:
     """One receive core: its queue, its GRO shard, nothing shared."""
 
-    __slots__ = ("index", "queue", "name", "domain")
+    __slots__ = ("index", "queue", "name")
 
     def __init__(self, index: int, queue: RxQueue, name: str):
         self.index = index
         self.queue = queue
         self.name = name
-        #: OSAN ownership domain this core executes as (see
-        #: repro.analysis.ownership); None when checking is disabled.
-        self.domain = None
 
     @property
     def gro(self) -> GroEngine:
@@ -91,13 +86,6 @@ class CoreSet:
             self.cores.append(RxCore(i, queue, f"{name}.core{i}"))
         #: The queues in core order — the steering policy indexes into this.
         self.queues: List[RxQueue] = [core.queue for core in self.cores]
-        osan = sanitize_runtime.current_osan()
-        if osan is not None:
-            # Each RxCore registers its ownership domain and claims its
-            # private queue + table shard (docs/shardcheck.md).
-            for core in self.cores:
-                core.domain = osan.register_domain(core.name)
-                core.queue.claim(core.domain)
         if tracer is not None and metrics_prefix is not None:
             self._bind_metrics(tracer, metrics_prefix)
 

@@ -197,10 +197,6 @@ class FlowDirectorSteering(SteeringPolicy):
                 if self.tracer is not None and self._engine is not None:
                     self.tracer.steer_migration(self._engine.now, flow,
                                                 rule.queue, target)
-                if self._osan is not None:
-                    # The steer.migration rendezvous: future packets of
-                    # this flow belong to the target queue's shard.
-                    self._osan.record_migration(flow, rule.queue, target)
                 rule.queue = target
             else:
                 self.rule_updates += 1

@@ -48,10 +48,6 @@ class SteeringPolicy(abc.ABC):
         self._n = 1
         self._engine = None
         self.tracer = None
-        #: Optional OSAN (repro.analysis.ownership), picked up at bind
-        #: time; stateful policies report flow migrations to it — the
-        #: ``steer.migration`` rendezvous of the shard isolation contract.
-        self._osan = None
         self._bound = False
 
     # -- wiring ---------------------------------------------------------------
@@ -75,9 +71,6 @@ class SteeringPolicy(abc.ABC):
         self._n = num_queues
         self._engine = engine
         self.tracer = tracer
-        from repro.analysis import runtime as sanitize_runtime
-
-        self._osan = sanitize_runtime.current_osan()
         if tracer is not None and metrics_prefix is not None:
             self._bind_metrics(tracer, metrics_prefix)
 

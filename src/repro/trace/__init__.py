@@ -31,7 +31,6 @@ from repro.trace.events import (
     FlowcutPin,
     Flush,
     Merge,
-    OwnershipTransfer,
     PacketRx,
     PhaseTransition,
     SteerMigration,
@@ -72,7 +71,6 @@ __all__ = [
     "SteerRebalance",
     "CcStateChange",
     "CcRecovery",
-    "OwnershipTransfer",
     "FlowcutPin",
     "FlowcutMove",
     "Counter",

@@ -46,8 +46,6 @@ class EventKind(enum.Enum):
     CC_STATE = "cc_state"
     #: The sender entered loss recovery (fast retransmit or RTO).
     CC_RECOVERY = "cc_recovery"
-    #: An object changed ownership domain at a rendezvous point (OSAN).
-    OWNERSHIP_TRANSFER = "ownership_transfer"
     #: A switch pinned a new flowcut/flowlet to an uplink (repro.fabric).
     FLOWCUT_PIN = "flowcut_pin"
     #: A drained flowcut/flowlet re-pinned to a different uplink.
@@ -204,22 +202,6 @@ class SteerRebalance(TraceEvent):
 
     groups_moved: int
     flushed: bool
-
-
-@dataclass(frozen=True, slots=True)
-class OwnershipTransfer(TraceEvent):
-    """An object legally changed shard ownership (see docs/shardcheck.md).
-
-    ``point`` names the rendezvous (``nic.drain``, ``steer.migration``);
-    domains are names, or None for the ambient (unowned) state.
-    """
-
-    kind: ClassVar[EventKind] = EventKind.OWNERSHIP_TRANSFER
-
-    obj_kind: str
-    old_domain: Optional[str]
-    new_domain: Optional[str]
-    point: str
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,14 +25,14 @@ def current() -> Optional[Tracer]:
 
 def install(tracer: Tracer) -> Tracer:
     """Make ``tracer`` the process-wide tracer for components built next."""
-    global _current  # det: allow(shard-module-state) -- construction-time wiring only: shards copy the reference at build time and never write here
+    global _current
     _current = tracer
     return tracer
 
 
 def uninstall() -> None:
     """Disable tracing for components built from now on."""
-    global _current  # det: allow(shard-module-state) -- construction-time wiring only: shards copy the reference at build time and never write here
+    global _current
     _current = None
 
 

@@ -35,7 +35,6 @@ from repro.trace.events import (
     FlowcutPin,
     Flush,
     Merge,
-    OwnershipTransfer,
     PacketRx,
     PhaseTransition,
     SteerMigration,
@@ -184,14 +183,6 @@ class Tracer:
         """The steering policy rebalanced its affinity assignment."""
         if self.wants(EventKind.STEER_REBALANCE):
             self.emit(SteerRebalance(self._stamp(now), groups_moved, flushed))
-
-    def ownership_transfer(self, now: int, obj_kind: str,
-                           old_domain: Optional[str],
-                           new_domain: Optional[str], point: str) -> None:
-        """An object changed shard ownership at a rendezvous point."""
-        if self.wants(EventKind.OWNERSHIP_TRANSFER):
-            self.emit(OwnershipTransfer(self._stamp(now), obj_kind,
-                                        old_domain, new_domain, point))
 
     def flowcut_pin(self, now: int, flow, policy: str, port: int) -> None:
         """A switch pinned a new flowcut/flowlet to an uplink."""

@@ -134,7 +134,8 @@ def test_render_lists_cells_in_order():
     assert table.index("juggler") < table.index("standard")
 
 
-def test_faults_run_cli(tmp_path, capsys):
+def test_faults_run_cli(tmp_path, capsys, monkeypatch):
+    from repro.analysis import runtime as sanitize_runtime
     from repro.faults.cli import main
 
     plan_path = tmp_path / "plan.json"
@@ -145,14 +146,28 @@ def test_faults_run_cli(tmp_path, capsys):
                     "params": {"p": 0.05}}],
     }))
     out_path = tmp_path / "report.json"
-    rc = main(["run", "--plan", str(plan_path), "--duration-ms", "8",
-               "--json", str(out_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "plan 'smoke'" in out
-    assert "goodput_gbps" in out
-    report = json.loads(out_path.read_text())
-    assert report["report"]["faults_injected"] == 2
+    # The banner must say what is actually armed: "off" is one of the
+    # spellings sanitizer.from_env treats as disabled.
+    try:
+        for env_value, armed in (("1", True), ("off", False), (None, False)):
+            if env_value is None:
+                monkeypatch.delenv("JUGGLER_SANITIZE", raising=False)
+            else:
+                monkeypatch.setenv("JUGGLER_SANITIZE", env_value)
+            sanitize_runtime.reset()
+            rc = main(["run", "--plan", str(plan_path), "--duration-ms", "8",
+                       "--json", str(out_path)])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "plan 'smoke'" in out
+            assert "goodput_gbps" in out
+            assert f"sanitizer={'on' if armed else 'off'}" in out
+            assert ("zero invariant violations" in out) == armed
+            report = json.loads(out_path.read_text())
+            assert report["report"]["faults_injected"] == 2
+    finally:
+        # Re-arm the lazy probe; it next reads the suite's own environment.
+        sanitize_runtime.reset()
 
 
 def test_faults_run_cli_rejects_bad_plan(tmp_path, capsys):

@@ -281,3 +281,45 @@ def test_nic_drain_reconciles_per_queue_metrics():
         assert snap[f"nic.rxq{1 - hot_index}.dropped"] == 0
         assert snap[f"nic.rxq{hot_index}.polls"] >= 1
         assert snap[f"nic.rxq{hot_index}.delivered"] == 2
+
+
+def test_shard_gauges_read_back_their_own_queue():
+    """``steer<i>.shard<j>.*`` gauges report queue *j*, for every *j*.
+
+    ``CoreSet._bind_metrics`` registers the probes in a per-core loop; a
+    late-bound loop variable there would make every gauge read the last
+    core.  Each queue gets a different flow count, packet count and
+    overflow so no two shards share a value.
+    """
+    from repro.steer import StaticAffinitySteering
+    from repro.trace import Tracer, runtime
+    from repro.trace.sinks import CallbackSink
+
+    ring = 8
+    flows = {j: [FiveTuple(j, 2, 5000 + k, 80) for k in range(j + 1)]
+             for j in range(4)}
+    steering = StaticAffinitySteering(
+        {flow: j for j, pinned in flows.items() for flow in pinned})
+    tracer = Tracer([CallbackSink(lambda e: None)])
+    with runtime.tracing(tracer):
+        engine = Engine()
+        nic = Nic(engine, lambda s: None,
+                  lambda d: JugglerGRO(d, JugglerConfig()),
+                  NicConfig(num_queues=4, ring_size=ring,
+                            coalesce_ns=10 * US),
+                  steering=steering)
+    # Polled round: queue j sees j+1 flows, one packet each.
+    for pinned in flows.values():
+        for flow in pinned:
+            nic.receive(pkt(0, flow))
+    engine.run_until(20 * US)
+    # Unpolled round: queue j overflows its ring by j packets.
+    for j, pinned in flows.items():
+        for i in range(ring + j):
+            nic.receive(pkt((1 + i) * MSS, pinned[0]))
+    snap = tracer.metrics.snapshot()
+    for field, expected in (("delivered", [1, 2, 3, 4]),
+                            ("dropped", [0, 1, 2, 3]),
+                            ("occupancy", [1, 2, 3, 4])):
+        assert [snap[f"steer0.shard{j}.{field}"]
+                for j in range(4)] == expected, field
