@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Protocol
+from typing import Deque, Dict, List, Optional, Protocol
 
 from repro.net.constants import transmit_time_ns
 from repro.net.packet import Packet
@@ -47,6 +47,12 @@ class LinkStats:
         return self.busy_ns / elapsed_ns
 
 
+#: rate_gbps -> {wire_len: serialisation ns}.  Links of one rate share a table:
+#: paced flows cut runts of every size, and a table per link cost the
+#: 256-flow fig15 cell 0.5 MB.
+_TX_NS: Dict[float, Dict[int, int]] = {}
+
+
 class QueuedLink:
     """One transmitter, N strict-priority queues, infinite-or-capped buffer."""
 
@@ -79,6 +85,9 @@ class QueuedLink:
         self._queue_bytes: List[int] = [0] * priorities
         self._queued_bytes = 0
         self._busy = False
+        #: ``wire_len`` -> serialisation ns at ``rate_gbps`` (which is fixed
+        #: at construction).
+        self._tx_ns = _TX_NS.setdefault(rate_gbps, {})
         self.stats = LinkStats()
 
     @property
@@ -106,9 +115,10 @@ class QueuedLink:
         (switch output queues have per-queue buffers); overflow tail-drops.
         """
         level = min(packet.priority, len(self._queues) - 1)
+        wire_len = packet.wire_len
         if (
             self.capacity_bytes is not None
-            and self._queue_bytes[level] + packet.wire_len > self.capacity_bytes
+            and self._queue_bytes[level] + wire_len > self.capacity_bytes
         ):
             self.stats.drops += 1
             release_terminal(packet)
@@ -121,8 +131,8 @@ class QueuedLink:
             packet.mark_ce()
             self.stats.ce_marked += 1
         self._queues[level].append(packet)
-        self._queue_bytes[level] += packet.wire_len
-        self._queued_bytes += packet.wire_len
+        self._queue_bytes[level] += wire_len
+        self._queued_bytes += wire_len
         if self._queued_bytes > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = self._queued_bytes
         if not self._busy:
@@ -137,15 +147,20 @@ class QueuedLink:
             self._busy = False
             return
         self._busy = True
-        self._queue_bytes[level] -= packet.wire_len
-        self._queued_bytes -= packet.wire_len
-        tx_ns = transmit_time_ns(packet.payload_len, self.rate_gbps)
-        self.stats.packets += 1
-        self.stats.bytes += packet.wire_len
-        self.stats.busy_ns += tx_ns
-        self.stats.per_priority[level] = self.stats.per_priority.get(level, 0) + 1
-        self._engine.schedule(tx_ns, self._tx_done, packet)
+        wire_len = packet.wire_len
+        self._queue_bytes[level] -= wire_len
+        self._queued_bytes -= wire_len
+        tx_ns = self._tx_ns.get(wire_len)
+        if tx_ns is None:
+            tx_ns = self._tx_ns[wire_len] = transmit_time_ns(
+                packet.payload_len, self.rate_gbps)
+        stats = self.stats
+        stats.packets += 1
+        stats.bytes += wire_len
+        stats.busy_ns += tx_ns
+        stats.per_priority[level] = stats.per_priority.get(level, 0) + 1
+        self._engine.post(tx_ns, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
-        self._engine.schedule(self.prop_delay_ns, self.sink.receive, packet)
+        self._engine.post(self.prop_delay_ns, self.sink.receive, packet)
         self._transmit_next()

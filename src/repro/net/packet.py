@@ -49,6 +49,7 @@ class Packet:
         "is_retransmission",
         "path_id",
         "sig",
+        "wire_len",
         "forces_flush",
         "corrupt",
         "origin",
@@ -100,6 +101,10 @@ class Packet:
         # check (IntFlag arithmetic is far too slow for a per-probe cost).
         f = int(flags)
         self.sig = (options, ce, f & ~0x08)  # ~PSH
+        #: Bytes occupied on the wire, including all framing overhead (the
+        #: links read it several times per hop; ``payload_len`` never changes
+        #: after construction).
+        self.wire_len = wire_bytes(payload_len)
         self.forces_flush = (f & 0x2F) != 0  # PSH|URG|SYN|FIN|RST
 
     def reset(
@@ -145,11 +150,6 @@ class Packet:
     def end_seq(self) -> int:
         """Sequence number of the byte just past this packet's payload."""
         return self.seq + self.payload_len
-
-    @property
-    def wire_len(self) -> int:
-        """Bytes occupied on the wire, including all framing overhead."""
-        return wire_bytes(self.payload_len)
 
     @property
     def is_pure_ack(self) -> bool:

@@ -176,7 +176,7 @@ def timer_rearm_churn(engine_cls, timer_cls, n_timers: int,
     """The RxQueue hrtimer pattern: every "poll", every timer is re-armed.
 
     Each re-arm cancels the pending event and schedules a new one — the
-    tombstone-churn case the timer wheel and compaction exist for.
+    tombstone-churn case lazy cancellation and compaction exist for.
     Returns the number of timer fires.
     """
     engine = engine_cls()

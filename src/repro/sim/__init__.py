@@ -7,7 +7,7 @@ reproduction is deterministic given a seed.
 """
 
 from repro.sim.time import NS, US, MS, SEC, format_time
-from repro.sim.event import Event, EventHandle
+from repro.sim.event import EventHandle
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.timer import Timer
@@ -18,7 +18,6 @@ __all__ = [
     "MS",
     "SEC",
     "format_time",
-    "Event",
     "EventHandle",
     "Engine",
     "SimulationError",

@@ -7,48 +7,33 @@ timer wheels play for the kernel GRO path the paper modifies.
 
 Internals (the hot loop of every experiment)
 --------------------------------------------
-Pending events live in a two-level structure modelled on the kernel's timer
-wheel: deadlines within :data:`WHEEL_HORIZON_NS` of now go into per-slot
-mini-heaps keyed by ``time >> SLOT_SHIFT`` (a heap of active slot indices
-orders the slots), and far deadlines fall back to one overflow heap.  The
-next runnable event is the (time, seq)-minimum across the front slot and the
-overflow heap, so fire order is *identical* to the single-heap
-implementation this replaced — total order by ``(time, seq)`` with ``seq``
-unique — while pushes land in tiny per-slot heaps instead of one
-ever-growing one.
+Pending events are ``[time, seq, callback, args]`` lists in one ``heapq``.
+``seq`` is unique, so list comparison is decided in C on ``(time, seq)`` and
+never reaches the callback: fire order is the total order by ``(time, seq)``,
+i.e. by deadline, then by scheduling order.  Deadlines must be integer
+nanoseconds — a float would order correctly here but round differently
+across platforms (``tests/sim/test_int_deadlines.py`` holds the callers to
+that).
 
-Cancellation is lazy (a tombstone flag; see
-:class:`~repro.sim.event.EventHandle`), which makes ``Timer`` re-arm churn
-O(1) — but sustained churn against far deadlines would grow residency
-without bound.  A compaction pass triggered by the tombstone/live ratio
-rebuilds the structures with live events only, keeping resident tombstones
-at no more than ``max(live, COMPACT_FLOOR)``.  Fired and compacted events
-are recycled through a bounded free list (generation-counted, so stale
-handles stay safe).
+Cancellation is lazy: ``entry[2] = None`` leaves a tombstone that is dropped
+when it reaches the front.  That makes ``Timer`` re-arm churn O(1), but
+sustained churn against far deadlines would grow residency without bound, so
+once tombstones outnumber ``max(live, COMPACT_FLOOR)`` a compaction pass
+rebuilds the heap from the live entries.  A fired entry is marked the same
+way, which is what makes a late ``cancel()`` a no-op.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
-from repro.sim.event import Event, EventHandle
+from repro.sim.event import EventHandle
 from repro.trace import runtime as trace_runtime
-
-#: Wheel slot width: ``1 << SLOT_SHIFT`` ns (65.536 µs — a few polling
-#: intervals; link/pacing/GRO deadlines cluster within a handful of slots).
-SLOT_SHIFT = 16
-
-#: Slots covered by the wheel; deadlines beyond ``now + WHEEL_HORIZON_NS``
-#: go to the overflow heap instead.
-WHEEL_HORIZON_SLOTS = 512
-WHEEL_HORIZON_NS = WHEEL_HORIZON_SLOTS << SLOT_SHIFT  # ~33.6 ms
 
 #: Compaction floor: never bother compacting fewer tombstones than this.
 COMPACT_FLOOR = 256
-
-#: Event free-list capacity.
-_POOL_MAX = 1024
 
 
 class SimulationError(RuntimeError):
@@ -71,20 +56,14 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0
-        #: Overflow heap: events beyond the wheel horizon at schedule time.
-        self._heap: list[Event] = []
-        #: Wheel: absolute slot index -> mini-heap of events in that slot.
-        self._buckets: dict[int, list[Event]] = {}
-        #: Heap of active slot indices (one entry per live bucket).
-        self._slot_heap: list[int] = []
+        #: Min-heap of ``[time, seq, callback, args]``; ``callback`` is None
+        #: once the entry is cancelled or fired.
+        self._heap: list[list] = []
         self._seq = 0
         self._running = False
         self._events_processed = 0
-        self._live = 0
         self._tombstones = 0
         self._compactions = 0
-        self._pool: list[Event] = []
-        self._events_allocated = 0
         tracer = trace_runtime.current()
         if tracer is not None:
             # A new engine restarts simulated time: open a new trace epoch
@@ -105,12 +84,12 @@ class Engine:
     def pending(self) -> int:
         """Resident events: live **plus** cancelled tombstones not yet
         discarded.  Use :attr:`pending_live` for the exact live count."""
-        return self._live + self._tombstones
+        return len(self._heap)
 
     @property
     def pending_live(self) -> int:
         """Events that will actually fire (cancelled ones excluded)."""
-        return self._live
+        return len(self._heap) - self._tombstones
 
     @property
     def tombstones(self) -> int:
@@ -125,9 +104,8 @@ class Engine:
 
     @property
     def events_allocated(self) -> int:
-        """Fresh :class:`Event` allocations (free-list misses) — the
-        allocation-reduction gauge the perf suite tracks."""
-        return self._events_allocated
+        """Heap entries allocated: one per scheduled event."""
+        return self._seq
 
     # -- scheduling -----------------------------------------------------------
 
@@ -160,160 +138,79 @@ class Engine:
         """Fire-and-forget :meth:`schedule_at`: no cancellation handle."""
         self._schedule_event(time, callback, args)
 
-    def _schedule_event(self, time: int, callback, args: tuple) -> Event:
-        """Allocate (or recycle) an event and file it in wheel or heap."""
+    def _schedule_event(self, time: int, callback, args: tuple) -> list:
+        """Push one heap entry; every scheduling path ends here."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, self._seq, callback, args)
-            self._events_allocated += 1
+        entry = [time, self._seq, callback, args]
         self._seq += 1
-        self._live += 1
-        slot = time >> SLOT_SHIFT
-        if slot - (self._now >> SLOT_SHIFT) < WHEEL_HORIZON_SLOTS:
-            bucket = self._buckets.get(slot)
-            if bucket is None:
-                self._buckets[slot] = [event]
-                heapq.heappush(self._slot_heap, slot)
-            else:
-                heapq.heappush(bucket, event)
-        else:
-            heapq.heappush(self._heap, event)
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    # -- cancellation & recycling ---------------------------------------------
+    # -- cancellation ---------------------------------------------------------
 
-    def _on_cancel(self, event: Event) -> None:
-        """A live resident event became a tombstone (lazy cancellation)."""
-        self._live -= 1
+    def _cancel(self, entry: list) -> None:
+        """Turn a resident entry into a tombstone (no-op once fired or
+        cancelled)."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = ()
         self._tombstones += 1
-        if self._tombstones > COMPACT_FLOOR and self._tombstones > self._live:
+        if (self._tombstones > COMPACT_FLOOR
+                and 2 * self._tombstones > len(self._heap)):
             self._compact()
 
-    def _recycle(self, event: Event) -> None:
-        """Return a fired/discarded event to the free list."""
-        event.gen += 1  # invalidate any handle still pointing here
-        event.callback = None
-        event.args = ()
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(event)
-
     def _compact(self) -> None:
-        """Rebuild wheel and heap with live events only.
+        """Rebuild the heap from its live entries.
 
-        Preserves order exactly: membership of wheel vs heap never affects
-        fire order (the pop compares both heads), and heapify restores each
-        structure's invariant over the same live (time, seq) keys.
+        In place, because a running loop holds the list; ``heapify`` over the
+        same live ``(time, seq)`` keys cannot change the fire order.
         """
         self._compactions += 1
-        keep = [e for e in self._heap if not e.cancelled]
-        for e in self._heap:
-            if e.cancelled:
-                self._recycle(e)
-        heapq.heapify(keep)
-        self._heap = keep
-        buckets: dict[int, list[Event]] = {}
-        for slot, bucket in self._buckets.items():
-            live = [e for e in bucket if not e.cancelled]
-            for e in bucket:
-                if e.cancelled:
-                    self._recycle(e)
-            if live:
-                heapq.heapify(live)
-                buckets[slot] = live
-        self._buckets = buckets
-        self._slot_heap = list(buckets)
-        heapq.heapify(self._slot_heap)
+        self._heap[:] = [e for e in self._heap if e[2] is not None]
+        heapify(self._heap)
         self._tombstones = 0
 
     # -- the run loop ---------------------------------------------------------
 
-    def _wheel_head(self) -> Optional[Event]:
-        """Earliest live wheel event (pruning tombstones and spent slots)."""
-        slot_heap = self._slot_heap
-        buckets = self._buckets
-        while slot_heap:
-            bucket = buckets.get(slot_heap[0])
-            while bucket:
-                head = bucket[0]
-                if not head.cancelled:
-                    return head
-                heapq.heappop(bucket)
-                self._tombstones -= 1
-                self._recycle(head)
-            buckets.pop(heapq.heappop(slot_heap), None)
-        return None
-
-    def _heap_head(self) -> Optional[Event]:
-        """Earliest live overflow-heap event (pruning tombstones)."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if not head.cancelled:
-                return head
-            heapq.heappop(heap)
-            self._tombstones -= 1
-            self._recycle(head)
-        return None
-
-    def _pop_runnable(self) -> Optional[Event]:
-        wheel = self._wheel_head()
-        far = self._heap_head()
-        if wheel is None:
-            if far is None:
-                return None
-            return heapq.heappop(self._heap)
-        if far is not None and far < wheel:
-            return heapq.heappop(self._heap)
-        return heapq.heappop(self._buckets[self._slot_heap[0]])
-
-    def _peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or None when drained."""
-        wheel = self._wheel_head()
-        far = self._heap_head()
-        if wheel is None:
-            return None if far is None else far.time
-        if far is not None and far < wheel:
-            return far.time
-        return wheel.time
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False when none are pending."""
-        event = self._pop_runnable()
-        if event is None:
-            return False
-        self._now = event.time
-        self._live -= 1
-        event.cancelled = True  # one-shot; guards re-entrant cancels
-        event.callback(*event.args)
-        self._events_processed += 1
-        self._recycle(event)
-        return True
-
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until every live event fired (or ``max_events`` callbacks ran)."""
+    def _loop(self, until, budget: int) -> int:
+        """Fire events with timestamp <= ``until`` until ``budget`` callbacks
+        ran (a budget below 1 never runs out); returns how many fired."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
+        heap = self._heap
+        pop = heappop
+        start = processed = self._events_processed
+        stop_at = start + budget
         try:
-            count = 0
-            while self.step():
-                count += 1
-                if max_events is not None and count >= max_events:
-                    return
+            while heap and heap[0][0] <= until:
+                entry = pop(heap)
+                callback = entry[2]
+                if callback is None:
+                    self._tombstones -= 1
+                    continue
+                entry[2] = None  # one-shot; makes a cancel from here on a no-op
+                self._now = entry[0]
+                callback(*entry[3])
+                processed += 1
+                self._events_processed = processed
+                if processed == stop_at:
+                    break
         finally:
             self._running = False
+        return processed - start
+
+    def step(self) -> bool:
+        """Run the single next event.  Returns False when none are pending."""
+        return self._loop(inf, 1) == 1
+
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Run until every live event fired (or ``max_events`` callbacks ran)."""
+        self._loop(inf, -1 if max_events is None else max_events)
 
     def run_until(self, time: int) -> None:
         """Run all events with timestamp <= ``time``, then advance now to ``time``.
@@ -323,15 +220,5 @@ class Engine:
         """
         if time < self._now:
             raise SimulationError(f"run_until({time}) is before now={self._now}")
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        try:
-            while True:
-                head = self._peek_time()
-                if head is None or head > time:
-                    break
-                self.step()
-            self._now = time
-        finally:
-            self._running = False
+        self._loop(time, -1)
+        self._now = time

@@ -1,80 +1,36 @@
-"""Event objects for the discrete-event engine."""
+"""Cancellation handle for events scheduled on the engine."""
 
 from __future__ import annotations
-
-from typing import Any, Callable
-
-
-class Event:
-    """A scheduled callback.
-
-    Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
-    increasing counter assigned by the engine; two events scheduled for the
-    same instant fire in scheduling order.  Events are one-shot.
-
-    Fired and compacted-away events are *recycled* through the engine's
-    free list: ``gen`` bumps on every recycle, so a stale
-    :class:`EventHandle` (or :class:`~repro.sim.timer.Timer`) holding a
-    recycled event sees the generation mismatch and treats it as dead
-    instead of touching the new occupant.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "gen")
-
-    def __init__(self, time: int, seq: int, callback: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.gen = 0
-
-    def __lt__(self, other: "Event") -> bool:
-        # No tuple building: this runs several times per heap operation.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"<Event t={self.time} seq={self.seq} cb={name}{state}>"
 
 
 class EventHandle:
     """Cancellation handle returned by :meth:`Engine.schedule`.
 
-    Cancellation is lazy: the event stays resident (in its wheel bucket or
-    the heap) but is skipped when it reaches the front.  This is O(1) and
-    matches how kernel timers behave from the caller's perspective; the
-    engine's compaction pass bounds how many such tombstones accumulate.
+    Wraps the engine's ``[time, seq, callback, args]`` heap entry, whose
+    callback slot is None once the event fired or was cancelled.
+    Cancellation is lazy: the entry stays in the heap and is skipped when it
+    reaches the front.  This is O(1) and matches how kernel timers behave
+    from the caller's perspective; the engine's compaction pass bounds how
+    many such tombstones accumulate.
     """
 
-    __slots__ = ("_engine", "_event", "_gen")
+    __slots__ = ("_engine", "_entry")
 
-    def __init__(self, engine, event: Event):
+    def __init__(self, engine, entry: list):
         self._engine = engine
-        self._event = event
-        self._gen = event.gen
+        self._entry = entry
 
     @property
     def time(self) -> int:
-        """The simulation time this event is scheduled for.
-
-        Only meaningful while :attr:`active`; after the event fires (and
-        may be recycled) the value is unspecified.
-        """
-        return self._event.time
+        """The simulation time this event is (or was) scheduled for."""
+        return self._entry[0]
 
     @property
     def active(self) -> bool:
         """True while the event is still pending (not cancelled, not fired)."""
-        event = self._event
-        return event.gen == self._gen and not event.cancelled
+        return self._entry[2] is not None
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        event = self._event
-        if event.gen == self._gen and not event.cancelled:
-            event.cancelled = True
-            self._engine._on_cancel(event)
+        """Prevent the event from firing.  Idempotent, and a no-op once the
+        event fired."""
+        self._engine._cancel(self._entry)

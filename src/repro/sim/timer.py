@@ -7,10 +7,9 @@ event engine: arm it for a deadline, re-arm to move the deadline, cancel it,
 and the callback fires at most once per arming.
 
 Re-arming is the engine's highest-churn operation (the RX queue moves its
-hrtimer after every poll), so the timer tracks its pending event directly —
-generation-checked, like :class:`~repro.sim.event.EventHandle`, but without
-allocating a handle per arm.  Each re-arm leaves one lazily-cancelled
-tombstone behind; the engine's compaction keeps those bounded.
+hrtimer after every poll), so the timer holds its pending heap entry directly
+instead of allocating a handle per arm.  Each re-arm leaves one lazily-
+cancelled tombstone behind; the engine's compaction keeps those bounded.
 """
 
 from __future__ import annotations
@@ -18,41 +17,34 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
-from repro.sim.event import Event
 
 
 class Timer:
     """One-shot re-armable timer bound to an engine and a callback."""
 
-    __slots__ = ("_engine", "_callback", "_event", "_gen")
+    __slots__ = ("_engine", "_callback", "_entry")
 
     def __init__(self, engine: Engine, callback: Callable[[], Any]):
         self._engine = engine
         self._callback = callback
-        self._event: Optional[Event] = None
-        self._gen = 0
+        #: The pending expiry's heap entry; None when disarmed.
+        self._entry: Optional[list] = None
 
     @property
     def armed(self) -> bool:
         """True if the timer has a pending expiry."""
-        event = self._event
-        return (event is not None and event.gen == self._gen
-                and not event.cancelled)
+        return self._entry is not None
 
     @property
     def expires_at(self) -> Optional[int]:
         """Absolute expiry time, or None when disarmed."""
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
+        entry = self._entry
+        return None if entry is None else entry[0]
 
     def arm_at(self, time: int) -> None:
         """(Re-)arm the timer for absolute time ``time``."""
         self.cancel()
-        event = self._engine._schedule_event(time, self._fire, ())
-        self._event = event
-        self._gen = event.gen
+        self._entry = self._engine._schedule_event(time, self._fire, ())
 
     def arm_after(self, delay: int) -> None:
         """(Re-)arm the timer ``delay`` ns from now."""
@@ -65,21 +57,17 @@ class Timer:
         packet wants a wake-up at its own timeout; the timer tracks the
         soonest one.
         """
-        if self.armed:
-            assert self._event is not None
-            if self._event.time <= time:
-                return
-        self.arm_at(time)
+        entry = self._entry
+        if entry is None or entry[0] > time:
+            self.arm_at(time)
 
     def cancel(self) -> None:
         """Disarm the timer if pending.  Idempotent."""
-        event = self._event
-        if event is not None:
-            if event.gen == self._gen and not event.cancelled:
-                event.cancelled = True
-                self._engine._on_cancel(event)
-            self._event = None
+        entry = self._entry
+        if entry is not None:
+            self._entry = None
+            self._engine._cancel(entry)
 
     def _fire(self) -> None:
-        self._event = None
+        self._entry = None
         self._callback()

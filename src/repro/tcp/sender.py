@@ -324,6 +324,11 @@ class TcpSender:
         if end <= self.snd_una or end <= start:
             return
         start = max(start, self.snd_una)
+        for s, e in self.sacked:
+            if s > start:
+                break
+            if e >= end:
+                return  # already held: most blocks of an ACK repeat the last one's
         merged = []
         placed = False
         for s, e in self.sacked:
@@ -382,10 +387,16 @@ class TcpSender:
             self.high_rexmit = pos
 
     def _sample_rtt(self, ack: int) -> None:
-        sent_at = self._send_times.pop(ack, None)
-        # Garbage-collect samples the cumulative ACK has passed.
-        for end in [e for e in self._send_times if e <= ack]:
-            del self._send_times[end]
+        send_times = self._send_times
+        sent_at = send_times.pop(ack, None)
+        # Garbage-collect samples the cumulative ACK has passed.  Keys are
+        # successive snd_nxt values and an RTO rewind clears the dict, so
+        # insertion order is ascending and the passed ones are at the front.
+        while send_times:
+            end = next(iter(send_times))
+            if end > ack:
+                break
+            del send_times[end]
         if sent_at is None:
             return
         now = self._engine.now

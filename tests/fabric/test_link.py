@@ -3,6 +3,8 @@
 import pytest
 
 from repro.fabric import QueuedLink
+from repro.faults.controller import FaultEngine
+from repro.faults.plan import FaultPlan
 from repro.net import FiveTuple, MSS, Packet
 from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW, transmit_time_ns
 from repro.sim import Engine
@@ -157,3 +159,63 @@ def test_invalid_parameters():
         QueuedLink(Engine(), 0, Sink())
     with pytest.raises(ValueError):
         QueuedLink(Engine(), 10.0, Sink(), priorities=0)
+
+
+@pytest.mark.parametrize("rate_gbps", [10.0, 40.0, 100.0, 9.4253])
+def test_serialisation_time_equals_transmit_time_ns_for_every_payload(rate_gbps):
+    # The link memoises the serialisation time per wire length; the second
+    # pass reads every size back from the memo.
+    engine = Engine()
+    link = QueuedLink(engine, rate_gbps, Sink(), prop_delay_ns=0)
+    for _ in range(2):
+        for size in range(MSS + 1):
+            start = engine.now
+            link.enqueue(pkt(size=size))
+            engine.run()
+            assert engine.now - start == transmit_time_ns(size, rate_gbps)
+
+
+def test_capacity_clamp_mid_busy_period_drops_the_same_packets_as_pr13():
+    # The queue_saturation path: a FaultEngine clamps capacity_bytes while
+    # the transmitter is busy and restores it 12 us later.  90 arrivals at
+    # 450 ns spacing (2.7x the line rate), every third one high priority,
+    # sizes alternating 400 B / MSS.  Drops and delivery order are those of
+    # the link before it posted handle-free events and cached wire lengths.
+    engine = Engine()
+    delivered = []
+
+    class Record:
+        def receive(self, packet):
+            delivered.append((packet.seq, engine.now))
+
+    link = QueuedLink(engine, 10.0, Record(), priorities=2,
+                      capacity_bytes=9_000)
+    faults = FaultEngine(engine, FaultPlan.from_dict({"faults": [
+        {"name": "sq", "kind": "queue_saturation", "at_us": 14,
+         "duration_us": 12, "params": {"capacity_bytes": 4_000}}]}),
+        tracer=None)
+    faults.bind(links=[link])
+    faults.start()
+
+    def arrive(i):
+        link.enqueue(pkt(seq=i, size=MSS if i % 2 else 400,
+                         priority=PRIORITY_HIGH if i % 3 == 0
+                         else PRIORITY_LOW))
+
+    for i in range(90):
+        engine.post_at(i * 450, arrive, i)
+    engine.run()
+
+    order = [seq for seq, _ in delivered]
+    assert sorted(set(range(90)) - set(order)) == [
+        22, 23, 25,                                     # 9 KB tail drops
+        31, 32, 34, 35, 37, 38, 40, 41, 43, 44, 46, 47, 49, 50, 52, 53, 55,
+        67, 71, 73, 77, 83, 85, 89]                     # restored: 9 KB again
+    assert order == [
+        0, 1, 3, 6, 2, 4, 9, 5, 12, 15, 18, 7, 21, 24, 8, 10, 11, 27, 30, 33,
+        13, 36, 39, 42, 14, 16, 17, 45, 48, 51, 19, 54, 57, 60, 20, 26, 28,
+        63, 66, 29, 69, 72, 56, 58, 75, 59, 78, 81, 84, 61, 87, 62, 64, 65,
+        68, 70, 74, 76, 79, 80, 82, 86, 88]
+    assert delivered[-1] == (88, 47_530)
+    assert link.stats.drops == 27
+    assert link.capacity_bytes == 9_000

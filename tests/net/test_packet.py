@@ -2,6 +2,7 @@
 
 from repro.net import FiveTuple, Packet, TcpFlags
 from repro.net.constants import ETHERNET_OVERHEAD, HEADER_LEN
+from repro.net.pool import PacketPool
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 
@@ -13,6 +14,16 @@ def test_end_seq():
 def test_wire_len_includes_all_overheads():
     packet = Packet(FLOW, 0, 1460)
     assert packet.wire_len == 1460 + HEADER_LEN + ETHERNET_OVERHEAD
+
+
+def test_pooled_reset_recomputes_wire_len_for_the_new_payload():
+    pool = PacketPool()
+    first = pool.acquire(FLOW, 0, 1460)
+    pool.release(first)
+    again = pool.acquire(FLOW, 1460, 200)
+    assert again is first
+    assert again.wire_len == 200 + HEADER_LEN + ETHERNET_OVERHEAD
+    assert again.reset(FLOW, 0, 0).wire_len == HEADER_LEN + ETHERNET_OVERHEAD
 
 
 def test_pure_ack_detection():

@@ -1,0 +1,72 @@
+"""Deadlines are integer nanoseconds — on every scheduling path of real cells.
+
+The heap would order a float deadline without complaint, but float rounding
+differs across platforms and a single float would end cross-platform
+determinism.  Nothing on the hot path checks the type, so this test does:
+it runs short cells of three experiments on an engine that asserts it.
+"""
+
+import pytest
+
+from repro.experiments import (
+    fig13_ofo_timeout_throughput as fig13,
+    fig15_active_flows as fig15,
+    host_vs_fabric,
+)
+from repro.sim import Engine
+
+
+class IntDeadlineEngine(Engine):
+    """Fails the moment anything schedules a non-``int`` deadline."""
+
+    scheduled = 0
+
+    def _schedule_event(self, time, callback, args):
+        assert type(time) is int, (
+            f"{getattr(callback, '__qualname__', callback)} scheduled at "
+            f"{time!r} ({type(time).__name__})")
+        IntDeadlineEngine.scheduled += 1
+        return super()._schedule_event(time, callback, args)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    monkeypatch.setattr(IntDeadlineEngine, "scheduled", 0)
+
+    def install(module):
+        monkeypatch.setattr(module, "Engine", IntDeadlineEngine)
+
+    return install
+
+
+def test_netfpga_pair_cell_schedules_int_deadlines(checked):
+    checked(fig13)
+    point = fig13.run_cell(fig13.Fig13Params(warmup_ms=1, measure_ms=3),
+                           500, 300)
+    assert point.throughput_gbps > 0
+    assert IntDeadlineEngine.scheduled > 10_000
+
+
+def test_paced_many_flow_cell_schedules_int_deadlines(checked):
+    # Pacing divides bits by a fractional per-flow rate: the likeliest place
+    # for a float to leak into a deadline.
+    checked(fig15)
+    point = fig15.run_cell(fig15.Fig15Params(warmup_ms=1, measure_ms=3),
+                           48, 250)
+    assert point.max_active_flows > 0
+    assert IntDeadlineEngine.scheduled > 10_000
+
+
+def test_clos_cell_with_fault_windows_schedules_int_deadlines(checked):
+    checked(host_vs_fabric)
+    point = host_vs_fabric.run_point(
+        host_vs_fabric.HostFabricParams(warmup_ms=1, measure_ms=2),
+        engine="juggler", routing="per_packet", load=3, fault=1)
+    assert point.goodput_gbps > 0
+    assert IntDeadlineEngine.scheduled > 10_000
+
+
+def test_the_checked_engine_rejects_a_float_deadline():
+    engine = IntDeadlineEngine()
+    with pytest.raises(AssertionError):
+        engine.post(1.5, lambda: None)
