@@ -1,4 +1,4 @@
-"""``juggler-repro campaign run|resume|report``.
+"""``juggler-repro campaign run|resume|report`` and ``juggler-repro sweep``.
 
 ``run`` expands a spec (from ``--spec FILE`` or ``--experiments a,b,c``)
 into tasks and schedules them; it refuses a non-empty store so completed
@@ -7,6 +7,11 @@ command minus that guard: tasks whose fingerprints already sit in the
 store as ``ok`` are skipped.  ``report`` re-renders the figure tables
 from the store alone — no re-execution — and can emit a machine-readable
 JSON summary.
+
+``sweep <family>`` is the same machinery without a spec file: its
+``--<axis>`` flags are generated from the family module's ``POINT_AXES``
+and fill one experiment's ``grid``.  Every command that runs tasks goes
+through :func:`run_and_report`.
 """
 
 from __future__ import annotations
@@ -14,13 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+import tempfile
+from typing import Optional
 
 from repro.campaign import registry
 from repro.campaign.reporter import render_report, summarize
 from repro.campaign.scheduler import SchedulerConfig, run_campaign
 from repro.campaign.spec import (
     CampaignSpec,
+    ExperimentSpec,
     build_default_spec,
     expand,
     load_spec,
@@ -80,32 +89,55 @@ def _build_spec(args) -> CampaignSpec:
     return spec
 
 
-def _cmd_run(args, resume: bool) -> int:
-    spec = _build_spec(args)
-    store = ResultStore(args.store)
-    if not resume and store.exists_nonempty():
-        print(f"store {args.store} already has results; use "
-              f"'campaign resume' to continue it (or pick a new path)",
-              file=sys.stderr)
-        return 2
+def run_and_report(spec: CampaignSpec, store_path: Optional[str],
+                   config: SchedulerConfig, *, report: bool = True,
+                   json_path: Optional[str] = None) -> int:
+    """Expand ``spec``, run what ``store_path`` lacks, print the outcome.
+
+    The one expand -> store -> schedule -> summary -> tables sequence
+    behind ``campaign run|resume``, ``sweep`` and ``all --jobs/--seed``.
+    ``store_path`` None keeps the results in a fresh temp file.  Exit
+    status: 0 all ok, 1 some task failed, 2 the spec does not expand.
+    """
     try:
         tasks = expand(spec)
     except (ValueError, KeyError) as exc:
         print(f"bad spec: {exc}", file=sys.stderr)
+        return 2
+    if store_path is None:
+        fd, store_path = tempfile.mkstemp(prefix="juggler_campaign_",
+                                          suffix=".jsonl")
+        os.close(fd)
+    store = ResultStore(store_path)
+    print(f"campaign '{spec.name}': {len(tasks)} task(s), "
+          f"jobs={config.jobs}, store={store_path}")
+    stats = run_campaign(tasks, store, config, progress=print)
+    print(stats.summary_line(spec.name))
+    if report:
+        print()
+        print(render_report(store.load(), spec))
+    if json_path:
+        payload = {"spec": spec.to_dict(), "planned": stats.planned,
+                   "skipped": stats.skipped, "failed": stats.failed}
+        with open(json_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+        print(f"summary written to {json_path}")
+    return 0 if stats.failed == 0 else 1
+
+
+def _cmd_run(args, resume: bool) -> int:
+    spec = _build_spec(args)
+    if not resume and ResultStore(args.store).exists_nonempty():
+        print(f"store {args.store} already has results; use "
+              f"'campaign resume' to continue it (or pick a new path)",
+              file=sys.stderr)
         return 2
     config = SchedulerConfig(
         jobs=args.jobs, timeout_s=args.timeout, retries=args.retries,
         backoff_s=args.backoff, trace=args.trace,
         trace_dir=args.trace_dir if args.trace else None,
     )
-    print(f"campaign '{spec.name}': {len(tasks)} task(s), "
-          f"jobs={args.jobs}, store={args.store}")
-    stats = run_campaign(tasks, store, config, progress=print)
-    print(stats.summary_line(spec.name))
-    if args.report:
-        print()
-        print(render_report(store.load(), spec))
-    return 0 if stats.failed == 0 else 1
+    return run_and_report(spec, args.store, config, report=args.report)
 
 
 def _cmd_report(args) -> int:
@@ -151,3 +183,72 @@ def main(argv) -> int:
     if args.command == "resume":
         return _cmd_run(args, resume=True)
     return _cmd_report(args)
+
+
+def _csv_of(cast):
+    """An argparse ``type``: ``"a, b,c"`` -> ``[cast(a), cast(b), cast(c)]``."""
+    def parse(text: str) -> list:
+        return [cast(part.strip()) for part in text.split(",")
+                if part.strip()]
+    # argparse words its "invalid ... value" error with the type's name.
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
+
+
+def _list_families() -> str:
+    lines = ["usage: juggler-repro sweep FAMILY [--<axis> a,b,c ...] "
+             "[--jobs N] [--seed S] [--store PATH] [--json PATH]",
+             "grid families and their axes (paired arms marked *):"]
+    for adapter in registry.ADAPTERS.values():
+        if not adapter.is_grid:
+            continue
+        axes = ", ".join(
+            axis + ("*" if axis in adapter.paired_axes else "")
+            for axis in adapter.axis_names())
+        lines.append(f"  {adapter.name:16s} {axes}")
+    lines.append("an axis left out keeps its default values; same --store "
+                 "resumes (see docs/campaign.md)")
+    return "\n".join(lines)
+
+
+def sweep_main(argv) -> int:
+    """``juggler-repro sweep [FAMILY ...]``: one grid family, axes as flags."""
+    if not argv or argv[0] in ("-h", "--help"):
+        print(_list_families())
+        return 0
+    family = argv[0]
+    adapter = registry.ADAPTERS.get(family)
+    if adapter is None or not adapter.is_grid:
+        print(f"unknown sweep family: {family}\n{_list_families()}",
+              file=sys.stderr)
+        return 2
+
+    parser = argparse.ArgumentParser(
+        prog=f"juggler-repro sweep {family}",
+        description=f"{adapter.description}; parallel and resumable via "
+                    f"repro.campaign.")
+    for axis, values in adapter.default_grid().items():
+        cast = type(values[0])
+        parser.add_argument(
+            f"--{axis}", default=None, metavar="A,B,C", type=_csv_of(cast),
+            help=f"comma-separated {cast.__name__} values (default "
+                 f"{','.join(map(str, values))})")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes (default 1)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="campaign root seed (default: the family's "
+                             "baked-in seed)")
+    parser.add_argument("--store", default=None, metavar="PATH",
+                        help="result JSONL; reuse to resume (default: temp)")
+    parser.add_argument("--json", default=None, metavar="PATH",
+                        help="write a JSON summary here")
+    args = parser.parse_args(argv[1:])
+
+    chosen = vars(args)
+    grid = {axis: chosen[axis] for axis in adapter.axis_names()
+            if chosen[axis] is not None}
+    spec = CampaignSpec(name=family, seed=args.seed,
+                        experiments=(ExperimentSpec(family, grid=grid),))
+    return run_and_report(spec, args.store,
+                          SchedulerConfig(jobs=max(1, args.jobs)),
+                          json_path=args.json)

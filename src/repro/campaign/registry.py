@@ -5,9 +5,12 @@ resolves the experiment *by name* through this registry and asks its
 adapter to execute one task.  Two shapes exist:
 
 * :class:`GridAdapter` — experiments whose ``run()`` is a parameter sweep
-  (fig12/fig13/fig14/fig15).  One task per grid point; the adapter calls
-  the module's ``run_point(params, **point)`` and the reporter later
-  reassembles the points into the module's own ``render()`` table.
+  (fig12–15 and the four reordering families).  One task per grid point;
+  the adapter calls the module's ``run_point(params, **point)`` and the
+  reporter later reassembles the points into the module's own ``render()``
+  table.  The module is the family record: its ``POINT_AXES`` names the
+  axes and its ``PAIRED_AXES`` (when present) the axes that are arms of
+  one paired comparison; nothing here repeats them.
 * :class:`ParamsAdapter` — everything else.  One task runs the whole
   experiment and returns its rendered table as a single ``output`` row.
 
@@ -33,8 +36,8 @@ class Adapter:
     """Interface between the campaign machinery and one experiment."""
 
     is_grid = False
-    #: Hidden adapters are resolvable by name (workers, tests) but do not
-    #: appear in ``juggler-repro list`` or ``all``.
+    #: Hidden adapters are resolvable by name (specs, ``sweep``, workers)
+    #: but do not appear in ``juggler-repro list`` or ``all``.
     hidden = False
 
     def __init__(self, name: str, module: str, description: str,
@@ -121,14 +124,23 @@ class GridAdapter(Adapter):
     is_grid = True
 
     def __init__(self, name: str, module: str, description: str,
-                 params_cls: str, axes: Sequence[Tuple[str, str]],
-                 point_cls: str, result_cls: str):
+                 params_cls: str, point_cls: str, result_cls: str,
+                 hidden: bool = False):
         super().__init__(name, module, description, params_cls)
-        #: Ordered ``(axis_name, params_field)`` pairs; the order is the
-        #: module's own loop nesting, so reports match serial output.
-        self.axes = tuple(axes)
         self.point_cls_name = point_cls
         self.result_cls_name = result_cls
+        self.hidden = hidden
+
+    @property
+    def axes(self) -> Tuple[Tuple[str, str], ...]:
+        """The module's ordered ``(axis_name, params_field)`` pairs; the
+        order is its own loop nesting, so reports match serial output."""
+        return tuple(self._mod().POINT_AXES)
+
+    @property
+    def paired_axes(self) -> Tuple[str, ...]:
+        """Axes that are arms of one comparison: they pick no randomness."""
+        return tuple(getattr(self._mod(), "PAIRED_AXES", ()))
 
     def axis_names(self):
         return tuple(axis for axis, _ in self.axes)
@@ -139,15 +151,14 @@ class GridAdapter(Adapter):
                 for axis, field in self.axes}
 
     def validate_grid(self, grid: Optional[Mapping]) -> Dict[str, list]:
-        """Check axis names and shapes; fill in the default grid."""
-        if grid is None:
-            return self.default_grid()
-        expected = set(self.axis_names())
-        if set(grid) != expected:
+        """Check axis names and shapes; axes left out keep their defaults."""
+        out = self.default_grid()
+        grid = grid or {}
+        unknown = set(grid) - set(out)
+        if unknown:
             raise ValueError(
-                f"{self.name}: grid axes {sorted(grid)} != "
-                f"expected {sorted(expected)}")
-        out = {}
+                f"{self.name}: unknown grid axes {sorted(unknown)}; "
+                f"expected {sorted(out)}")
         for axis, values in grid.items():
             values = list(values)
             if not values:
@@ -197,18 +208,8 @@ class GridAdapter(Adapter):
         return mod.render(mod.run())
 
 
-class HiddenGridAdapter(GridAdapter):
-    """Grid experiments resolvable by name (campaign specs, workers) but
-    absent from ``juggler-repro list``/``all`` — they ship their own CLI
-    front-end (e.g. ``juggler-repro faults matrix``)."""
-
-    hidden = True
-
-
 class SelftestAdapter(GridAdapter):
     """The built-in failure-injection experiment (tests and CI)."""
-
-    hidden = True
 
     def execute(self, base, seed, point, attempt=1):
         mod = self._mod()
@@ -258,24 +259,16 @@ ADAPTERS: Dict[str, Adapter] = {a.name: a for a in [
                   "CpuOverheadParams", runner=_run_cpu_overhead(256)),
     GridAdapter("fig12", f"{_E}.fig12_inseq_timeout",
                 "batching vs inseq_timeout (Figure 12)", "Fig12Params",
-                axes=[("reorder_delay_us", "reorder_delays_us"),
-                      ("inseq_timeout_us", "inseq_timeouts_us")],
                 point_cls="Fig12Point", result_cls="Fig12Result"),
     GridAdapter("fig13", f"{_E}.fig13_ofo_timeout_throughput",
                 "throughput vs ofo_timeout (Figure 13)", "Fig13Params",
-                axes=[("reorder_delay_us", "reorder_delays_us"),
-                      ("ofo_timeout_us", "ofo_timeouts_us")],
                 point_cls="Fig13Point", result_cls="Fig13Result"),
     GridAdapter("fig14", f"{_E}.fig14_ofo_timeout_latency",
                 "RPC tail vs ofo_timeout under loss (Figure 14)",
                 "Fig14Params",
-                axes=[("reorder_delay_us", "reorder_delays_us"),
-                      ("ofo_timeout_us", "ofo_timeouts_us")],
                 point_cls="Fig14Point", result_cls="Fig14Result"),
     GridAdapter("fig15", f"{_E}.fig15_active_flows",
                 "active flows vs concurrency (Figure 15)", "Fig15Params",
-                axes=[("reorder_delay_us", "reorder_delays_us"),
-                      ("concurrent_flows", "concurrent_flows")],
                 point_cls="Fig15Point", result_cls="Fig15Result"),
     ParamsAdapter("fig16", f"{_E}.fig16_active_list_histogram",
                   "active-list statistics on Clos (Figure 16)",
@@ -294,48 +287,28 @@ ADAPTERS: Dict[str, Adapter] = {a.name: a for a in [
     ParamsAdapter("scheduling", f"{_E}.flow_scheduling",
                   "extension: PIAS/pFabric flow scheduling",
                   "SchedulingParams"),
-    HiddenGridAdapter("fdir_reordering", f"{_E}.fdir_reordering",
-                      "self-inflicted reordering: steering policy x flow "
-                      "count x churn x GRO engine (see 'juggler-repro "
-                      "steer sweep')",
-                      "FdirParams",
-                      axes=[("policy", "policies"),
-                            ("flow_count", "flow_counts"),
-                            ("churn", "churn_levels"),
-                            ("engine", "engines")],
-                      point_cls="FdirPoint", result_cls="FdirResult"),
-    HiddenGridAdapter("cc_reordering", f"{_E}.cc_reordering",
-                      "congestion control x reordering intensity x GRO "
-                      "engine (see 'juggler-repro cc sweep')",
-                      "CcParams",
-                      axes=[("cc", "ccs"),
-                            ("intensity", "intensities"),
-                            ("engine", "engines")],
-                      point_cls="CcPoint", result_cls="CcResult"),
-    HiddenGridAdapter("host_vs_fabric", f"{_E}.host_vs_fabric",
-                      "host-side Juggler vs fabric-side in-order routing: "
-                      "GRO engine x routing policy x load x fault (see "
-                      "'juggler-repro fabric sweep')",
-                      "HostFabricParams",
-                      axes=[("engine", "engines"),
-                            ("routing", "routings"),
-                            ("load", "loads"),
-                            ("fault", "faults")],
-                      point_cls="HostFabricPoint",
-                      result_cls="HostFabricResult"),
-    HiddenGridAdapter("faults_matrix", "repro.faults.experiments",
-                      "resilience matrix: fault kind x intensity x GRO "
-                      "engine (see 'juggler-repro faults matrix')",
-                      "MatrixParams",
-                      axes=[("fault_kind", "fault_kinds"),
-                            ("intensity", "intensities"),
-                            ("engine", "engines")],
-                      point_cls="MatrixPoint", result_cls="MatrixResult"),
+    GridAdapter("fdir_reordering", f"{_E}.fdir_reordering",
+                "self-inflicted reordering: steering policy x flow count "
+                "x churn x GRO engine (docs/steering.md)", "FdirParams",
+                point_cls="FdirPoint", result_cls="FdirResult", hidden=True),
+    GridAdapter("cc_reordering", f"{_E}.cc_reordering",
+                "congestion control x reordering intensity x GRO engine "
+                "(docs/transport.md)", "CcParams",
+                point_cls="CcPoint", result_cls="CcResult", hidden=True),
+    GridAdapter("host_vs_fabric", f"{_E}.host_vs_fabric",
+                "host-side Juggler vs fabric-side in-order routing: GRO "
+                "engine x routing policy x load x fault (docs/fabric.md)",
+                "HostFabricParams", point_cls="HostFabricPoint",
+                result_cls="HostFabricResult", hidden=True),
+    GridAdapter("faults_matrix", "repro.faults.experiments",
+                "resilience matrix: fault kind x intensity x GRO engine "
+                "(docs/faults.md)", "MatrixParams",
+                point_cls="MatrixPoint", result_cls="MatrixResult",
+                hidden=True),
     SelftestAdapter("selftest", "repro.campaign.selftest",
-                    "campaign failure-injection selftest (hidden)",
-                    "SelftestParams",
-                    axes=[("task_id", "task_ids")],
-                    point_cls="SelftestPoint", result_cls="SelftestResult"),
+                    "campaign failure-injection selftest", "SelftestParams",
+                    point_cls="SelftestPoint", result_cls="SelftestResult",
+                    hidden=True),
 ]}
 
 

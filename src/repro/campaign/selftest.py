@@ -60,6 +60,10 @@ class SelftestResult:
     points: List[SelftestPoint] = field(default_factory=list)
 
 
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("task_id", "task_ids"),)
+
+
 def _mode(params: SelftestParams, task_id: int) -> str:
     if 0 <= task_id < len(params.plan):
         return params.plan[task_id]

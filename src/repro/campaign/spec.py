@@ -16,6 +16,9 @@ one per whole-run experiment — each carrying:
   across runs and independent of scheduling order or ``--jobs``.  With no
   root seed, tasks keep each experiment's baked-in default seed, which
   makes a campaign's rows byte-identical to the serial ``run()`` loops.
+  A family's ``PAIRED_AXES`` (the arms of one comparison, e.g. the GRO
+  engine) stay out of the seed payload — see :func:`unpaired` — so every
+  arm of a cell gets the same seed; the fingerprint keeps the full point.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 def canonical_json(obj) -> str:
@@ -45,6 +48,24 @@ def derive_seed(root_seed: int, experiment: str, payload: str) -> int:
     digest = hashlib.sha256(
         f"{root_seed}:{experiment}:{payload}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def unpaired(point: Mapping, paired: Sequence[str]) -> dict:
+    """The axes of a point that pick its randomness: all but the paired
+    arms.  The one rule behind both the per-task seed (:func:`make_task`)
+    and the family modules' per-cell seed (:func:`derive_cell_seed`)."""
+    return {axis: value for axis, value in point.items()
+            if axis not in paired}
+
+
+def derive_cell_seed(seed: int, experiment: str,
+                     axes: Sequence[Tuple[str, str]],
+                     paired: Sequence[str], point: Mapping) -> int:
+    """One cell's seed under ``seed``: hashed from the unpaired axis values
+    in ``axes`` (``POINT_AXES``) order, so paired arms share randomness."""
+    values = unpaired({axis: point[axis] for axis, _ in axes},
+                      paired).values()
+    return derive_seed(seed, experiment, ":".join(map(str, values)))
 
 
 @dataclass(frozen=True)
@@ -86,9 +107,11 @@ class Task:
 
 
 def make_task(campaign: str, experiment: str, index: int, base: Mapping,
-              point: Mapping, root_seed: Optional[int]) -> Task:
+              point: Mapping, root_seed: Optional[int],
+              paired: Sequence[str] = ()) -> Task:
     """Build a task, deriving its seed and fingerprint."""
-    payload = canonical_json({"base": base, "point": point})
+    payload = canonical_json({"base": base,
+                              "point": unpaired(point, paired)})
     seed = (None if root_seed is None
             else derive_seed(root_seed, experiment, payload))
     fingerprint = hashlib.sha256(canonical_json({
@@ -109,8 +132,9 @@ class ExperimentSpec:
     experiment: str
     #: ``*Params`` field overrides (grid-axis tuples excluded for grids).
     overrides: Mapping = field(default_factory=dict)
-    #: axis name -> list of values; None means the experiment's default
-    #: grid (for grid experiments) or a single whole-run task (others).
+    #: axis name -> list of values for grid experiments; an axis left out
+    #: (or None for all of them) keeps its ``*Params`` default values.
+    #: Whole-run experiments take no grid and are a single task.
     grid: Optional[Mapping] = None
 
 
@@ -191,10 +215,11 @@ def expand(spec: CampaignSpec) -> List[Task]:
         if adapter.is_grid:
             grid = adapter.validate_grid(espec.grid)
             adapter.validate_overrides(espec.overrides)
+            paired = adapter.paired_axes
             for point in _grid_product(adapter.axis_names(), grid):
                 tasks.append(make_task(spec.name, espec.experiment,
                                        len(tasks), espec.overrides, point,
-                                       spec.seed))
+                                       spec.seed, paired))
         else:
             if espec.grid:
                 raise ValueError(

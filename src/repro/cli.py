@@ -12,10 +12,8 @@
     juggler-repro analyze                        # determinism lint, exit!=0 on findings
     juggler-repro bench --check                  # hot-path microbenches vs BENCH_core.json
     juggler-repro faults run --plan chaos.json   # one fault plan, one report
-    juggler-repro faults matrix --jobs 4         # resilience matrix sweep
-    juggler-repro steer sweep --jobs 4           # self-inflicted reordering
-    juggler-repro cc sweep --jobs 4              # congestion control x reordering
-    juggler-repro fabric sweep --jobs 4          # host-side vs fabric-side resilience
+    juggler-repro sweep                          # grid families and their axes
+    juggler-repro sweep cc_reordering --cc reno,bbr --intensity 3 --jobs 4
     juggler-repro campaign run --spec sweep.json --store out.jsonl --jobs 4
     juggler-repro campaign resume --spec sweep.json --store out.jsonl
     juggler-repro campaign report --store out.jsonl --json summary.json
@@ -23,7 +21,8 @@
 The experiment catalog itself lives in :mod:`repro.campaign.registry`;
 this module is only the dispatcher.  ``--jobs 1`` (the default) runs the
 historical in-process serial loop; ``--jobs N`` or ``--seed`` routes the
-same selection through the campaign scheduler.
+same selection through the campaign scheduler, and ``sweep FAMILY`` does
+the same for one grid family with its axes as flags (docs/campaign.md).
 """
 
 from __future__ import annotations
@@ -113,38 +112,6 @@ def run_trace(argv) -> int:
     return 0
 
 
-def _run_parallel(names, jobs: int, seed, store_path) -> int:
-    """Route an experiment selection through the campaign scheduler."""
-    import tempfile
-
-    from repro.campaign import (
-        ResultStore,
-        SchedulerConfig,
-        build_default_spec,
-        expand,
-        render_report,
-        run_campaign,
-    )
-
-    spec = build_default_spec(names, seed=seed, name="cli")
-    if store_path is None:
-        fd, store_path = tempfile.mkstemp(prefix="juggler_campaign_",
-                                          suffix=".jsonl")
-        import os
-
-        os.close(fd)
-    store = ResultStore(store_path)
-    tasks = expand(spec)
-    print(f"running {len(tasks)} task(s) with {jobs} worker(s); "
-          f"results -> {store_path}")
-    stats = run_campaign(tasks, store, SchedulerConfig(jobs=jobs),
-                         progress=print)
-    print(stats.summary_line(spec.name))
-    print()
-    print(render_report(store.load(), spec))
-    return 0 if stats.failed == 0 else 1
-
-
 def main(argv=None) -> int:
     """Entry point for the ``juggler-repro`` console script."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -154,6 +121,10 @@ def main(argv=None) -> int:
         from repro.campaign.cli import main as campaign_main
 
         return campaign_main(argv[1:])
+    if argv and argv[0] == "sweep":
+        from repro.campaign.cli import sweep_main
+
+        return sweep_main(argv[1:])
     if argv and argv[0] == "analyze":
         from repro.analysis.cli import main as analyze_main
 
@@ -166,18 +137,6 @@ def main(argv=None) -> int:
         from repro.faults.cli import main as faults_main
 
         return faults_main(argv[1:])
-    if argv and argv[0] == "steer":
-        from repro.steer.cli import main as steer_main
-
-        return steer_main(argv[1:])
-    if argv and argv[0] == "cc":
-        from repro.cc.cli import main as cc_main
-
-        return cc_main(argv[1:])
-    if argv and argv[0] == "fabric":
-        from repro.fabric.cli import main as fabric_main
-
-        return fabric_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="juggler-repro",
         description="Run reproduced experiments from the Juggler paper "
@@ -212,14 +171,10 @@ def main(argv=None) -> int:
               "artifact (see docs/observability.md)")
         print("run 'juggler-repro campaign --help' for parallel, resumable "
               "sweeps (see docs/campaign.md)")
-        print("run 'juggler-repro faults run|matrix' for fault injection "
-              "and the resilience matrix (see docs/faults.md)")
-        print("run 'juggler-repro steer sweep' for the steering / "
-              "self-inflicted reordering family (see docs/steering.md)")
-        print("run 'juggler-repro cc sweep' for the congestion-control / "
-              "reordering family (see docs/transport.md)")
-        print("run 'juggler-repro fabric sweep' for the host-vs-fabric "
-              "resilience comparison (see docs/fabric.md)")
+        print("run 'juggler-repro sweep' for the grid families (steering, "
+              "cc, fabric, faults matrix, fig12-15) with their axes as flags")
+        print("run 'juggler-repro faults run --plan FILE' for one fault "
+              "plan (see docs/faults.md)")
         return 0
 
     names = (list(EXPERIMENTS) if args.experiments == ["all"]
@@ -231,8 +186,12 @@ def main(argv=None) -> int:
         return 2
 
     if args.jobs > 1 or args.seed is not None:
-        return _run_parallel(names, max(1, args.jobs), args.seed,
-                             args.store)
+        from repro.campaign import SchedulerConfig, build_default_spec
+        from repro.campaign.cli import run_and_report
+
+        return run_and_report(
+            build_default_spec(names, seed=args.seed, name="cli"),
+            args.store, SchedulerConfig(jobs=max(1, args.jobs)))
 
     for name in names:
         runner, description = EXPERIMENTS[name]

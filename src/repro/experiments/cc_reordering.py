@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.campaign.spec import derive_seed
+from repro.campaign.spec import derive_cell_seed
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.experiments.common import gbps, grid_points
@@ -108,6 +108,9 @@ class CcResult:
 POINT_AXES = (("cc", "ccs"),
               ("intensity", "intensities"),
               ("engine", "engines"))
+#: The arms of one paired comparison: they pick no randomness, so every
+#: arm of a cell draws the same seed (see repro.campaign.spec).
+PAIRED_AXES = ("cc", "engine")
 
 
 def run_point(params: CcParams, *, cc: str, intensity: int,
@@ -116,8 +119,9 @@ def run_point(params: CcParams, *, cc: str, intensity: int,
     if intensity not in INTENSITY_LEVELS:
         raise ValueError(f"unknown intensity {intensity!r}; "
                          f"known: {sorted(INTENSITY_LEVELS)}")
-    # The seed excludes cc and engine: paired arms, identical randomness.
-    cell_seed = derive_seed(params.seed, "cc_reordering", f"{intensity}")
+    cell_seed = derive_cell_seed(
+        params.seed, "cc_reordering", POINT_AXES, PAIRED_AXES,
+        {"cc": cc, "intensity": intensity, "engine": engine})
     sim = Engine()
     rng = RngRegistry(cell_seed)
     config = JugglerConfig(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.campaign.spec import derive_seed
+from repro.campaign.spec import derive_cell_seed
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.experiments.common import gbps, grid_points
@@ -135,6 +135,9 @@ POINT_AXES = (("policy", "policies"),
               ("flow_count", "flow_counts"),
               ("churn", "churn_levels"),
               ("engine", "engines"))
+#: The arms of one paired comparison: they pick no randomness, so every
+#: arm of a cell draws the same seed (see repro.campaign.spec).
+PAIRED_AXES = ("policy", "engine")
 
 
 def churn_plan(churn: int, *, start_us: int, stop_us: int,
@@ -185,8 +188,10 @@ def build_policy(policy: str, params: FdirParams, rng,
 def run_point(params: FdirParams, *, policy: str, flow_count: int,
               churn: int, engine: str) -> FdirPoint:
     """One grid cell, independently schedulable (see repro.campaign)."""
-    cell_seed = derive_seed(params.seed, "fdir_reordering",
-                            f"{flow_count}:{churn}")
+    cell_seed = derive_cell_seed(
+        params.seed, "fdir_reordering", POINT_AXES, PAIRED_AXES,
+        {"policy": policy, "flow_count": flow_count, "churn": churn,
+         "engine": engine})
     sim = Engine()
     rng = RngRegistry(cell_seed)
     config = JugglerConfig(

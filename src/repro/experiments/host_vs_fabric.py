@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.campaign.spec import derive_seed
+from repro.campaign.spec import derive_cell_seed
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.experiments.common import gbps, grid_points
@@ -153,6 +153,9 @@ POINT_AXES = (("engine", "engines"),
               ("routing", "routings"),
               ("load", "loads"),
               ("fault", "faults"))
+#: The arms of one paired comparison: they pick no randomness, so every
+#: arm of a cell draws the same seed (see repro.campaign.spec).
+PAIRED_AXES = ("engine", "routing")
 
 
 def _policy_factory(routing: str, rngs: RngRegistry, engine: Engine):
@@ -199,9 +202,10 @@ def run_point(params: HostFabricParams, *, engine: str, routing: str,
     if fault not in FAULT_LEVELS:
         raise ValueError(f"unknown fault level {fault!r}; "
                          f"known: {sorted(FAULT_LEVELS)}")
-    # The seed excludes engine and routing: paired arms, identical
-    # randomness (see the module docstring).
-    cell_seed = derive_seed(params.seed, "host_vs_fabric", f"{load}:{fault}")
+    cell_seed = derive_cell_seed(
+        params.seed, "host_vs_fabric", POINT_AXES, PAIRED_AXES,
+        {"engine": engine, "routing": routing, "load": load,
+         "fault": fault})
     sim = Engine()
     rngs = RngRegistry(cell_seed)
     config = JugglerConfig(

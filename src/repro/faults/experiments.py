@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.campaign.spec import derive_seed
+from repro.campaign.spec import derive_cell_seed
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.core.juggler import JugglerGRO
@@ -144,6 +144,9 @@ class MatrixResult:
 POINT_AXES = (("fault_kind", "fault_kinds"),
               ("intensity", "intensities"),
               ("engine", "engines"))
+#: The arms of one paired comparison: they pick no randomness, so every
+#: arm of a cell draws the same seed (see repro.campaign.spec).
+PAIRED_AXES = ("engine",)
 
 
 def preset_plan(kind: str, intensity: int, *, start_us: int, stop_us: int,
@@ -184,8 +187,10 @@ def gro_factory(engine_name: str, config: JugglerConfig):
 def run_point(params: MatrixParams, *, fault_kind: str, intensity: int,
               engine: str) -> MatrixPoint:
     """One grid cell, independently schedulable (see repro.campaign)."""
-    cell_seed = derive_seed(params.seed, "faults_matrix",
-                            f"{fault_kind}:{intensity}")
+    cell_seed = derive_cell_seed(
+        params.seed, "faults_matrix", POINT_AXES, PAIRED_AXES,
+        {"fault_kind": fault_kind, "intensity": intensity,
+         "engine": engine})
     plan = preset_plan(fault_kind, intensity, seed=cell_seed,
                        start_us=params.warmup_ms * 1_000,
                        stop_us=params.duration_ms * 1_000)

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+import repro.campaign.cli as campaign_cli
 import repro.cli as cli
+from repro.campaign import SchedulerConfig, build_default_spec
 
 
 def selftest_args(tmp_path, *extra, plan=("ok", "ok")):
@@ -90,22 +92,24 @@ def test_campaign_rejects_unknown_experiment(tmp_path):
 def test_all_jobs_flag_routes_through_campaign(monkeypatch):
     calls = {}
 
-    def fake(names, jobs, seed, store_path):
-        calls.update(names=names, jobs=jobs, seed=seed, store=store_path)
+    def fake(spec, store_path, config, **kwargs):
+        calls.update(spec=spec, store=store_path, config=config)
         return 0
 
-    monkeypatch.setattr(cli, "_run_parallel", fake)
+    monkeypatch.setattr(campaign_cli, "run_and_report", fake)
     assert cli.main(["all", "--jobs", "4", "--seed", "7"]) == 0
-    assert calls["names"] == list(cli.EXPERIMENTS)
-    assert calls["jobs"] == 4
-    assert calls["seed"] == 7
+    assert [e.experiment for e in calls["spec"].experiments] \
+        == list(cli.EXPERIMENTS)
+    assert calls["config"].jobs == 4
+    assert calls["spec"].seed == 7
+    assert calls["store"] is None
 
 
 def test_seed_alone_routes_through_campaign(monkeypatch):
     calls = {}
     monkeypatch.setattr(
-        cli, "_run_parallel",
-        lambda names, jobs, seed, store: calls.update(jobs=jobs) or 0)
+        campaign_cli, "run_and_report",
+        lambda spec, store, config: calls.update(jobs=config.jobs) or 0)
     assert cli.main(["fig12", "--seed", "3"]) == 0
     assert calls["jobs"] == 1
 
@@ -113,22 +117,24 @@ def test_seed_alone_routes_through_campaign(monkeypatch):
 def test_default_stays_serial(monkeypatch, capsys):
     # --jobs 1, no seed: the historical in-process loop, not the campaign.
     monkeypatch.setattr(
-        cli, "_run_parallel",
-        lambda *a: pytest.fail("campaign path must not be taken"))
+        campaign_cli, "run_and_report",
+        lambda *a, **k: pytest.fail("campaign path must not be taken"))
     monkeypatch.setitem(cli.EXPERIMENTS, "fig12",
                         (lambda: "STUB-OUTPUT", "stub"))
     assert cli.main(["fig12"]) == 0
     assert "STUB-OUTPUT" in capsys.readouterr().out
 
 
-def test_run_parallel_selftest_end_to_end(tmp_path, capsys, monkeypatch):
-    # Integration: the real _run_parallel over the hidden selftest
+def test_run_and_report_selftest_end_to_end(tmp_path, capsys, monkeypatch):
+    # Integration: the real run_and_report over the hidden selftest
     # experiment, store kept at a caller-chosen path.
     monkeypatch.chdir(tmp_path)
     store = tmp_path / "all.jsonl"
-    rc = cli._run_parallel(["selftest"], jobs=2, seed=None,
-                           store_path=str(store))
+    rc = campaign_cli.run_and_report(
+        build_default_spec(["selftest"], name="cli"), str(store),
+        SchedulerConfig(jobs=2))
     assert rc == 0
     out = capsys.readouterr().out
     assert "ok 4, failed 0" in out
+    assert "task_id" in out  # the report is on by default
     assert os.path.getsize(store) > 0

@@ -180,29 +180,14 @@ def test_faults_run_cli_rejects_bad_plan(tmp_path, capsys):
     assert "bad fault plan" in capsys.readouterr().err
 
 
-def test_faults_matrix_cli_runs_and_resumes(tmp_path, capsys):
-    from repro.faults.cli import main
-
-    store = tmp_path / "matrix.jsonl"
-    argv = ["matrix", "--kinds", "loss", "--intensities", "1",
-            "--gros", "juggler", "--store", str(store)]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert "ran 1," in first
-    # Same store, same selection: every cell is already complete.
-    assert main(argv) == 0
-    second = capsys.readouterr().out
-    assert "ran 0," in second
-    # Compare the rendered tables (the last "fault ..." header onward):
-    # same seed and store must reproduce byte-identical rows on resume.
-    assert first[first.rindex("fault"):] == second[second.rindex("fault"):]
-
-
 def test_usage_line(capsys):
     from repro.faults.cli import main
 
     assert main([]) == 2
-    assert "run|matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "faults run --plan" in err
+    # The matrix is a grid family of the one sweep command now.
+    assert "sweep faults_matrix" in err
 
 
 def test_matrix_point_fields_round_trip_as_dataclass():
