@@ -17,19 +17,15 @@ constantly leave and re-enter Juggler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.core.juggler import JugglerGRO
-from repro.fabric.topology import build_netfpga_pair
+from repro.experiments.cell import Cell
+from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 
 
 @dataclass(frozen=True)
@@ -58,51 +54,36 @@ class AblationPoint:
     throughput_gbps: float
 
 
-def _run_stress(params: AblationParams, config: JugglerConfig) -> AblationPoint:
-    engine = Engine()
-    rng = RngRegistry(params.seed).stream("workload")
-    bed = build_netfpga_pair(
-        engine,
-        rng,
-        lambda deliver: JugglerGRO(deliver, config),
+def _run_stress(params: AblationParams, **ablated) -> AblationPoint:
+    """The stress scenario with the ``JugglerConfig`` fields in ``ablated``
+    overriding the paper's design."""
+    cell = Cell(
+        params.seed, GroKind.JUGGLER,
+        inseq_us=params.inseq_timeout_us,
+        ofo_us=params.ofo_timeout_us,
+        **{"table_capacity": params.table_capacity, **ablated},
+    )
+    # One stream feeds both the switch and the flows' start offsets.
+    bed = cell.pair(
+        "workload",
         rate_gbps=params.total_gbps,
         reorder_delay_ns=params.reorder_delay_us * US,
         nic_config=NicConfig(num_queues=1, coalesce_frames=25),
     )
-    per_flow = params.total_gbps / params.num_flows
-    burst_period_ns = max(1, round(64 * 1024 * 8 / per_flow))
-    tcp = TcpConfig(init_cwnd=1 << 17)
-    conns: List[Connection] = []
-    for i in range(params.num_flows):
-        conn = Connection(engine, bed.sender, bed.receiver, 5000 + i, 80,
-                          tcp, pacing_gbps=per_flow)
-        engine.schedule(rng.randrange(burst_period_ns), conn.send, 1 << 38)
-        conns.append(conn)
-    engine.run_until(params.duration_ms * MS)
-
-    stats = bed.receiver.gro_engines[0].stats
-    delivered = sum(c.delivered_bytes for c in conns)
+    cell.paced_flows([bed.sender], bed.receiver, params.num_flows,
+                     params.total_gbps, 5000, TcpConfig(init_cwnd=1 << 17),
+                     cell.rngs.stream("workload"), 1 << 38)
+    total = cell.measure(0, params.duration_ms * MS)
     return AblationPoint(
         label="",
-        segments_per_packet=(stats.segments / stats.packets
-                             if stats.packets else 0.0),
-        ooo_fraction=stats.ooo_fraction,
-        ofo_timeout_flushes=stats.flush_reasons.get(FlushReason.OFO_TIMEOUT, 0),
-        evictions=stats.total_evictions,
-        throughput_gbps=delivered * 8 / (params.duration_ms * MS),
-    )
-
-
-def _config(params: AblationParams, *, enable_buildup: bool = True,
-            eviction_policy: str = "inactive_first",
-            capacity: Optional[int] = None) -> JugglerConfig:
-    return JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-        table_capacity=capacity if capacity is not None
-        else params.table_capacity,
-        enable_buildup=enable_buildup,
-        eviction_policy=eviction_policy,
+        segments_per_packet=(total.segments / total.packets
+                             if total.packets else 0.0),
+        ooo_fraction=(total.ooo_segments / total.segments
+                      if total.segments else 0.0),
+        ofo_timeout_flushes=cell.flush_reasons().get(
+            FlushReason.OFO_TIMEOUT, 0),
+        evictions=total.evictions,
+        throughput_gbps=total.goodput_gbps,
     )
 
 
@@ -117,7 +98,7 @@ def run_buildup_ablation(
     """
     points = []
     for enabled in (True, False):
-        point = _run_stress(params, _config(params, enable_buildup=enabled))
+        point = _run_stress(params, enable_buildup=enabled)
         point.label = "buildup=on" if enabled else "buildup=off"
         points.append(point)
     return points
@@ -128,7 +109,7 @@ def run_eviction_ablation(
     """The paper's eviction order vs naive FIFO vs adversarial inversion."""
     points = []
     for policy in ("inactive_first", "fifo", "active_first"):
-        point = _run_stress(params, _config(params, eviction_policy=policy))
+        point = _run_stress(params, eviction_policy=policy)
         point.label = f"evict={policy}"
         points.append(point)
     return points
@@ -140,7 +121,7 @@ def run_table_size_ablation(
     """Sweeping gro_table capacity."""
     points = []
     for capacity in capacities:
-        point = _run_stress(params, _config(params, capacity=capacity))
+        point = _run_stress(params, table_capacity=capacity)
         point.label = f"capacity={capacity}"
         points.append(point)
     return points

@@ -35,18 +35,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.campaign.spec import derive_cell_seed
-from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.experiments.common import gbps, grid_points
-from repro.fabric.topology import build_netfpga_pair
-from repro.faults.experiments import gro_factory
+from repro.experiments.cell import Cell
+from repro.experiments.common import grid_points
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 
 #: Intensity level -> slow-path reordering delay in µs.  Level 1 hides
 #: inside the 125 µs coalescing window (reordered "for free" in the ring);
@@ -122,58 +117,37 @@ def run_point(params: CcParams, *, cc: str, intensity: int,
     cell_seed = derive_cell_seed(
         params.seed, "cc_reordering", POINT_AXES, PAIRED_AXES,
         {"cc": cc, "intensity": intensity, "engine": engine})
-    sim = Engine()
-    rng = RngRegistry(cell_seed)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    bed = build_netfpga_pair(
-        sim,
-        rng.stream("fabric"),
-        gro_factory(engine, config),
+    cell = Cell(cell_seed, engine, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us)
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=INTENSITY_LEVELS[intensity] * US,
         nic_config=NicConfig(coalesce_ns=params.coalesce_us * US),
     )
-    tcp = TcpConfig(cc=cc, rx_buffer=params.rx_buffer)
-    conns = [
-        Connection(sim, bed.sender, bed.receiver, 1_000 + i, 80, tcp)
-        for i in range(params.flow_count)
-    ]
-    stagger = rng.stream("workload")
+    conns = cell.flows(bed.sender, bed.receiver, params.flow_count, 1_000,
+                       TcpConfig(cc=cc, rx_buffer=params.rx_buffer))
+    stagger = cell.rngs.stream("workload")
     for conn in conns:
         # Staggered starts desynchronise slow starts; the draw order is
         # fixed, so every arm staggers identically.
-        sim.schedule(stagger.randrange(200_000), conn.send, 1 << 38)
+        cell.engine.schedule(stagger.randrange(200_000), conn.send, 1 << 38)
 
-    warmup_ns = params.warmup_ms * MS
-    stop_ns = params.duration_ms * MS
-    sim.run_until(warmup_ns)
-    delivered_at_warmup = sum(c.delivered_bytes for c in conns)
-    retx_at_warmup = sum(c.sender.retransmitted_packets for c in conns)
-    recov_at_warmup = sum(c.sender.fast_retransmits for c in conns)
-    sim.run_until(stop_ns)
-
-    delivered = sum(c.delivered_bytes for c in conns) - delivered_at_warmup
-    ofo_flushes = 0
-    for gro in bed.receiver.gro_engines:
-        ofo_flushes += gro.stats.flush_reasons.get(FlushReason.OFO_TIMEOUT, 0)
+    window = cell.measure(params.warmup_ms * MS, params.duration_ms * MS)
     srtts = [c.sender.srtt for c in conns if c.sender.srtt is not None]
     return CcPoint(
         cc=cc,
         intensity=intensity,
         engine=engine,
-        goodput_gbps=round(gbps(delivered, stop_ns - warmup_ns), 4),
-        retx_packets=(sum(c.sender.retransmitted_packets for c in conns)
-                      - retx_at_warmup),
-        recoveries=(sum(c.sender.fast_retransmits for c in conns)
-                    - recov_at_warmup),
+        goodput_gbps=round(window.goodput_gbps, 4),
+        retx_packets=window.retransmits,
+        recoveries=window.fast_retransmits,
         spurious_rexmits=sum(c.sender.spurious_rexmits for c in conns),
         rtos=sum(c.sender.rtos for c in conns),
         dupacks=sum(c.sender.dupacks_received for c in conns),
         tcp_ooo_segments=sum(c.receiver.ooo_segments for c in conns),
-        ofo_timeout_flushes=ofo_flushes,
+        ofo_timeout_flushes=cell.flush_reasons().get(
+            FlushReason.OFO_TIMEOUT, 0),
         srtt_us=round(max(srtts) / US, 1) if srtts else 0.0,
     )
 

@@ -1,64 +1,25 @@
-"""Helpers shared by the per-figure experiment modules."""
+"""Helpers shared by the per-figure experiment modules: the host CPU model
+a :class:`~repro.experiments.cell.Cell` attaches on request, sweep-grid
+iteration, and the Gb/s conversion.  Cell construction and the measurement
+window live in :mod:`repro.experiments.cell`."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
-from repro.core.base import GroEngine
-from repro.core.stats import GroStats
 from repro.cpu.accounting import GroCpuAccountant
 from repro.cpu.core import CpuCore
 from repro.cpu.costs import CostTable, DEFAULT_COSTS
 from repro.cpu.meter import CoreMeter
 from repro.fabric.host import Host
+from repro.nic.nic import NicConfig
 from repro.sim.engine import Engine
 
-
-@dataclass
-class StatsSnapshot:
-    """A point-in-time copy of the counters a measurement window diffs."""
-
-    packets: int
-    segments: int
-    batched_mtus: int
-    ooo_segments: int
-
-    @classmethod
-    def of(cls, stats: GroStats) -> "StatsSnapshot":
-        """Capture the relevant counters."""
-        return cls(stats.packets, stats.segments, stats.batched_mtus,
-                   stats.ooo_segments)
-
-    def batching_since(self, stats: GroStats) -> float:
-        """Batching extent (MTUs/segment) accumulated since this snapshot."""
-        segments = stats.segments - self.segments
-        if segments <= 0:
-            return 0.0
-        return (stats.batched_mtus - self.batched_mtus) / segments
-
-    def segments_since(self, stats: GroStats) -> int:
-        """Segments delivered since this snapshot."""
-        return stats.segments - self.segments
-
-    def packets_since(self, stats: GroStats) -> int:
-        """Packets processed since this snapshot."""
-        return stats.packets - self.packets
-
-    def ooo_since(self, stats: GroStats) -> int:
-        """Out-of-order segments delivered since this snapshot."""
-        return stats.ooo_segments - self.ooo_segments
-
-
-def merged_stats(engines: List[GroEngine]) -> StatsSnapshot:
-    """Sum the counters of several per-queue engines."""
-    return StatsSnapshot(
-        sum(e.stats.packets for e in engines),
-        sum(e.stats.segments for e in engines),
-        sum(e.stats.batched_mtus for e in engines),
-        sum(e.stats.ooo_segments for e in engines),
-    )
+#: Adaptive-style coalescing on the 40G testbeds: a short time window, so
+#: ACK-side latency does not dominate the (tiny) fabric RTT.
+SHORT_COALESCING = NicConfig(num_queues=1, coalesce_ns=30_000,
+                             coalesce_frames=32)
 
 
 class HostCpu:
@@ -73,19 +34,6 @@ class HostCpu:
     def attach(self, host: Host) -> None:
         """Couple the app core to the host's TCP endpoints."""
         host.app_core = self.app_core
-
-    def mark(self, now: int) -> None:
-        """Open a measurement window on both cores."""
-        self.rx_meter.mark(now)
-        self.app_core.meter.mark(now)
-
-    def rx_utilization(self, now: int) -> float:
-        """RX-core busy fraction since :meth:`mark`."""
-        return self.rx_meter.utilization_since(now)
-
-    def app_utilization(self, now: int) -> float:
-        """App-core busy fraction since :meth:`mark` (may exceed 1.0)."""
-        return self.app_core.meter.utilization_since(now)
 
 
 def grid_points(axes: Sequence[Tuple[str, str]],

@@ -18,23 +18,17 @@ Paper results this experiment reproduces:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.experiments.common import HostCpu, merged_stats
+from repro.experiments.cell import Cell
 from repro.fabric.routing import EcmpRouting, PerPacketRouting
-from repro.fabric.topology import build_clos
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
-from repro.sim.time import MS, US
+from repro.sim.time import MS
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
-from repro.net.pool import PacketPool
-from repro.workloads.background import DiscardSink, PoissonPacketSource
 
 
 @dataclass(frozen=True)
@@ -76,133 +70,55 @@ class CpuOverheadResult:
 
 def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
     """Run one {flows, reordering, kernel} cell."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    cpu = HostCpu(engine)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    gro_factory = make_gro_factory(params.kind, config, cpu.accountant)
-
-    if params.reordering:
-        def policy_factory():
-            return PerPacketRouting(rngs.stream("spray"))
-    else:
-        def policy_factory():
-            return EcmpRouting()
-
+    cell = Cell(params.seed, params.kind, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us, cpu=True)
     # ToR 0 hosts the senders; ToR 1 hosts the receiver and the background
     # sink.  All measured flows aim at one receiver host => one RX queue.
-    net = build_clos(
-        engine,
-        gro_factory,
-        policy_factory,
+    net = cell.clos(
+        (lambda: PerPacketRouting(cell.rngs.stream("spray")))
+        if params.reordering else EcmpRouting,
+        params.uplink_gbps,
         n_tors=2,
         hosts_per_tor=max(2, params.num_flows if params.num_flows <= 8 else 8),
         n_spines=params.n_spines,
-        host_rate_gbps=params.uplink_gbps,
-        uplink_rate_gbps=params.uplink_gbps,
         nic_config=NicConfig(num_queues=1, coalesce_frames=32),
     )
     hosts_per_tor = len(net.hosts) // 2
-    senders = net.hosts[:hosts_per_tor]
     receiver = net.hosts[hosts_per_tor]
-    sink_host = net.hosts[hosts_per_tor + 1]
-    cpu.attach(receiver)
+    cell.measure_host(receiver)
+    cell.paced_flows(
+        net.hosts[:hosts_per_tor], receiver, params.num_flows,
+        params.target_gbps, 10_000,
+        TcpConfig(init_cwnd=1 << 19, rx_buffer=4 << 20),
+        cell.rngs.stream("flow-start"), 1 << 40)
+    # Background load brings the sending ToR's uplinks to ~50%.
+    cell.background(net, net.hosts[hosts_per_tor + 1],
+                    params.background_gbps, params.uplink_gbps)
 
-    per_flow_gbps = params.target_gbps / params.num_flows
-    tcp = TcpConfig(init_cwnd=1 << 19, rx_buffer=4 << 20)
-    start_rng = rngs.stream("flow-start")
-    # Stagger flow starts across one pacing period so the aggregate is
-    # smooth from t=0 (flows in the testbed were long-running, not
-    # synchronised).
-    burst_period_ns = max(1, round(64 * 1024 * 8 / per_flow_gbps))
-    connections: List[Connection] = []
-    for i in range(params.num_flows):
-        src = senders[i % len(senders)]
-        conn = Connection(
-            engine, src, receiver, 10_000 + i, 80, tcp,
-            pacing_gbps=per_flow_gbps,
-        )
-        engine.schedule(start_rng.randrange(burst_period_ns),
-                        conn.send, 1 << 40)
-        connections.append(conn)
-
-    # Background load on the sending ToR's uplinks, routed to a discard
-    # host under the receiving ToR (its own downlink, so it does not queue
-    # behind the measured flows at the receiver's port).
-    bg_pool = PacketPool()
-    discard = DiscardSink(bg_pool)
-    from repro.fabric.link import QueuedLink
-
-    bg_dst = sink_host.host_id + 1_000_000  # synthetic id, never a real host
-    net.tors[1].add_route(
-        bg_dst,
-        QueuedLink(engine, params.uplink_gbps, discard, name="bg-sink"),
-    )
-    for s, spine in enumerate(net.spines):
-        spine.add_route(bg_dst, net.downlinks[s][1])
-    background = PoissonPacketSource(
-        engine,
-        rngs.stream("background"),
-        net.tors[0],
-        load_gbps=params.background_gbps,
-        src=99,
-        dst=sink_host.host_id + 1_000_000,
-        pool=bg_pool,
-    )
-    background.start()
-
-    engine.run_until(params.warmup_ms * MS)
-    engines = receiver.gro_engines
-    before = merged_stats(engines)
-    delivered_before = sum(c.delivered_bytes for c in connections)
-    acks_before = sum(c.receiver.acks_sent for c in connections)
-    cpu.mark(engine.now)
-
-    engine.run_until((params.warmup_ms + params.measure_ms) * MS)
-    after = merged_stats(engines)
-    window = params.measure_ms * MS
-    delivered = sum(c.delivered_bytes for c in connections) - delivered_before
-
-    segments = after.segments - before.segments
-    mtus = after.batched_mtus - before.batched_mtus
-    ooo = after.ooo_segments - before.ooo_segments
+    window = cell.measure(params.warmup_ms * MS,
+                          (params.warmup_ms + params.measure_ms) * MS)
     return CpuOverheadResult(
         params=params,
-        throughput_gbps=delivered * 8 / window,
-        rx_core_pct=100.0 * cpu.rx_utilization(engine.now),
-        app_core_pct=100.0 * cpu.app_utilization(engine.now),
-        batching_extent=(mtus / segments) if segments else 0.0,
-        segments=segments,
-        ooo_segment_fraction=(ooo / segments) if segments else 0.0,
-        acks_sent=sum(c.receiver.acks_sent for c in connections) - acks_before,
+        throughput_gbps=window.goodput_gbps,
+        rx_core_pct=window.rx_core_pct,
+        app_core_pct=window.app_core_pct,
+        batching_extent=window.batching,
+        segments=window.segments,
+        ooo_segment_fraction=((window.ooo_segments / window.segments)
+                              if window.segments else 0.0),
+        acks_sent=window.acks,
     )
 
 
 def run_figure(num_flows: int,
                base: CpuOverheadParams = CpuOverheadParams()) -> List[CpuOverheadResult]:
     """All four bars of Figure 9 (num_flows=1) or Figure 10 (256)."""
-    results = []
-    for reordering in (False, True):
-        for kind in (GroKind.VANILLA, GroKind.JUGGLER):
-            params = CpuOverheadParams(
-                num_flows=num_flows,
-                reordering=reordering,
-                kind=kind,
-                target_gbps=base.target_gbps,
-                uplink_gbps=base.uplink_gbps,
-                n_spines=base.n_spines,
-                background_gbps=base.background_gbps,
-                inseq_timeout_us=base.inseq_timeout_us,
-                ofo_timeout_us=base.ofo_timeout_us,
-                warmup_ms=base.warmup_ms,
-                measure_ms=base.measure_ms,
-                seed=base.seed,
-            )
-            results.append(run_scenario(params))
-    return results
+    return [
+        run_scenario(dataclasses.replace(
+            base, num_flows=num_flows, reordering=reordering, kind=kind))
+        for reordering in (False, True)
+        for kind in (GroKind.VANILLA, GroKind.JUGGLER)
+    ]
 
 
 def render(results: List[CpuOverheadResult]) -> str:

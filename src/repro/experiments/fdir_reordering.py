@@ -32,18 +32,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.campaign.spec import derive_cell_seed
-from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.experiments.common import gbps, grid_points
-from repro.fabric.topology import build_netfpga_pair
-from repro.faults.experiments import gro_factory
+from repro.experiments.cell import Cell
+from repro.experiments.common import grid_points
 from repro.faults.plan import FaultPlan
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
 from repro.net.addr import FiveTuple
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.steer import (
     FlowDirectorConfig,
@@ -53,8 +49,6 @@ from repro.steer import (
     SteeringPolicy,
 )
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
-from repro.workloads.rpc import RpcWorkload
 
 #: Churn level -> (steering_churn params, window period in us).  Level 0 is
 #: "no churn" (no fault plan at all); the top level periodically flushes
@@ -192,58 +186,32 @@ def run_point(params: FdirParams, *, policy: str, flow_count: int,
         params.seed, "fdir_reordering", POINT_AXES, PAIRED_AXES,
         {"policy": policy, "flow_count": flow_count, "churn": churn,
          "engine": engine})
-    sim = Engine()
-    rng = RngRegistry(cell_seed)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-        table_capacity=params.table_capacity,
-    )
+    cell = Cell(cell_seed, engine, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us,
+                table_capacity=params.table_capacity)
     flows = [FiveTuple(0, 1, 1_000 + i, 80) for i in range(flow_count)]
-    steering = build_policy(policy, params, rng.stream("steer"), flows)
-    plan = churn_plan(churn, seed=cell_seed,
-                      start_us=params.warmup_ms * 1_000,
-                      stop_us=params.duration_ms * 1_000)
-    bed = build_netfpga_pair(
-        sim,
-        rng.stream("fabric"),
-        gro_factory(engine, config),
+    steering = build_policy(policy, params, cell.rngs.stream("steer"), flows)
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=params.reorder_delay_us * US,
         nic_config=NicConfig(coalesce_ns=params.coalesce_us * US,
                              num_queues=params.num_queues),
-        fault_plan=plan,
+        fault_plan=churn_plan(churn, seed=cell_seed,
+                              start_us=params.warmup_ms * 1_000,
+                              stop_us=params.duration_ms * 1_000),
         receiver_steering=steering,
     )
-    conns = [
-        Connection(sim, bed.sender, bed.receiver, 1_000 + i, 80, TcpConfig())
-        for i in range(flow_count)
-    ]
-    workload = RpcWorkload(
-        sim, rng.stream("workload"), conns,
-        rpc_bytes=params.rpc_bytes,
-        load_gbps=params.load_fraction * params.rate_gbps,
-    )
-    workload.start()
+    conns = cell.flows(bed.sender, bed.receiver, flow_count, 1_000,
+                       TcpConfig())
+    workload = cell.rpc_load(conns, "workload", params.rpc_bytes,
+                             params.load_fraction * params.rate_gbps)
 
     warmup_ns = params.warmup_ms * MS
-    stop_ns = params.duration_ms * MS
-    sim.run_until(warmup_ns)
-    delivered_at_warmup = sum(c.delivered_bytes for c in conns)
-    sim.run_until(stop_ns)
-
-    delivered = sum(c.delivered_bytes for c in conns) - delivered_at_warmup
+    window = cell.measure(warmup_ns, params.duration_ms * MS)
     latencies = [r.latency_ns for r in workload.records
                  if r.end_ns >= warmup_ns]
     p99 = percentiles(latencies, (99,))[0] if latencies else 0.0
-
-    flush_reasons: Dict[str, int] = {}
-    gro_evictions = 0
-    for gro in bed.receiver.gro_engines:
-        gro_evictions += gro.stats.total_evictions
-        for reason, n in gro.stats.flush_reasons.items():
-            flush_reasons[reason.value] = (
-                flush_reasons.get(reason.value, 0) + n)
     counters = steering.counters()
     nic = bed.receiver.nic
     return FdirPoint(
@@ -251,16 +219,16 @@ def run_point(params: FdirParams, *, policy: str, flow_count: int,
         flow_count=flow_count,
         churn=churn,
         engine=engine,
-        goodput_gbps=round(gbps(delivered, stop_ns - warmup_ns), 4),
+        goodput_gbps=round(window.goodput_gbps, 4),
         p99_latency_us=round(p99 / US, 1),
         rpcs_completed=len(latencies),
         migrations=counters.get("migrations", 0),
         cross_queue_events=counters.get("cross_queue_events", 0),
         rule_evictions=counters.get("rule_evictions", 0),
         tcp_ooo_segments=sum(c.receiver.ooo_segments for c in conns),
-        ofo_timeout_flushes=flush_reasons.get(
-            FlushReason.OFO_TIMEOUT.value, 0),
-        gro_evictions=gro_evictions,
+        ofo_timeout_flushes=cell.flush_reasons().get(
+            FlushReason.OFO_TIMEOUT, 0),
+        gro_evictions=cell.totals().evictions,
         queue_imbalance=round(nic.cores.imbalance(), 3),
         packets_dropped=nic.dropped + (bed.faults.dropped
                                        if bed.faults is not None else 0),

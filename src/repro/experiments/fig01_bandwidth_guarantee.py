@@ -16,16 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.core.config import JugglerConfig
-from repro.fabric.topology import build_priority_dumbbell
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.experiments.cell import Cell
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import Sampler, ThroughputProbe, mean
 from repro.harness.reporting import format_table
-from repro.nic.nic import NicConfig
 from repro.qos.bandwidth_guarantee import BandwidthGuaranteeController
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
-from repro.sim.time import MS, US
+from repro.sim.time import MS
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
 
@@ -75,58 +71,58 @@ class Fig01Result:
         return (sum((v - mu) ** 2 for v in values) / (len(values) - 1)) ** 0.5
 
 
-def run_kernel(params: Fig01Params, kind: GroKind) -> Fig01Result:
-    """The time series for one kernel."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    bed = build_priority_dumbbell(
-        engine,
-        make_gro_factory(kind, config),
-        n_senders=2,
-        n_receivers=2,
-        host_rate_gbps=params.line_rate_gbps,
-        bottleneck_gbps=params.line_rate_gbps,
-        # Adaptive-style coalescing: short time window so ACK-side latency
-        # does not dominate the (tiny) fabric RTT.
-        nic_config=NicConfig(num_queues=1, coalesce_ns=30_000,
-                             coalesce_frames=32),
-    )
+def guarantee_rig(cell: Cell, line_rate_gbps: float, guarantee_gbps: float,
+                  alpha: float, num_flows: int):
+    """Figure 17's workload on ``cell`` (shared with Figure 18): one target
+    flow under the marking controller against ``num_flows - 1``
+    unconstrained antagonists across the two-priority bottleneck.
+
+    Returns ``(testbed, target connection, controller)``; the caller
+    decides when the controller starts.
+    """
+    bed = cell.dumbbell(line_rate_gbps)
     # Default (10-MSS) initial window: the flows must find their fair share
     # through ordinary congestion control at the finite bottleneck buffer.
     tcp = TcpConfig(rx_buffer=8 << 20)
-
-    target = Connection(engine, bed.senders[0], bed.receivers[0], 4000, 80, tcp)
+    (target,) = cell.flows(bed.senders[0], bed.receivers[0], 1, 4000, tcp)
     controller = BandwidthGuaranteeController(
-        engine,
+        cell.engine,
         target.sender,
-        rngs.stream("marking"),
-        target_gbps=params.guarantee_gbps,
-        line_rate_gbps=params.line_rate_gbps,
-        alpha=params.alpha,
+        cell.rngs.stream("marking"),
+        target_gbps=guarantee_gbps,
+        line_rate_gbps=line_rate_gbps,
+        alpha=alpha,
     )
     target.sender.priority_fn = controller.priority_fn
     target.send(1 << 42)
-
-    antagonists = []
-    for i in range(params.num_flows - 1):
-        conn = Connection(engine, bed.senders[1], bed.receivers[1],
-                          4100 + i, 80, tcp)
+    for conn in cell.flows(bed.senders[1], bed.receivers[1], num_flows - 1,
+                           4100, tcp):
         conn.send(1 << 42)
-        antagonists.append(conn)
+    return bed, target, controller
 
-    start_ns = params.before_ms * MS
-    probe = Sampler(
-        engine,
-        ThroughputProbe(lambda: target.delivered_bytes, params.sample_ms * MS),
-        params.sample_ms * MS,
-    )
+
+def throughput_sampler(cell: Cell, conn: Connection,
+                       sample_ns: int) -> Sampler:
+    """Start sampling ``conn``'s goodput every ``sample_ns``; the byte
+    baseline is taken now."""
+    probe = Sampler(cell.engine,
+                    ThroughputProbe(lambda: conn.delivered_bytes, sample_ns),
+                    sample_ns)
     probe.start()
-    engine.schedule(start_ns, controller.start)
-    engine.run_until((params.before_ms + params.after_ms) * MS)
+    return probe
+
+
+def run_kernel(params: Fig01Params, kind: GroKind) -> Fig01Result:
+    """The time series for one kernel."""
+    cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us)
+    _, target, controller = guarantee_rig(
+        cell, params.line_rate_gbps, params.guarantee_gbps, params.alpha,
+        params.num_flows)
+    start_ns = params.before_ms * MS
+    probe = throughput_sampler(cell, target, params.sample_ms * MS)
+    cell.engine.schedule(start_ns, controller.start)
+    cell.measure(start_ns, (params.before_ms + params.after_ms) * MS)
 
     return Fig01Result(kind=kind, series=probe.samples, start_ns=start_ns)
 

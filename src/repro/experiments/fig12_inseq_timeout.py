@@ -16,22 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.core.juggler import JugglerGRO
-from repro.experiments.common import (
-    HostCpu,
-    StatsSnapshot,
-    grid_points,
-    merged_stats,
-)
-from repro.fabric.topology import build_netfpga_pair
+from repro.experiments.cell import Cell
+from repro.experiments.common import grid_points
+from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 
 
 @dataclass(frozen=True)
@@ -89,53 +80,30 @@ def run_point(params: Fig12Params, *, reorder_delay_us: int,
 
 def run_cell(params: Fig12Params, reorder_us: int, inseq_us: int) -> Fig12Point:
     """One (τ, inseq_timeout) measurement."""
-    engine = Engine()
-    rng = RngRegistry(params.seed).stream("fabric")
-    cpu = HostCpu(engine)
-    config = JugglerConfig(
-        inseq_timeout=inseq_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    bed = build_netfpga_pair(
-        engine,
-        rng,
-        lambda deliver: JugglerGRO(deliver, config, cpu.accountant),
+    cell = Cell(params.seed, GroKind.JUGGLER, inseq_us=inseq_us,
+                ofo_us=params.ofo_timeout_us, cpu=True)
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=reorder_us * US,
         nic_config=NicConfig(coalesce_frames=params.coalesce_frames),
     )
-    cpu.attach(bed.receiver)
     # Large initial window and receive buffer: the paper measures long
     # steady-state flows, so we skip most of slow start.
-    tcp = TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20)
-    conn = Connection(engine, bed.sender, bed.receiver, 1000, 80, tcp)
+    (conn,) = cell.flows(bed.sender, bed.receiver, 1, 1000,
+                         TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20))
     conn.send(1 << 40)
 
-    engine.run_until(params.warmup_ms * MS)
-    engines = bed.receiver.gro_engines
-    before = merged_stats(engines)
-    bytes_before = conn.delivered_bytes
-    cpu.mark(engine.now)
-
-    end = (params.warmup_ms + params.measure_ms) * MS
-    engine.run_until(end)
-    after = merged_stats(engines)
-    window = params.measure_ms * MS
+    window = cell.measure(params.warmup_ms * MS,
+                          (params.warmup_ms + params.measure_ms) * MS)
     return Fig12Point(
         reorder_delay_us=reorder_us,
         inseq_timeout_us=inseq_us,
-        batching_extent=_batching(before, after),
-        rx_core_pct=100.0 * cpu.rx_utilization(engine.now),
-        app_core_pct=100.0 * cpu.app_utilization(engine.now),
-        throughput_gbps=(conn.delivered_bytes - bytes_before) * 8 / window,
+        batching_extent=window.batching,
+        rx_core_pct=window.rx_core_pct,
+        app_core_pct=window.app_core_pct,
+        throughput_gbps=window.goodput_gbps,
     )
-
-
-def _batching(before: StatsSnapshot, after: StatsSnapshot) -> float:
-    segments = after.segments - before.segments
-    if segments <= 0:
-        return 0.0
-    return (after.batched_mtus - before.batched_mtus) / segments
 
 
 def run(params: Fig12Params = Fig12Params()) -> Fig12Result:

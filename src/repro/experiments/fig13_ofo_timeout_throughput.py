@@ -17,17 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.core.juggler import JugglerGRO
+from repro.core.flush import FlushReason
+from repro.experiments.cell import Cell
 from repro.experiments.common import grid_points
-from repro.fabric.topology import build_netfpga_pair
+from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 
 
 @dataclass(frozen=True)
@@ -81,40 +78,26 @@ def run_point(params: Fig13Params, *, reorder_delay_us: int,
 
 def run_cell(params: Fig13Params, reorder_us: int, ofo_us: int) -> Fig13Point:
     """One (τ, ofo_timeout) measurement."""
-    engine = Engine()
-    rng = RngRegistry(params.seed).stream("fabric")
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=ofo_us * US,
-    )
-    bed = build_netfpga_pair(
-        engine,
-        rng,
-        lambda deliver: JugglerGRO(deliver, config),
+    cell = Cell(params.seed, GroKind.JUGGLER,
+                inseq_us=params.inseq_timeout_us, ofo_us=ofo_us)
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=reorder_us * US,
         nic_config=NicConfig(coalesce_ns=params.coalesce_us * US),
     )
-    tcp = TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20)
-    conn = Connection(engine, bed.sender, bed.receiver, 1000, 80, tcp)
+    (conn,) = cell.flows(bed.sender, bed.receiver, 1, 1000,
+                         TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20))
     conn.send(1 << 40)
 
-    engine.run_until(params.warmup_ms * MS)
-    bytes_before = conn.delivered_bytes
-    retx_before = conn.sender.fast_retransmits
-    end = (params.warmup_ms + params.measure_ms) * MS
-    engine.run_until(end)
-
-    gro_stats = bed.receiver.gro_engines[0].stats
-    from repro.core.flush import FlushReason
-
+    window = cell.measure(params.warmup_ms * MS,
+                          (params.warmup_ms + params.measure_ms) * MS)
     return Fig13Point(
         reorder_delay_us=reorder_us,
         ofo_timeout_us=ofo_us,
-        throughput_gbps=(conn.delivered_bytes - bytes_before) * 8
-        / (params.measure_ms * MS),
-        fast_retransmits=conn.sender.fast_retransmits - retx_before,
-        ofo_flushes=gro_stats.flush_reasons.get(FlushReason.OFO_TIMEOUT, 0),
+        throughput_gbps=window.goodput_gbps,
+        fast_retransmits=window.fast_retransmits,
+        ofo_flushes=cell.flush_reasons().get(FlushReason.OFO_TIMEOUT, 0),
     )
 
 

@@ -17,18 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.core.juggler import JugglerGRO
+from repro.experiments.cell import Cell
 from repro.experiments.common import grid_points
-from repro.fabric.topology import build_netfpga_pair
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 from repro.workloads.rpc import PingPongRpc
 
 
@@ -86,26 +82,20 @@ def run_point(params: Fig14Params, *, reorder_delay_us: int,
 
 def run_cell(params: Fig14Params, reorder_us: int, ofo_us: int) -> Fig14Point:
     """One (τ, ofo_timeout) measurement."""
-    engine = Engine()
-    rng = RngRegistry(params.seed).stream("fabric")
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=ofo_us * US,
-    )
-    bed = build_netfpga_pair(
-        engine,
-        rng,
-        lambda deliver: JugglerGRO(deliver, config),
+    cell = Cell(params.seed, GroKind.JUGGLER,
+                inseq_us=params.inseq_timeout_us, ofo_us=ofo_us)
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=reorder_us * US,
         drop_p=params.drop_p,
         nic_config=NicConfig(coalesce_ns=params.coalesce_us * US),
     )
-    conn = Connection(engine, bed.sender, bed.receiver, 1000, 80, TcpConfig())
-    workload = PingPongRpc(engine, conn, rpc_bytes=params.rpc_bytes,
+    (conn,) = cell.flows(bed.sender, bed.receiver, 1, 1000, TcpConfig())
+    workload = PingPongRpc(cell.engine, conn, rpc_bytes=params.rpc_bytes,
                            pipeline=params.pipeline)
     workload.start()
-    engine.run_until(params.duration_ms * MS)
+    cell.measure(0, params.duration_ms * MS)
 
     latencies = workload.latencies_ns()
     p99, p50 = percentiles(latencies, (99, 50))

@@ -14,18 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.core.juggler import JugglerGRO
+from repro.experiments.cell import Cell
 from repro.experiments.common import grid_points
-from repro.fabric.topology import build_netfpga_pair
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import Sampler, percentile
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 
 
 @dataclass(frozen=True)
@@ -81,38 +77,32 @@ def run_point(params: Fig15Params, *, reorder_delay_us: int,
 
 def run_cell(params: Fig15Params, nflows: int, reorder_us: int) -> Fig15Point:
     """One (N, τ) measurement."""
-    engine = Engine()
-    rng = RngRegistry(params.seed).stream("fabric")
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=max(2 * reorder_us, 100) * US,
-        table_capacity=params.table_capacity,
-    )
-    bed = build_netfpga_pair(
-        engine,
-        rng,
-        lambda deliver: JugglerGRO(deliver, config),
+    cell = Cell(params.seed, GroKind.JUGGLER,
+                inseq_us=params.inseq_timeout_us,
+                ofo_us=max(2 * reorder_us, 100),
+                table_capacity=params.table_capacity)
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.total_gbps,
         reorder_delay_ns=reorder_us * US,
         nic_config=NicConfig(num_queues=params.num_rx_queues,
                              coalesce_frames=25),
     )
-    per_flow = params.total_gbps / nflows
-    burst_period_ns = max(1, round(64 * 1024 * 8 / per_flow))
-    tcp = TcpConfig(init_cwnd=1 << 18)
-    for i in range(nflows):
-        conn = Connection(engine, bed.sender, bed.receiver,
-                          5000 + i, 80, tcp, pacing_gbps=per_flow)
-        engine.schedule(rng.randrange(burst_period_ns), conn.send, 1 << 40)
+    # The start offsets come from the switch's own stream, drawn before
+    # the switch routes its first packet.
+    cell.paced_flows([bed.sender], bed.receiver, nflows, params.total_gbps,
+                     5000, TcpConfig(init_cwnd=1 << 18),
+                     cell.rngs.stream("fabric"), 1 << 40)
 
     def probe() -> float:
         return sum(
             q.gro.active_list_len for q in bed.receiver.nic.queues
         )
 
-    sampler = Sampler(engine, probe, params.sample_interval_us * US)
-    engine.schedule(params.warmup_ms * MS, sampler.start)
-    engine.run_until((params.warmup_ms + params.measure_ms) * MS)
+    sampler = Sampler(cell.engine, probe, params.sample_interval_us * US)
+    cell.engine.schedule(params.warmup_ms * MS, sampler.start)
+    cell.measure(params.warmup_ms * MS,
+                 (params.warmup_ms + params.measure_ms) * MS)
 
     values = sampler.values()
     return Fig15Point(

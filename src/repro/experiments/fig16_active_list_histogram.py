@@ -17,22 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.experiments.common import HostCpu
+from repro.experiments.cell import Cell
 from repro.fabric.link import QueuedLink
 from repro.fabric.routing import PerPacketRouting
-from repro.fabric.topology import build_clos
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import Histogram, Sampler, percentile
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
-from repro.net.pool import PacketPool
-from repro.workloads.background import DiscardSink, PoissonPacketSource
 
 
 @dataclass(frozen=True)
@@ -66,58 +59,30 @@ class Fig16Point:
 
 def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
     """One receiver-port-speed measurement."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    cpu = HostCpu(engine)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    gro_factory = make_gro_factory(GroKind.JUGGLER, config, cpu.accountant)
-    net = build_clos(
-        engine,
-        gro_factory,
-        lambda: PerPacketRouting(rngs.stream("spray")),
+    cell = Cell(params.seed, GroKind.JUGGLER, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us, cpu=True)
+    net = cell.clos(
+        lambda: PerPacketRouting(cell.rngs.stream("spray")),
+        params.fabric_gbps,
         n_tors=2,
         hosts_per_tor=8,
         n_spines=2,
-        host_rate_gbps=params.fabric_gbps,
-        uplink_rate_gbps=params.fabric_gbps,
         nic_config=NicConfig(num_queues=1, coalesce_frames=32),
     )
-    senders = net.hosts[:8]
     receiver = net.hosts[8]
-    sink_host = net.hosts[9]
-    cpu.attach(receiver)
+    cell.measure_host(receiver)
     # Narrow the receiver's access port when reproducing the 10G panel;
     # target throughput is capped to fit through it.
-    target = min(params.target_gbps, receiver_port_gbps * 0.8)
     net.tors[1].add_route(
         receiver.host_id,
-        QueuedLink(engine, receiver_port_gbps, receiver, name="rx-port"),
+        QueuedLink(cell.engine, receiver_port_gbps, receiver, name="rx-port"),
     )
-
-    per_flow = target / params.num_flows
-    burst_period_ns = max(1, round(64 * 1024 * 8 / per_flow))
-    start_rng = rngs.stream("flow-start")
-    tcp = TcpConfig(init_cwnd=1 << 18)
-    for i in range(params.num_flows):
-        conn = Connection(engine, senders[i % 8], receiver,
-                          7000 + i, 80, tcp, pacing_gbps=per_flow)
-        engine.schedule(start_rng.randrange(burst_period_ns),
-                        conn.send, 1 << 40)
-
-    bg_pool = PacketPool()
-    discard = DiscardSink(bg_pool)
-    bg_dst = sink_host.host_id + 1_000_000
-    net.tors[1].add_route(
-        bg_dst, QueuedLink(engine, params.fabric_gbps, discard, name="bg"))
-    for s, spine in enumerate(net.spines):
-        spine.add_route(bg_dst, net.downlinks[s][1])
-    background = PoissonPacketSource(
-        engine, rngs.stream("background"), net.tors[0],
-        load_gbps=params.background_gbps, src=99, dst=bg_dst, pool=bg_pool)
-    background.start()
+    cell.paced_flows(
+        net.hosts[:8], receiver, params.num_flows,
+        min(params.target_gbps, receiver_port_gbps * 0.8), 7000,
+        TcpConfig(init_cwnd=1 << 18), cell.rngs.stream("flow-start"), 1 << 40)
+    cell.background(net, net.hosts[9], params.background_gbps,
+                    params.fabric_gbps)
 
     gro = receiver.gro_engines[0]
     active_hist = Histogram()
@@ -128,9 +93,10 @@ def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
         loss_samples.append(gro.loss_recovery_list_len)
         return gro.active_list_len
 
-    sampler = Sampler(engine, probe, params.sample_interval_us * US)
-    engine.schedule(params.warmup_ms * MS, sampler.start)
-    engine.run_until((params.warmup_ms + params.measure_ms) * MS)
+    sampler = Sampler(cell.engine, probe, params.sample_interval_us * US)
+    cell.engine.schedule(params.warmup_ms * MS, sampler.start)
+    cell.measure(params.warmup_ms * MS,
+                 (params.warmup_ms + params.measure_ms) * MS)
 
     values = sampler.values()
     return Fig16Point(

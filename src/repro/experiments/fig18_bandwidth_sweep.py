@@ -18,19 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.experiments.common import HostCpu
-from repro.fabric.topology import build_priority_dumbbell
-from repro.harness.experiment import GroKind, make_gro_factory
-from repro.harness.metrics import Sampler, ThroughputProbe, mean
+from repro.experiments.cell import Cell
+from repro.experiments.fig01_bandwidth_guarantee import (
+    guarantee_rig,
+    throughput_sampler,
+)
+from repro.harness.experiment import GroKind
+from repro.harness.metrics import mean
 from repro.harness.reporting import format_table
-from repro.nic.nic import NicConfig
-from repro.qos.bandwidth_guarantee import BandwidthGuaranteeController
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
-from repro.sim.time import MS, US
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
+from repro.sim.time import MS
 
 
 @dataclass(frozen=True)
@@ -75,53 +71,19 @@ class Fig18Result:
 def run_cell(params: Fig18Params, kind: GroKind,
              guarantee_gbps: float) -> Fig18Point:
     """One kernel × guarantee measurement."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    cpu = HostCpu(engine)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    bed = build_priority_dumbbell(
-        engine,
-        make_gro_factory(kind, config, cpu.accountant),
-        n_senders=2,
-        n_receivers=2,
-        host_rate_gbps=params.line_rate_gbps,
-        bottleneck_gbps=params.line_rate_gbps,
-        nic_config=NicConfig(num_queues=1, coalesce_ns=30_000,
-                             coalesce_frames=32),
-    )
+    cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us, cpu=True)
+    bed, target, controller = guarantee_rig(
+        cell, params.line_rate_gbps, guarantee_gbps, params.alpha, 8)
     if params.model_cpu_limit:
-        cpu.attach(bed.receivers[0])
-
-    tcp = TcpConfig(rx_buffer=8 << 20)
-    target = Connection(engine, bed.senders[0], bed.receivers[0], 4000, 80, tcp)
-    controller = BandwidthGuaranteeController(
-        engine,
-        target.sender,
-        rngs.stream("marking"),
-        target_gbps=guarantee_gbps,
-        line_rate_gbps=params.line_rate_gbps,
-        alpha=params.alpha,
-    )
-    target.sender.priority_fn = controller.priority_fn
-    target.send(1 << 42)
-    for i in range(7):
-        conn = Connection(engine, bed.senders[1], bed.receivers[1],
-                          4100 + i, 80, tcp)
-        conn.send(1 << 42)
+        cell.measure_host(bed.receivers[0])
 
     controller.start()
-    engine.run_until(params.ramp_ms * MS)
-    probe = Sampler(
-        engine,
-        ThroughputProbe(lambda: target.delivered_bytes, params.sample_ms * MS),
-        params.sample_ms * MS,
-    )
-    probe.start()
-    cpu.mark(engine.now)
-    engine.run_until((params.ramp_ms + params.measure_ms) * MS)
+    # The probe's byte baseline is taken at the cut, after the ramp.
+    cell.engine.run_until(params.ramp_ms * MS)
+    probe = throughput_sampler(cell, target, params.sample_ms * MS)
+    window = cell.measure(params.ramp_ms * MS,
+                          (params.ramp_ms + params.measure_ms) * MS)
 
     values = probe.values()
     mu = mean(values)
@@ -134,7 +96,7 @@ def run_cell(params: Fig18Params, kind: GroKind,
         guarantee_gbps=guarantee_gbps,
         achieved_gbps=mu,
         stdev_gbps=stdev,
-        app_core_pct=100.0 * cpu.app_utilization(engine.now),
+        app_core_pct=window.app_core_pct,
     )
 
 

@@ -18,19 +18,18 @@ import enum
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.fabric.routing import EcmpRouting, PerPacketRouting, PerTsoRouting
-from repro.fabric.topology import build_clos
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.experiments.cell import Cell
+from repro.experiments.common import SHORT_COALESCING
+from repro.fabric.routing import (
+    EcmpRouting,
+    FlowletRouting,
+    PerPacketRouting,
+    PerTsoRouting,
+)
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
-from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
-from repro.workloads.rpc import RpcWorkload
 
 
 class LbPolicy(enum.Enum):
@@ -96,80 +95,37 @@ class Fig20Result:
         return [p for p in self.points if p.policy is policy]
 
 
-def _policy_factory(policy: LbPolicy, rngs: RngRegistry):
+def _policy_factory(policy: LbPolicy, cell: Cell):
     if policy is LbPolicy.ECMP:
-        return lambda: EcmpRouting()
+        return EcmpRouting
     if policy is LbPolicy.PER_TSO:
-        return lambda: PerTsoRouting()
+        return PerTsoRouting
     if policy is LbPolicy.FLOWLET:
-        from repro.fabric.routing import FlowletRouting
-
-        return lambda: FlowletRouting(rngs.stream("flowlet"),
+        return lambda: FlowletRouting(cell.rngs.stream("flowlet"),
                                       flowlet_gap_ns=100_000)
-    return lambda: PerPacketRouting(rngs.stream("spray"))
+    return lambda: PerPacketRouting(cell.rngs.stream("spray"))
 
 
 def run_cell(params: Fig20Params, policy: LbPolicy, load_pct: int) -> Fig20Point:
     """One (policy, load) measurement."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
-    net = build_clos(
-        engine,
-        make_gro_factory(GroKind.JUGGLER, config),
-        _policy_factory(policy, rngs),
+    cell = Cell(params.seed, GroKind.JUGGLER, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us)
+    net = cell.clos(
+        _policy_factory(policy, cell),
+        params.fabric_gbps,
         n_tors=2,
         hosts_per_tor=8,
         n_spines=params.n_spines,
-        host_rate_gbps=params.fabric_gbps,
-        uplink_rate_gbps=params.fabric_gbps,
-        nic_config=NicConfig(num_queues=1, coalesce_ns=30_000,
-                             coalesce_frames=32),
+        nic_config=SHORT_COALESCING,
         queue_capacity_bytes=params.queue_capacity_kb * 1024,
         ecn_threshold_bytes=(params.ecn_threshold_kb * 1024
                              if params.ecn_threshold_kb is not None else None),
     )
-    servers = net.hosts[:8]
-    clients = net.hosts[8:]
-
-    uplink_capacity = params.n_spines * params.fabric_gbps
-    total_load = uplink_capacity * load_pct / 100.0
-    large_load = max(total_load - params.small_load_gbps, 0.1)
-    tcp = TcpConfig(rx_buffer=4 << 20)
-
-    def all_to_all(kind_servers, kind_clients, base_port):
-        conns = []
-        for si, server in enumerate(kind_servers):
-            for ci, client in enumerate(kind_clients):
-                for s in range(params.sessions_per_pair):
-                    conns.append(Connection(
-                        engine, server, client,
-                        base_port + (si * 16 + ci) * 8 + s, 80, tcp))
-        return conns
-
-    large_conns = all_to_all(servers[:params.large_pairs],
-                             clients[:params.large_pairs], 30_000)
-    small_conns = all_to_all(servers[params.large_pairs:
-                                     params.large_pairs + params.small_pairs],
-                             clients[params.large_pairs:
-                                     params.large_pairs + params.small_pairs],
-                             40_000)
-
-    large = RpcWorkload(engine, rngs.stream("large"), large_conns,
-                        rpc_bytes=params.large_rpc_bytes,
-                        load_gbps=large_load)
-    small = RpcWorkload(engine, rngs.stream("small"), small_conns,
-                        rpc_bytes=params.small_rpc_bytes,
-                        load_gbps=params.small_load_gbps)
-    large.start()
-    small.start()
-
-    engine.run_until(params.warmup_ms * MS)
-    warmup_cut = engine.now
-    engine.run_until((params.warmup_ms + params.measure_ms) * MS)
+    large, small = cell.rpc_mix(
+        net.hosts[:8], net.hosts[8:], params,
+        params.n_spines * params.fabric_gbps * load_pct / 100.0)
+    warmup_cut = params.warmup_ms * MS
+    cell.measure(warmup_cut, (params.warmup_ms + params.measure_ms) * MS)
 
     large_lat = [r.latency_ns for r in large.records if r.start_ns >= warmup_cut]
     small_lat = [r.latency_ns for r in small.records if r.start_ns >= warmup_cut]

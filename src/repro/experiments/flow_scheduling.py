@@ -19,15 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.config import JugglerConfig
-from repro.fabric.topology import build_priority_dumbbell
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.experiments.cell import Cell
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import percentile, percentiles
 from repro.harness.reporting import format_table
-from repro.nic.nic import NicConfig
 from repro.qos.flow_scheduling import PiasMarker
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
@@ -74,21 +70,11 @@ class _FlowRecord:
 def run_config(params: SchedulingParams, *, kind: GroKind,
                prioritize: bool) -> SchedulingPoint:
     """One configuration of the mice/elephants experiment."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    arrival_rng = rngs.stream("arrivals")
-    config = JugglerConfig(inseq_timeout=params.inseq_timeout_us * US,
-                           ofo_timeout=params.ofo_timeout_us * US)
-    bed = build_priority_dumbbell(
-        engine,
-        make_gro_factory(kind, config),
-        n_senders=2,
-        n_receivers=2,
-        host_rate_gbps=params.line_rate_gbps,
-        bottleneck_gbps=params.line_rate_gbps,
-        nic_config=NicConfig(num_queues=1, coalesce_ns=30_000,
-                             coalesce_frames=32),
-    )
+    cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us)
+    engine = cell.engine
+    arrival_rng = cell.rngs.stream("arrivals")
+    bed = cell.dumbbell(params.line_rate_gbps)
     tcp = TcpConfig(rx_buffer=8 << 20)
     records: List[_FlowRecord] = []
     mean_size = (params.mice_fraction * params.mice_bytes
@@ -120,7 +106,8 @@ def run_config(params: SchedulingParams, *, kind: GroKind,
             launch_flow)
 
     launch_flow()
-    engine.run_until((params.warmup_ms + params.measure_ms) * MS)
+    cell.measure(params.warmup_ms * MS,
+                 (params.warmup_ms + params.measure_ms) * MS)
 
     done = [r for r in records
             if r.finished is not None and r.started >= params.warmup_ms * MS]

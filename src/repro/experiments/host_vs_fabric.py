@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.campaign.spec import derive_cell_seed
-from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.experiments.common import gbps, grid_points
+from repro.experiments.cell import Cell
+from repro.experiments.common import SHORT_COALESCING, grid_points
 from repro.fabric.detector import DetectorConfig, ReorderDetector
 from repro.fabric.flowcut import FlowcutRouting
 from repro.fabric.routing import (
@@ -49,19 +49,11 @@ from repro.fabric.routing import (
     FlowletRouting,
     PerPacketRouting,
 )
-from repro.fabric.topology import build_clos
 from repro.faults.controller import FaultEngine
-from repro.faults.experiments import gro_factory
 from repro.faults.plan import FaultPlan
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
-from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
-from repro.workloads.rpc import RpcWorkload
 
 #: Load level -> offered load as % of aggregate uplink capacity.
 LOAD_LEVELS: Dict[int, int] = {1: 40, 2: 65, 3: 85}
@@ -158,14 +150,16 @@ POINT_AXES = (("engine", "engines"),
 PAIRED_AXES = ("engine", "routing")
 
 
-def _policy_factory(routing: str, rngs: RngRegistry, engine: Engine):
+def _policy_factory(routing: str, cell: Cell):
+    rngs = cell.rngs
     if routing == "ecmp":
-        return lambda: EcmpRouting()
+        return EcmpRouting
     if routing == "per_packet":
         return lambda: PerPacketRouting(rngs.stream("spray"))
     if routing == "flowlet":
         return lambda: FlowletRouting(rngs.stream("flowlet"),
-                                      flowlet_gap_ns=100_000, engine=engine)
+                                      flowlet_gap_ns=100_000,
+                                      engine=cell.engine)
     if routing == "flowcut":
         return lambda: FlowcutRouting(rngs.stream("flowcut"))
     raise ValueError(f"unknown routing {routing!r}; known: {ROUTINGS}")
@@ -206,96 +200,47 @@ def run_point(params: HostFabricParams, *, engine: str, routing: str,
         params.seed, "host_vs_fabric", POINT_AXES, PAIRED_AXES,
         {"engine": engine, "routing": routing, "load": load,
          "fault": fault})
-    sim = Engine()
-    rngs = RngRegistry(cell_seed)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-    )
+    cell = Cell(cell_seed, engine, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us)
     detector_cfg = DetectorConfig(
         memory_budget_bytes=params.detector_budget_bytes,
         heavy_threshold_bytes=params.detector_heavy_kb * 1024,
     )
-    net = build_clos(
-        sim,
-        gro_factory(engine, config),
-        _policy_factory(routing, rngs, sim),
+    net = cell.clos(
+        _policy_factory(routing, cell),
+        params.fabric_gbps,
         n_tors=params.n_tors,
         hosts_per_tor=params.hosts_per_tor,
         n_spines=params.n_spines,
-        host_rate_gbps=params.fabric_gbps,
-        uplink_rate_gbps=params.fabric_gbps,
-        nic_config=NicConfig(num_queues=1, coalesce_ns=30_000,
-                             coalesce_frames=32),
+        nic_config=SHORT_COALESCING,
         queue_capacity_bytes=params.queue_capacity_kb * 1024,
         detector_factory=lambda: ReorderDetector(detector_cfg),
     )
 
+    warmup_cut = params.warmup_ms * MS
     stop_us = (params.warmup_ms + params.measure_ms) * 1_000
     plan = _fault_plan(fault, start_us=params.warmup_ms * 1_000,
                        stop_us=stop_us, seed=cell_seed)
-    fault_engine = None
     if plan is not None:
-        fault_engine = FaultEngine(sim, plan)
+        fault_engine = FaultEngine(cell.engine, plan)
         # The sick path: one specific uplink, same one in every arm.
         fault_engine.bind(links=[net.uplinks[0][0]])
         fault_engine.start()
 
-    servers = net.hosts[:params.hosts_per_tor]
-    clients = net.hosts[params.hosts_per_tor:2 * params.hosts_per_tor]
-    uplink_capacity = params.n_spines * params.fabric_gbps
-    total_load = uplink_capacity * LOAD_LEVELS[load] / 100.0
-    large_load = max(total_load - params.small_load_gbps, 0.1)
-    tcp = TcpConfig(rx_buffer=4 << 20)
+    large, small = cell.rpc_mix(
+        net.hosts[:params.hosts_per_tor],
+        net.hosts[params.hosts_per_tor:2 * params.hosts_per_tor],
+        params,
+        params.n_spines * params.fabric_gbps * LOAD_LEVELS[load] / 100.0)
+    window = cell.measure(warmup_cut, stop_us * US)
+    totals = cell.totals()
 
-    def all_to_all(kind_servers, kind_clients, base_port):
-        conns = []
-        for si, server in enumerate(kind_servers):
-            for ci, client in enumerate(kind_clients):
-                for s in range(params.sessions_per_pair):
-                    conns.append(Connection(
-                        sim, server, client,
-                        base_port + (si * 16 + ci) * 8 + s, 80, tcp))
-        return conns
-
-    large_conns = all_to_all(servers[:params.large_pairs],
-                             clients[:params.large_pairs], 30_000)
-    small_conns = all_to_all(
-        servers[params.large_pairs:params.large_pairs + params.small_pairs],
-        clients[params.large_pairs:params.large_pairs + params.small_pairs],
-        40_000)
-
-    large = RpcWorkload(sim, rngs.stream("large"), large_conns,
-                        rpc_bytes=params.large_rpc_bytes,
-                        load_gbps=large_load)
-    small = RpcWorkload(sim, rngs.stream("small"), small_conns,
-                        rpc_bytes=params.small_rpc_bytes,
-                        load_gbps=params.small_load_gbps)
-    large.start()
-    small.start()
-
-    conns = large_conns + small_conns
-    sim.run_until(params.warmup_ms * MS)
-    warmup_cut = sim.now
-    delivered_at_warmup = sum(c.delivered_bytes for c in conns)
-    sim.run_until(stop_us * US)
-
-    delivered = sum(c.delivered_bytes for c in conns) - delivered_at_warmup
-    window_ns = sim.now - warmup_cut
     large_lat = [r.latency_ns for r in large.records
                  if r.start_ns >= warmup_cut]
     small_lat = [r.latency_ns for r in small.records
                  if r.start_ns >= warmup_cut]
     (large_p99,) = percentiles(large_lat, (99,))
     small_p99, small_p50 = percentiles(small_lat, (99, 50))
-
-    ofo_flushes = segments = batched = 0
-    for host in net.hosts:
-        for gro in host.gro_engines:
-            ofo_flushes += gro.stats.flush_reasons.get(
-                FlushReason.OFO_TIMEOUT, 0)
-            segments += gro.stats.segments
-            batched += gro.stats.batched_mtus
 
     uplink_bytes = [l.stats.bytes for row in net.uplinks for l in row]
     mean_bytes = sum(uplink_bytes) / len(uplink_bytes)
@@ -326,18 +271,19 @@ def run_point(params: HostFabricParams, *, engine: str, routing: str,
         routing=routing,
         load=load,
         fault=fault,
-        goodput_gbps=round(gbps(delivered, window_ns), 4),
+        goodput_gbps=round(window.goodput_gbps, 4),
         small_p99_us=round(small_p99 / US, 1),
         small_p50_us=round(small_p50 / US, 1),
         large_p99_ms=round(large_p99 / MS, 3),
-        tcp_ooo_segments=sum(c.receiver.ooo_segments for c in conns),
-        ofo_timeout_flushes=ofo_flushes,
-        batching=round(batched / segments, 3) if segments else 0.0,
+        tcp_ooo_segments=sum(c.receiver.ooo_segments for c in cell.conns),
+        ofo_timeout_flushes=cell.flush_reasons().get(
+            FlushReason.OFO_TIMEOUT, 0),
+        batching=round(totals.batching, 3),
         uplink_imbalance=round(imbalance, 4),
         pins=pins,
         moves=moves,
         drops=drops,
-        retx_packets=sum(c.sender.retransmitted_packets for c in conns),
+        retx_packets=totals.retransmits,
         det_reordered=det_reordered,
         det_heavy=det_heavy,
     )

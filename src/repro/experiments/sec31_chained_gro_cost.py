@@ -14,17 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.experiments.common import HostCpu, merged_stats
-from repro.fabric.topology import build_netfpga_pair
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.experiments.cell import Cell
+from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
-from repro.sim.time import MS, US
+from repro.sim.time import MS
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
 
 
 @dataclass(frozen=True)
@@ -52,43 +47,27 @@ class Sec31Point:
 
 def run_engine(params: Sec31Params, kind: GroKind) -> Sec31Point:
     """Measure one GRO engine."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    cpu = HostCpu(engine)
-    config = JugglerConfig(inseq_timeout=params.inseq_timeout_us * US,
-                           ofo_timeout=400 * US)
-    bed = build_netfpga_pair(
-        engine,
-        rngs.stream("unused"),
-        make_gro_factory(kind, config, cpu.accountant),
+    cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
+                ofo_us=400, cpu=True)
+    bed = cell.pair(
+        "unused",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=0,  # both NetFPGA queues equal: in-order delivery
         nic_config=NicConfig(coalesce_frames=25),
     )
-    cpu.attach(bed.receiver)
-    tcp = TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20)
-    conn = Connection(engine, bed.sender, bed.receiver, 1000, 80, tcp)
+    (conn,) = cell.flows(bed.sender, bed.receiver, 1, 1000,
+                         TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20))
     conn.send(1 << 40)
 
-    engine.run_until(params.warmup_ms * MS)
-    before = merged_stats(bed.receiver.gro_engines)
-    bytes_before = conn.delivered_bytes
-    cpu.mark(engine.now)
-    engine.run_until((params.warmup_ms + params.measure_ms) * MS)
-    after = merged_stats(bed.receiver.gro_engines)
-
-    segments = after.segments - before.segments
-    mtus = after.batched_mtus - before.batched_mtus
-    rx = 100.0 * cpu.rx_utilization(engine.now)
-    app = 100.0 * cpu.app_utilization(engine.now)
+    window = cell.measure(params.warmup_ms * MS,
+                          (params.warmup_ms + params.measure_ms) * MS)
     return Sec31Point(
         kind=kind,
-        rx_core_pct=rx,
-        app_core_pct=app,
-        total_pct=rx + app,
-        batching_extent=(mtus / segments) if segments else 0.0,
-        throughput_gbps=(conn.delivered_bytes - bytes_before) * 8
-        / (params.measure_ms * MS),
+        rx_core_pct=window.rx_core_pct,
+        app_core_pct=window.app_core_pct,
+        total_pct=window.rx_core_pct + window.app_core_pct,
+        batching_extent=window.batching,
+        throughput_gbps=window.goodput_gbps,
     )
 
 

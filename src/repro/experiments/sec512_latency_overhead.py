@@ -10,16 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.config import JugglerConfig
-from repro.fabric.topology import build_netfpga_pair
-from repro.harness.experiment import GroKind, make_gro_factory
+from repro.experiments.cell import Cell
+from repro.harness.experiment import GroKind
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
-from repro.tcp.connection import Connection
 from repro.workloads.rpc import PingPongRpc
 
 
@@ -45,21 +41,17 @@ class Sec512Point:
 
 def run_kernel(params: Sec512Params, kind: GroKind) -> Sec512Point:
     """Closed-loop small RPCs over an idle network."""
-    engine = Engine()
-    rngs = RngRegistry(params.seed)
-    config = JugglerConfig(inseq_timeout=13 * US, ofo_timeout=100 * US)
-    bed = build_netfpga_pair(
-        engine,
-        rngs.stream("unused"),
-        make_gro_factory(kind, config),
+    cell = Cell(params.seed, kind, inseq_us=13, ofo_us=100)
+    bed = cell.pair(
+        "unused",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=0,
         nic_config=NicConfig(coalesce_ns=10_000, coalesce_frames=4),
     )
-    conn = Connection(engine, bed.sender, bed.receiver, 1000, 80)
-    workload = PingPongRpc(engine, conn, rpc_bytes=params.rpc_bytes)
+    (conn,) = cell.flows(bed.sender, bed.receiver, 1, 1000)
+    workload = PingPongRpc(cell.engine, conn, rpc_bytes=params.rpc_bytes)
     workload.start()
-    engine.run_until(params.duration_ms * MS)
+    cell.measure(0, params.duration_ms * MS)
 
     latencies = workload.latencies_ns()
     p50, p99 = percentiles(latencies, (50, 99))

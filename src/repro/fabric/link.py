@@ -50,6 +50,7 @@ class LinkStats:
 #: rate_gbps -> {wire_len: serialisation ns}.  Links of one rate share a table:
 #: paced flows cut runts of every size, and a table per link cost the
 #: 256-flow fig15 cell 0.5 MB.
+#: A pure memo: it carries no simulation state, so cells may share it.
 _TX_NS: Dict[float, Dict[int, int]] = {}
 
 

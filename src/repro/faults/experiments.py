@@ -28,22 +28,16 @@ from typing import Dict, List, Optional
 from repro.campaign.spec import derive_cell_seed
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.core.juggler import JugglerGRO
-from repro.core.presto_gro import PrestoGRO
-from repro.core.standard_gro import StandardGRO
-from repro.experiments.common import gbps, grid_points
-from repro.fabric.topology import build_netfpga_pair
+from repro.experiments.cell import Cell
+from repro.experiments.common import grid_points
 from repro.faults.plan import KINDS, FaultPlan
+from repro.harness.experiment import make_gro_factory
 from repro.harness.metrics import Sampler, percentiles
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.steer import FlowDirectorConfig, FlowDirectorSteering
 from repro.tcp.config import TcpConfig
-from repro.tcp.connection import Connection
-from repro.workloads.rpc import RpcWorkload
 
 #: Per-kind intensity presets, levels 1..3: (params, window_us).  Faults
 #: whose damage is parametric keep a fixed 1 ms window and escalate their
@@ -174,14 +168,12 @@ def preset_plan(kind: str, intensity: int, *, start_us: int, stop_us: int,
 
 
 def gro_factory(engine_name: str, config: JugglerConfig):
-    """The per-queue GRO constructor for one engine variant."""
-    if engine_name == "juggler":
-        return lambda deliver: JugglerGRO(deliver, config)
-    if engine_name == "standard":
-        return lambda deliver: StandardGRO(deliver)
-    if engine_name == "presto":
-        return lambda deliver: PrestoGRO(deliver, config)
-    raise ValueError(f"unknown GRO engine: {engine_name!r}")
+    """The per-queue GRO constructor for one engine variant.
+
+    A delegate to :func:`repro.harness.experiment.make_gro_factory`; the
+    name is kept for ``benchmarks/e2e/cells.py``, its one remaining caller.
+    """
+    return make_gro_factory(engine_name, config)
 
 
 def run_point(params: MatrixParams, *, fault_kind: str, intensity: int,
@@ -211,25 +203,19 @@ def run_scenario(params: MatrixParams, plan: FaultPlan, engine_name: str,
     (which supplies a user plan instead of a preset).  Returns the
     measurement fields of :class:`MatrixPoint`.
     """
-    seed = cell_seed if cell_seed is not None else params.seed
-    sim = Engine()
-    rng = RngRegistry(seed)
-    config = JugglerConfig(
-        inseq_timeout=params.inseq_timeout_us * US,
-        ofo_timeout=params.ofo_timeout_us * US,
-        table_capacity=params.table_capacity,
-    )
+    cell = Cell(cell_seed if cell_seed is not None else params.seed,
+                engine_name, inseq_us=params.inseq_timeout_us,
+                ofo_us=params.ofo_timeout_us,
+                table_capacity=params.table_capacity)
     # steering_churn rebalances the NIC's steering policy — against the
     # default single-queue RSS NIC it would be a no-op, so those cells get
     # a multi-queue Flow Director receiver (the substrate that can churn).
     churns = any(s.kind == "steering_churn" for s in plan.faults)
     steering = (FlowDirectorSteering(FlowDirectorConfig(sample_rate=4),
-                                     rng=rng.stream("steer"))
+                                     rng=cell.rngs.stream("steer"))
                 if churns else None)
-    bed = build_netfpga_pair(
-        sim,
-        rng.stream("fabric"),
-        gro_factory(engine_name, config),
+    bed = cell.pair(
+        "fabric",
         rate_gbps=params.rate_gbps,
         reorder_delay_ns=params.reorder_delay_us * US,
         nic_config=NicConfig(coalesce_ns=params.coalesce_us * US,
@@ -237,62 +223,49 @@ def run_scenario(params: MatrixParams, plan: FaultPlan, engine_name: str,
         fault_plan=plan,
         receiver_steering=steering,
     )
-    conns = [
-        Connection(sim, bed.sender, bed.receiver, 1_000 + i, 80, TcpConfig())
-        for i in range(params.concurrent_flows)
-    ]
-    assert bed.faults is not None
-    bed.faults.bind(receivers=[c.receiver for c in conns])
-    workload = RpcWorkload(
-        sim, rng.stream("workload"), conns,
-        rpc_bytes=params.rpc_bytes,
-        load_gbps=params.load_fraction * params.rate_gbps,
-    )
-    workload.start()
+    conns = cell.flows(bed.sender, bed.receiver, params.concurrent_flows,
+                       1_000, TcpConfig())
+    faults = bed.faults
+    assert faults is not None
+    faults.bind(receivers=[c.receiver for c in conns])
+    workload = cell.rpc_load(conns, "workload", params.rpc_bytes,
+                             params.load_fraction * params.rate_gbps)
 
     warmup_ns = params.warmup_ms * MS
     stop_ns = params.duration_ms * MS
-    sim.run_until(warmup_ns)
-    delivered_at_warmup = sum(c.delivered_bytes for c in conns)
-    gros = bed.receiver.gro_engines
+    # The occupancy sampler starts at the cut, after every warm-up event.
+    cell.engine.run_until(warmup_ns)
+    gros = cell.gro_engines()
     sampler = Sampler(
-        sim,
+        cell.engine,
         lambda: sum(getattr(g, "loss_recovery_list_len", 0) for g in gros),
         params.sample_interval_us * US,
         stop_at_ns=stop_ns,
     )
     sampler.start()
-    sim.run_until(stop_ns)
+    window = cell.measure(warmup_ns, stop_ns)
 
-    delivered = sum(c.delivered_bytes for c in conns) - delivered_at_warmup
     latencies = [r.latency_ns for r in workload.records
                  if r.end_ns >= warmup_ns]
     p99 = percentiles(latencies, (99,))[0] if latencies else 0.0
     in_recovery = sum(1 for _, v in sampler.samples if v > 0)
     lr_frac = in_recovery / len(sampler.samples) if sampler.samples else 0.0
 
-    flush_reasons: Dict[str, int] = {}
-    evictions = 0
-    for gro in gros:
-        evictions += gro.stats.total_evictions
-        for reason, n in gro.stats.flush_reasons.items():
-            flush_reasons[reason.value] = flush_reasons.get(reason.value, 0) + n
-    faults = bed.faults
+    flush_reasons = cell.flush_reasons()
     nic_drops = bed.receiver.nic.dropped + sum(
         q.checksum_drops for q in bed.receiver.nic.queues)
     link_drops = sum(link.stats.drops for link in faults.links)
     return {
-        "goodput_gbps": round(gbps(delivered, stop_ns - warmup_ns), 4),
+        "goodput_gbps": round(window.goodput_gbps, 4),
         "p99_latency_us": round(p99 / US, 1),
         "rpcs_completed": len(latencies),
         "loss_recovery_frac": round(lr_frac, 4),
-        "evictions": evictions,
-        "ofo_timeout_flushes": flush_reasons.get(
-            FlushReason.OFO_TIMEOUT.value, 0),
+        "evictions": cell.totals().evictions,
+        "ofo_timeout_flushes": flush_reasons.get(FlushReason.OFO_TIMEOUT, 0),
         "faults_injected": faults.injected,
         "packets_dropped": faults.dropped + nic_drops + link_drops,
-        "flush_mix": ",".join(f"{reason}:{n}" for reason, n
-                              in sorted(flush_reasons.items())),
+        "flush_mix": ",".join(f"{reason}:{n}" for reason, n in sorted(
+            (r.value, n) for r, n in flush_reasons.items())),
     }
 
 

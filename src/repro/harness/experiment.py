@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Union
 
-from repro.core.base import DeliverFn, GroEngine
 from repro.core.chained_gro import ChainedGRO
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
@@ -23,28 +22,39 @@ class GroKind(enum.Enum):
     CHAINED = "chained"
     PRESTO = "presto"
 
+    @classmethod
+    def of(cls, name: Union["GroKind", str]) -> "GroKind":
+        """Resolve a kind or its name; ``"standard"`` is the sweep
+        families' spelling of :attr:`VANILLA`."""
+        if isinstance(name, cls):
+            return name
+        if name == "standard":
+            return cls.VANILLA
+        try:
+            return cls(name)
+        except ValueError:
+            raise ValueError(f"unknown GRO engine: {name!r}") from None
+
 
 def make_gro_factory(
-    kind: GroKind,
+    kind: Union[GroKind, str],
     config: Optional[JugglerConfig] = None,
     accountant: Optional[GroCpuAccountant] = None,
 ) -> GroFactory:
     """Build a per-RX-queue GRO factory for the requested engine.
 
+    ``kind`` goes through :meth:`GroKind.of`, so an unknown name raises
+    here, when the factory is built, not when the first queue is.
+
     When an ``accountant`` is given, all queues share it, so its meter
     reports the host's total RX-core work — matching the paper's setup of
     aiming "all flows on a single RX queue".
     """
-
-    def factory(deliver: DeliverFn) -> GroEngine:
-        if kind is GroKind.JUGGLER:
-            return JugglerGRO(deliver, config, accountant)
-        if kind is GroKind.VANILLA:
-            return StandardGRO(deliver, accountant)
-        if kind is GroKind.CHAINED:
-            return ChainedGRO(deliver, accountant)
-        if kind is GroKind.PRESTO:
-            return PrestoGRO(deliver, config, accountant)
-        raise ValueError(f"unknown GRO kind: {kind}")
-
-    return factory
+    kind = GroKind.of(kind)
+    if kind is GroKind.JUGGLER:
+        return lambda deliver: JugglerGRO(deliver, config, accountant)
+    if kind is GroKind.VANILLA:
+        return lambda deliver: StandardGRO(deliver, accountant)
+    if kind is GroKind.CHAINED:
+        return lambda deliver: ChainedGRO(deliver, accountant)
+    return lambda deliver: PrestoGRO(deliver, config, accountant)

@@ -9,15 +9,12 @@ burst.  Per-TSO load balancing (Presto) sprays these bursts as units.
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional
 
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS, MAX_TSO_PAYLOAD, PRIORITY_LOW
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
-
-_tso_ids = itertools.count()
 
 
 def segment_tso_burst(
@@ -40,11 +37,15 @@ def segment_tso_burst(
 
     ``nbytes`` may exceed ``MAX_TSO_PAYLOAD``; the caller (TCP sender) is
     expected to have already limited burst size, but we clamp defensively.
+
+    ``tso_id`` is the caller's burst number, stamped on every packet.  It
+    only has to be unique within the flow (per-TSO routing hashes
+    ``(flow, tso_id)``), so the sender counts its own bursts: a process-wide
+    counter made a cell's paths depend on what ran before it.
     """
     if nbytes <= 0:
         raise ValueError(f"TSO burst must carry payload, got {nbytes}")
     nbytes = min(nbytes, MAX_TSO_PAYLOAD)
-    burst_id = next(_tso_ids) if tso_id is None else tso_id
 
     packets: List[Packet] = []
     offset = 0
@@ -62,7 +63,7 @@ def segment_tso_burst(
                 flags=flags,
                 options=options,
                 priority=priority,
-                tso_id=burst_id,
+                tso_id=tso_id,
                 sent_at=sent_at,
                 is_retransmission=is_retransmission,
             )

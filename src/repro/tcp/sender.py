@@ -456,6 +456,7 @@ class TcpSender:
             options=self.options,
             push_last=push,
             is_retransmission=retransmission,
+            tso_id=self.bursts_sent,
         )
         for packet in packets:
             packet.priority = (

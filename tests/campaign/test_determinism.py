@@ -63,3 +63,30 @@ def test_campaign_rows_match_module_serial_run(tmp_path):
                    key=lambda r: r["index"])
     got = [row for record in fig12 for row in record["rows"]]
     assert got == expected
+
+
+def test_task_rows_do_not_depend_on_process_history():
+    """A cell is a function of its inputs: whatever a worker process ran
+    before a task (and however many TSO bursts that sent), the task's rows
+    are the same.  fig20's per-TSO routing hashes ``(flow, tso_id)``, so a
+    process-wide burst counter used to make it the task that moved."""
+    from repro.campaign import registry
+    from repro.experiments.fig20_load_balancing import LbPolicy
+
+    def fig20_per_tso():
+        return registry.get("fig20").execute(
+            {"policies": (LbPolicy.PER_TSO,), "loads_pct": (70,),
+             "warmup_ms": 2, "measure_ms": 4}, None, {})
+
+    def fig13_point():
+        return registry.get("fig13").execute(
+            {"warmup_ms": 2, "measure_ms": 3}, None,
+            {"reorder_delay_us": 500, "ofo_timeout_us": 100})
+
+    tso_first = fig20_per_tso()
+    fig13_second = fig13_point()
+    tso_after_fig13 = fig20_per_tso()
+    tso_twice = fig20_per_tso()
+    fig13_after_tso = fig13_point()
+    assert tso_first == tso_after_fig13 == tso_twice
+    assert fig13_second == fig13_after_tso

@@ -1,68 +1,96 @@
-"""Experiment-support helpers: snapshots, HostCpu, unit conversions."""
+"""Experiment-support helpers: the measurement window, HostCpu, unit
+conversions."""
 
 import pytest
 
-from repro.core import FlushReason, GroStats, JugglerConfig, JugglerGRO
-from repro.experiments.common import (
-    HostCpu,
-    StatsSnapshot,
-    gbps,
-    merged_stats,
-)
-from repro.net import FiveTuple
+from repro.experiments.cell import Cell, Window
+from repro.experiments.common import HostCpu, gbps
+from repro.harness.experiment import GroKind
+from repro.nic.nic import NicConfig
 from repro.sim import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
 
-FLOW = FiveTuple(1, 2, 1000, 80)
+TIMEOUTS = dict(inseq_us=52, ofo_us=300)
 
 
-def stats_with(packets, segments, mtus, ooo=0):
-    stats = GroStats()
-    stats.packets = packets
-    stats.segments = segments
-    stats.batched_mtus = mtus
-    stats.ooo_segments = ooo
-    return stats
+def bulk_pair(num_queues=1, flows=1):
+    """A pair cell with ``flows`` bulk senders, not yet run."""
+    cell = Cell(7, GroKind.JUGGLER, **TIMEOUTS)
+    bed = cell.pair("fabric", reorder_delay_ns=250 * US,
+                    nic_config=NicConfig(num_queues=num_queues,
+                                         coalesce_frames=25))
+    for conn in cell.flows(bed.sender, bed.receiver, flows, 1000,
+                           TcpConfig(init_cwnd=1 << 18)):
+        conn.send(1 << 30)
+    return cell, bed
+
+
+def hand_counters(cell, bed):
+    stats = [g.stats for g in bed.receiver.gro_engines]
+    return (sum(c.delivered_bytes for c in cell.conns),
+            sum(c.receiver.acks_sent for c in cell.conns),
+            sum(s.packets for s in stats),
+            sum(s.segments for s in stats),
+            sum(s.batched_mtus for s in stats),
+            sum(s.ooo_segments for s in stats))
 
 
 def test_snapshot_diffs():
-    stats = stats_with(100, 10, 100)
-    snap = StatsSnapshot.of(stats)
-    stats.packets += 50
-    stats.segments += 2
-    stats.batched_mtus += 50
-    stats.ooo_segments += 1
-    assert snap.packets_since(stats) == 50
-    assert snap.segments_since(stats) == 2
-    assert snap.batching_since(stats) == 25.0
-    assert snap.ooo_since(stats) == 1
+    """A Window is the counters' difference between the cut and the stop:
+    nothing counted during the warm-up leaks in."""
+    cell, _ = bulk_pair()
+    window = cell.measure(2 * MS, 5 * MS)
+
+    ref, bed = bulk_pair()  # the same universe, cut by hand
+    ref.engine.run_until(2 * MS)
+    before = hand_counters(ref, bed)
+    assert all(n > 0 for n in before[:5])  # there is a warm-up to leak
+    ref.engine.run_until(5 * MS)
+    after = hand_counters(ref, bed)
+
+    assert (window.delivered_bytes, window.acks, window.packets,
+            window.segments, window.batched_mtus,
+            window.ooo_segments) == tuple(a - b
+                                          for a, b in zip(after, before))
+    assert window.window_ns == 3 * MS
+    assert window.goodput_gbps == gbps(window.delivered_bytes, 3 * MS)
+    assert window.batching == window.batched_mtus / window.segments
+    assert cell.totals() - cell.totals() == Window(*[0] * 12)
 
 
 def test_snapshot_batching_zero_segments():
-    stats = stats_with(10, 5, 50)
-    snap = StatsSnapshot.of(stats)
-    assert snap.batching_since(stats) == 0.0
+    cell = Cell(7, GroKind.JUGGLER, **TIMEOUTS)
+    cell.pair("fabric")
+    idle = cell.measure(1 * MS, 2 * MS)
+    assert idle.segments == 0
+    assert idle.batching == 0.0
+    assert idle.goodput_gbps == 0.0
 
 
 def test_merged_stats_sums_engines():
-    a = JugglerGRO(lambda s: None, JugglerConfig())
-    b = JugglerGRO(lambda s: None, JugglerConfig())
-    a.stats.packets = 5
-    b.stats.packets = 7
-    a.stats.segments = 1
-    b.stats.segments = 2
-    merged = merged_stats([a, b])
-    assert merged.packets == 12
-    assert merged.segments == 3
+    """measure() sums over every engine of a 4-queue receiver."""
+    cell, bed = bulk_pair(num_queues=4, flows=16)
+    window = cell.measure(0, 3 * MS)
+    per_queue = [g.stats.packets for g in bed.receiver.gro_engines]
+    assert len(per_queue) == 4
+    assert sum(1 for n in per_queue if n > 0) >= 2
+    assert window.packets == sum(per_queue)
+    assert window.segments == sum(g.stats.segments
+                                  for g in bed.receiver.gro_engines)
+    assert cell.gro_engines() == bed.receiver.gro_engines
 
 
 def test_host_cpu_windows():
-    engine = Engine()
-    cpu = HostCpu(engine)
-    cpu.mark(0)
-    cpu.rx_meter.charge(500)
-    cpu.app_core.meter.charge(250)
-    assert cpu.rx_utilization(1000) == 0.5
-    assert cpu.app_utilization(1000) == 0.25
+    cell = Cell(0, GroKind.JUGGLER, cpu=True, **TIMEOUTS)
+    before = cell.totals()
+    cell.cpu.rx_meter.charge(500)
+    cell.cpu.app_core.meter.charge(250)
+    cell.engine.run_until(1000)
+    window = cell.totals() - before
+    assert window.rx_core_pct == 50.0
+    assert window.app_core_pct == 25.0
+    assert Cell(0, GroKind.JUGGLER, **TIMEOUTS).measure(0, 1000).rx_core_pct == 0.0
 
 
 def test_host_cpu_attach():

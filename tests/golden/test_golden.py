@@ -23,6 +23,7 @@ from typing import Callable, Dict, List
 
 import pytest
 
+from repro.campaign import registry
 from repro.experiments import (
     ablations,
     cc_reordering,
@@ -118,8 +119,8 @@ CELLS: Dict[str, Dict[str, Callable]] = {
     "fig20": {
         policy.value: (lambda policy=policy:
                        fig20.run_cell(_FIG20, policy, 70))
-        for policy in (fig20.LbPolicy.ECMP, fig20.LbPolicy.PER_PACKET,
-                       fig20.LbPolicy.FLOWLET)
+        for policy in (fig20.LbPolicy.ECMP, fig20.LbPolicy.PER_TSO,
+                       fig20.LbPolicy.PER_PACKET, fig20.LbPolicy.FLOWLET)
     },
     "sec31": {
         kind.value: (lambda kind=kind: sec31.run_engine(_SEC31, kind))
@@ -249,7 +250,5 @@ def test_golden_row(golden, request, family, cell):
 
 
 def test_every_registered_experiment_has_a_golden_cell():
-    from repro.campaign import registry
-
     registered = set(registry.names(include_hidden=True)) - {"selftest"}
     assert registered == set(CELLS)

@@ -37,14 +37,16 @@ def test_no_push_when_disabled():
 
 
 def test_shares_one_tso_id():
-    packets = segment_tso_burst(FLOW, 0, 4 * MSS)
-    assert len({p.tso_id for p in packets}) == 1
+    packets = segment_tso_burst(FLOW, 0, 4 * MSS, tso_id=7)
+    assert {p.tso_id for p in packets} == {7}
 
 
 def test_distinct_bursts_distinct_ids():
-    a = segment_tso_burst(FLOW, 0, MSS)
-    b = segment_tso_burst(FLOW, MSS, MSS)
+    # The caller numbers its bursts (see TcpSender); nothing is global.
+    a = segment_tso_burst(FLOW, 0, MSS, tso_id=0)
+    b = segment_tso_burst(FLOW, MSS, MSS, tso_id=1)
     assert a[0].tso_id != b[0].tso_id
+    assert segment_tso_burst(FLOW, 0, MSS)[0].tso_id is None
 
 
 def test_clamps_to_max_tso():

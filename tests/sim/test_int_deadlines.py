@@ -9,6 +9,7 @@ it runs short cells of three experiments on an engine that asserts it.
 import pytest
 
 from repro.experiments import (
+    cell,
     fig13_ofo_timeout_throughput as fig13,
     fig15_active_flows as fig15,
     host_vs_fabric,
@@ -31,16 +32,12 @@ class IntDeadlineEngine(Engine):
 
 @pytest.fixture
 def checked(monkeypatch):
+    """Every experiment builds its engine in ``cell.py``: swap it there."""
     monkeypatch.setattr(IntDeadlineEngine, "scheduled", 0)
-
-    def install(module):
-        monkeypatch.setattr(module, "Engine", IntDeadlineEngine)
-
-    return install
+    monkeypatch.setattr(cell, "Engine", IntDeadlineEngine)
 
 
 def test_netfpga_pair_cell_schedules_int_deadlines(checked):
-    checked(fig13)
     point = fig13.run_cell(fig13.Fig13Params(warmup_ms=1, measure_ms=3),
                            500, 300)
     assert point.throughput_gbps > 0
@@ -50,7 +47,6 @@ def test_netfpga_pair_cell_schedules_int_deadlines(checked):
 def test_paced_many_flow_cell_schedules_int_deadlines(checked):
     # Pacing divides bits by a fractional per-flow rate: the likeliest place
     # for a float to leak into a deadline.
-    checked(fig15)
     point = fig15.run_cell(fig15.Fig15Params(warmup_ms=1, measure_ms=3),
                            48, 250)
     assert point.max_active_flows > 0
@@ -58,7 +54,6 @@ def test_paced_many_flow_cell_schedules_int_deadlines(checked):
 
 
 def test_clos_cell_with_fault_windows_schedules_int_deadlines(checked):
-    checked(host_vs_fabric)
     point = host_vs_fabric.run_point(
         host_vs_fabric.HostFabricParams(warmup_ms=1, measure_ms=2),
         engine="juggler", routing="per_packet", load=3, fault=1)

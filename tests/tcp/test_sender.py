@@ -49,6 +49,18 @@ def test_initial_send_limited_by_cwnd():
     assert sum(p.payload_len for p in host.packets) == 10 * MSS
 
 
+def test_tso_ids_are_counted_per_sender():
+    """Burst ids restart at 0 for every sender, whatever sent before it in
+    this process: per-TSO routing hashes (flow, tso_id)."""
+    for _ in range(2):
+        engine, host, sender = make_sender(TcpConfig(init_cwnd=100 * MSS))
+        sender.send(100 * MSS)
+        ids = [p.tso_id for p in host.packets]
+        assert ids[0] == 0
+        assert sorted(set(ids)) == list(range(sender.bursts_sent))
+        assert sender.bursts_sent >= 2
+
+
 def test_ack_clocking_releases_more_data():
     engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS))
     sender.send(1 << 20)
