@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Append this tree's whole-cell numbers to the committed trajectory.
+
+    python3 scripts/record_e2e.py                       # this tree, HEAD's hash
+    python3 scripts/record_e2e.py --root /path/to/parent/checkout
+    python3 scripts/record_e2e.py --commit d70b858+wip --seconds 8
+
+Shells out to ``benchmarks/e2e/run.py`` of ``--root`` — once untraced, once
+with ``--trace 1`` — per workload, and appends one JSON line per cell to
+``--out`` (``BENCH_e2e.jsonl`` at this repository's root): commit, seed,
+``cell_wall_s`` min/median/quartiles/n, ``setup_s``, ``peak_rss_mb``,
+``goodput_gbps``, ``sim.events_per_pkt``, ``fabric.us_per_hop``,
+``sim.us_per_event`` and every layer's ``self_s``.  Host numbers are those of
+the box that ran it (recorded in the line); lines compare within one box.
+The benchmark itself is only read, never written: ``baseline.json`` is
+refreshed by ``run.py --record`` in ``benchmark``-tagged PRs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+END_TO_END = ("setup_s", "peak_rss_mb", "goodput_gbps")
+PER_LAYER = ("sim.events", "sim.events_per_pkt", "sim.us_per_event",
+             "fabric.us_per_hop", "harness.trace_overhead_x")
+
+
+def run_workload(root: str, name: str, seed: int, seconds: float,
+                 trace: int) -> tuple[dict, dict]:
+    """(metric name -> value, detail) of one ``run.py`` workload run."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "benchmarks", "e2e", "run.py"),
+         "--workload", name, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        stdout=subprocess.PIPE, text=True, check=True)
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{name} (--trace {trace}): {result['failed']} of "
+                         f"{result['attempted']} repetitions failed")
+    detail = json.loads(lines[-2].removeprefix("# detail "))
+    return {k: v["value"] for k, v in result["metrics"].items()}, detail
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default=ROOT,
+                        help="checkout whose benchmarks/e2e/run.py to run")
+    parser.add_argument("--commit", help="label (default: --root's HEAD)")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float,
+                        help="per run (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_e2e.jsonl"))
+    args = parser.parse_args()
+    with open(os.path.join(args.root, "BENCHMARK.json")) as f:
+        manifest = json.load(f)
+    seconds = args.seconds if args.seconds is not None \
+        else manifest["run_seconds"]
+    commit = args.commit or subprocess.run(
+        ["git", "-C", args.root, "rev-parse", "--short", "HEAD"],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    box = {"nproc": os.cpu_count(), "python": platform.python_version(),
+           "machine": platform.machine()}
+    for workload in manifest["workloads"]:
+        name = workload["name"]
+        end, end_detail = run_workload(args.root, name, args.seed, seconds, 0)
+        layer, _ = run_workload(args.root, name, args.seed, seconds, 1)
+        line = {"commit": commit, "workload": name, "seed": args.seed,
+                "run_seconds": seconds, "box": box,
+                "cell_wall_s": end_detail["cell_wall_s"]}
+        line.update((key, end[key]) for key in END_TO_END)
+        line.update((key, layer[key]) for key in PER_LAYER)
+        line["self_s"] = {key[:-len(".self_s")]: value
+                          for key, value in layer.items()
+                          if key.endswith(".self_s")}
+        with open(args.out, "a") as out:
+            out.write(json.dumps(line, sort_keys=True) + "\n")
+        spread = line["cell_wall_s"]
+        print(f"{commit} {name}: cell_wall_s min {spread['min']:.4f} median "
+              f"{spread['median']:.4f} n={spread['n']}, "
+              f"fabric.us_per_hop {line['fabric.us_per_hop']:.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,10 +11,10 @@ the bandwidth-guarantee system (Figures 17, 18).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Protocol
 
-from repro.net.constants import transmit_time_ns
+from repro.net.constants import transmit_time_ns, wire_bytes
 from repro.net.packet import Packet
 from repro.net.pool import release_terminal
 from repro.sim.engine import Engine
@@ -37,8 +37,6 @@ class LinkStats:
     busy_ns: int = 0
     max_queue_bytes: int = 0
     ce_marked: int = 0
-    #: Per-priority packet counts.
-    per_priority: dict = field(default_factory=dict)
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of the window the transmitter was busy."""
@@ -47,11 +45,23 @@ class LinkStats:
         return self.busy_ns / elapsed_ns
 
 
-#: rate_gbps -> {wire_len: serialisation ns}.  Links of one rate share a table:
-#: paced flows cut runts of every size, and a table per link cost the
-#: 256-flow fig15 cell 0.5 MB.
-#: A pure memo: it carries no simulation state, so cells may share it.
-_TX_NS: Dict[float, Dict[int, int]] = {}
+class _TxNs(Dict[int, int]):
+    """``wire_len`` -> serialisation ns at one rate, filled on first use."""
+
+    def __init__(self, rate_gbps: float):
+        super().__init__()
+        self.rate_gbps = rate_gbps
+
+    def __missing__(self, wire_len: int) -> int:
+        tx_ns = self[wire_len] = transmit_time_ns(
+            wire_len - wire_bytes(0), self.rate_gbps)
+        return tx_ns
+
+
+#: rate_gbps -> its table.  Links of one rate share a table: paced flows cut
+#: runts of every size, and a table per link cost the 256-flow fig15 cell
+#: 0.5 MB.  A pure memo: it carries no simulation state, so cells may share it.
+_TX_NS: Dict[float, _TxNs] = {}
 
 
 class QueuedLink:
@@ -85,10 +95,11 @@ class QueuedLink:
         self._queues: List[Deque[Packet]] = [deque() for _ in range(priorities)]
         self._queue_bytes: List[int] = [0] * priorities
         self._queued_bytes = 0
+        #: Highest valid queue index; larger packet priorities clamp to it.
+        self._top = priorities - 1
+        #: A packet is on the wire.  While False every queue is empty.
         self._busy = False
-        #: ``wire_len`` -> serialisation ns at ``rate_gbps`` (which is fixed
-        #: at construction).
-        self._tx_ns = _TX_NS.setdefault(rate_gbps, {})
+        self._tx_ns = _TX_NS.setdefault(rate_gbps, _TxNs(rate_gbps))
         self.stats = LinkStats()
 
     @property
@@ -110,58 +121,67 @@ class QueuedLink:
         self.enqueue(packet)
 
     def enqueue(self, packet: Packet) -> None:
-        """Queue ``packet`` for transmission.
+        """Queue ``packet`` for transmission, or put it straight on an idle
+        wire.
 
         ``capacity_bytes`` bounds each priority level's queue separately
         (switch output queues have per-queue buffers); overflow tail-drops.
+        Both limits are read per call: fault windows rewrite them mid-run.
         """
-        level = min(packet.priority, len(self._queues) - 1)
+        level = packet.priority
+        if level > self._top:
+            level = self._top
         wire_len = packet.wire_len
-        if (
-            self.capacity_bytes is not None
-            and self._queue_bytes[level] + wire_len > self.capacity_bytes
-        ):
-            self.stats.drops += 1
+        # An idle link has nothing queued at any level: depth is 0 there.
+        depth = self._queue_bytes[level]
+        stats = self.stats
+        capacity = self.capacity_bytes
+        if capacity is not None and depth + wire_len > capacity:
+            stats.drops += 1
             release_terminal(packet)
             return
-        if (
-            self.ecn_threshold_bytes is not None
-            and packet.payload_len > 0
-            and self._queue_bytes[level] > self.ecn_threshold_bytes
-        ):
+        threshold = self.ecn_threshold_bytes
+        if (threshold is not None and depth > threshold
+                and packet.payload_len > 0):
             packet.mark_ce()
-            self.stats.ce_marked += 1
-        self._queues[level].append(packet)
-        self._queue_bytes[level] += wire_len
-        self._queued_bytes += wire_len
-        if self._queued_bytes > self.stats.max_queue_bytes:
-            self.stats.max_queue_bytes = self._queued_bytes
-        if not self._busy:
-            self._transmit_next()
+            stats.ce_marked += 1
+        if self._busy:
+            self._queues[level].append(packet)
+            self._queue_bytes[level] = depth + wire_len
+            self._queued_bytes = queued = self._queued_bytes + wire_len
+            if queued > stats.max_queue_bytes:
+                stats.max_queue_bytes = queued
+            return
+        # Idle: no deque, no byte counters; the high-water mark counts it.
+        if wire_len > stats.max_queue_bytes:
+            stats.max_queue_bytes = wire_len
+        self._busy = True
+        tx_ns = self._tx_ns[wire_len]
+        stats.packets += 1
+        stats.bytes += wire_len
+        stats.busy_ns += tx_ns
+        self._engine.post(tx_ns, self._tx_done, packet)
 
-    def _transmit_next(self) -> None:
-        for level, queue in enumerate(self._queues):
-            if queue:
-                packet = queue.popleft()
-                break
-        else:
+    def _tx_done(self, packet: Packet) -> None:
+        """``packet`` left the wire: post its arrival, then — in that order,
+        which fixes the events' ``seq`` — start the next one, highest
+        priority first."""
+        post = self._engine.post
+        post(self.prop_delay_ns, self.sink.receive, packet)
+        if not self._queued_bytes:
             self._busy = False
             return
-        self._busy = True
+        queues = self._queues
+        level = 0
+        while not queues[level]:
+            level += 1
+        packet = queues[level].popleft()
         wire_len = packet.wire_len
         self._queue_bytes[level] -= wire_len
         self._queued_bytes -= wire_len
-        tx_ns = self._tx_ns.get(wire_len)
-        if tx_ns is None:
-            tx_ns = self._tx_ns[wire_len] = transmit_time_ns(
-                packet.payload_len, self.rate_gbps)
+        tx_ns = self._tx_ns[wire_len]
         stats = self.stats
         stats.packets += 1
         stats.bytes += wire_len
         stats.busy_ns += tx_ns
-        stats.per_priority[level] = stats.per_priority.get(level, 0) + 1
-        self._engine.post(tx_ns, self._tx_done, packet)
-
-    def _tx_done(self, packet: Packet) -> None:
-        self._engine.post(self.prop_delay_ns, self.sink.receive, packet)
-        self._transmit_next()
+        post(tx_ns, self._tx_done, packet)

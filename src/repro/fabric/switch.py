@@ -25,6 +25,11 @@ class Switch:
         self.policy: RoutingPolicy = policy if policy is not None else EcmpRouting()
         #: Needed only by time-aware policies (flowlet/flowcut switching).
         self.engine = engine
+        #: The policy's clock feed, resolved once: policy and engine are
+        #: fixed at construction.  None for time-blind policies.
+        self._observe = (self.policy.observe if engine is not None
+                         and getattr(self.policy, "wants_time", False)
+                         else None)
         self._direct: Dict[int, QueuedLink] = {}
         self.uplinks: List[QueuedLink] = []
         #: Optional reordering telemetry on the host-bound path
@@ -68,8 +73,8 @@ class Switch:
         if not self.uplinks:
             self.unroutable += 1
             return
-        if getattr(self.policy, "wants_time", False) and self.engine is not None:
-            self.policy.observe(self.engine.now)
+        if self._observe is not None:
+            self._observe(self.engine.now)
         index = self.policy.choose(packet, len(self.uplinks))
         packet.path_id = index
         self.uplinks[index].enqueue(packet)

@@ -66,20 +66,11 @@ class RxQueue:
         """Packets waiting in the ring."""
         return len(self._ring)
 
-    def _kick(self, backlog: int) -> None:
-        """Arm (or fast-forward) the coalescing interrupt after an arrival."""
-        if self.stalled:
-            return
-        if not self._irq.armed:
-            self._irq.arm_after(self.coalesce_ns)
-        if self.coalesce_frames and backlog >= self.coalesce_frames:
-            # Frame threshold reached: fire now instead of waiting out the
-            # time-based coalescing window.
-            self._irq.arm_after(0)
-
     def enqueue(self, packet: Packet) -> None:
-        """DMA one packet into the ring (called by the wire at arrival time)."""
-        if len(self._ring) >= self.ring_size:
+        """DMA one packet into the ring (called by the wire at arrival time)
+        and arm, or fast-forward, the coalescing interrupt."""
+        ring = self._ring
+        if len(ring) >= self.ring_size:
             self.dropped += 1
             release_terminal(packet)
             return
@@ -90,8 +81,15 @@ class RxQueue:
             release_terminal(packet)
             return
         packet.received_at = self._engine.now
-        self._ring.append(packet)
-        self._kick(len(self._ring))
+        ring.append(packet)
+        if self.stalled:
+            return
+        if self._irq.entry is None:
+            self._irq.arm_after(self.coalesce_ns)
+        if self.coalesce_frames and len(ring) >= self.coalesce_frames:
+            # Frame threshold reached: fire now instead of waiting out the
+            # time-based coalescing window.
+            self._irq.arm_after(0)
 
     def _interrupt(self) -> None:
         """Coalesced interrupt: enter polling mode and drain the ring."""

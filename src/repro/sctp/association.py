@@ -9,6 +9,7 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS, PRIORITY_HIGH
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
+from repro.net.ranges import merge_range
 from repro.net.segment import Segment
 from repro.sim.engine import Engine
 from repro.sim.timer import Timer
@@ -175,19 +176,7 @@ class SctpReceiver:
         if end <= self.rcv_nxt:
             return
         if start > self.rcv_nxt:
-            merged = []
-            placed = False
-            for s, e in self._ooo:
-                if e < start or s > end:
-                    if not placed and s > end:
-                        merged.append((start, end))
-                        placed = True
-                    merged.append((s, e))
-                else:
-                    start, end = min(start, s), max(end, e)
-            if not placed:
-                merged.append((start, end))
-            self._ooo = merged
+            merge_range(self._ooo, start, end)
             return
         self.rcv_nxt = end
         while self._ooo and self._ooo[0][0] <= self.rcv_nxt:

@@ -3,7 +3,9 @@
 A single :class:`Engine` instance owns simulated time for one experiment.
 Components hold a reference to the engine, schedule callbacks on it, and read
 ``engine.now`` for the current time — exactly the role ``ktime_get()`` and
-timer wheels play for the kernel GRO path the paper modifies.
+timer wheels play for the kernel GRO path the paper modifies.  ``now`` is a
+plain attribute (hundreds of thousands of reads per cell) that only the run
+loop writes: read-only for everyone else.
 
 Internals (the hot loop of every experiment)
 --------------------------------------------
@@ -13,7 +15,8 @@ never reaches the callback: fire order is the total order by ``(time, seq)``,
 i.e. by deadline, then by scheduling order.  Deadlines must be integer
 nanoseconds — a float would order correctly here but round differently
 across platforms (``tests/sim/test_int_deadlines.py`` holds the callers to
-that).
+that, on the five public scheduling calls: ``post``/``post_at`` push their
+entry themselves, the rest go through ``_schedule_event``).
 
 Cancellation is lazy: ``entry[2] = None`` leaves a tombstone that is dropped
 when it reaches the front.  That makes ``Timer`` re-arm churn O(1), but
@@ -55,7 +58,8 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now = 0
+        #: Current simulation time, ns.  Only the run loop writes it.
+        self.now = 0
         #: Min-heap of ``[time, seq, callback, args]``; ``callback`` is None
         #: once the entry is cancelled or fired.
         self._heap: list[list] = []
@@ -69,11 +73,6 @@ class Engine:
             # A new engine restarts simulated time: open a new trace epoch
             # and expose the event-loop totals as gauges.
             tracer.bind_engine(self)
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -118,7 +117,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns in the past")
         return EventHandle(
-            self, self._schedule_event(self._now + delay, callback, args))
+            self, self._schedule_event(self.now + delay, callback, args))
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
@@ -132,17 +131,23 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns in the past")
-        self._schedule_event(self._now + delay, callback, args)
+        heappush(self._heap, [self.now + delay, self._seq, callback, args])
+        self._seq += 1
 
     def post_at(self, time: int, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no cancellation handle."""
-        self._schedule_event(time, callback, args)
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before now={self.now}")
+        heappush(self._heap, [time, self._seq, callback, args])
+        self._seq += 1
 
     def _schedule_event(self, time: int, callback, args: tuple) -> list:
-        """Push one heap entry; every scheduling path ends here."""
-        if time < self._now:
+        """Push one heap entry and return it: the paths that keep a handle
+        on it (``schedule``, ``schedule_at``, ``Timer.arm_at``)."""
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         entry = [time, self._seq, callback, args]
         self._seq += 1
@@ -194,7 +199,7 @@ class Engine:
                     self._tombstones -= 1
                     continue
                 entry[2] = None  # one-shot; makes a cancel from here on a no-op
-                self._now = entry[0]
+                self.now = entry[0]
                 callback(*entry[3])
                 processed += 1
                 self._events_processed = processed
@@ -218,7 +223,7 @@ class Engine:
         Components scheduled past ``time`` stay pending, so a later
         ``run_until`` continues the same experiment.
         """
-        if time < self._now:
-            raise SimulationError(f"run_until({time}) is before now={self._now}")
+        if time < self.now:
+            raise SimulationError(f"run_until({time}) is before now={self.now}")
         self._loop(time, -1)
-        self._now = time
+        self.now = time

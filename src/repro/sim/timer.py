@@ -22,29 +22,31 @@ from repro.sim.engine import Engine
 class Timer:
     """One-shot re-armable timer bound to an engine and a callback."""
 
-    __slots__ = ("_engine", "_callback", "_entry")
+    __slots__ = ("_engine", "_callback", "entry")
 
     def __init__(self, engine: Engine, callback: Callable[[], Any]):
         self._engine = engine
         self._callback = callback
-        #: The pending expiry's heap entry; None when disarmed.
-        self._entry: Optional[list] = None
+        #: The pending expiry's heap entry; None when disarmed.  Public so a
+        #: per-packet caller can test ``timer.entry is None`` without the
+        #: :attr:`armed` property call; read-only outside this class.
+        self.entry: Optional[list] = None
 
     @property
     def armed(self) -> bool:
         """True if the timer has a pending expiry."""
-        return self._entry is not None
+        return self.entry is not None
 
     @property
     def expires_at(self) -> Optional[int]:
         """Absolute expiry time, or None when disarmed."""
-        entry = self._entry
+        entry = self.entry
         return None if entry is None else entry[0]
 
     def arm_at(self, time: int) -> None:
         """(Re-)arm the timer for absolute time ``time``."""
         self.cancel()
-        self._entry = self._engine._schedule_event(time, self._fire, ())
+        self.entry = self._engine._schedule_event(time, self._fire, ())
 
     def arm_after(self, delay: int) -> None:
         """(Re-)arm the timer ``delay`` ns from now."""
@@ -57,17 +59,17 @@ class Timer:
         packet wants a wake-up at its own timeout; the timer tracks the
         soonest one.
         """
-        entry = self._entry
+        entry = self.entry
         if entry is None or entry[0] > time:
             self.arm_at(time)
 
     def cancel(self) -> None:
         """Disarm the timer if pending.  Idempotent."""
-        entry = self._entry
+        entry = self.entry
         if entry is not None:
-            self._entry = None
+            self.entry = None
             self._engine._cancel(entry)
 
     def _fire(self) -> None:
-        self._entry = None
+        self.entry = None
         self._callback()

@@ -22,6 +22,7 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import PRIORITY_HIGH
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
+from repro.net.ranges import merge_range
 from repro.net.segment import BatchingMode, Segment
 from repro.sim.engine import Engine
 from repro.tcp.config import TcpConfig
@@ -46,6 +47,8 @@ class TcpReceiver:
         self._engine = engine
         self._host = host
         self.flow = flow
+        #: The five-tuple every ACK carries, built once.
+        self._ack_flow = flow.reversed()
         self.config = config if config is not None else TcpConfig()
         self.costs = costs
         self.on_bytes = on_bytes
@@ -137,7 +140,7 @@ class TcpReceiver:
             return False
         if start > self.rcv_nxt:
             self.ooo_segments += 1
-            self._add_ooo(start, end)
+            merge_range(self._ooo, start, end)
             return False
         # In order (possibly partially duplicate at the front).
         self.rcv_nxt = end
@@ -147,23 +150,6 @@ class TcpReceiver:
             if e > self.rcv_nxt:
                 self.rcv_nxt = e
         return True
-
-    def _add_ooo(self, start: int, end: int) -> None:
-        """Insert [start, end) into the sorted disjoint OOO range list."""
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for s, e in self._ooo:
-            if e < start or s > end:
-                if not placed and s > end:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        if not placed:
-            merged.append((start, end))
-        self._ooo = merged
 
     def _send_ack(self, dsack=None) -> None:
         """One cumulative ACK per delivered segment, with SACK blocks.
@@ -175,7 +161,7 @@ class TcpReceiver:
         if dsack is not None:
             blocks = (dsack,) + blocks[:2]
         ack = Packet(
-            self.flow.reversed(),
+            self._ack_flow,
             seq=0,
             payload_len=0,
             flags=TcpFlags.ACK,

@@ -30,6 +30,7 @@ from repro.fabric.host import Host
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS, PRIORITY_LOW
 from repro.net.packet import Packet
+from repro.net.ranges import merge_range
 from repro.net.segment import Segment
 from repro.net.tso import segment_tso_burst
 from repro.sim.engine import Engine
@@ -81,6 +82,10 @@ class TcpSender:
         # SACK scoreboard: disjoint sorted ranges the peer holds beyond
         # snd_una, and the retransmission high-water mark within recovery.
         self.sacked: list = []
+        #: Bytes the scoreboard holds, for ``_sacked_bytes``; the two places
+        #: that change ``sacked`` (``_merge_sack``, ``_on_new_ack``) reset it
+        #: to None and the next read sums again.
+        self._sacked_total: Optional[int] = 0
         self.high_rexmit = 0
 
         # Reordering adaptation (Linux tcp_reordering): DSACKs push the
@@ -253,7 +258,9 @@ class TcpSender:
         self.dup_acks = 0
         self._rto_backoff = 1
         self._sample_rtt(ack)
-        self.sacked = [(s, e) for s, e in self.sacked if e > ack]
+        if self.sacked:
+            self.sacked = [(s, e) for s, e in self.sacked if e > ack]
+            self._sacked_total = None
         if self.high_rexmit < ack:
             self.high_rexmit = ack
         recovery_exit = False
@@ -323,29 +330,15 @@ class TcpSender:
         """Fold one SACK block into the scoreboard (disjoint, sorted)."""
         if end <= self.snd_una or end <= start:
             return
-        start = max(start, self.snd_una)
-        for s, e in self.sacked:
-            if s > start:
-                break
-            if e >= end:
-                return  # already held: most blocks of an ACK repeat the last one's
-        merged = []
-        placed = False
-        for s, e in self.sacked:
-            if e < start or s > end:
-                if not placed and s > end:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        if not placed:
-            merged.append((start, end))
-        self.sacked = merged
+        # Most blocks of an ACK repeat the last one's: those change nothing.
+        if merge_range(self.sacked, max(start, self.snd_una), end):
+            self._sacked_total = None
 
     def _sacked_bytes(self) -> int:
-        return sum(e - s for s, e in self.sacked)
+        total = self._sacked_total
+        if total is None:
+            total = self._sacked_total = sum(e - s for s, e in self.sacked)
+        return total
 
     def _sack_retransmit(self) -> None:
         """Retransmit scoreboard holes, pipe-limited (simplified RFC 6675).

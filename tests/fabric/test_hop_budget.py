@@ -1,0 +1,102 @@
+"""A packet-hop's budget of Python-level calls — a count, not a timing.
+
+Packets cross ``Host.transmit`` -> access link -> ``Switch`` -> downlink ->
+``Host.receive`` -> RX ring under ``sys.setprofile``, which sees every call
+of a Python function (builtins and C methods are free).  Only code under
+``repro/`` is counted, and only the *marginal* cost of a packet: the run is
+made with N and with 2N packets and the difference divided by N, so one-off
+costs (``run_until``, arming the coalescing timer) cancel exactly.
+
+Per link hop, idle link — before (9 calls; ``Switch.receive`` is
+``QueuedLink.receive`` on the access link):
+
+    Switch.receive -> enqueue -> _transmit_next -> post -> _schedule_event
+    _tx_done -> post -> _schedule_event, _tx_done -> _transmit_next (empty)
+
+busy link — before (8): the same minus the last, the first ``_transmit_next``
+being the previous packet's.  Now (5 either way):
+
+    Switch.receive -> enqueue -> post           (busy: the post of the next
+    _tx_done -> post                             completion is in _tx_done)
+
+Per ingress packet, ring already holding one — before (7):
+
+    Host.receive -> Nic.receive -> queue_index -> RxQueue.enqueue
+    -> Engine.now, -> _kick -> Timer.armed
+
+now (4): the first line.  The budgets below leave the ingress one call of
+slack and the hops none.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.core import StandardGRO
+from repro.fabric import Host, QueuedLink, Switch
+from repro.net import FiveTuple, MSS, Packet
+from repro.nic.nic import NicConfig
+from repro.sim import Engine, MS
+
+FLOW = FiveTuple(0, 1, 1000, 80)
+#: Files whose calls are a hop's (links, switch, the ``post`` under them) and
+#: an ingress packet's (host demux, NIC, steering, ring, its timer).
+HOP_FILES = {"link.py", "switch.py", "engine.py"}
+INGRESS_FILES = {"nic.py", "policy.py", "rxqueue.py", "timer.py"}
+LINK_HOPS = 2
+
+
+def calls_for(packets: int, gap_ns: int, downlink_gbps: float) -> Counter:
+    """(file, function) -> Python-level calls inside ``repro/`` while
+    ``packets`` packets, ``gap_ns`` apart, cross the two-hop path."""
+    engine = Engine()
+    # No poll inside the run: every packet lands in a ring that stays armed.
+    receiver = Host(engine, 1, lambda deliver: StandardGRO(deliver),
+                    nic_config=NicConfig(coalesce_ns=10 * MS))
+    switch = Switch()
+    switch.add_route(1, QueuedLink(engine, downlink_gbps, receiver))
+    sender = Host(engine, 0, lambda deliver: StandardGRO(deliver))
+    sender.attach_tx(QueuedLink(engine, 10.0, switch))
+    for i in range(packets):
+        engine.post_at(i * gap_ns, sender.transmit, Packet(FLOW, i * MSS, MSS))
+    counts: Counter = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            filename = frame.f_code.co_filename.replace("\\", "/")
+            if "/repro/" in filename:
+                counts[filename.rsplit("/", 1)[1], frame.f_code.co_name] += 1
+
+    sys.setprofile(profiler)
+    try:
+        engine.run_until(5 * MS)
+    finally:
+        sys.setprofile(None)
+    assert receiver.nic.queues[0].backlog == packets
+    return counts
+
+
+@pytest.mark.parametrize("gap_ns, downlink_gbps", [
+    pytest.param(3000, 10.0, id="idle-links"),   # gap > serialisation time
+    pytest.param(0, 5.0, id="busy-links"),       # one burst, slower downlink
+])
+def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
+    n = 40
+    once = calls_for(n, gap_ns, downlink_gbps)
+    twice = calls_for(2 * n, gap_ns, downlink_gbps)
+    marginal = Counter({key: count - once[key]
+                        for key, count in twice.items() if count != once[key]})
+    assert all(count % n == 0 for count in marginal.values()), marginal
+    per_packet = {key: count // n for key, count in marginal.items()}
+
+    def total(files):
+        return sum(count for (filename, _), count in per_packet.items()
+                   if filename in files)
+
+    hops = total(HOP_FILES)
+    ingress = total(INGRESS_FILES) + per_packet.get(("host.py", "receive"), 0)
+    assert hops <= 5 * LINK_HOPS, per_packet
+    assert ingress <= 5, per_packet
+    # Nothing else runs per packet but the sender's Host.transmit.
+    assert sum(per_packet.values()) == hops + ingress + 1, per_packet

@@ -14,27 +14,56 @@ from repro.experiments import (
     fig15_active_flows as fig15,
     host_vs_fabric,
 )
-from repro.sim import Engine
+from repro.sim import Engine, Timer
+
+
+def check_int(when, callback):
+    """The guard: ``when`` is a delay or a deadline, either must be ``int``
+    (``now`` is one by induction)."""
+    assert type(when) is int, (
+        f"{getattr(callback, '__qualname__', callback)} scheduled at "
+        f"{when!r} ({type(when).__name__})")
+    IntDeadlineEngine.scheduled += 1
 
 
 class IntDeadlineEngine(Engine):
-    """Fails the moment anything schedules a non-``int`` deadline."""
+    """Fails the moment anything schedules a non-``int`` deadline.
+
+    Checked on the public scheduling calls — ``post``/``post_at`` push their
+    heap entry themselves, so no private method sees every event."""
 
     scheduled = 0
 
-    def _schedule_event(self, time, callback, args):
-        assert type(time) is int, (
-            f"{getattr(callback, '__qualname__', callback)} scheduled at "
-            f"{time!r} ({type(time).__name__})")
-        IntDeadlineEngine.scheduled += 1
-        return super()._schedule_event(time, callback, args)
+    def schedule(self, delay, callback, *args):
+        check_int(delay, callback)
+        return super().schedule(delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        check_int(time, callback)
+        return super().schedule_at(time, callback, *args)
+
+    def post(self, delay, callback, *args):
+        check_int(delay, callback)
+        super().post(delay, callback, *args)
+
+    def post_at(self, time, callback, *args):
+        check_int(time, callback)
+        super().post_at(time, callback, *args)
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Every experiment builds its engine in ``cell.py``: swap it there."""
+    """Every experiment builds its engine in ``cell.py``: swap it there.
+    ``Timer.arm_at`` is the fifth scheduling call and gets the same guard."""
     monkeypatch.setattr(IntDeadlineEngine, "scheduled", 0)
     monkeypatch.setattr(cell, "Engine", IntDeadlineEngine)
+    arm_at = Timer.arm_at
+
+    def checked_arm_at(timer, time):
+        check_int(time, timer._callback)
+        arm_at(timer, time)
+
+    monkeypatch.setattr(Timer, "arm_at", checked_arm_at)
 
 
 def test_netfpga_pair_cell_schedules_int_deadlines(checked):
@@ -65,3 +94,15 @@ def test_the_checked_engine_rejects_a_float_deadline():
     engine = IntDeadlineEngine()
     with pytest.raises(AssertionError):
         engine.post(1.5, lambda: None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda engine: engine.schedule(1.5, print),
+    lambda engine: engine.schedule_at(1.5, print),
+    lambda engine: engine.post_at(1.5, print),
+    lambda engine: Timer(engine, print).arm_at(1.5),
+    lambda engine: Timer(engine, print).arm_after(1.5),
+], ids=["schedule", "schedule_at", "post_at", "arm_at", "arm_after"])
+def test_every_other_scheduling_call_is_guarded_too(checked, call):
+    with pytest.raises(AssertionError):
+        call(IntDeadlineEngine())

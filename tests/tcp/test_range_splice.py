@@ -1,0 +1,137 @@
+"""The in-place range splice against the list rebuilds it replaced.
+
+``TcpReceiver._add_ooo`` and ``TcpSender._merge_sack`` used to rebuild their
+whole range list per call; both now go through ``repro.net.ranges.
+merge_range`` (bisect + one slice assignment), and the sender keeps its
+SACKed-byte total cached between scoreboard changes.  The rebuild bodies are
+kept here, verbatim, as the reference.
+"""
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.net import FiveTuple, MSS, Packet, Segment
+from repro.net.ranges import merge_range
+from repro.sim import Engine
+from repro.tcp import TcpConfig, TcpReceiver
+from repro.tcp.sender import TcpSender
+
+FLOW = FiveTuple(0, 1, 1000, 80)
+
+
+def reference_add_ooo(ooo, start, end):
+    """``TcpReceiver._add_ooo`` as it was: one new list per call."""
+    merged = []
+    placed = False
+    for s, e in ooo:
+        if e < start or s > end:
+            if not placed and s > end:
+                merged.append((start, end))
+                placed = True
+            merged.append((s, e))
+        else:
+            start = min(start, s)
+            end = max(end, e)
+    if not placed:
+        merged.append((start, end))
+    return merged
+
+
+def reference_merge_sack(sacked, snd_una, start, end):
+    """``TcpSender._merge_sack`` as it was (early-outs included)."""
+    if end <= snd_una or end <= start:
+        return sacked
+    start = max(start, snd_una)
+    for s, e in sacked:
+        if s > start:
+            break
+        if e >= end:
+            return sacked
+    return reference_add_ooo(sacked, start, end)
+
+
+class NullHost:
+    host_id = 1
+    app_core = None
+
+    def register_handler(self, flow, handler):
+        pass
+
+    def unregister_handler(self, flow):
+        pass
+
+    def transmit(self, packet):
+        pass
+
+
+#: (start, length) in small units so that overlapping, nested, touching
+#: (``e == start`` / ``s == end``) and repeated ranges are all common.
+ranges_strategy = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=60),
+              st.integers(min_value=1, max_value=12)),
+    min_size=1, max_size=40)
+
+
+@given(ranges_strategy)
+@settings(max_examples=500, deadline=None)
+def test_merge_range_equals_the_list_rebuild(ranges):
+    spliced, rebuilt = [], []
+    for start, length in ranges:
+        before = list(spliced)
+        changed = merge_range(spliced, start, start + length)
+        rebuilt = reference_add_ooo(rebuilt, start, start + length)
+        assert spliced == rebuilt
+        assert changed == (spliced != before)
+
+
+def test_touching_ranges_merge_on_both_sides():
+    ranges = [(0, 10), (20, 30)]
+    assert merge_range(ranges, 10, 20)
+    assert ranges == [(0, 30)]
+    assert not merge_range(ranges, 5, 30)
+    assert merge_range(ranges, 30, 31)
+    assert ranges == [(0, 31)]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("sack"), st.integers(0, 60), st.integers(-2, 12)),
+    st.tuples(st.just("ack"), st.integers(0, 70), st.just(0))),
+    min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_sender_scoreboard_and_cached_total_equal_the_reference(steps):
+    sender = TcpSender(Engine(), NullHost(), FLOW,
+                       TcpConfig(init_cwnd=128 * MSS))
+    sender.send(100 * MSS)
+    sacked = []
+    for kind, at, length in steps:
+        if kind == "sack":
+            sender._merge_sack(at * MSS, (at + length) * MSS)
+            sacked = reference_merge_sack(sacked, sender.snd_una, at * MSS,
+                                          (at + length) * MSS)
+        elif at * MSS > sender.snd_una:
+            sender._on_new_ack(at * MSS)
+            sacked = [(s, e) for s, e in sacked if e > at * MSS]
+        assert sender.sacked == sacked
+        assert sender._sacked_bytes() == sum(e - s for s, e in sacked)
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_receiver_ooo_queue_equals_the_reference(segments):
+    receiver = TcpReceiver(Engine(), NullHost(), FLOW, TcpConfig())
+    rcv_nxt, ooo = 0, []
+    for at, length in segments:
+        start, end = at * MSS, (at + length) * MSS
+        receiver.on_segment(Segment(
+            [Packet(FLOW, start + i * MSS, MSS) for i in range(length)]))
+        # The receiver's _absorb_range, with the old _add_ooo under it.
+        if end > rcv_nxt:
+            if start > rcv_nxt:
+                ooo = reference_add_ooo(ooo, start, end)
+            else:
+                rcv_nxt = end
+                while ooo and ooo[0][0] <= rcv_nxt:
+                    rcv_nxt = max(rcv_nxt, ooo.pop(0)[1])
+        assert receiver._ooo == ooo
+        assert receiver.rcv_nxt == rcv_nxt
