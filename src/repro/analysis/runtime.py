@@ -11,7 +11,7 @@ keep the reference (or ``None``).  Three ways to turn JSAN on:
 
 When nothing installs a sanitizer, :func:`current` returns ``None`` and
 every hook in the engine degrades to one attribute load and one identity
-test — see ``benchmarks/test_sanitizer_overhead.py``.
+test — see ``tests/integration/test_layer_budgets.py``.
 """
 
 from __future__ import annotations

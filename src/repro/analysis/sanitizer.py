@@ -24,8 +24,8 @@ The structures being checked each expose ``invariant_violations()``
 and policy tables and turns violations into loud, readable
 :class:`SanitizerError` diagnostics.  When disabled the hooks cost one
 ``if self.sanitizer is not None`` test and allocate nothing —
-``benchmarks/test_sanitizer_overhead.py`` enforces that, the same contract
-``repro.trace`` honours.
+``tests/integration/test_layer_budgets.py`` enforces that (zero calls into
+``repro/analysis``, zero bytes), the same contract ``repro.trace`` honours.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
-from repro.cpu.accounting import GroCpuAccountant, NullAccountant
+from repro.cpu.accounting import GroCpuAccountant
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.net.segment import Segment
@@ -33,7 +33,8 @@ class GroEngine(abc.ABC):
         accountant: Optional[GroCpuAccountant] = None,
     ):
         self.deliver = deliver
-        self.accountant = accountant if accountant is not None else NullAccountant()
+        #: None = no CPU model attached; hot paths guard on this before charging.
+        self.accountant = accountant
         self.stats = GroStats()
         #: None = tracing disabled; hot paths guard on this before emitting.
         self.tracer: Optional[Tracer] = trace_runtime.current()
@@ -95,7 +96,9 @@ class GroEngine(abc.ABC):
         self.stats.record_delivery(
             segment.flow, segment.seq, segment.end_seq, segment.mtus, reason
         )
-        self.accountant.on_flush_segment(segment)
+        accountant = self.accountant
+        if accountant is not None:
+            accountant.on_flush_segment(segment)
         tracer = self.tracer
         if tracer is not None:
             tracer.flush(now, segment.flow, segment.seq, segment.end_seq,

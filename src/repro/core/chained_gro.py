@@ -42,8 +42,10 @@ class ChainedGRO(GroEngine):
 
     def receive(self, packet: Packet, now: int) -> None:
         """Chain the packet onto its flow's batch, whatever its sequence."""
-        self.accountant.on_rx_packet()
-        self.accountant.on_gro_packet()
+        accountant = self.accountant
+        if accountant is not None:
+            accountant.on_rx_packet()
+            accountant.on_gro_packet()
         if packet.payload_len == 0:
             self._passthrough(packet, now)
             return
@@ -57,7 +59,8 @@ class ChainedGRO(GroEngine):
             chain.append(packet)
             self._chain_bytes[packet.flow] += packet.payload_len
             self.stats.merges += 1
-            self.accountant.on_merge(BatchingMode.LINKED_LIST)
+            if accountant is not None:
+                accountant.on_merge(BatchingMode.LINKED_LIST)
 
         if packet.forces_flush:
             self._flush(packet.flow, FlushReason.FLAGS, now)
@@ -71,7 +74,8 @@ class ChainedGRO(GroEngine):
 
     def poll_complete(self, now: int) -> None:
         """Like vanilla GRO, everything flushes at polling completion."""
-        self.accountant.on_poll()
+        if self.accountant is not None:
+            self.accountant.on_poll()
         for flow in list(self._chains):
             self._flush(flow, FlushReason.POLL_END, now)
 

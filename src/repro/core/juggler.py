@@ -113,8 +113,9 @@ class JugglerGRO(GroEngine):
         protocols = self.config.protocols
         buildup = Phase.BUILD_UP
         for packet in packets:
-            accountant.on_rx_packet()
-            accountant.on_gro_packet()
+            if accountant is not None:
+                accountant.on_rx_packet()
+                accountant.on_gro_packet()
             if tracer is not None:
                 tracer.packet_rx(now, packet.flow, packet.seq,
                                  packet.end_seq, packet.payload_len)
@@ -225,7 +226,9 @@ class JugglerGRO(GroEngine):
         """Insert into the flow's OOO queue, merging where possible."""
         result = entry.ofo.insert(packet)
         self.stats.nodes_scanned += result.scanned
-        self.accountant.on_node_scan(result.scanned)
+        accountant = self.accountant
+        if accountant is not None:
+            accountant.on_node_scan(result.scanned)
         if result.duplicate:
             # Bytes already buffered: never hold the copy (memory safety);
             # hand it up so TCP's DSACK machinery sees it.
@@ -234,7 +237,8 @@ class JugglerGRO(GroEngine):
             return
         if result.merged:
             self.stats.merges += 1
-            self.accountant.on_merge(BatchingMode.FRAGS_ARRAY)
+            if accountant is not None:
+                accountant.on_merge(BatchingMode.FRAGS_ARRAY)
             if self.tracer is not None:
                 self.tracer.merge(now, entry.key, packet.seq, packet.end_seq,
                                   result.scanned)
@@ -288,7 +292,8 @@ class JugglerGRO(GroEngine):
 
     def poll_complete(self, now: int) -> None:
         """End of a NAPI polling cycle: run the timeout checks (§4.1)."""
-        self.accountant.on_poll()
+        if self.accountant is not None:
+            self.accountant.on_poll()
         self.check_timeouts(now)
         if self.sanitizer is not None:
             self.sanitizer.check_table(self.table)

@@ -45,8 +45,10 @@ class StandardGRO(GroEngine):
 
     def receive(self, packet: Packet, now: int) -> None:
         """Merge if next-in-sequence; otherwise flush and restart."""
-        self.accountant.on_rx_packet()
-        self.accountant.on_gro_packet()
+        accountant = self.accountant
+        if accountant is not None:
+            accountant.on_rx_packet()
+            accountant.on_gro_packet()
         if packet.payload_len == 0:
             self._passthrough(packet, now)
             return
@@ -57,7 +59,8 @@ class StandardGRO(GroEngine):
             if held.can_append(packet, self.max_segment_bytes):
                 held.append(packet)
                 self.stats.merges += 1
-                self.accountant.on_merge(BatchingMode.FRAGS_ARRAY)
+                if accountant is not None:
+                    accountant.on_merge(BatchingMode.FRAGS_ARRAY)
                 if held.closed:
                     self._flush(packet.flow, FlushReason.FLAGS, now)
                 elif held.payload_len + MSS > self.max_segment_bytes:
@@ -85,7 +88,8 @@ class StandardGRO(GroEngine):
     def poll_complete(self, now: int) -> None:
         """Flush everything and start fresh — vanilla GRO keeps no state
         across polling intervals."""
-        self.accountant.on_poll()
+        if self.accountant is not None:
+            self.accountant.on_poll()
         for flow in list(self._batch):
             self._flush(flow, FlushReason.POLL_END, now)
 

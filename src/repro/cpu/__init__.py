@@ -13,7 +13,7 @@ mode Figure 9's "vanilla + reordering" bars show.
 from repro.cpu.costs import CostTable, DEFAULT_COSTS
 from repro.cpu.meter import CoreMeter
 from repro.cpu.core import CpuCore
-from repro.cpu.accounting import GroCpuAccountant, NullAccountant
+from repro.cpu.accounting import GroCpuAccountant
 
 __all__ = [
     "CostTable",
@@ -21,5 +21,4 @@ __all__ = [
     "CoreMeter",
     "CpuCore",
     "GroCpuAccountant",
-    "NullAccountant",
 ]

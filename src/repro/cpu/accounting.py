@@ -3,12 +3,13 @@
 The GRO implementations (standard, Juggler, chained) are pure algorithms;
 they emit *events* ("scanned 3 nodes", "flushed a 44-MTU segment") through a
 :class:`GroCpuAccountant`, which prices them with a :class:`CostTable` and
-charges the RX core meter.  Experiments that don't study CPU pass the
-:class:`NullAccountant` and pay nothing.
+charges the RX core meter.  Experiments that don't study CPU attach no
+accountant: ``GroEngine.accountant`` is ``None`` and every charge site guards
+on it, like ``tracer`` and ``sanitizer`` (zero calls into ``repro/cpu``,
+pinned by ``tests/integration/test_layer_budgets.py``).
 """
 
 from __future__ import annotations
-
 
 from repro.cpu.costs import CostTable, DEFAULT_COSTS
 from repro.cpu.meter import CoreMeter
@@ -49,28 +50,3 @@ class GroCpuAccountant:
     def on_poll(self) -> None:
         """Fixed overhead of one NAPI poll invocation."""
         self.meter.charge(self.costs.rx_per_poll)
-
-
-class NullAccountant(GroCpuAccountant):
-    """Free-of-charge accountant for experiments that ignore CPU."""
-
-    def __init__(self) -> None:
-        super().__init__(CoreMeter("null"))
-
-    def on_rx_packet(self) -> None:  # noqa: D102 - intentionally empty
-        pass
-
-    def on_gro_packet(self) -> None:  # noqa: D102
-        pass
-
-    def on_merge(self, mode: BatchingMode) -> None:  # noqa: D102
-        pass
-
-    def on_node_scan(self, nodes: int) -> None:  # noqa: D102
-        pass
-
-    def on_flush_segment(self, segment: Segment) -> None:  # noqa: D102
-        pass
-
-    def on_poll(self) -> None:  # noqa: D102
-        pass

@@ -31,8 +31,9 @@ the detector needs no engine and produces identical output for identical
 packet sequences.
 
 Cost contract: a switch holds ``detector=None`` by default and the hot
-path guards with ``if detector is not None`` — the disabled path
-allocates nothing (pinned by ``benchmarks/test_fabric_overhead.py``).
+path guards with ``if detector is not None`` — the disabled path makes no
+call into this module and allocates nothing (pinned as a count by
+``tests/integration/test_layer_budgets.py``).
 """
 
 from __future__ import annotations

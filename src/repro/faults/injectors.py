@@ -5,8 +5,9 @@ packet stream while :attr:`~FaultInjector.active` is set — losing,
 duplicating, corrupting, delaying, or black-holing packets.  Inactive
 injectors forward untouched, draw nothing from their rng stream, and
 touch no counters, so a closed fault window is invisible to the traffic,
-to the random sequence, and to the allocator (the overhead contract
-``benchmarks/test_faults_overhead.py`` enforces).
+to the random sequence, and to the allocator: one call per stage per
+packet and nothing else (the contract
+``tests/integration/test_layer_budgets.py`` enforces).
 
 Determinism: every random decision comes from the injector's own
 ``random.Random`` (a named ``sim.rng`` stream when driven by the

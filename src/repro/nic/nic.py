@@ -88,8 +88,8 @@ class Nic:
                            tracer=self.tracer, metrics_prefix=prefix)
         # Per-wire-packet path, pinned as an instance attribute: queue list
         # and policy lookup are captured once here so receive() pays no
-        # ``self`` attribute hops (benchmarks/test_steer_overhead.py holds
-        # this at parity with the pre-policy inline demux).
+        # ``self`` attribute hops (tests/integration/test_layer_budgets.py
+        # holds the steering indirection at one call per packet).
         queues = self.queues
         steer = self.steering.queue_index
 

@@ -12,9 +12,9 @@ implementation; :mod:`repro.steer.flow_director` and
 :mod:`repro.steer.static` carry the stateful ones.
 
 The cost contract mirrors tracing: when the policy is plain RSS the
-steering layer adds one method call over the pre-policy inline hash and
-allocates nothing per packet (``benchmarks/test_steer_overhead.py`` holds
-that line).  Stateful policies pay only for the state they keep.
+steering layer adds one call over the pre-policy inline hash and retains
+nothing per packet (``tests/integration/test_layer_budgets.py`` holds
+that line as a count).  Stateful policies pay only for the state they keep.
 """
 
 from __future__ import annotations

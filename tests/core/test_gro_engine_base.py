@@ -10,7 +10,7 @@ FLOW = FiveTuple(1, 2, 1000, 80)
 def test_default_accountant_is_null():
     gro = StandardGRO(lambda s: None)
     gro.receive(Packet(FLOW, 0, MSS), now=0)
-    assert gro.accountant.meter.busy_ns == 0
+    assert gro.accountant is None
 
 
 def test_deliver_segment_stamps_flush_time():

@@ -8,7 +8,6 @@ from repro.cpu import (
     CpuCore,
     DEFAULT_COSTS,
     GroCpuAccountant,
-    NullAccountant,
 )
 from repro.net import BatchingMode, FiveTuple, MSS, Packet, Segment
 from repro.sim import Engine
@@ -149,17 +148,6 @@ def test_accountant_flush_segment():
     acct = GroCpuAccountant(meter)
     acct.on_flush_segment(seg())
     assert meter.busy_ns == pytest.approx(DEFAULT_COSTS.rx_per_segment)
-
-
-def test_null_accountant_is_free():
-    acct = NullAccountant()
-    acct.on_rx_packet()
-    acct.on_gro_packet()
-    acct.on_merge(BatchingMode.LINKED_LIST)
-    acct.on_node_scan(100)
-    acct.on_flush_segment(seg())
-    acct.on_poll()
-    assert acct.meter.busy_ns == 0
 
 
 def test_cost_table_immutable():

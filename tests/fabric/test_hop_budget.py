@@ -28,9 +28,6 @@ now (4): the first line.  The budgets below leave the ingress one call of
 slack and the hops none.
 """
 
-import sys
-from collections import Counter
-
 import pytest
 
 from repro.core import StandardGRO
@@ -39,17 +36,20 @@ from repro.net import FiveTuple, MSS, Packet
 from repro.nic.nic import NicConfig
 from repro.sim import Engine, MS
 
+from ..callcount import marginal_calls
+
 FLOW = FiveTuple(0, 1, 1000, 80)
 #: Files whose calls are a hop's (links, switch, the ``post`` under them) and
 #: an ingress packet's (host demux, NIC, steering, ring, its timer).
-HOP_FILES = {"link.py", "switch.py", "engine.py"}
-INGRESS_FILES = {"nic.py", "policy.py", "rxqueue.py", "timer.py"}
+HOP_FILES = {"fabric/link.py", "fabric/switch.py", "sim/engine.py"}
+INGRESS_FILES = {"nic/nic.py", "steer/policy.py", "nic/rxqueue.py",
+                 "sim/timer.py"}
 LINK_HOPS = 2
 
 
-def calls_for(packets: int, gap_ns: int, downlink_gbps: float) -> Counter:
-    """(file, function) -> Python-level calls inside ``repro/`` while
-    ``packets`` packets, ``gap_ns`` apart, cross the two-hop path."""
+def rig(packets: int, gap_ns: int, downlink_gbps: float):
+    """The run that takes ``packets`` packets, ``gap_ns`` apart, across the
+    two-hop path (built here, outside the count)."""
     engine = Engine()
     # No poll inside the run: every packet lands in a ring that stays armed.
     receiver = Host(engine, 1, lambda deliver: StandardGRO(deliver),
@@ -60,21 +60,12 @@ def calls_for(packets: int, gap_ns: int, downlink_gbps: float) -> Counter:
     sender.attach_tx(QueuedLink(engine, 10.0, switch))
     for i in range(packets):
         engine.post_at(i * gap_ns, sender.transmit, Packet(FLOW, i * MSS, MSS))
-    counts: Counter = Counter()
 
-    def profiler(frame, event, arg):
-        if event == "call":
-            filename = frame.f_code.co_filename.replace("\\", "/")
-            if "/repro/" in filename:
-                counts[filename.rsplit("/", 1)[1], frame.f_code.co_name] += 1
-
-    sys.setprofile(profiler)
-    try:
+    def run():
         engine.run_until(5 * MS)
-    finally:
-        sys.setprofile(None)
-    assert receiver.nic.queues[0].backlog == packets
-    return counts
+        assert receiver.nic.queues[0].backlog == packets
+
+    return run
 
 
 @pytest.mark.parametrize("gap_ns, downlink_gbps", [
@@ -83,10 +74,8 @@ def calls_for(packets: int, gap_ns: int, downlink_gbps: float) -> Counter:
 ])
 def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
     n = 40
-    once = calls_for(n, gap_ns, downlink_gbps)
-    twice = calls_for(2 * n, gap_ns, downlink_gbps)
-    marginal = Counter({key: count - once[key]
-                        for key, count in twice.items() if count != once[key]})
+    marginal = marginal_calls(rig(n, gap_ns, downlink_gbps),
+                              rig(2 * n, gap_ns, downlink_gbps))
     assert all(count % n == 0 for count in marginal.values()), marginal
     per_packet = {key: count // n for key, count in marginal.items()}
 
@@ -95,7 +84,8 @@ def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
                    if filename in files)
 
     hops = total(HOP_FILES)
-    ingress = total(INGRESS_FILES) + per_packet.get(("host.py", "receive"), 0)
+    ingress = (total(INGRESS_FILES)
+               + per_packet.get(("fabric/host.py", "receive"), 0))
     assert hops <= 5 * LINK_HOPS, per_packet
     assert ingress <= 5, per_packet
     # Nothing else runs per packet but the sender's Host.transmit.

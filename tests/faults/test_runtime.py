@@ -32,7 +32,12 @@ def _testbed():
 
 def test_no_plan_by_default():
     assert runtime.current_plan() is None
-    assert _testbed().faults is None
+    bed = _testbed()
+    assert bed.faults is None
+    # The switch queues deliver straight into the receiver: no injector, no
+    # adapter, not one extra frame on the per-packet call stack.
+    assert bed.switch.fast_queue.sink is bed.receiver
+    assert bed.switch.slow_queue.sink is bed.receiver
 
 
 def test_install_and_uninstall():
