@@ -83,9 +83,10 @@ def main() -> int:
         with open(args.out, "a") as out:
             out.write(json.dumps(line, sort_keys=True) + "\n")
         spread = line["cell_wall_s"]
+        largest = sorted(line["self_s"].items(), key=lambda kv: -kv[1])[:3]
         print(f"{commit} {name}: cell_wall_s min {spread['min']:.4f} median "
-              f"{spread['median']:.4f} n={spread['n']}, "
-              f"fabric.us_per_hop {line['fabric.us_per_hop']:.2f}")
+              f"{spread['median']:.4f} n={spread['n']}, traced self_s "
+              + " ".join(f"{layer} {self_s:.3f}" for layer, self_s in largest))
     return 0
 
 

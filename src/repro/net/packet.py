@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import List, Optional
 
 from repro.net.addr import FiveTuple
 from repro.net.constants import PRIORITY_LOW, wire_bytes
@@ -137,11 +137,60 @@ class Packet:
                       sack=sack)
         return self
 
+    def burst(self, count: int) -> List[Packet]:
+        """This packet followed by the ``count - 1`` that TSO cuts behind it.
+
+        A TSO burst is one header and N byte ranges: each further packet
+        covers the next ``payload_len`` bytes and draws the next pid; every
+        other slot is this packet's value, copied rather than derived again
+        (one store per name in ``__slots__``).  The burst shares one ``sig``
+        tuple, which is safe because :meth:`mark_ce` rebinds it.
+        """
+        new = Packet.__new__
+        flow, seq, step, flags = self.flow, self.seq, self.payload_len, self.flags
+        ack, rwnd, sack, ce_bytes = self.ack, self.rwnd, self.sack, self.ce_bytes
+        options, ce, priority = self.options, self.ce, self.priority
+        tso_id, sent_at, received_at = self.tso_id, self.sent_at, self.received_at
+        is_retransmission, path_id = self.is_retransmission, self.path_id
+        corrupt, origin = self.corrupt, self.origin
+        sig, wire_len, forces_flush = self.sig, self.wire_len, self.forces_flush
+        packets = [self]
+        append = packets.append
+        for pid in itertools.islice(_packet_ids, count - 1):
+            seq += step
+            packet = new(Packet)
+            packet.flow = flow
+            packet.seq = seq
+            packet.payload_len = step
+            packet.flags = flags
+            packet.ack = ack
+            packet.rwnd = rwnd
+            packet.sack = sack
+            packet.ce_bytes = ce_bytes
+            packet.options = options
+            packet.ce = ce
+            packet.priority = priority
+            packet.pid = pid
+            packet.tso_id = tso_id
+            packet.sent_at = sent_at
+            packet.received_at = received_at
+            packet.is_retransmission = is_retransmission
+            packet.path_id = path_id
+            packet.corrupt = corrupt
+            packet.origin = origin
+            packet.sig = sig
+            packet.wire_len = wire_len
+            packet.forces_flush = forces_flush
+            append(packet)
+        return packets
+
     def mark_ce(self) -> None:
         """Set the ECN CE codepoint (done by congested links in flight).
 
         Must go through this method: the merge signature includes the CE
-        mark, so the precomputed ``sig`` has to change with it.
+        mark, so the precomputed ``sig`` has to change with it.  It rebinds
+        ``sig`` rather than mutating it: the packets of one TSO burst share
+        the tuple (see :meth:`burst`).
         """
         self.ce = True
         self.sig = (self.options, True, self.sig[2])

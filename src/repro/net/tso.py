@@ -12,9 +12,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.net.addr import FiveTuple
-from repro.net.constants import MSS, MAX_TSO_PAYLOAD, PRIORITY_LOW
+from repro.net.constants import MSS, MAX_TSO_PAYLOAD, PRIORITY_LOW, wire_bytes
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
+
+_ACK_PSH = TcpFlags.ACK | TcpFlags.PSH
 
 
 def segment_tso_burst(
@@ -31,12 +33,17 @@ def segment_tso_burst(
 ) -> List[Packet]:
     """Cut ``nbytes`` starting at ``seq`` into MSS-sized wire packets.
 
-    Mirrors NIC TSO: every packet carries the same headers; the final packet
-    of the burst gets PSH when ``push_last`` (Linux sets PSH on the last
-    segment of a write so the receiver delivers promptly).
+    Mirrors NIC TSO: the burst is one header and N byte ranges.  Only the
+    first packet goes through the constructor; the rest are stamped from it
+    (:meth:`Packet.burst`), so within a burst packets differ in ``seq`` and
+    ``pid`` alone — plus, on the last one, ``payload_len``/``wire_len`` when
+    it is a runt and PSH when ``push_last`` (Linux sets PSH on the last
+    segment of a write so the receiver delivers promptly).  ``flow`` is the
+    same object and ``tso_id`` the same number on every packet.
 
-    ``nbytes`` may exceed ``MAX_TSO_PAYLOAD``; the caller (TCP sender) is
-    expected to have already limited burst size, but we clamp defensively.
+    ``nbytes`` above ``MAX_TSO_PAYLOAD`` is clamped, silently: a defence
+    only, since the caller would book bytes that never reach the wire —
+    ``TcpConfig`` rejects a ``max_burst`` that large.
 
     ``tso_id`` is the caller's burst number, stamped on every packet.  It
     only has to be unique within the flow (per-TSO routing hashes
@@ -46,27 +53,23 @@ def segment_tso_burst(
     if nbytes <= 0:
         raise ValueError(f"TSO burst must carry payload, got {nbytes}")
     nbytes = min(nbytes, MAX_TSO_PAYLOAD)
-
-    packets: List[Packet] = []
-    offset = 0
-    while offset < nbytes:
-        chunk = min(MSS, nbytes - offset)
-        last = offset + chunk >= nbytes
-        flags = TcpFlags.ACK
-        if last and push_last:
-            flags |= TcpFlags.PSH
-        packets.append(
-            Packet(
-                flow,
-                seq + offset,
-                chunk,
-                flags=flags,
-                options=options,
-                priority=priority,
-                tso_id=tso_id,
-                sent_at=sent_at,
-                is_retransmission=is_retransmission,
-            )
-        )
-        offset += chunk
+    count = -(-nbytes // MSS)
+    head = Packet(
+        flow, seq, min(MSS, nbytes),
+        flags=_ACK_PSH if push_last and count == 1 else TcpFlags.ACK,
+        options=options, priority=priority, tso_id=tso_id, sent_at=sent_at,
+        is_retransmission=is_retransmission,
+    )
+    if count == 1:
+        return [head]
+    packets = head.burst(count)
+    last = packets[-1]
+    runt = nbytes - (count - 1) * MSS
+    if runt != MSS:
+        last.payload_len = runt
+        last.wire_len = wire_bytes(runt)
+    if push_last:
+        # PSH is masked out of ``sig``, so that stays the burst's.
+        last.flags = _ACK_PSH
+        last.forces_flush = True
     return packets

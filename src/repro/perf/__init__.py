@@ -7,10 +7,11 @@ asserted.  It has three parts:
 * :mod:`repro.perf.workloads` — deterministic packet streams and drive
   loops shaped like the paper's experiments (the many-flows stream is the
   Figure 10 workload shape: 256 flows through one RX queue);
-* :mod:`repro.perf.bench` — the pinned microbenchmark suite, five layer
+* :mod:`repro.perf.bench` — the pinned microbenchmark suite, six layer
   stopwatches that each name one layer of a ``benchmarks/e2e --trace 1``
   attribution: packets/sec through the GRO variants, events/sec through
-  the engine, packets/sec through the fabric's reordering detector;
+  the engine, packets/sec through the fabric's reordering detector,
+  packets/sec cut by sender-side TSO;
 * :mod:`repro.perf.gate` — the regression gate: results are recorded in
   ``BENCH_core.json`` at the repo root, and ``juggler-repro bench
   --check`` compares a fresh run against that committed baseline inside a

@@ -17,6 +17,9 @@ from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
 from repro.core.standard_gro import StandardGRO
 from repro.fabric.detector import DetectorConfig, ReorderDetector
+from repro.net.addr import FiveTuple
+from repro.net.constants import MAX_TSO_PAYLOAD, MSS
+from repro.net.tso import segment_tso_burst
 from repro.perf import workloads
 from repro.sim.engine import Engine
 
@@ -27,7 +30,7 @@ class BenchSpec:
 
     name: str
     unit: str
-    #: True: bigger value is better (a rate) — all five today; the gate
+    #: True: bigger value is better (a rate) — all six today; the gate
     #: and ``BENCH_core.json`` carry the flag per row.
     higher_is_better: bool
     #: Returns (work_items, elapsed_seconds).
@@ -120,6 +123,27 @@ def _bench_detector_update() -> tuple:
     return items, elapsed
 
 
+# -- net benches --------------------------------------------------------------
+
+_TSO_BURSTS = 2_000
+
+
+def _bench_tso_burst() -> tuple:
+    flow = FiveTuple(1, 2, 1000, 80)
+
+    def work() -> int:
+        cut = 0
+        for burst in range(_TSO_BURSTS):
+            cut += len(segment_tso_burst(
+                flow, burst * MAX_TSO_PAYLOAD, MAX_TSO_PAYLOAD,
+                sent_at=burst, options=(), push_last=True,
+                is_retransmission=False, tso_id=burst))
+        return cut
+    items, elapsed = _timed_rate(work)
+    assert items == _TSO_BURSTS * (MAX_TSO_PAYLOAD // MSS)
+    return items, elapsed
+
+
 BENCHES: Dict[str, BenchSpec] = {
     spec.name: spec for spec in (
         BenchSpec(
@@ -143,6 +167,11 @@ BENCHES: Dict[str, BenchSpec] = {
             _bench_detector_update,
             "sketch detector observe per packet over a reordered "
             "256-flow stream at the default memory budget"),
+        BenchSpec(
+            "net.tso_burst", "pkts/s", True,
+            _bench_tso_burst,
+            "packets cut from back-to-back 44-MSS TSO bursts, called as "
+            "TcpSender calls it"),
     )
 }
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.constants import MSS
+from repro.net.constants import MAX_TSO_PAYLOAD, MSS
 from repro.sim.time import MS, US
 
 
@@ -34,7 +34,8 @@ class TcpConfig:
     #: cap keeps triggering spurious recoveries — the residual protocol
     #: damage the vanilla kernel suffers).
     max_reordering: int = 16
-    #: Largest burst handed to TSO in one shot, bytes.
+    #: Largest burst handed to TSO in one shot, bytes (at most
+    #: ``MAX_TSO_PAYLOAD``, which the default is).
     max_burst: int = 44 * MSS
     #: DCTCP-style ECN reaction (the datacenter transport the paper's
     #: context assumes, §3.2).  Only has an effect on fabrics that mark.
@@ -61,6 +62,11 @@ class TcpConfig:
             )
         if self.max_burst < MSS:
             raise ValueError(f"max_burst must be >= one MSS, got {self.max_burst}")
+        if self.max_burst > MAX_TSO_PAYLOAD:
+            # TSO cuts no more than this; the sender would book the excess
+            # as sent and later "recover" it as loss.
+            raise ValueError(f"max_burst must be <= MAX_TSO_PAYLOAD "
+                             f"({MAX_TSO_PAYLOAD}), got {self.max_burst}")
         # Mirrors repro.cc.CC_ALGORITHMS (kept literal: repro.tcp must not
         # import repro.cc at config time).
         if self.cc not in ("reno", "cubic", "dctcp", "bbr"):

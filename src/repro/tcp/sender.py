@@ -446,17 +446,21 @@ class TcpSender:
             seq,
             nbytes,
             sent_at=now,
+            priority=PRIORITY_LOW,
             options=self.options,
             push_last=push,
             is_retransmission=retransmission,
             tso_id=self.bursts_sent,
         )
-        for packet in packets:
-            packet.priority = (
-                self.priority_fn(packet) if self.priority_fn is not None
-                else PRIORITY_LOW
-            )
-            self._host.transmit(packet)
+        transmit = self._host.transmit
+        priority_fn = self.priority_fn
+        if priority_fn is None:
+            for packet in packets:
+                transmit(packet)
+        else:
+            for packet in packets:
+                packet.priority = priority_fn(packet)
+                transmit(packet)
         self.bursts_sent += 1
         self.packets_sent += len(packets)
         if seq + nbytes > self.high_sent:

@@ -1,8 +1,11 @@
 """TSO segmentation at the sender."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.net import FiveTuple, MSS, MAX_TSO_PAYLOAD, TcpFlags, segment_tso_burst
+from repro.net import (FiveTuple, MSS, MAX_TSO_PAYLOAD, Packet, TcpFlags,
+                       segment_tso_burst)
 from repro.net.constants import transmit_time_ns, wire_bytes
 
 FLOW = FiveTuple(1, 2, 1000, 80)
@@ -76,3 +79,61 @@ def test_transmit_time_scales_with_rate():
 
 def test_wire_bytes_monotone():
     assert wire_bytes(100) < wire_bytes(1460)
+
+
+# -- one header per burst: stamped == constructed ------------------------------
+
+
+@given(
+    seq=st.integers(0, 1 << 32),
+    nbytes=st.integers(1, MAX_TSO_PAYLOAD)
+    | st.integers(1, MAX_TSO_PAYLOAD // MSS).map(lambda n: n * MSS),
+    options=st.sampled_from([(), ("ts", 1), (("sack_ok",), ("ts", 7, 9))]),
+    priority=st.integers(0, 1),
+    tso_id=st.none() | st.integers(0, 1 << 20),
+    sent_at=st.integers(0, 1 << 40),
+    push_last=st.booleans(),
+    is_retransmission=st.booleans(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_stamped_burst_equals_constructed_slot_for_slot(
+        seq, nbytes, options, priority, tso_id, sent_at, push_last,
+        is_retransmission):
+    """Every packet of a burst is, over every name in ``Packet.__slots__``,
+    the packet the keyword constructor builds for that byte range — a slot
+    added to ``Packet`` and forgotten by the stamp is an ``AttributeError``
+    naming it here."""
+    packets = segment_tso_burst(
+        FLOW, seq, nbytes, sent_at=sent_at, priority=priority,
+        options=options, push_last=push_last,
+        is_retransmission=is_retransmission, tso_id=tso_id)
+    assert sum(p.payload_len for p in packets) == nbytes
+    # Pids are drawn in wire order, one per packet, nothing in between.
+    assert [p.pid - packets[0].pid for p in packets] == list(range(len(packets)))
+    offset = 0
+    for packet in packets:
+        chunk = min(MSS, nbytes - offset)
+        flags = TcpFlags.ACK
+        if push_last and offset + chunk == nbytes:
+            flags |= TcpFlags.PSH
+        built = Packet(FLOW, seq + offset, chunk, flags=flags,
+                       options=options, priority=priority, tso_id=tso_id,
+                       sent_at=sent_at, is_retransmission=is_retransmission)
+        for name in Packet.__slots__:
+            if name != "pid":
+                assert getattr(packet, name) == getattr(built, name), name
+        # Per-TSO routing hashes (flow, tso_id): the flow is one object.
+        assert packet.flow is FLOW
+        offset += chunk
+
+
+def test_ce_mark_on_one_packet_leaves_its_burst_mates_alone():
+    """The burst shares one ``sig`` tuple, which is only safe because
+    ``mark_ce`` rebinds it."""
+    packets = segment_tso_burst(FLOW, 0, 4 * MSS, options=("ts", 1))
+    clean = Packet(FLOW, 0, MSS, options=("ts", 1)).sig
+    packets[1].mark_ce()
+    assert packets[1].ce and packets[1].sig == (("ts", 1), True, clean[2])
+    for mate in packets[:1] + packets[2:]:
+        assert not mate.ce
+        assert mate.sig == clean

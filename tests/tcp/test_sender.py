@@ -5,7 +5,7 @@ import pytest
 from tests.tcp.helpers import DirectPair
 
 from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
-from repro.net.constants import PRIORITY_HIGH
+from repro.net.constants import MAX_TSO_PAYLOAD, PRIORITY_HIGH
 from repro.sim import Engine, MS, US
 from repro.tcp import TcpConfig, TcpSender
 
@@ -265,6 +265,23 @@ def test_pacing_spaces_bursts():
     engine.run_until(engine.now + 2 * MS)
     # More data released over time without any ACKs (pacing wakeups).
     assert sum(p.payload_len for p in host.packets) > first_burst_bytes
+
+
+def test_burst_larger_than_tso_can_cut_is_rejected():
+    """TSO clamps a burst to MAX_TSO_PAYLOAD; a sender allowed bigger ones
+    booked the excess as sent (64 MSS: 93,440 B booked, 64,240 B on the
+    wire) and later "recovered" it as loss."""
+    with pytest.raises(ValueError, match=rf"{MAX_TSO_PAYLOAD}.*{64 * MSS}"):
+        TcpConfig(max_burst=64 * MSS)
+    config = TcpConfig(init_cwnd=1 << 20, max_burst=MAX_TSO_PAYLOAD)
+    engine, host, sender = make_sender(config)
+    sender.send(1 << 20)
+    # What is booked is what went out, burst by burst.
+    assert sender.snd_nxt == sum(p.payload_len for p in host.packets)
+    bursts = {}
+    for p in host.packets:
+        bursts[p.tso_id] = bursts.get(p.tso_id, 0) + p.payload_len
+    assert max(bursts.values()) == MAX_TSO_PAYLOAD
 
 
 def test_priority_fn_applied_per_packet():
