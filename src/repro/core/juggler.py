@@ -102,16 +102,24 @@ class JugglerGRO(GroEngine):
         """One NAPI poll's packets through the per-packet pipeline.
 
         The only body of lookup → admit → build-up/established → event
-        checks → sanitizer; engine-level attribute lookups are hoisted out
-        of the loop.
+        checks (rows 1-4 of Table 2: "in-sequence packet flushing decisions
+        are made after merging every packet", Figure 2 caption) → sanitizer.
+        Engine-level lookups are hoisted out of the loop and the common
+        packet — established flow, at or past ``seq_next`` — reads the
+        queue's ``nodes`` and the segments' slots directly.
         """
         accountant = self.accountant
         tracer = self.tracer
         sanitizer = self.sanitizer
         stats = self.stats
-        lookup = self.table.lookup
+        table = self.table
+        flows = table._flows
         protocols = self.config.protocols
+        #: A head run longer than this has no room for one more MSS.
+        room_for_mss = self.config.max_segment_bytes - MSS
         buildup = Phase.BUILD_UP
+        active_merge = Phase.ACTIVE_MERGE
+        post_merge = Phase.POST_MERGE
         for packet in packets:
             if accountant is not None:
                 accountant.on_rx_packet()
@@ -128,7 +136,7 @@ class JugglerGRO(GroEngine):
                 self._passthrough(packet, now)
                 continue
             stats.packets += 1
-            entry = lookup(packet.flow)
+            entry = flows.get(packet.flow)
             if entry is None:
                 entry = self._admit_new_flow(packet, now)
             entry.last_seen = now
@@ -137,9 +145,44 @@ class JugglerGRO(GroEngine):
                 # (§4.2.2).
                 entry.learn_seq_next(packet.seq)
                 self._buffer_packet(entry, packet, now)
+            elif packet.seq < entry.seq_next:
+                self._receive_old_data(entry, packet, now)
             else:
-                self._receive_established(entry, packet, now)
-            self._event_checks(entry, now)
+                if entry.phase is post_merge:
+                    # Fresh data after a quiescent period: back to active
+                    # merging.
+                    table.move(entry, active_merge, now)
+                self._buffer_packet(entry, packet, now)
+            # Flush in-sequence head runs that meet an event-driven condition.
+            nodes = entry.ofo.nodes
+            while nodes:
+                head = nodes[0]
+                if head.seq != entry.seq_next:
+                    break
+                if head._payload > room_for_mss:
+                    reason = FlushReason.SEGMENT_FULL
+                elif head._closed:
+                    reason = FlushReason.FLAGS
+                elif len(nodes) > 1 and nodes[1].seq == head.end_seq:
+                    # Contiguous with the next run yet unmerged: header
+                    # mismatch (TCP options / CE marks) — flush rather than
+                    # delay.
+                    reason = FlushReason.UNMERGEABLE
+                else:
+                    break
+                self._flush_head(entry, reason, now)
+            # Hole clock and parking.  _buffer_packet refreshed the clock
+            # already and the two do not collapse: a packet that fills the
+            # hole clears it, and if the head then flushes and leaves a
+            # detached run the clock restarts at ``now``.
+            if not nodes:
+                entry.hole_since = None
+                if entry.phase is active_merge:
+                    table.move(entry, post_merge, now)
+            elif nodes[0].seq <= entry.seq_next:
+                entry.hole_since = None
+            elif entry.hole_since is None:
+                entry.hole_since = now
             if sanitizer is not None:
                 sanitizer.check_flow(entry)
 
@@ -165,35 +208,23 @@ class JugglerGRO(GroEngine):
             self.tracer.phase(now, entry.key, Phase.INITIAL, entry.phase)
         return entry
 
-    def _receive_established(self, entry: FlowEntry, packet: Packet, now: int) -> None:
-        """Active-merge / post-merge / loss-recovery packet handling."""
-        assert entry.seq_next is not None
-        if packet.end_seq <= entry.seq_next:
-            # Entirely before seq_next: those bytes were already flushed, so
-            # this is likely a retransmission — deliver it immediately
-            # (Figure 6) and let TCP sort it out.
-            self._deliver_packet(packet, FlushReason.RETRANSMISSION, now)
-            self._maybe_fill_hole(entry, packet, now)
-            return
-
-        if packet.seq < entry.seq_next:
+    def _receive_old_data(self, entry: FlowEntry, packet: Packet, now: int) -> None:
+        """An established flow's packet starting below ``seq_next``."""
+        # Those bytes were already flushed, so this is likely a
+        # retransmission — deliver it immediately (Figure 6) and let TCP
+        # sort it out.
+        self._deliver_packet(packet, FlushReason.RETRANSMISSION, now)
+        self._maybe_fill_hole(entry, packet, now)
+        end_seq = packet.seq + packet.payload_len
+        if end_seq > entry.seq_next:
             # Straddles seq_next: partially old, partially new.  Best-effort:
-            # deliver immediately (TCP trims the overlap) and account the new
-            # bytes as flushed.
-            self._deliver_packet(packet, FlushReason.RETRANSMISSION, now)
-            self._maybe_fill_hole(entry, packet, now)
-            entry.advance_seq_next(packet.end_seq)
+            # TCP trims the overlap; account the new bytes as flushed.
+            entry.seq_next = end_seq
             # Advancing seq_next may leave buffered nodes starting below it;
             # such nodes would be neither "in sequence" nor "a hole" and no
             # timeout would ever release them — flush them now.
             self._normalize_queue(entry, now)
             entry.refresh_hole_state(now)
-            return
-
-        if entry.phase is Phase.POST_MERGE:
-            # Fresh data after a quiescent period: back to active merging.
-            self.table.move(entry, Phase.ACTIVE_MERGE, now)
-        self._buffer_packet(entry, packet, now)
 
     def _maybe_fill_hole(self, entry: FlowEntry, packet: Packet, now: int) -> None:
         """Loss recovery exit: the retransmission covered ``lost_seq``."""
@@ -242,34 +273,13 @@ class JugglerGRO(GroEngine):
             if self.tracer is not None:
                 self.tracer.merge(now, entry.key, packet.seq, packet.end_seq,
                                   result.scanned)
-        entry.refresh_hole_state(now)
+        # FlowEntry.refresh_hole_state on a queue that now holds the packet.
+        if entry.ofo.nodes[0].seq <= entry.seq_next:
+            entry.hole_since = None
+        elif entry.hole_since is None:
+            entry.hole_since = now
         if self.sanitizer is not None:
             self.sanitizer.check_ofo(entry)
-
-    # -- event-driven flush checks (rows 1-4 of Table 2) ----------------------
-
-    def _event_checks(self, entry: FlowEntry, now: int) -> None:
-        """Flush in-sequence head runs that meet an event-driven condition.
-
-        Runs after every packet ("in-sequence packet flushing decisions are
-        made after merging every packet", Figure 2 caption).
-        """
-        while True:
-            head = entry.ofo.head
-            if head is None or head.seq != entry.seq_next:
-                break
-            if head.payload_len + MSS > self.config.max_segment_bytes:
-                reason = FlushReason.SEGMENT_FULL
-            elif head.closed:
-                reason = FlushReason.FLAGS
-            elif len(entry.ofo.nodes) > 1 and entry.ofo.nodes[1].seq == head.end_seq:
-                # Contiguous with the next run yet unmerged: header mismatch
-                # (TCP options / CE marks) — flush rather than delay.
-                reason = FlushReason.UNMERGEABLE
-            else:
-                break
-            self._flush_head(entry, reason, now)
-        self._after_flush_transitions(entry, now)
 
     def _flush_head(self, entry: FlowEntry, reason: FlushReason, now: int) -> None:
         if self.sanitizer is not None:
@@ -280,13 +290,6 @@ class JugglerGRO(GroEngine):
         entry.advance_seq_next(node.end_seq)
         entry.flush_timestamp = now
         self._deliver_segment(node, reason, now)
-
-    def _after_flush_transitions(self, entry: FlowEntry, now: int) -> None:
-        entry.refresh_hole_state(now)
-        if not entry.ofo and entry.phase is Phase.ACTIVE_MERGE:
-            # Queue drained by in-sequence flushing: park on the inactive
-            # list, the preferred eviction pool (§4.2.4).
-            self.table.move(entry, Phase.POST_MERGE, now)
 
     # -- timeout checks (rows 5-6 of Table 2) --------------------------------
 
@@ -351,7 +354,11 @@ class JugglerGRO(GroEngine):
             entry.advance_seq_next(node.end_seq)
             self._deliver_segment(node, FlushReason.INSEQ_TIMEOUT, now)
         entry.flush_timestamp = now
-        self._after_flush_transitions(entry, now)
+        entry.refresh_hole_state(now)
+        if not entry.ofo.nodes and entry.phase is Phase.ACTIVE_MERGE:
+            # Queue drained by in-sequence flushing: park on the inactive
+            # list, the preferred eviction pool (§4.2.4).
+            self.table.move(entry, Phase.POST_MERGE, now)
 
     def _ofo_timeout_fire(self, entry: FlowEntry, now: int) -> None:
         """The missing packet is presumed lost: flush everything, enter loss
@@ -390,9 +397,28 @@ class JugglerGRO(GroEngine):
 
     def _deliver_segment(self, segment: Segment, reason: FlushReason,
                          now: int) -> None:
+        """:meth:`GroEngine._deliver_segment` with the reason check and with
+        :meth:`GroStats.record_delivery` done here: one call per segment."""
+        flow = segment.flow
         if self.sanitizer is not None:
-            self.sanitizer.check_flush_reason(segment.flow, reason)
-        super()._deliver_segment(segment, reason, now)
+            self.sanitizer.check_flush_reason(flow, reason)
+        segment.flushed_at = now
+        seq = segment.seq
+        end_seq = segment.end_seq
+        stats = self.stats
+        stats.segments += 1
+        stats.batched_mtus += segment.mtus
+        stats.flush_reasons[reason] += 1
+        expected = stats._expected.get(flow)
+        if expected is not None and seq != expected:
+            stats.ooo_segments += 1
+        if expected is None or end_seq > expected:
+            stats._expected[flow] = end_seq
+        if self.accountant is not None:
+            self.accountant.on_flush_segment(segment)
+        if self.tracer is not None:
+            self.tracer.flush(now, flow, seq, end_seq, segment.mtus, reason)
+        self.deliver(segment)
 
     # -- eviction and teardown ------------------------------------------------
 

@@ -95,48 +95,78 @@ class OfoQueue:
     def insert(self, packet: Packet) -> InsertResult:
         """Place ``packet`` into the queue, merging where possible.
 
-        Position lookup is a binary search (keeps the simulation fast); the
-        *reported* scan count models the kernel's doubly-linked list walked
-        from whichever end is closer — in-order arrivals touch the tail,
-        late stragglers re-enter near the head, so both common cases cost
-        O(1) rather than O(queue length).
+        Arrivals are nearly in order, so the tail is tried first, by direct
+        slot stores.  A straggler's position is a binary search (keeps the
+        simulation fast); the *reported* scan count models the kernel's
+        doubly-linked list walked from whichever end is closer — in-order
+        arrivals touch the tail (0 nodes passed), late stragglers re-enter
+        near the head, so both common cases cost O(1) rather than O(queue
+        length).
         """
         nodes = self.nodes
-        # idx = number of nodes with node.seq <= packet.seq.
-        lo, hi = 0, len(nodes)
+        result = self._result
+        seq = packet.seq
+        if not nodes or seq >= nodes[-1].seq:
+            result.scanned = 0
+            result.merged = result.duplicate = False
+            if nodes:
+                tail = nodes[-1]
+                if seq < tail.end_seq:
+                    # Overlaps buffered bytes: a duplicate/overlapping
+                    # retransmission.  Never buffer it twice.
+                    result.duplicate = True
+                    return result
+                payload = tail._payload + packet.payload_len
+                if (seq == tail.end_seq and not tail._closed
+                        and packet.sig == tail.sig
+                        and (self.max_payload is None
+                             or payload <= self.max_payload)):
+                    # Segment.can_append + Segment.append on the tail run.
+                    tail.packets.append(packet)
+                    tail.end_seq = seq + packet.payload_len
+                    tail.mtus += 1
+                    tail._payload = payload
+                    tail._closed = packet.forces_flush
+                    if packet.sent_at < tail.first_sent_at:
+                        tail.first_sent_at = packet.sent_at
+                    result.merged = True
+                    return result
+            nodes.append(Segment([packet]))
+            return result
+
+        # A straggler: idx = number of nodes with node.seq <= packet.seq.
+        lo, hi = 0, len(nodes) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if nodes[mid].seq <= packet.seq:
+            if nodes[mid].seq <= seq:
                 lo = mid + 1
             else:
                 hi = mid
         idx = lo
-        scanned = min(len(nodes) - idx, idx + 1) if nodes else 0
+        scanned = min(len(nodes) - idx, idx + 1)
 
         pred = nodes[idx - 1] if idx > 0 else None
-        succ = nodes[idx] if idx < len(nodes) else None
+        succ = nodes[idx]
 
-        if pred is not None and packet.seq < pred.end_seq:
-            # Overlaps existing buffered bytes: a duplicate/overlapping
-            # retransmission.  Never buffer it twice.
-            return self._result._set(scanned, merged=False, duplicate=True)
-        if succ is not None and packet.end_seq > succ.seq:
-            return self._result._set(scanned, merged=False, duplicate=True)
+        if pred is not None and seq < pred.end_seq:
+            return result._set(scanned, merged=False, duplicate=True)
+        if seq + packet.payload_len > succ.seq:
+            return result._set(scanned, merged=False, duplicate=True)
 
         if pred is not None and pred.can_append(packet, self.max_payload):
             pred.append(packet)
             # Appending may have closed the gap to the successor.
-            if succ is not None and pred.can_extend(succ, self.max_payload):
+            if pred.can_extend(succ, self.max_payload):
                 pred.extend(succ)
                 nodes.pop(idx)
-            return self._result._set(scanned, merged=True, duplicate=False)
+            return result._set(scanned, merged=True, duplicate=False)
 
-        if succ is not None and succ.can_prepend(packet, self.max_payload):
+        if succ.can_prepend(packet, self.max_payload):
             succ.prepend(packet)
-            return self._result._set(scanned, merged=True, duplicate=False)
+            return result._set(scanned, merged=True, duplicate=False)
 
         nodes.insert(idx, Segment([packet]))
-        return self._result._set(scanned, merged=False, duplicate=False)
+        return result._set(scanned, merged=False, duplicate=False)
 
     def pop_head(self) -> Segment:
         """Remove and return the lowest-sequence run."""

@@ -7,8 +7,9 @@ from bisect import bisect_left
 from typing import List, Tuple
 
 
-def merge_range(ranges: List[Tuple[int, int]], start: int, end: int) -> bool:
-    """Fold ``[start, end)`` into ``ranges`` in place; False if already held.
+def merge_range(ranges: List[Tuple[int, int]], start: int, end: int) -> int:
+    """Fold ``[start, end)`` into ``ranges`` in place; returns how many bytes
+    that newly covered (0: already held).
 
     ``ranges`` is sorted, and its members neither overlap nor touch; a new
     range that overlaps or touches members (``e == start`` / ``s == end``)
@@ -18,15 +19,20 @@ def merge_range(ranges: List[Tuple[int, int]], start: int, end: int) -> bool:
     lo = bisect_left(ranges, (start,))  # first member with s >= start
     if lo and ranges[lo - 1][1] >= start:
         lo -= 1
-    hi = bisect_left(ranges, (end + 1,), lo)  # first member with s > end
-    if hi > lo:
+    # ranges[lo], if any, is the first member that reaches ``start``.
+    if lo < len(ranges):
         first_start, first_end = ranges[lo]
         if first_start <= start and first_end >= end:
-            return False
+            return 0
+    hi = bisect_left(ranges, (end + 1,), lo)  # first member with s > end
+    held = 0
+    if hi > lo:
         if first_start < start:
             start = first_start
         last_end = ranges[hi - 1][1]
         if last_end > end:
             end = last_end
+        for s, e in ranges[lo:hi]:
+            held += e - s
     ranges[lo:hi] = [(start, end)]
-    return True
+    return end - start - held

@@ -53,11 +53,11 @@ class Segment:
         self.sig = head.sig
         if len(packets) == 1:
             # The common case — GRO opens every run with a single packet.
-            self.end_seq = head.end_seq
+            self._payload = payload = head.payload_len
+            self.end_seq = head.seq + payload
             self.mtus = 1
             self.first_sent_at = head.sent_at
             self.in_order = True
-            self._payload = head.payload_len
             self._closed = head.forces_flush
         else:
             self.end_seq = packets[-1].end_seq
@@ -94,15 +94,6 @@ class Segment:
     def forces_flush(self) -> bool:
         """True if any packet inside carries an urgent-delivery flag."""
         return any(p.forces_flush for p in self.packets)
-
-    @property
-    def ce_payload_bytes(self) -> int:
-        """Payload bytes carried by CE-marked packets inside this segment.
-
-        The TCP receiver charges these into its DCTCP-style ``ce_bytes``
-        feedback.
-        """
-        return sum(p.payload_len for p in self.packets if p.ce)
 
     def can_append(self, packet: Packet, max_payload: int | None = None) -> bool:
         """Frags-array mergeability: next-in-sequence with matching headers."""

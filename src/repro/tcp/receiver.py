@@ -87,12 +87,13 @@ class TcpReceiver:
 
     def on_segment(self, segment: Segment) -> None:
         """GRO delivered a segment: charge the app core, then process."""
-        if segment.payload_len == 0:
+        payload = segment._payload
+        if payload == 0:
             return  # stray zero-payload packet; nothing to do
-        self.occupancy += segment.payload_len
+        self.occupancy += payload
         cost = (
             self.costs.app_per_segment
-            + self.costs.app_per_byte * segment.payload_len
+            + self.costs.app_per_byte * payload
             + self.costs.app_per_ack
         )
         if segment.mode is BatchingMode.LINKED_LIST:
@@ -107,49 +108,46 @@ class TcpReceiver:
 
     def _process(self, segment: Segment) -> None:
         """TCP-layer handling, after the app core got to the segment."""
-        self.occupancy -= segment.payload_len
+        payload = segment._payload
+        self.occupancy -= payload
         self.segments_received += 1
-        self._pending_ce_bytes += segment.ce_payload_bytes
+        for packet in segment.packets:
+            if packet.ce:  # echoed to the sender, DCTCP-style
+                self._pending_ce_bytes += packet.payload_len
         advanced = False
         dsack = None
-        if segment.contiguous:
+        if segment.in_order:
+            ranges = ((segment.seq, segment.end_seq),)
             if segment.end_seq <= self.rcv_nxt:
                 # Entirely old data: report it as a DSACK block so the
                 # sender does not count this ACK toward fast retransmit.
-                dsack = (segment.seq, segment.end_seq)
-            advanced = self._absorb_range(segment.seq, segment.end_seq)
+                dsack = ranges[0]
         else:
             # Linked-list chains may hold disjoint packets; absorb each.
-            for packet in segment.packets:
-                if self._absorb_range(packet.seq, packet.end_seq):
-                    advanced = True
+            ranges = [(p.seq, p.end_seq) for p in segment.packets]
+        ooo = self._ooo
+        for start, end in ranges:
+            if end <= self.rcv_nxt:
+                self.duplicate_segments += 1
+            elif start > self.rcv_nxt:
+                self.ooo_segments += 1
+                merge_range(ooo, start, end)
+            else:
+                # In order (possibly partially duplicate at the front).
+                self.rcv_nxt = end
+                advanced = True
+                # Pull any now-contiguous OOO ranges through.
+                while ooo and ooo[0][0] <= self.rcv_nxt:
+                    self.rcv_nxt = max(self.rcv_nxt, ooo.pop(0)[1])
         if advanced:
             if self.tracer is not None:
                 self.tracer.tcp_delivery(self._engine.now, self.flow,
-                                         self.rcv_nxt, segment.payload_len)
+                                         self.rcv_nxt, payload)
             if self.on_bytes is not None:
                 self.on_bytes(self.rcv_nxt, self._engine.now)
         else:
             self.dupacks_sent += 1
         self._send_ack(dsack)
-
-    def _absorb_range(self, start: int, end: int) -> bool:
-        """Account bytes [start, end); returns True if rcv_nxt advanced."""
-        if end <= self.rcv_nxt:
-            self.duplicate_segments += 1
-            return False
-        if start > self.rcv_nxt:
-            self.ooo_segments += 1
-            merge_range(self._ooo, start, end)
-            return False
-        # In order (possibly partially duplicate at the front).
-        self.rcv_nxt = end
-        # Pull any now-contiguous OOO ranges through.
-        while self._ooo and self._ooo[0][0] <= self.rcv_nxt:
-            s, e = self._ooo.pop(0)
-            if e > self.rcv_nxt:
-                self.rcv_nxt = e
-        return True
 
     def _send_ack(self, dsack=None) -> None:
         """One cumulative ACK per delivered segment, with SACK blocks.
@@ -160,13 +158,14 @@ class TcpReceiver:
         blocks = tuple(self._ooo[:3])
         if dsack is not None:
             blocks = (dsack,) + blocks[:2]
+        rwnd = self.config.rx_buffer - self.occupancy
         ack = Packet(
             self._ack_flow,
             seq=0,
             payload_len=0,
             flags=TcpFlags.ACK,
             ack=self.rcv_nxt,
-            rwnd=self.advertised_window,
+            rwnd=rwnd if rwnd > 0 else 0,
             sack=blocks,
             priority=PRIORITY_HIGH,
             sent_at=self._engine.now,

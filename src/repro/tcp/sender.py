@@ -34,6 +34,7 @@ from repro.net.ranges import merge_range
 from repro.net.segment import Segment
 from repro.net.tso import segment_tso_burst
 from repro.sim.engine import Engine
+from repro.sim.event import EventHandle
 from repro.sim.timer import Timer
 from repro.tcp.config import TcpConfig
 from repro.trace import runtime as trace_runtime
@@ -82,10 +83,10 @@ class TcpSender:
         # SACK scoreboard: disjoint sorted ranges the peer holds beyond
         # snd_una, and the retransmission high-water mark within recovery.
         self.sacked: list = []
-        #: Bytes the scoreboard holds, for ``_sacked_bytes``; the two places
-        #: that change ``sacked`` (``_merge_sack``, ``_on_new_ack``) reset it
-        #: to None and the next read sums again.
-        self._sacked_total: Optional[int] = 0
+        #: Bytes the scoreboard holds, kept by the two places that change
+        #: ``sacked``: ``_merge_sack`` adds what a block newly covered,
+        #: ``_on_new_ack`` subtracts the ranges the cumulative ACK passed.
+        self._sacked_total = 0
         self.high_rexmit = 0
 
         # Reordering adaptation (Linux tcp_reordering): DSACKs push the
@@ -107,7 +108,7 @@ class TcpSender:
 
         # Pacing.
         self._next_send_at = 0
-        self._send_wakeup: Optional[object] = None
+        self._send_wakeup: Optional[EventHandle] = None
 
         # Counters.
         self.bursts_sent = 0
@@ -216,12 +217,13 @@ class TcpSender:
         self.acks_received += 1
         if packet.rwnd is not None:
             self.peer_rwnd = packet.rwnd
-        before = self._sacked_bytes()
-        for block in packet.sack:
-            self._merge_sack(block[0], block[1])
-        sacked_now = self._sacked_bytes()
+        before = self._sacked_total
+        sack = packet.sack
+        if sack:
+            self._merge_sack(sack)
+        sacked_now = self._sacked_total
         new_sack_info = sacked_now > before
-        if packet.sack and packet.sack[0][1] <= self.snd_una:
+        if sack and sack[0][1] <= self.snd_una:
             # Leading block below snd_una is a DSACK: our retransmission was
             # unnecessary — the "loss" was reordering.  Widen tolerance.
             self.dsacks_received += 1
@@ -240,11 +242,11 @@ class TcpSender:
             return
         if ack > self.snd_una:
             self._on_new_ack(ack)
-        elif ack == self.snd_una and self.flight_size > 0:
+        elif ack == self.snd_una and self.snd_nxt > ack:
             # A DSACK-only ACK (duplicate-data report with no new SACK
             # information) must not feed the fast-retransmit counter — that
             # is what stops spurious retransmissions from snowballing.
-            if new_sack_info or not packet.sack:
+            if new_sack_info or not sack:
                 self._on_dup_ack()
         self._try_send()
 
@@ -258,9 +260,17 @@ class TcpSender:
         self.dup_acks = 0
         self._rto_backoff = 1
         self._sample_rtt(ack)
-        if self.sacked:
-            self.sacked = [(s, e) for s, e in self.sacked if e > ack]
-            self._sacked_total = None
+        sacked = self.sacked
+        if sacked and sacked[0][1] <= ack:
+            # Ranges are sorted and disjoint: those the ACK passed are a
+            # prefix.  One it lands inside stays whole, as the peer sent it.
+            passed = 0
+            for s, e in sacked:
+                if e > ack:
+                    break
+                self._sacked_total -= e - s
+                passed += 1
+            del sacked[:passed]
         if self.high_rexmit < ack:
             self.high_rexmit = ack
         recovery_exit = False
@@ -271,11 +281,12 @@ class TcpSender:
             else:
                 # Partial ACK: keep filling the scoreboard's holes.
                 self._sack_retransmit()
+        flight = self.snd_nxt - ack
         self.cc.on_ack(acked, self._engine.now, ack=ack,
-                       snd_nxt=self.snd_nxt, flight=self.flight_size,
+                       snd_nxt=self.snd_nxt, flight=flight,
                        in_recovery=self.in_recovery,
                        recovery_exit=recovery_exit)
-        if self.flight_size > 0:
+        if flight > 0:
             self._arm_rto()
         else:
             self._rto_timer.cancel()
@@ -300,7 +311,7 @@ class TcpSender:
         # block covers a whole GRO-merged segment can start recovery alone.
         threshold = self._dupack_threshold()
         triggered = (self.dup_acks >= threshold
-                     or self._sacked_bytes() >= threshold * MSS)
+                     or self._sacked_total >= threshold * MSS)
         if triggered and not self.in_recovery:
             # Fast retransmit: this is TCP "treating mis-sequenced packets
             # as a signal of packet loss" — spurious under reordering.
@@ -326,19 +337,18 @@ class TcpSender:
         else:
             self.cc.on_dupack(self.dup_acks, in_recovery=False)
 
-    def _merge_sack(self, start: int, end: int) -> None:
-        """Fold one SACK block into the scoreboard (disjoint, sorted)."""
-        if end <= self.snd_una or end <= start:
-            return
-        # Most blocks of an ACK repeat the last one's: those change nothing.
-        if merge_range(self.sacked, max(start, self.snd_una), end):
-            self._sacked_total = None
+    def _merge_sack(self, blocks) -> None:
+        """Fold an ACK's SACK blocks into the scoreboard (disjoint, sorted)."""
+        snd_una = self.snd_una
+        for start, end in blocks:
+            if end > snd_una and end > start:
+                # Most blocks repeat the last ACK's: those add nothing.
+                self._sacked_total += merge_range(
+                    self.sacked, start if start > snd_una else snd_una, end)
 
     def _sacked_bytes(self) -> int:
-        total = self._sacked_total
-        if total is None:
-            total = self._sacked_total = sum(e - s for s, e in self.sacked)
-        return total
+        """Bytes the scoreboard holds (``sum(e - s for s, e in sacked)``)."""
+        return self._sacked_total
 
     def _sack_retransmit(self) -> None:
         """Retransmit scoreboard holes, pipe-limited (simplified RFC 6675).
@@ -351,7 +361,7 @@ class TcpSender:
         """
         if not self.sacked:
             return
-        pipe = self.flight_size - self._sacked_bytes()
+        pipe = self.flight_size - self._sacked_total
         # The conservative pipe estimate cannot distinguish lost bytes from
         # in-flight ones, so guarantee NewReno-grade progress: at least one
         # MSS of retransmission per ACK processed during recovery.
@@ -397,25 +407,21 @@ class TcpSender:
 
     # -- transmission --------------------------------------------------------------
 
-    def _usable_window(self) -> int:
-        window = min(self.cc.cwnd, self.peer_rwnd)
-        return self.snd_una + window - self.snd_nxt
-
-    def _pacing_rate(self) -> Optional[float]:
-        """Static rate limit if configured, else the policy's pacing rate."""
-        rate = self.pacing_gbps
-        if rate is not None:
-            return rate
-        return self.cc.pacing_rate_gbps()
-
     def _try_send(self) -> None:
         now = self._engine.now
+        cc = self.cc
         while self.snd_nxt < self.data_target:
-            rate = self._pacing_rate()
+            # Static rate limit if configured, else the policy's pacing rate.
+            rate = self.pacing_gbps
+            if rate is None:
+                rate = cc.pacing_rate_gbps()
             if rate is not None and now < self._next_send_at:
                 self._schedule_wakeup(self._next_send_at)
                 return
-            avail = self._usable_window()
+            window = cc.cwnd
+            if self.peer_rwnd < window:
+                window = self.peer_rwnd
+            avail = self.snd_una + window - self.snd_nxt
             remaining = self.data_target - self.snd_nxt
             burst = min(avail, self.config.max_burst, remaining)
             if burst < min(MSS, remaining):
@@ -423,14 +429,14 @@ class TcpSender:
             self._emit_burst(self.snd_nxt, burst, push=(burst == remaining))
             self.snd_nxt += burst
             self._send_times[self.snd_nxt] = now
-            self.cc.on_send(self.snd_nxt, burst, now,
-                            app_limited=self.snd_nxt >= self.data_target)
+            cc.on_send(self.snd_nxt, burst, now,
+                       app_limited=self.snd_nxt >= self.data_target)
             if rate is not None:
                 tx_ns = round(burst * 8 / rate)
                 self._next_send_at = max(now, self._next_send_at) + tx_ns
 
     def _schedule_wakeup(self, at: int) -> None:
-        if self._send_wakeup is not None and getattr(self._send_wakeup, "active", False):
+        if self._send_wakeup is not None:
             return
         self._send_wakeup = self._engine.schedule_at(at, self._wakeup_fire)
 
@@ -481,16 +487,13 @@ class TcpSender:
 
     # -- RTO --------------------------------------------------------------------
 
-    def _rto_value(self) -> int:
-        return self.rtt.rto(min_rto=self.config.min_rto,
-                            max_rto=self.config.max_rto,
-                            initial_rtt=self.config.initial_rtt,
-                            backoff=self._rto_backoff)
-
     def _arm_rto(self, only_if_unarmed: bool = False) -> None:
         if only_if_unarmed and self._rto_timer.armed:
             return
-        self._rto_timer.arm_after(self._rto_value())
+        config = self.config
+        self._rto_timer.arm_after(self.rtt.rto(
+            min_rto=config.min_rto, max_rto=config.max_rto,
+            initial_rtt=config.initial_rtt, backoff=self._rto_backoff))
 
     def _on_rto(self) -> None:
         if self.flight_size <= 0:
@@ -521,4 +524,7 @@ class TcpSender:
     def close(self) -> None:
         """Unregister and stop timers (experiment teardown)."""
         self._rto_timer.cancel()
+        if self._send_wakeup is not None:
+            self._send_wakeup.cancel()
+            self._send_wakeup = None
         self._host.unregister_handler(self.flow.reversed())

@@ -53,7 +53,7 @@ def merged(sender, blocks):
     for start_mss, len_mss in blocks:
         start = start_mss * MSS
         end = min((start_mss + len_mss) * MSS, sender.snd_nxt)
-        sender._merge_sack(start, end)
+        sender._merge_sack([(start, end)])
     return sender.sacked
 
 

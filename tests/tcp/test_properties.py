@@ -83,7 +83,7 @@ def test_sack_scoreboard_sorted_disjoint(blocks):
     sender = TcpSender(Engine(), NullHost(), FLOW, TcpConfig())
     sender.snd_una = 0
     for start, length in blocks:
-        sender._merge_sack(start * MSS, (start + length) * MSS)
+        sender._merge_sack([(start * MSS, (start + length) * MSS)])
         board = sender.sacked
         for (s1, e1), (s2, e2) in zip(board, board[1:]):
             assert s1 < e1 < s2 < e2
@@ -98,7 +98,7 @@ def test_sack_scoreboard_sorted_disjoint(blocks):
 @settings(max_examples=100, deadline=None)
 def test_sack_prune_on_cumulative_ack(acks):
     sender = TcpSender(Engine(), NullHost(), FLOW, TcpConfig())
-    sender._merge_sack(10 * MSS, 20 * MSS)
+    sender._merge_sack([(10 * MSS, 20 * MSS)])
     high = 0
     for a in acks:
         high = max(high, a)

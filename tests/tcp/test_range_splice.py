@@ -2,9 +2,10 @@
 
 ``TcpReceiver._add_ooo`` and ``TcpSender._merge_sack`` used to rebuild their
 whole range list per call; both now go through ``repro.net.ranges.
-merge_range`` (bisect + one slice assignment), and the sender keeps its
-SACKed-byte total cached between scoreboard changes.  The rebuild bodies are
-kept here, verbatim, as the reference.
+merge_range`` (bisect + one slice assignment), which returns the bytes it
+newly covered, and the sender keeps its SACKed-byte total as a running sum:
+blocks add to it, cumulative ACKs subtract the ranges they pass.  The rebuild
+bodies are kept here, verbatim, as the reference.
 """
 
 import hypothesis.strategies as st
@@ -64,6 +65,10 @@ class NullHost:
         pass
 
 
+def covered(ranges):
+    return sum(e - s for s, e in ranges)
+
+
 #: (start, length) in small units so that overlapping, nested, touching
 #: (``e == start`` / ``s == end``) and repeated ranges are all common.
 ranges_strategy = st.lists(
@@ -77,42 +82,51 @@ ranges_strategy = st.lists(
 def test_merge_range_equals_the_list_rebuild(ranges):
     spliced, rebuilt = [], []
     for start, length in ranges:
-        before = list(spliced)
-        changed = merge_range(spliced, start, start + length)
+        held = covered(rebuilt)
+        added = merge_range(spliced, start, start + length)
         rebuilt = reference_add_ooo(rebuilt, start, start + length)
         assert spliced == rebuilt
-        assert changed == (spliced != before)
+        assert added == covered(rebuilt) - held
 
 
 def test_touching_ranges_merge_on_both_sides():
     ranges = [(0, 10), (20, 30)]
-    assert merge_range(ranges, 10, 20)
+    assert merge_range(ranges, 10, 20) == 10
     assert ranges == [(0, 30)]
-    assert not merge_range(ranges, 5, 30)
-    assert merge_range(ranges, 30, 31)
+    assert merge_range(ranges, 5, 30) == 0
+    assert merge_range(ranges, 30, 31) == 1
     assert ranges == [(0, 31)]
 
 
 @given(st.lists(st.one_of(
     st.tuples(st.just("sack"), st.integers(0, 60), st.integers(-2, 12)),
-    st.tuples(st.just("ack"), st.integers(0, 70), st.just(0))),
+    st.tuples(st.just("ack"), st.integers(0, 70), st.just(0)),
+    # A cumulative ACK placed relative to a held range: on its start, inside
+    # it, on its end.
+    st.tuples(st.just("ack_at_range"), st.integers(0, 7),
+              st.sampled_from(("start", "inside", "end")))),
     min_size=1, max_size=50))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_sender_scoreboard_and_cached_total_equal_the_reference(steps):
     sender = TcpSender(Engine(), NullHost(), FLOW,
                        TcpConfig(init_cwnd=128 * MSS))
     sender.send(100 * MSS)
     sacked = []
-    for kind, at, length in steps:
+    for kind, at, where in steps:
         if kind == "sack":
-            sender._merge_sack(at * MSS, (at + length) * MSS)
-            sacked = reference_merge_sack(sacked, sender.snd_una, at * MSS,
-                                          (at + length) * MSS)
-        elif at * MSS > sender.snd_una:
-            sender._on_new_ack(at * MSS)
-            sacked = [(s, e) for s, e in sacked if e > at * MSS]
+            block = (at * MSS, (at + where) * MSS)
+            sender._merge_sack([block])
+            sacked = reference_merge_sack(sacked, sender.snd_una, *block)
+        else:
+            ack = at * MSS
+            if kind == "ack_at_range" and sacked:
+                s, e = sacked[at % len(sacked)]
+                ack = {"start": s, "inside": (s + e) // 2, "end": e}[where]
+            if sender.snd_una < ack <= sender.high_sent:
+                sender._on_new_ack(ack)
+                sacked = [(s, e) for s, e in sacked if e > ack]
         assert sender.sacked == sacked
-        assert sender._sacked_bytes() == sum(e - s for s, e in sacked)
+        assert sender._sacked_bytes() == covered(sender.sacked)
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)),

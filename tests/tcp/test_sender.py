@@ -7,7 +7,7 @@ from tests.tcp.helpers import DirectPair
 from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
 from repro.net.constants import MAX_TSO_PAYLOAD, PRIORITY_HIGH
 from repro.sim import Engine, MS, US
-from repro.tcp import TcpConfig, TcpSender
+from repro.tcp import TcpConfig, TcpReceiver, TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 
@@ -265,6 +265,24 @@ def test_pacing_spaces_bursts():
     engine.run_until(engine.now + 2 * MS)
     # More data released over time without any ACKs (pacing wakeups).
     assert sum(p.payload_len for p in host.packets) > first_burst_bytes
+
+
+def test_close_stops_a_paced_sender():
+    """``close()`` left the pacing wakeup armed: the sender kept emitting
+    what its window still allowed (114 -> 204 packets over the next 4 ms)
+    and the peer's ACKs for it arrived as stray segments."""
+    engine = Engine()
+    pair = DirectPair(engine)
+    sender = TcpSender(engine, pair.a, FLOW, pacing_gbps=1.0)
+    TcpReceiver(engine, pair.b, FLOW)
+    sender.send(1 << 20)
+    engine.run_until(1 * MS)
+    sender.close()
+    sent, on_wire = sender.packets_sent, pair.link_ab.stats.packets
+    assert sent > 0 and sender.snd_nxt < sender.data_target
+    engine.run_until(5 * MS)
+    assert sender.packets_sent == sent
+    assert pair.link_ab.stats.packets == on_wire
 
 
 def test_burst_larger_than_tso_can_cut_is_rejected():
