@@ -5,6 +5,7 @@
     python3 scripts/record_e2e.py --root /path/to/parent/checkout
     python3 scripts/record_e2e.py --commit d70b858+wip --seconds 8
     python3 scripts/record_e2e.py --pairs 10 --against /path/to/parent/checkout
+    python3 scripts/record_e2e.py --pairs 10 --against PARENT --seed 7 --seed 23
 
 Shells out to ``benchmarks/e2e/run.py`` of ``--root`` — once untraced, once
 with ``--trace 1`` — per workload, and appends one JSON line per cell to
@@ -18,7 +19,9 @@ between the two checkouts (each pair started by the other tree); both trees
 get a line whose ``cell_wall_s`` spreads the per-run values, and this tree's
 carries ``pairs``: n, how many pairs it was ahead in, the median and
 quartiles of its per-pair ``cell_wall_s`` ratio to the parent, and both
-trees' per-run seconds in run order.
+trees' per-run seconds in run order.  ``--against`` must be another
+checkout than ``--root`` (compared after resolving both paths).  ``--seed``
+repeats: each seed records its own lines, one after the other.
 The benchmark itself is only read, never written: ``baseline.json`` is
 refreshed by ``run.py --record`` in ``benchmark``-tagged PRs.
 """
@@ -79,13 +82,25 @@ def main() -> int:
                         help="parent checkout to alternate --pairs runs with")
     parser.add_argument("--pairs", type=int, default=10,
                         help="alternating runs per tree with --against")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="flow-port draw (repeatable; default: 7)")
     parser.add_argument("--seconds", type=float,
                         help="per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--workload", action="append",
                         help="only this workload (repeatable; default: all)")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_e2e.jsonl"))
     args = parser.parse_args()
+    if args.against and (os.path.realpath(args.against)
+                         == os.path.realpath(args.root)):
+        parser.error(f"--against {args.against} is the --root checkout; "
+                     "pairs need two trees")
+    for seed in args.seed or [7]:
+        record(args, seed)
+    return 0
+
+
+def record(args: argparse.Namespace, seed: int) -> None:
+    """Run and append every selected workload's lines at one seed."""
     with open(os.path.join(args.root, "BENCHMARK.json")) as f:
         manifest = json.load(f)
     seconds = args.seconds if args.seconds is not None \
@@ -106,12 +121,12 @@ def main() -> int:
         for i in range(args.pairs if parent else 1):
             for root, _ in (trees if i % 2 == 0 else trees[::-1]):
                 runs[root].append(
-                    run_workload(root, name, args.seed, seconds, 0))
+                    run_workload(root, name, seed, seconds, 0))
         for root, commit in trees:
             ends = [end for end, _ in runs[root]]
-            layer, _ = run_workload(root, name, args.seed, seconds, 1)
+            layer, _ = run_workload(root, name, seed, seconds, 1)
             walls = [end["cell_wall_s"] for end in ends]
-            line = {"commit": commit, "workload": name, "seed": args.seed,
+            line = {"commit": commit, "workload": name, "seed": seed,
                     "run_seconds": seconds, "box": box,
                     "cell_wall_s": spread_of(walls) if parent
                     else runs[root][0][1]["cell_wall_s"]}
@@ -122,7 +137,7 @@ def main() -> int:
                 line["pairs"] = {
                     "n": q["n"], "ahead": sum(r < 1 for r in ratios),
                     "ratio_median": q["median"], "ratio_q1": q["q1"],
-                    "ratio_q3": q["q3"], "seed": args.seed,
+                    "ratio_q3": q["q3"], "seed": seed,
                     "against": trees[0][1],
                     "parent_s": parent_s, "change_s": walls}
             line.update((key, median(end[key] for end in ends))
@@ -144,7 +159,6 @@ def main() -> int:
                   + (" pairs {ahead}/{n} ratio {ratio_median:.3f} "
                      "[{ratio_q1:.3f}, {ratio_q3:.3f}]".format(**line["pairs"])
                      if "pairs" in line else ""), flush=True)
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ vanilla receiver's CPU in Figures 9 and 10.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
@@ -44,42 +44,67 @@ class StandardGRO(GroEngine):
         return len(self._batch)
 
     def receive(self, packet: Packet, now: int) -> None:
-        """Merge if next-in-sequence; otherwise flush and restart."""
+        """One packet: a poll of one (see :meth:`receive_batch`)."""
+        self.receive_batch([packet], now)
+
+    def receive_batch(self, packets: List[Packet], now: int) -> None:
+        """Merge each packet if next-in-sequence; otherwise flush and restart.
+
+        The only per-packet body: a merge is ``Segment.can_append`` /
+        ``append`` as slot reads and stores, so a held flow's next packet
+        costs the ``_batch`` probe and no other call.
+        """
         accountant = self.accountant
-        if accountant is not None:
-            accountant.on_rx_packet()
-            accountant.on_gro_packet()
-        if packet.payload_len == 0:
-            self._passthrough(packet, now)
-            return
-        self.stats.packets += 1
-
-        held = self._batch.get(packet.flow)
-        if held is not None:
-            if held.can_append(packet, self.max_segment_bytes):
-                held.append(packet)
-                self.stats.merges += 1
-                if accountant is not None:
-                    accountant.on_merge(BatchingMode.FRAGS_ARRAY)
-                if held.closed:
-                    self._flush(packet.flow, FlushReason.FLAGS, now)
-                elif held.payload_len + MSS > self.max_segment_bytes:
-                    self._flush(packet.flow, FlushReason.SEGMENT_FULL, now)
-                return
-            # Not mergeable: out of sequence or header mismatch.  Flush the
-            # held segment, then start fresh with this packet.
-            reason = (
-                FlushReason.UNMERGEABLE
-                if packet.seq == held.end_seq
-                else FlushReason.OUT_OF_SEQUENCE
-            )
-            self._flush(packet.flow, reason, now)
-
-        segment = Segment([packet])
-        if segment.closed:
-            self._deliver_segment(segment, FlushReason.FLAGS, now)
-            return
-        self._batch[packet.flow] = segment
+        stats = self.stats
+        batch = self._batch
+        max_bytes = self.max_segment_bytes
+        #: A held run longer than this has no room for one more MSS.
+        room_for_mss = max_bytes - MSS
+        for packet in packets:
+            if accountant is not None:
+                accountant.on_rx_packet()
+                accountant.on_gro_packet()
+            payload = packet.payload_len
+            if payload == 0:
+                self._passthrough(packet, now)
+                continue
+            stats.packets += 1
+            flow = packet.flow
+            held = batch.get(flow)
+            if held is not None:
+                seq = packet.seq
+                if (not held._closed and held._payload + payload <= max_bytes
+                        and seq == held.end_seq and packet.sig == held.sig):
+                    held.packets.append(packet)
+                    held.end_seq = seq + payload
+                    held.mtus += 1
+                    held._payload += payload
+                    held._closed = closed = packet.forces_flush
+                    if packet.sent_at < held.first_sent_at:
+                        held.first_sent_at = packet.sent_at
+                    stats.merges += 1
+                    if accountant is not None:
+                        accountant.on_merge(BatchingMode.FRAGS_ARRAY)
+                    if closed:
+                        del batch[flow]
+                        self._deliver_segment(held, FlushReason.FLAGS, now)
+                    elif held._payload > room_for_mss:
+                        del batch[flow]
+                        self._deliver_segment(held, FlushReason.SEGMENT_FULL,
+                                              now)
+                    continue
+                # Not mergeable: out of sequence or header mismatch.  Flush
+                # the held segment, then start fresh with this packet.
+                del batch[flow]
+                self._deliver_segment(
+                    held, FlushReason.UNMERGEABLE if seq == held.end_seq
+                    else FlushReason.OUT_OF_SEQUENCE, now)
+            segment = Segment([packet])
+            if segment._closed:
+                # PSH/FIN opening a run: delivered at once, never held.
+                self._deliver_segment(segment, FlushReason.FLAGS, now)
+            else:
+                batch[flow] = segment
 
     def _flush(self, flow: FiveTuple, reason: FlushReason, now: int) -> None:
         segment = self._batch.pop(flow)

@@ -103,6 +103,22 @@ class QueuedLink:
         self.stats = LinkStats()
 
     @property
+    def sink(self) -> PacketSink:
+        """Where packets arrive after the propagation delay.
+
+        Setting it binds ``sink.receive`` once, for ``_tx_done`` to post.
+        That is safe because whatever wraps a sink's ``receive`` exists
+        before the link: ``benchmarks/e2e`` patches every sink class before
+        a cell is built, and ``FaultEngine.wrap``'s chain *is* the sink.
+        """
+        return self._sink
+
+    @sink.setter
+    def sink(self, sink: PacketSink) -> None:
+        self._sink = sink
+        self._arrive = sink.receive
+
+    @property
     def queued_bytes(self) -> int:
         """Bytes waiting (excludes the packet currently on the wire)."""
         return self._queued_bytes
@@ -167,7 +183,7 @@ class QueuedLink:
         which fixes the events' ``seq`` — start the next one, highest
         priority first."""
         post = self._engine.post
-        post(self.prop_delay_ns, self.sink.receive, packet)
+        post(self.prop_delay_ns, self._arrive, packet)
         if not self._queued_bytes:
             self._busy = False
             return

@@ -34,7 +34,7 @@ class ReorderingSwitch:
         prop_delay_ns: int = 500,
         name: str = "netfpga",
     ):
-        self._rng = rng
+        self._random = rng.random
         self.delay_ns = delay_ns
         self.fast_queue = QueuedLink(
             engine, rate_gbps, sink, prop_delay_ns=prop_delay_ns,
@@ -47,7 +47,7 @@ class ReorderingSwitch:
 
     def receive(self, packet: Packet) -> None:
         """Hash to the fast or slow queue with probability 1/2 each."""
-        if self._rng.random() < 0.5:
+        if self._random() < 0.5:
             packet.path_id = 0
             self.fast_queue.enqueue(packet)
         else:

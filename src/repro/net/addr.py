@@ -22,7 +22,8 @@ class FiveTuple:
     construction (mutating one would corrupt every dict it keys).
     """
 
-    __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_rss")
+    __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_rss",
+                 "_reverse")
 
     def __init__(self, src: int, dst: int, sport: int, dport: int,
                  proto: int = 6):
@@ -52,9 +53,25 @@ class FiveTuple:
                     and self.proto == other.proto)
         return NotImplemented
 
+    def __getstate__(self) -> tuple:
+        # The value's slots only: ``_reverse`` is a cache, rebuilt on demand.
+        return None, {"src": self.src, "dst": self.dst, "sport": self.sport,
+                      "dport": self.dport, "proto": self.proto,
+                      "_hash": self._hash, "_rss": self._rss}
+
     def reversed(self) -> "FiveTuple":
-        """The tuple of the opposite direction (for ACKs)."""
-        return FiveTuple(self.dst, self.src, self.dport, self.sport, self.proto)
+        """The tuple of the opposite direction (for ACKs), one object per
+        direction: ``f.reversed() is f.reversed()`` and
+        ``f.reversed().reversed() is f``, so a host's ACK demux finds its
+        key by identity and never runs ``__eq__``."""
+        try:
+            return self._reverse
+        except AttributeError:
+            reverse = FiveTuple(self.dst, self.src, self.dport, self.sport,
+                                self.proto)
+            reverse._reverse = self
+            self._reverse = reverse
+            return reverse
 
     def rss_hash(self) -> int:
         """Deterministic flow hash, stand-in for the NIC's Toeplitz hash.

@@ -54,6 +54,9 @@ class Nic:
     precisely the pathology ``experiments/fdir_reordering`` measures.
     """
 
+    #: Entry point from the wire, pinned per instance by ``__init__``.
+    receive: Callable[[Packet], None]
+
     def __init__(
         self,
         engine: Engine,
@@ -86,25 +89,24 @@ class Nic:
         self.steering = steering if steering is not None else RssSteering()
         self.steering.bind(self.config.num_queues, engine=engine,
                            tracer=self.tracer, metrics_prefix=prefix)
-        # Per-wire-packet path, pinned as an instance attribute: queue list
-        # and policy lookup are captured once here so receive() pays no
-        # ``self`` attribute hops (tests/integration/test_layer_budgets.py
-        # holds the steering indirection at one call per packet).
+        # Per-wire-packet path, pinned as an instance attribute.  One queue
+        # under stateless RSS steers every flow to ``_rss % 1 == 0``, so the
+        # wire hands arrivals straight to that ring; otherwise a closure
+        # captures the queue list and the policy's demux once.
         queues = self.queues
-        steer = self.steering.queue_index
+        if len(queues) == 1 and type(self.steering) is RssSteering:
+            self.receive = queues[0].enqueue
+        else:
+            steer = self.steering.queue_index
 
-        def receive(packet: Packet) -> None:
-            queues[steer(packet.flow)].enqueue(packet)
+            def receive(packet: Packet) -> None:
+                queues[steer(packet.flow)].enqueue(packet)
 
-        self.receive = receive  # type: ignore[method-assign]
+            self.receive = receive
 
     def queue_for(self, packet: Packet) -> RxQueue:
         """The RX queue this packet's flow is steered to (pure probe)."""
         return self.queues[self.steering.current_queue(packet.flow)]
-
-    def receive(self, packet: Packet) -> None:
-        """Entry point from the wire (data path: may tick the policy)."""
-        self.queues[self.steering.queue_index(packet.flow)].enqueue(packet)
 
     @property
     def dropped(self) -> int:

@@ -19,9 +19,15 @@ Per further packet — before (22 calls, 15 of them in ``core/``):
 now (2): ``_buffer_packet -> insert``.  The table probe (its
 ``FiveTuple.__hash__`` aside), the event checks and both hole-clock refreshes
 are inline reads of ``nodes`` and segment slots.
+
+The same for a held flow's next packets through ``StandardGRO.receive_batch``
+— before (6, besides the probe's hash): ``StandardGRO.receive ->
+Segment.can_append, Segment.append -> Packet.end_seq, Segment.closed,
+Segment.payload_len``; now none: the merge and both flush tests are slot
+reads and stores in the batch body.
 """
 
-from repro.core import JugglerConfig, JugglerGRO
+from repro.core import JugglerConfig, JugglerGRO, StandardGRO
 from repro.core.phases import Phase
 from repro.net import FiveTuple, MSS, Packet
 from repro.sim.time import US
@@ -72,3 +78,31 @@ def test_marginal_calls_per_in_sequence_packet():
     # Nothing outside core/ runs per packet but the table probe's hash.
     assert per_packet.pop(("net/addr.py", "__hash__")) == 1
     assert sum(per_packet.values()) == core, per_packet
+
+
+def standard_rig(packets: int):
+    """The run that hands a flow StandardGRO holds ``packets`` more
+    in-sequence packets in one poll (engine and hold made here)."""
+    gro = StandardGRO(lambda segment: None)
+    gro.receive(Packet(FLOW, 0, MSS), 0)
+    poll = [Packet(FLOW, (1 + k) * MSS, MSS) for k in range(packets)]
+
+    def run():
+        gro.receive_batch(poll, 0)
+        assert gro.stats.segments == 0  # nothing flushed
+        assert gro._batch[FLOW].mtus == 1 + packets
+
+    return run
+
+
+def test_marginal_calls_per_in_sequence_packet_through_standard_gro():
+    n = 20
+    marginal = marginal_calls(standard_rig(n), standard_rig(2 * n))
+    assert all(count % n == 0 for count in marginal.values()), marginal
+    per_packet = {key: count // n for key, count in marginal.items()}
+    for key in RETIRED + [("net/segment.py", "can_append"),
+                          ("net/segment.py", "append"),
+                          ("core/standard_gro.py", "receive")]:
+        assert key not in per_packet, per_packet
+    # The ``_batch`` probe's hash, and nothing else, in any file.
+    assert per_packet == {("net/addr.py", "__hash__"): 1}, per_packet

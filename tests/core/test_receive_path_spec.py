@@ -1,8 +1,8 @@
 """The receive path's spec: one pipeline, whatever the poll size.
 
-``JugglerGRO.receive_batch`` holds the only body of the per-packet
-pipeline (``receive`` is a length-1 batch; ``StandardGRO`` inherits the
-base-class loop), so a poll must be observably the same machine whether
+``JugglerGRO.receive_batch`` and ``StandardGRO.receive_batch`` each hold
+their engine's only per-packet body (``receive`` is a length-1 batch), so
+a poll must be observably the same machine whether
 the NAPI layer hands it down one packet at a time or as a 32-packet
 list: full stats, flow-table snapshots (per-entry phase, sequence state
 and OOO node summaries), delivered-segment summaries down to the

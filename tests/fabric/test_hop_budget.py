@@ -24,8 +24,10 @@ Per ingress packet, ring already holding one — before (7):
     Host.receive -> Nic.receive -> queue_index -> RxQueue.enqueue
     -> Engine.now, -> _kick -> Timer.armed
 
-now (4): the first line.  The budgets below leave the ingress one call of
-slack and the hops none.
+then (4): the first line.  Now, on a one-queue NIC under RSS, whose every
+flow steers to ``_rss % 1 == 0`` (2): ``Host.receive -> RxQueue.enqueue``,
+the NIC's ``receive`` being the ring's ``enqueue``; on four queues still 4.
+The budgets below are exact.
 """
 
 import pytest
@@ -47,13 +49,15 @@ INGRESS_FILES = {"nic/nic.py", "steer/policy.py", "nic/rxqueue.py",
 LINK_HOPS = 2
 
 
-def rig(packets: int, gap_ns: int, downlink_gbps: float):
+def rig(packets: int, gap_ns: int, downlink_gbps: float, queues: int = 1):
     """The run that takes ``packets`` packets, ``gap_ns`` apart, across the
-    two-hop path (built here, outside the count)."""
+    two-hop path into a ``queues``-queue NIC (built here, outside the
+    count)."""
     engine = Engine()
     # No poll inside the run: every packet lands in a ring that stays armed.
     receiver = Host(engine, 1, lambda deliver: StandardGRO(deliver),
-                    nic_config=NicConfig(coalesce_ns=10 * MS))
+                    nic_config=NicConfig(num_queues=queues,
+                                         coalesce_ns=10 * MS))
     switch = Switch()
     switch.add_route(1, QueuedLink(engine, downlink_gbps, receiver))
     sender = Host(engine, 0, lambda deliver: StandardGRO(deliver))
@@ -63,19 +67,16 @@ def rig(packets: int, gap_ns: int, downlink_gbps: float):
 
     def run():
         engine.run_until(5 * MS)
-        assert receiver.nic.queues[0].backlog == packets
+        assert sum(q.backlog for q in receiver.nic.queues) == packets
 
     return run
 
 
-@pytest.mark.parametrize("gap_ns, downlink_gbps", [
-    pytest.param(3000, 10.0, id="idle-links"),   # gap > serialisation time
-    pytest.param(0, 5.0, id="busy-links"),       # one burst, slower downlink
-])
-def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
+def per_packet_calls(gap_ns, downlink_gbps, queues=1):
+    """(hop calls, ingress calls, every call) per packet, by file."""
     n = 40
-    marginal = marginal_calls(rig(n, gap_ns, downlink_gbps),
-                              rig(2 * n, gap_ns, downlink_gbps))
+    marginal = marginal_calls(rig(n, gap_ns, downlink_gbps, queues),
+                              rig(2 * n, gap_ns, downlink_gbps, queues))
     assert all(count % n == 0 for count in marginal.values()), marginal
     per_packet = {key: count // n for key, count in marginal.items()}
 
@@ -86,7 +87,26 @@ def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
     hops = total(HOP_FILES)
     ingress = (total(INGRESS_FILES)
                + per_packet.get(("fabric/host.py", "receive"), 0))
-    assert hops <= 5 * LINK_HOPS, per_packet
-    assert ingress <= 5, per_packet
     # Nothing else runs per packet but the sender's Host.transmit.
     assert sum(per_packet.values()) == hops + ingress + 1, per_packet
+    return hops, ingress, per_packet
+
+
+@pytest.mark.parametrize("gap_ns, downlink_gbps", [
+    pytest.param(3000, 10.0, id="idle-links"),   # gap > serialisation time
+    pytest.param(0, 5.0, id="busy-links"),       # one burst, slower downlink
+])
+def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
+    hops, ingress, per_packet = per_packet_calls(gap_ns, downlink_gbps)
+    assert hops <= 5 * LINK_HOPS, per_packet
+    # One queue under RSS: the wire hands the packet straight to the ring.
+    assert ingress == 2, per_packet
+    assert per_packet[("fabric/host.py", "receive")] == 1, per_packet
+    assert per_packet[("nic/rxqueue.py", "enqueue")] == 1, per_packet
+
+
+def test_marginal_calls_per_ingress_packet_on_four_queues():
+    _, ingress, per_packet = per_packet_calls(3000, 10.0, queues=4)
+    # Host.receive -> Nic.receive -> queue_index -> RxQueue.enqueue
+    assert ingress == 4, per_packet
+    assert per_packet[("steer/policy.py", "queue_index")] == 1, per_packet

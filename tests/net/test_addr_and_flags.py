@@ -1,5 +1,7 @@
 """FiveTuple and TCP flag semantics."""
 
+import pickle
+
 from repro.net import FiveTuple, TcpFlags
 
 
@@ -8,6 +10,25 @@ def test_reversed_swaps_endpoints():
     rev = flow.reversed()
     assert rev == FiveTuple(2, 1, 80, 1000)
     assert rev.reversed() == flow
+
+
+def test_reversed_is_one_object_per_direction():
+    flow = FiveTuple(1, 2, 1000, 80)
+    assert flow.reversed() is flow.reversed()
+    assert flow.reversed().reversed() is flow
+    assert hash(flow.reversed()) == hash(FiveTuple(2, 1, 80, 1000))
+
+
+def test_pickling_carries_the_value_not_the_cached_reverse():
+    flow = FiveTuple(1, 2, 1000, 80, 132)
+    fresh = pickle.dumps(flow)
+    reverse = flow.reversed()
+    assert pickle.dumps(flow) == fresh
+    copy = pickle.loads(fresh)
+    assert copy == flow and hash(copy) == hash(flow)
+    assert copy.rss_hash() == flow.rss_hash()
+    assert copy.reversed() == reverse and copy.reversed() is not reverse
+    assert copy.reversed().reversed() is copy
 
 
 def test_default_protocol_is_tcp():

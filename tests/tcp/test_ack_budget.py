@@ -20,10 +20,11 @@ fields.  Per delivered single-packet segment the receiver went through
 import pytest
 
 from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
-from repro.sim import Engine
-from repro.tcp import TcpConfig, TcpReceiver, TcpSender
+from repro.sim import Engine, MS
+from repro.tcp import Connection, TcpConfig, TcpReceiver, TcpSender
 
 from ..callcount import marginal_calls
+from .helpers import DirectPair
 from .test_range_splice import NullHost
 
 FLOW = FiveTuple(0, 1, 1000, 80)
@@ -89,3 +90,27 @@ def test_marginal_calls_per_delivered_segment():
                 ("net/segment.py", "payload_len"),
                 ("tcp/receiver.py", "advertised_window")):
         assert key not in marginal, marginal
+
+
+def transfer_rig(segments: int):
+    """The run that moves ``segments`` MSS over a two-host pair, every ACK
+    demultiplexed by the sending host (wiring built here)."""
+    engine = Engine()
+    pair = DirectPair(engine, gro="standard")
+    conn = Connection(engine, pair.a, pair.b, 1000, 80, TcpConfig())
+    conn.send(segments * MSS)
+
+    def run():
+        engine.run_until(20 * MS)
+        assert conn.done and pair.a.stray_segments == 0
+
+    return run
+
+
+def test_sender_ack_demux_hits_by_identity():
+    """The key a sender registers for its ACKs and the flow its receiver
+    stamps on them are the same ``reversed()`` object, so the sending host's
+    ``Host.deliver`` probe never falls through to ``FiveTuple.__eq__``."""
+    marginal = marginal_calls(transfer_rig(100), transfer_rig(200))
+    assert marginal[("tcp/sender.py", "on_ack_segment")] >= 10, marginal
+    assert ("net/addr.py", "__eq__") not in marginal, marginal
