@@ -177,16 +177,9 @@ class GroTable:
                 violations.append(f"flow {key}: {violation}")
         return violations
 
-    def iter_with_deadlines(self) -> Iterator[FlowEntry]:
-        """Flows that may have pending timeout work (non-empty OOO queues
-        or unflushed in-sequence data): everything on the active and
-        loss-recovery lists."""
-        yield from self._lists["active"].values()
-        yield from self._lists["loss_recovery"].values()
-
     def deadline_lists(self) -> tuple:
-        """The same flows as :meth:`iter_with_deadlines`, as two dict
-        views — the timeout pre-scan runs every poll completion and the
-        generator overhead is measurable there."""
+        """Flows that may have pending timeout work (non-empty OOO queues
+        or unflushed in-sequence data): the active and loss-recovery lists,
+        as two dict views, in that order."""
         lists = self._lists
         return lists["active"].values(), lists["loss_recovery"].values()

@@ -140,19 +140,43 @@ class JugglerGRO(GroEngine):
             if entry is None:
                 entry = self._admit_new_flow(packet, now)
             entry.last_seen = now
-            if entry.phase is buildup:
-                # seq_next may still move backwards while we learn it
-                # (§4.2.2).
-                entry.learn_seq_next(packet.seq)
-                self._buffer_packet(entry, packet, now)
-            elif packet.seq < entry.seq_next:
+            phase = entry.phase
+            if phase is not buildup and packet.seq < entry.seq_next:
                 self._receive_old_data(entry, packet, now)
             else:
-                if entry.phase is post_merge:
+                if phase is buildup:
+                    # seq_next may still move backwards while we learn it
+                    # (§4.2.2).
+                    entry.learn_seq_next(packet.seq)
+                elif phase is post_merge:
                     # Fresh data after a quiescent period: back to active
                     # merging.
                     table.move(entry, active_merge, now)
-                self._buffer_packet(entry, packet, now)
+                result = entry.ofo.insert(packet)
+                scanned = result.scanned
+                stats.nodes_scanned += scanned
+                if accountant is not None:
+                    accountant.on_node_scan(scanned)
+                if result.duplicate:
+                    # Bytes already buffered: never hold the copy (memory
+                    # safety); hand it up so TCP's DSACK machinery sees it.
+                    stats.duplicates += 1
+                    self._deliver_packet(packet, FlushReason.DUPLICATE, now)
+                else:
+                    if result.merged:
+                        stats.merges += 1
+                        if accountant is not None:
+                            accountant.on_merge(BatchingMode.FRAGS_ARRAY)
+                        if tracer is not None:
+                            tracer.merge(now, entry.key, packet.seq,
+                                         packet.end_seq, scanned)
+                    # FlowEntry.refresh_hole_state, the packet now queued.
+                    if entry.ofo.nodes[0].seq <= entry.seq_next:
+                        entry.hole_since = None
+                    elif entry.hole_since is None:
+                        entry.hole_since = now
+                    if sanitizer is not None:
+                        sanitizer.check_ofo(entry)
             # Flush in-sequence head runs that meet an event-driven condition.
             nodes = entry.ofo.nodes
             while nodes:
@@ -171,7 +195,7 @@ class JugglerGRO(GroEngine):
                 else:
                     break
                 self._flush_head(entry, reason, now)
-            # Hole clock and parking.  _buffer_packet refreshed the clock
+            # Hole clock and parking.  The insert refreshed the clock
             # already and the two do not collapse: a packet that fills the
             # hole clears it, and if the head then flushes and leaves a
             # detached run the clock restarts at ``now``.
@@ -253,34 +277,6 @@ class JugglerGRO(GroEngine):
         if not entry.ofo and entry.phase is Phase.ACTIVE_MERGE:
             self.table.move(entry, Phase.POST_MERGE, now)
 
-    def _buffer_packet(self, entry: FlowEntry, packet: Packet, now: int) -> None:
-        """Insert into the flow's OOO queue, merging where possible."""
-        result = entry.ofo.insert(packet)
-        self.stats.nodes_scanned += result.scanned
-        accountant = self.accountant
-        if accountant is not None:
-            accountant.on_node_scan(result.scanned)
-        if result.duplicate:
-            # Bytes already buffered: never hold the copy (memory safety);
-            # hand it up so TCP's DSACK machinery sees it.
-            self.stats.duplicates += 1
-            self._deliver_packet(packet, FlushReason.DUPLICATE, now)
-            return
-        if result.merged:
-            self.stats.merges += 1
-            if accountant is not None:
-                accountant.on_merge(BatchingMode.FRAGS_ARRAY)
-            if self.tracer is not None:
-                self.tracer.merge(now, entry.key, packet.seq, packet.end_seq,
-                                  result.scanned)
-        # FlowEntry.refresh_hole_state on a queue that now holds the packet.
-        if entry.ofo.nodes[0].seq <= entry.seq_next:
-            entry.hole_since = None
-        elif entry.hole_since is None:
-            entry.hole_since = now
-        if self.sanitizer is not None:
-            self.sanitizer.check_ofo(entry)
-
     def _flush_head(self, entry: FlowEntry, reason: FlushReason, now: int) -> None:
         if self.sanitizer is not None:
             self.sanitizer.check_event_flush(entry, reason)
@@ -311,8 +307,9 @@ class JugglerGRO(GroEngine):
         # The pre-scan over-approximates "due" (it ignores the hole/inseq
         # precedence) — a false positive just runs the exact loop, which
         # then fires nothing.
+        active, loss_recovery = self.table.deadline_lists()
         due = False
-        for entries in self.table.deadline_lists():
+        for entries in (active, loss_recovery):
             for entry in entries:
                 hole_since = entry.hole_since
                 if hole_since is not None and now - hole_since >= ofo_timeout:
@@ -327,16 +324,14 @@ class JugglerGRO(GroEngine):
                 break
         if not due:
             return
-        for entry in list(self.table.iter_with_deadlines()):
-            if (
-                entry.hole_since is not None
-                and now - entry.hole_since >= ofo_timeout
-            ):
+        for entry in [*active, *loss_recovery]:
+            hole_since = entry.hole_since
+            if hole_since is not None and now - hole_since >= ofo_timeout:
                 self._ofo_timeout_fire(entry, now)
-            elif (
-                entry.head_in_sequence
-                and now - entry.flush_timestamp >= inseq_timeout
-            ):
+                continue
+            nodes = entry.ofo.nodes
+            if (nodes and nodes[0].seq == entry.seq_next
+                    and now - entry.flush_timestamp >= inseq_timeout):
                 self._inseq_timeout_fire(entry, now)
 
     def _inseq_timeout_fire(self, entry: FlowEntry, now: int) -> None:
@@ -381,16 +376,20 @@ class JugglerGRO(GroEngine):
 
     def next_deadline(self) -> Optional[int]:
         """Earliest pending inseq/ofo deadline, for arming the hrtimer."""
+        config = self.config
         deadline: Optional[int] = None
-        for entry in self.table.iter_with_deadlines():
-            if entry.head_in_sequence:
-                candidate = entry.flush_timestamp + self.config.inseq_timeout
-                if deadline is None or candidate < deadline:
-                    deadline = candidate
-            if entry.hole_since is not None:
-                candidate = entry.hole_since + self.config.ofo_timeout
-                if deadline is None or candidate < deadline:
-                    deadline = candidate
+        for entries in self.table.deadline_lists():
+            for entry in entries:
+                nodes = entry.ofo.nodes
+                if nodes and nodes[0].seq == entry.seq_next:
+                    candidate = entry.flush_timestamp + config.inseq_timeout
+                    if deadline is None or candidate < deadline:
+                        deadline = candidate
+                hole_since = entry.hole_since
+                if hole_since is not None:
+                    candidate = hole_since + config.ofo_timeout
+                    if deadline is None or candidate < deadline:
+                        deadline = candidate
         return deadline
 
     # -- delivery interposition (Table 2 reason validity) ---------------------

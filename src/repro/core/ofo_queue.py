@@ -41,12 +41,6 @@ class InsertResult:
         #: pass the duplicate up for TCP's dupACK machinery, not buffer it.
         self.duplicate = duplicate
 
-    def _set(self, scanned: int, merged: bool, duplicate: bool) -> "InsertResult":
-        self.scanned = scanned
-        self.merged = merged
-        self.duplicate = duplicate
-        return self
-
 
 class OfoQueue:
     """Sorted, non-overlapping runs of buffered packets for one flow."""
@@ -95,13 +89,13 @@ class OfoQueue:
     def insert(self, packet: Packet) -> InsertResult:
         """Place ``packet`` into the queue, merging where possible.
 
-        Arrivals are nearly in order, so the tail is tried first, by direct
-        slot stores.  A straggler's position is a binary search (keeps the
-        simulation fast); the *reported* scan count models the kernel's
-        doubly-linked list walked from whichever end is closer — in-order
-        arrivals touch the tail (0 nodes passed), late stragglers re-enter
-        near the head, so both common cases cost O(1) rather than O(queue
-        length).
+        Arrivals are nearly in order, so the tail is tried first.  A
+        straggler's position is a binary search (keeps the simulation fast);
+        merges are slot reads and stores either way.  The *reported* scan
+        count models the kernel's doubly-linked list walked from whichever
+        end is closer — in-order arrivals touch the tail (0 nodes passed),
+        late stragglers re-enter near the head, so both common cases cost
+        O(1) rather than O(queue length).
         """
         nodes = self.nodes
         result = self._result
@@ -143,30 +137,46 @@ class OfoQueue:
             else:
                 hi = mid
         idx = lo
-        scanned = min(len(nodes) - idx, idx + 1)
+        result.scanned = min(len(nodes) - idx, idx + 1)
+        result.merged = result.duplicate = False
 
         pred = nodes[idx - 1] if idx > 0 else None
         succ = nodes[idx]
+        payload_len = packet.payload_len
+        end_seq = seq + payload_len
+        if (pred is not None and seq < pred.end_seq) or end_seq > succ.seq:
+            result.duplicate = True
+            return result
 
-        if pred is not None and seq < pred.end_seq:
-            return result._set(scanned, merged=False, duplicate=True)
-        if seq + packet.payload_len > succ.seq:
-            return result._set(scanned, merged=False, duplicate=True)
-
-        if pred is not None and pred.can_append(packet, self.max_payload):
-            pred.append(packet)
+        max_payload = self.max_payload
+        if (pred is not None and seq == pred.end_seq and not pred._closed
+                and packet.sig == pred.sig
+                and (max_payload is None
+                     or pred._payload + payload_len <= max_payload)):
+            # Segment.append onto the predecessor run.
+            pred.packets.append(packet)
+            pred.end_seq = end_seq
+            pred.mtus += 1
+            pred._payload += payload_len
+            pred._closed = closed = packet.forces_flush
+            if packet.sent_at < pred.first_sent_at:
+                pred.first_sent_at = packet.sent_at
             # Appending may have closed the gap to the successor.
-            if pred.can_extend(succ, self.max_payload):
+            if (succ.seq == end_seq and not closed and succ.sig == pred.sig
+                    and (max_payload is None
+                         or pred._payload + succ._payload <= max_payload)):
                 pred.extend(succ)
-                nodes.pop(idx)
-            return result._set(scanned, merged=True, duplicate=False)
+                del nodes[idx]
+            result.merged = True
+            return result
 
-        if succ.can_prepend(packet, self.max_payload):
+        if succ.can_prepend(packet, max_payload):
             succ.prepend(packet)
-            return result._set(scanned, merged=True, duplicate=False)
+            result.merged = True
+            return result
 
         nodes.insert(idx, Segment([packet]))
-        return result._set(scanned, merged=False, duplicate=False)
+        return result
 
     def pop_head(self) -> Segment:
         """Remove and return the lowest-sequence run."""

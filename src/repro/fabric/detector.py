@@ -131,24 +131,36 @@ class ReorderDetector:
         self.config = config if config is not None else DetectorConfig()
         cfg = self.config
         self.salt = salt
-        # The three per-packet hash salts, precomputed (observe inlines
-        # the mixing; this is the hottest per-packet path in the fabric).
-        self._salt_sig = salt ^ 0x516
-        self._salt_i1 = salt
-        self._salt_i2 = salt ^ 0xBEEF
         self._slots = cfg.flow_slots
+        self._width = cfg.sketch_width
         # Parallel slot columns: signature 0 marks an empty slot.
         self._sig = array("L", [0]) * self._slots
         self._expected = array("q", [0]) * self._slots
         self._tick_col = array("q", [0]) * self._slots
-        self._rows = [array("q", [0]) * cfg.sketch_width
+        self._rows = [array("q", [0]) * self._width
                       for _ in range(cfg.sketch_rows)]
         self._row_salts = [_mix(salt, 0xA11CE + r)
                            for r in range(cfg.sketch_rows)]
         #: flow -> last estimate at crossing time (real keys, bounded).
         self._heavy: Dict[object, int] = {}
+        #: flow -> (sig, i1, i2, ((row, column), ...)), mixed on the flow's
+        #: first packet: a host-side memo of a pure function of the key, not
+        #: modelled register state (never table content, not in memory_bytes).
+        self._hashes: Dict[object, tuple] = {}
         self._tick = 0
         self.stats = DetectorStats()
+
+    def _mix_flow(self, flow) -> tuple:
+        """The memo entry for ``flow`` (see ``_hashes``)."""
+        h, salt = hash(flow), self.salt
+        sig = _mix(h, salt ^ 0x516) & 0xFFFFFFFF
+        hashes = self._hashes[flow] = (
+            sig if sig != 0 else 1,
+            _mix(h, salt) % self._slots,
+            _mix(h, salt ^ 0xBEEF) % self._slots,
+            tuple((row, _mix(h, row_salt) % self._width)
+                  for row, row_salt in zip(self._rows, self._row_salts)))
+        return hashes
 
     # -- the per-packet path ---------------------------------------------------
 
@@ -156,71 +168,69 @@ class ReorderDetector:
                 payload_len: int) -> None:
         """One data packet headed for a directly-attached host."""
         self._tick += 1
-        self.stats.packets += 1
-        h = hash(flow)
-        # Three inlined _mix() calls — this is the hottest fabric path.
-        m = (h ^ self._salt_sig) * 0x9E3779B97F4A7C15 & _MASK64
-        sig = (m ^ (m >> 31)) & 0xFFFFFFFF
-        if sig == 0:
-            sig = 1
-        m = (h ^ self._salt_i1) * 0x9E3779B97F4A7C15 & _MASK64
-        i1 = (m ^ (m >> 31)) % self._slots
-        m = (h ^ self._salt_i2) * 0x9E3779B97F4A7C15 & _MASK64
-        i2 = (m ^ (m >> 31)) % self._slots
+        tick = self._tick
+        stats = self.stats
+        stats.packets += 1
+        hashes = self._hashes.get(flow)
+        if hashes is None:
+            hashes = self._mix_flow(flow)
+        sig, i1, i2, cells = hashes
+        sigs = self._sig
+        tick_col = self._tick_col
 
         idx = -1
-        if self._sig[i1] == sig:
+        if sigs[i1] == sig:
             idx = i1
-        elif self._sig[i2] == sig:
+        elif sigs[i2] == sig:
             idx = i2
 
         if idx >= 0:
             expected = self._expected[idx]
             if seq < expected:
-                self.stats.reordered_packets += 1
-                self._sketch_add(h, payload_len, flow)
+                stats.reordered_packets += 1
+                # Count-min: add to one counter per row, estimate = least.
+                estimate = None
+                for row, j in cells:
+                    count = row[j] = row[j] + payload_len
+                    if estimate is None or count < estimate:
+                        estimate = count
+                if estimate >= self.config.heavy_threshold_bytes:
+                    heavy = self._heavy
+                    if flow in heavy:
+                        heavy[flow] = estimate
+                    else:
+                        self._report_heavy(flow, estimate)
             if end_seq > expected:
                 self._expected[idx] = end_seq
-            self._tick_col[idx] = self._tick
+            tick_col[idx] = tick
             return
 
         # Miss: install. Prefer an empty slot, then a stale one, then
         # displace whichever candidate was touched longer ago.
-        if self._sig[i1] == 0:
+        if sigs[i1] == 0:
             idx = i1
-        elif self._sig[i2] == 0:
+        elif sigs[i2] == 0:
             idx = i2
         else:
-            stale_before = self._tick - self.config.stale_after
-            if self._tick_col[i1] < stale_before:
+            stale_before = tick - self.config.stale_after
+            if tick_col[i1] < stale_before:
                 idx = i1
-                self.stats.stale_reclaims += 1
-            elif self._tick_col[i2] < stale_before:
+                stats.stale_reclaims += 1
+            elif tick_col[i2] < stale_before:
                 idx = i2
-                self.stats.stale_reclaims += 1
+                stats.stale_reclaims += 1
             else:
-                idx = i1 if self._tick_col[i1] <= self._tick_col[i2] else i2
-                self.stats.evictions += 1
-        self._sig[idx] = sig
+                idx = i1 if tick_col[i1] <= tick_col[i2] else i2
+                stats.evictions += 1
+        sigs[idx] = sig
         self._expected[idx] = end_seq
-        self._tick_col[idx] = self._tick
-        self.stats.inserts += 1
-
-    def _sketch_add(self, h: int, payload_len: int, flow) -> None:
-        cfg = self.config
-        width = cfg.sketch_width
-        estimate = None
-        for r, row in enumerate(self._rows):
-            j = _mix(h, self._row_salts[r]) % width
-            row[j] += payload_len
-            if estimate is None or row[j] < estimate:
-                estimate = row[j]
-        if estimate >= cfg.heavy_threshold_bytes:
-            self._report_heavy(flow, estimate)
+        tick_col[idx] = tick
+        stats.inserts += 1
 
     def _report_heavy(self, flow, estimate: int) -> None:
+        """A flow not yet in the heavy store crossed the threshold."""
         heavy = self._heavy
-        if flow in heavy or len(heavy) < self.config.heavy_capacity:
+        if len(heavy) < self.config.heavy_capacity:
             heavy[flow] = estimate
             return
         # Full: displace the smallest estimate, but only for a larger one.
@@ -240,9 +250,8 @@ class ReorderDetector:
         """Count-min estimate of the flow's reordered bytes (never under
         the true value for flows the table tracked continuously)."""
         h = hash(flow)
-        width = self.config.sketch_width
-        return min(row[_mix(h, self._row_salts[r]) % width]
-                   for r, row in enumerate(self._rows))
+        return min(row[_mix(h, salt) % self._width]
+                   for row, salt in zip(self._rows, self._row_salts))
 
     @property
     def tracked_flows(self) -> int:

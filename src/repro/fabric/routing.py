@@ -60,12 +60,21 @@ class PerPacketRouting(RoutingPolicy):
 
     def __init__(self, rng: Optional[random.Random] = None):
         #: With an rng, choices are uniform random; without, round-robin.
-        self._rng = rng
+        self._getrandbits = rng.getrandbits if rng is not None else None
         self._counter = 0
 
     def choose(self, packet: Packet, nports: int) -> int:
-        if self._rng is not None:
-            return self._rng.randrange(nports)
+        if nports < 1:
+            raise ValueError(f"need at least one port, got {nports}")
+        getrandbits = self._getrandbits
+        if getrandbits is not None:
+            # The body of ``Random.randrange(nports)`` (CPython 3.10-3.13,
+            # int nports >= 1): the same draws, the same stream state.
+            k = nports.bit_length()
+            r = getrandbits(k)
+            while r >= nports:
+                r = getrandbits(k)
+            return r
         self._counter = (self._counter + 1) % nports
         return self._counter
 

@@ -32,11 +32,21 @@ class Switch:
                          else None)
         self._direct: Dict[int, QueuedLink] = {}
         self.uplinks: List[QueuedLink] = []
-        #: Optional reordering telemetry on the host-bound path
-        #: (see repro.fabric.detector); None costs nothing per packet.
         self.detector = None
         #: Packets with no matching route (should stay zero in experiments).
         self.unroutable = 0
+
+    @property
+    def detector(self):
+        """Reordering telemetry on the host-bound path (repro.fabric.detector)
+        or None, which is free per packet.  Setting it binds ``observe``."""
+        return self._detector
+
+    @detector.setter
+    def detector(self, detector) -> None:
+        self._detector = detector
+        self._detector_observe = (detector.observe if detector is not None
+                                  else None)
 
     def add_route(self, dst: int, link: QueuedLink) -> None:
         """Route packets destined for host ``dst`` out of ``link``."""
@@ -54,7 +64,7 @@ class Switch:
             bind(self.uplinks)
 
     def attach_detector(self, detector) -> None:
-        """Observe host-bound data packets with a reordering detector."""
+        """Observe host-bound data packets with ``detector`` (= assigning it)."""
         self.detector = detector
 
     def direct_links(self) -> List[QueuedLink]:
@@ -65,9 +75,11 @@ class Switch:
         """Forward one packet."""
         direct = self._direct.get(packet.flow.dst)
         if direct is not None:
-            if self.detector is not None and packet.payload_len > 0:
-                self.detector.observe(packet.flow, packet.seq,
-                                      packet.end_seq, packet.payload_len)
+            observe = self._detector_observe
+            if observe is not None and packet.payload_len > 0:
+                seq = packet.seq
+                observe(packet.flow, seq, seq + packet.payload_len,
+                        packet.payload_len)
             direct.enqueue(packet)
             return
         if not self.uplinks:

@@ -89,18 +89,24 @@ class Nic:
         self.steering = steering if steering is not None else RssSteering()
         self.steering.bind(self.config.num_queues, engine=engine,
                            tracer=self.tracer, metrics_prefix=prefix)
-        # Per-wire-packet path, pinned as an instance attribute.  One queue
-        # under stateless RSS steers every flow to ``_rss % 1 == 0``, so the
-        # wire hands arrivals straight to that ring; otherwise a closure
-        # captures the queue list and the policy's demux once.
-        queues = self.queues
-        if len(queues) == 1 and type(self.steering) is RssSteering:
-            self.receive = queues[0].enqueue
+        # Per-wire-packet path, pinned as an instance attribute.  Stateless
+        # RSS steers a flow to ``_rss % n``: one queue's ring *is* the
+        # receive path, several are indexed directly; stateful policies
+        # keep their demux, captured once in a closure.
+        enqueues = [queue.enqueue for queue in self.queues]
+        n = len(enqueues)
+        if type(self.steering) is RssSteering and n == 1:
+            self.receive = enqueues[0]
+        elif type(self.steering) is RssSteering:
+            def receive(packet: Packet) -> None:
+                enqueues[packet.flow._rss % n](packet)
+
+            self.receive = receive
         else:
             steer = self.steering.queue_index
 
             def receive(packet: Packet) -> None:
-                queues[steer(packet.flow)].enqueue(packet)
+                enqueues[steer(packet.flow)](packet)
 
             self.receive = receive
 

@@ -11,10 +11,10 @@ by itself when it migrates a flow between queues), or a pinned static map
 implementation; :mod:`repro.steer.flow_director` and
 :mod:`repro.steer.static` carry the stateful ones.
 
-The cost contract mirrors tracing: when the policy is plain RSS the
-steering layer adds one call over the pre-policy inline hash and retains
-nothing per packet (``tests/integration/test_layer_budgets.py`` holds
-that line as a count).  Stateful policies pay only for the state they keep.
+The cost contract mirrors tracing: when the policy is plain RSS the NIC
+indexes its rings by the flow's precomputed hash itself, so the steering
+layer costs no call and retains nothing per packet
+(``tests/integration/test_layer_budgets.py`` holds that line as a count).  Stateful policies pay only for the state they keep.
 """
 
 from __future__ import annotations

@@ -6,15 +6,21 @@ methods are free); ``tracemalloc`` attributes every live block to the file of
 the frame that allocated it.  Budgets are asserted on the *marginal* cost: the
 same rig runs at size N and at size 2N and the two readings are subtracted, so
 whatever is paid once (construction, ``run_until``, arming a timer) cancels.
-The two instruments never run together: the profiler materialises a frame
-object per call, which tracemalloc would book against the callee's file.
+On request the call count also sees the standard library (a stdlib frame in a
+per-packet path is a cost like any other).  The two instruments never run
+together: the profiler materialises a frame object per call, which
+tracemalloc would book against the callee's file.
 """
 
+import os
 import sys
+import sysconfig
 import tracemalloc
 from collections import Counter
 
 import pytest
+
+_STDLIB = os.path.normcase(sysconfig.get_paths()["stdlib"]) + os.sep
 
 
 def _under_repro(filename):
@@ -23,9 +29,18 @@ def _under_repro(filename):
     return tail if found else None
 
 
-def _calls(run) -> Counter:
+def _in_stdlib(filename):
+    """``<stdlib>/random.py`` for the standard library's ``random.py``, else
+    None (installed packages included)."""
+    filename = os.path.normcase(filename)
+    if not filename.startswith(_STDLIB) or "site-packages" in filename:
+        return None
+    return "<stdlib>/" + filename[len(_STDLIB):].replace("\\", "/")
+
+
+def _calls(run, everywhere=False) -> Counter:
     counts: Counter = Counter()
-    keys: dict = {}  # code object -> (file, function), None outside repro/
+    keys: dict = {}  # code object -> (file, function), None if not counted
 
     def profiler(frame, event, arg):
         if event == "call":
@@ -34,6 +49,8 @@ def _calls(run) -> Counter:
                 key = keys[code]
             except KeyError:
                 filename = _under_repro(code.co_filename)
+                if filename is None and everywhere:
+                    filename = _in_stdlib(code.co_filename)
                 key = keys[code] = filename and (filename, code.co_name)
             if key:
                 counts[key] += 1
@@ -46,12 +63,14 @@ def _calls(run) -> Counter:
     return counts
 
 
-def marginal_calls(run_n, run_2n) -> Counter:
+def marginal_calls(run_n, run_2n, everywhere=False) -> Counter:
     """``(file, function) -> calls`` that ``run_2n()`` makes beyond
     ``run_n()``, files relative to ``repro/``.  ``run_n`` goes first, so
-    what the process pays once (a memo filling) is never read as marginal."""
-    once = _calls(run_n)
-    return _calls(run_2n) - once
+    what the process pays once (a memo filling) is never read as marginal.
+    With ``everywhere``, standard-library frames count too, keyed
+    ``("<stdlib>/random.py", name)``."""
+    once = _calls(run_n, everywhere)
+    return _calls(run_2n, everywhere) - once
 
 
 def marginal_bytes(run_n, run_2n, owner, method: str) -> Counter:

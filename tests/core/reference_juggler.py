@@ -6,7 +6,9 @@ and then calls ``_event_checks`` -> ``_after_flush_transitions``, all written
 against the ``OfoQueue.head`` / ``FlowEntry.has_hole`` / ``Segment.payload_len``
 / ``closed`` properties; ``OfoQueue.insert`` binary-searches every packet;
 ``_deliver_segment`` books its statistics through ``GroEngine`` and
-``GroStats.record_delivery``.  The bodies are the parent's, verbatim; the
+``GroStats.record_delivery``.  The bodies are the parent's, verbatim but for
+``InsertResult._set`` (gone from the live queue), which ``_result`` below
+stands in for; the
 helpers they share with the live engine (``_admit_new_flow``, ``_flush_head``,
 ``_normalize_queue``, ``_maybe_fill_hole``, the timeout and eviction paths)
 are inherited.
@@ -19,6 +21,12 @@ from repro.core.ofo_queue import OfoQueue
 from repro.core.phases import Phase
 from repro.net.constants import MSS
 from repro.net.segment import BatchingMode, Segment
+
+
+def _result(queue, scanned, merged, duplicate):
+    result = queue._result
+    result.scanned, result.merged, result.duplicate = scanned, merged, duplicate
+    return result
 
 
 class ReferenceOfoQueue(OfoQueue):
@@ -41,23 +49,23 @@ class ReferenceOfoQueue(OfoQueue):
         succ = nodes[idx] if idx < len(nodes) else None
 
         if pred is not None and packet.seq < pred.end_seq:
-            return self._result._set(scanned, merged=False, duplicate=True)
+            return _result(self, scanned, merged=False, duplicate=True)
         if succ is not None and packet.end_seq > succ.seq:
-            return self._result._set(scanned, merged=False, duplicate=True)
+            return _result(self, scanned, merged=False, duplicate=True)
 
         if pred is not None and pred.can_append(packet, self.max_payload):
             pred.append(packet)
             if succ is not None and pred.can_extend(succ, self.max_payload):
                 pred.extend(succ)
                 nodes.pop(idx)
-            return self._result._set(scanned, merged=True, duplicate=False)
+            return _result(self, scanned, merged=True, duplicate=False)
 
         if succ is not None and succ.can_prepend(packet, self.max_payload):
             succ.prepend(packet)
-            return self._result._set(scanned, merged=True, duplicate=False)
+            return _result(self, scanned, merged=True, duplicate=False)
 
         nodes.insert(idx, Segment([packet]))
-        return self._result._set(scanned, merged=False, duplicate=False)
+        return _result(self, scanned, merged=False, duplicate=False)
 
 
 class ReferenceJugglerGRO(JugglerGRO):

@@ -211,8 +211,9 @@ def test_iter_with_deadlines_covers_active_and_loss():
     a = add(table, 0, Phase.ACTIVE_MERGE)
     b = add(table, 1, Phase.POST_MERGE)
     c = add(table, 2, Phase.LOSS_RECOVERY)
-    flows = list(table.iter_with_deadlines())
-    assert a in flows and c in flows and b not in flows
+    active, loss_recovery = table.deadline_lists()
+    assert list(active) == [a] and list(loss_recovery) == [c]
+    assert b not in [*active, *loss_recovery]
 
 
 def test_capacity_validation():

@@ -1,30 +1,32 @@
-"""An in-sequence packet's budget of Python-level calls — a count, not a
-timing.
+"""Juggler's per-packet and per-flow budgets of Python-level calls — counts,
+not timings.
 
-An established flow's next packets go through ``JugglerGRO.receive_batch``
-under ``sys.setprofile`` (see ``tests/callcount.py``); the run is made with N
-and with 2N packets and the difference divided by N, so what a poll pays once
-— ``receive_batch`` itself, the first packet's POST_MERGE -> ACTIVE_MERGE move
-— cancels exactly.  Neither run fills a 64 KB segment, so nothing flushes.
+Each rig runs under ``sys.setprofile`` (see ``tests/callcount.py``) with N
+and with 2N packets (or tracked flows) and the difference is divided by N, so
+what a poll or a sweep pays once cancels exactly.  Per unit, besides the
+table probe's ``FiveTuple.__hash__`` — before, then now:
 
-Per further packet — before (22 calls, 15 of them in ``core/``):
+    in-sequence packet,       2  _buffer_packet -> insert
+      JugglerGRO              1  insert
+    straggler closing         8  _buffer_packet -> insert -> _set,
+      a gap                        can_append, append -> Packet.end_seq,
+                                   can_extend, extend
+                              2  insert -> extend
+    tracked flow, per walk    3  the iter_with_deadlines resume,
+      of next_deadline and         head_in_sequence -> head
+      check_timeouts          0
+    in-sequence packet,       6  StandardGRO.receive -> can_append,
+      StandardGRO                  append -> Packet.end_seq, closed,
+                                   payload_len
+                              0
 
-    lookup (-> FiveTuple.__hash__), _receive_established -> Packet.end_seq x2,
-      _buffer_packet -> insert -> can_append, append, InsertResult._set;
-        refresh_hole_state -> has_hole -> head
-    _event_checks -> head, Segment.payload_len, Segment.closed,
-      _after_flush_transitions -> refresh_hole_state -> has_hole -> head,
-        OfoQueue.__bool__
-
-now (2): ``_buffer_packet -> insert``.  The table probe (its
-``FiveTuple.__hash__`` aside), the event checks and both hole-clock refreshes
-are inline reads of ``nodes`` and segment slots.
-
-The same for a held flow's next packets through ``StandardGRO.receive_batch``
-— before (6, besides the probe's hash): ``StandardGRO.receive ->
-Segment.can_append, Segment.append -> Packet.end_seq, Segment.closed,
-Segment.payload_len``; now none: the merge and both flush tests are slot
-reads and stores in the batch body.
+The packet loop in ``JugglerGRO.receive_batch`` reads the queue's ``nodes``
+and the segments' slots directly: one ``OfoQueue.insert`` call is the whole
+of ``core/`` per buffered packet, and the insert's straggler branch runs the
+``Segment.can_append`` / ``append`` / ``can_extend`` predicates and stores on
+slots, leaving ``Segment.extend`` the one call when a gap closes.  The
+timeout walks iterate ``GroTable.deadline_lists()`` with the
+head-in-sequence test as slot reads.
 """
 
 from repro.core import JugglerConfig, JugglerGRO, StandardGRO
@@ -35,19 +37,20 @@ from repro.sim.time import US
 from ..callcount import marginal_calls
 
 FLOW = FiveTuple(1, 2, 1000, 80)
-#: Helper-chain members the per-packet path must not go back to calling.
-RETIRED = [
-    ("core/ofo_queue.py", "head"), ("core/ofo_queue.py", "_set"),
-    ("core/ofo_queue.py", "__bool__"), ("core/flow_entry.py", "has_hole"),
-    ("core/flow_entry.py", "refresh_hole_state"),
-    ("core/gro_table.py", "lookup"), ("net/segment.py", "payload_len"),
-    ("net/segment.py", "closed"), ("net/packet.py", "end_seq"),
-]
+PROBE = ("net/addr.py", "__hash__")
+INSERT = ("core/ofo_queue.py", "insert")
 
 
-def rig(packets: int):
-    """The run that hands an established flow ``packets`` more in-sequence
-    packets (engine built and warmed here, outside the count)."""
+def per_unit(rig, n=20):
+    """``(file, function) -> calls`` per unit of ``rig``, exact."""
+    marginal = marginal_calls(rig(n), rig(2 * n))
+    assert all(count % n == 0 for count in marginal.values()), marginal
+    return {key: count // n for key, count in marginal.items()}
+
+
+def established():
+    """An engine holding FLOW past BUILD_UP, its queue drained (built here,
+    outside any count)."""
     gro = JugglerGRO(lambda segment: None, JugglerConfig())
     gro.attach_sanitizer(None)  # the budget is the unsanitized path's
     for k in range(3):
@@ -55,6 +58,13 @@ def rig(packets: int):
     gro.check_timeouts(51 * US)  # inseq_timeout: out of BUILD_UP
     entry = gro.table.lookup(FLOW)
     assert entry.phase is Phase.POST_MERGE and entry.seq_next == 3 * MSS
+    return gro, entry
+
+
+def in_sequence_rig(packets: int):
+    """The run that hands an established flow ``packets`` more in-sequence
+    packets.  Nothing fills a 64 KB segment, so nothing flushes."""
+    gro, entry = established()
     poll = [Packet(FLOW, (3 + k) * MSS, MSS) for k in range(packets)]
 
     def run():
@@ -66,18 +76,53 @@ def rig(packets: int):
 
 
 def test_marginal_calls_per_in_sequence_packet():
-    n = 20
-    marginal = marginal_calls(rig(n), rig(2 * n))
-    assert all(count % n == 0 for count in marginal.values()), marginal
-    per_packet = {key: count // n for key, count in marginal.items()}
-    for key in RETIRED:
-        assert key not in per_packet, per_packet
-    core = sum(count for (filename, _), count in per_packet.items()
-               if filename.startswith("core/"))
-    assert core <= 3, per_packet
-    # Nothing outside core/ runs per packet but the table probe's hash.
-    assert per_packet.pop(("net/addr.py", "__hash__")) == 1
-    assert sum(per_packet.values()) == core, per_packet
+    assert per_unit(in_sequence_rig) == {INSERT: 1, PROBE: 1}
+
+
+def straggler_rig(stragglers: int):
+    """The run that hands an established flow ``stragglers`` packets, each
+    closing the gap between two buffered runs; a hole at ``seq_next``
+    stays open, so nothing flushes."""
+    gro, entry = established()
+    base = entry.seq_next
+    gro.receive_batch([Packet(FLOW, base + (4 * k + d) * MSS, MSS)
+                       for k in range(stragglers) for d in (1, 3)], 60 * US)
+    poll = [Packet(FLOW, base + (4 * k + 2) * MSS, MSS)
+            for k in range(stragglers)]
+
+    def run():
+        gro.receive_batch(poll, 61 * US)
+        assert [node.mtus for node in entry.ofo.nodes] == [3] * stragglers
+        assert entry.hole_since == 60 * US
+
+    return run
+
+
+def test_marginal_calls_per_straggler_closing_a_gap():
+    assert per_unit(straggler_rig) == {
+        INSERT: 1, ("net/segment.py", "extend"): 1, PROBE: 1}
+
+
+def sweep_rig(flows: int):
+    """``next_deadline`` and a ``check_timeouts`` sweep over ``flows`` flows
+    whose in-sequence heads are not yet due, plus one that fires."""
+    gro = JugglerGRO(lambda segment: None,
+                     JugglerConfig(table_capacity=2 * flows + 1))
+    gro.attach_sanitizer(None)
+    gro.receive(Packet(FiveTuple(9, 2, 999, 80), 0, MSS), 0)
+    for i in range(flows):
+        gro.receive(Packet(FiveTuple(1, 2, 2000 + i, 80), 0, MSS), 40 * US)
+
+    def run():
+        assert gro.next_deadline() == 15 * US
+        gro.check_timeouts(50 * US)
+        assert gro.stats.segments == 1  # the one due flow, and only it
+
+    return run
+
+
+def test_timeout_walks_cost_no_call_per_tracked_flow():
+    assert per_unit(sweep_rig) == {}
 
 
 def standard_rig(packets: int):
@@ -96,13 +141,5 @@ def standard_rig(packets: int):
 
 
 def test_marginal_calls_per_in_sequence_packet_through_standard_gro():
-    n = 20
-    marginal = marginal_calls(standard_rig(n), standard_rig(2 * n))
-    assert all(count % n == 0 for count in marginal.values()), marginal
-    per_packet = {key: count // n for key, count in marginal.items()}
-    for key in RETIRED + [("net/segment.py", "can_append"),
-                          ("net/segment.py", "append"),
-                          ("core/standard_gro.py", "receive")]:
-        assert key not in per_packet, per_packet
     # The ``_batch`` probe's hash, and nothing else, in any file.
-    assert per_packet == {("net/addr.py", "__hash__"): 1}, per_packet
+    assert per_unit(standard_rig) == {PROBE: 1}

@@ -24,16 +24,36 @@ Per ingress packet, ring already holding one — before (7):
     Host.receive -> Nic.receive -> queue_index -> RxQueue.enqueue
     -> Engine.now, -> _kick -> Timer.armed
 
-then (4): the first line.  Now, on a one-queue NIC under RSS, whose every
-flow steers to ``_rss % 1 == 0`` (2): ``Host.receive -> RxQueue.enqueue``,
-the NIC's ``receive`` being the ring's ``enqueue``; on four queues still 4.
-The budgets below are exact.
+then (4): the first line.  Now under stateless RSS, which steers a flow to
+``_rss % n``: on one queue (2) ``Host.receive -> RxQueue.enqueue``, the NIC's
+``receive`` being the ring's ``enqueue``; on four (3) ``Host.receive ->
+Nic.receive -> RxQueue.enqueue``, the closure indexing the rings directly.
+
+Per forward at the switch itself, a busy egress link — before, then now:
+
+    ToR -> host, detector    4  Switch.receive -> Packet.end_seq, observe,
+      attached, in order          QueuedLink.enqueue
+                             3  Switch.receive -> observe, enqueue
+    the same, reordered      9  the four, observe -> _sketch_add ->
+      (flow already heavy)        sketch_width, _mix x2, _report_heavy
+                             3  the same three: the flow's hashes are mixed
+                                once per detector, the sketch and the heavy
+                                refresh are inline
+    spine-bound spray        5  Switch.receive -> choose -> randrange ->
+                                _randbelow (stdlib), enqueue
+                             3  Switch.receive -> choose, enqueue
+
+besides ``FiveTuple.__hash__`` (1 in order, 3 reordered: the memo probe and
+the heavy store's).  The budgets below are exact.
 """
+
+import random
 
 import pytest
 
 from repro.core import StandardGRO
-from repro.fabric import Host, QueuedLink, Switch
+from repro.fabric import (Host, PerPacketRouting, QueuedLink, ReorderDetector,
+                          Switch)
 from repro.net import FiveTuple, MSS, Packet
 from repro.nic.nic import NicConfig
 from repro.sim import Engine, MS
@@ -107,6 +127,71 @@ def test_marginal_calls_per_packet(gap_ns, downlink_gbps):
 
 def test_marginal_calls_per_ingress_packet_on_four_queues():
     _, ingress, per_packet = per_packet_calls(3000, 10.0, queues=4)
-    # Host.receive -> Nic.receive -> queue_index -> RxQueue.enqueue
-    assert ingress == 4, per_packet
-    assert per_packet[("steer/policy.py", "queue_index")] == 1, per_packet
+    # Host.receive -> Nic.receive -> RxQueue.enqueue: RSS indexes the rings.
+    assert ingress == 3, per_packet
+    assert per_packet[("nic/nic.py", "receive")] == 1, per_packet
+    assert not [key for key in per_packet if key[0].startswith("steer/")]
+
+
+class Discard:
+    def receive(self, packet):
+        pass
+
+
+def forwards(switch, packets):
+    """The run that hands ``packets`` to ``switch`` (its egress links stay
+    busy: the engine never runs)."""
+    return lambda: [switch.receive(packet) for packet in packets]
+
+
+def tor_rig(reordered: bool):
+    """A ToR with a detector, forwarding one flow to its host; the flow is
+    already tracked and already a heavy reorderer."""
+    def rig(packets: int):
+        switch = Switch()
+        switch.add_route(1, QueuedLink(Engine(), 10.0, Discard()))
+        detector = ReorderDetector()
+        switch.detector = detector
+        top = 64 * MSS
+        for k in range(64):  # warm-up, highest sequence first
+            switch.receive(Packet(FLOW, top - k * MSS, MSS))
+        assert detector.heavy_reorderers() == {FLOW}
+        seqs = ([k % 32 * MSS for k in range(packets)] if reordered
+                else [top + k * MSS for k in range(1, packets + 1)])
+        return forwards(switch, [Packet(FLOW, seq, MSS) for seq in seqs])
+    return rig
+
+
+@pytest.mark.parametrize("reordered", [False, True],
+                         ids=["in-order", "reordered"])
+def test_marginal_calls_per_tor_forward_through_a_detector(reordered):
+    n = 40
+    rig = tor_rig(reordered)
+    marginal = marginal_calls(rig(n), rig(2 * n))
+    assert marginal == {
+        ("fabric/switch.py", "receive"): n,
+        ("fabric/detector.py", "observe"): n,
+        ("fabric/link.py", "enqueue"): n,
+        # The memo probe; a reordered packet also refreshes its heavy entry.
+        ("net/addr.py", "__hash__"): 3 * n if reordered else n,
+    }, marginal
+
+
+def spray_rig(packets: int):
+    """A switch spraying host-bound-elsewhere packets over three uplinks."""
+    switch = Switch(policy=PerPacketRouting(random.Random(1)))
+    for _ in range(3):
+        switch.add_uplink(QueuedLink(Engine(), 10.0, Discard()))
+    flow = FiveTuple(0, 9, 1000, 80)
+    return forwards(switch, [Packet(flow, k * MSS, MSS)
+                             for k in range(packets)])
+
+
+def test_marginal_calls_per_spray_forward():
+    n = 40
+    marginal = marginal_calls(spray_rig(n), spray_rig(2 * n), everywhere=True)
+    assert marginal == {
+        ("fabric/switch.py", "receive"): n,
+        ("fabric/routing.py", "choose"): n,
+        ("fabric/link.py", "enqueue"): n,
+    }, marginal

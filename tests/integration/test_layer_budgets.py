@@ -103,10 +103,11 @@ def test_layer_that_is_off_costs_nothing(layer, cell):
 #: Always-on indirections on the fig13 cell: package -> (the operation it
 #: serves, ceiling in calls per operation).  Measured, py3.10-3.12 alike:
 #: steer 0 calls / 2,710 packets (one RX queue under RSS: the NIC hands
-#: arrivals straight to the ring; the four-queue demux's one call per packet
-#: is exact in tests/fabric/test_hop_budget.py); cc 5,094 / 1,119 ACKs = 4.55
-#: (``on_ack`` + ``_dctcp_window_update`` + ``rto`` per new ACK, up to three
-#: ``pacing_rate_gbps`` per burst, ``on_send``, ``on_sack``, ``rtt.sample``).
+#: arrivals straight to the ring; four queues index their rings by the RSS
+#: hash, 0 calls too, exact in tests/fabric/test_hop_budget.py); cc 5,094 /
+#: 1,119 ACKs = 4.55 (``on_ack`` + ``_dctcp_window_update`` + ``rto`` per
+#: new ACK, up to three ``pacing_rate_gbps`` per burst, ``on_send``,
+#: ``on_sack``, ``rtt.sample``).
 PER_OPERATION = {
     "steer": (("nic/rxqueue.py", "enqueue"), 1),
     "cc": (("tcp/sender.py", "_on_ack"), 5),
