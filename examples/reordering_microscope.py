@@ -15,7 +15,9 @@ Run:  python examples/reordering_microscope.py
 from repro.core import JugglerConfig, JugglerGRO
 from repro.net import FiveTuple, MSS, Packet
 from repro.sim import US
-from repro.trace import CallbackSink, EventKind, Tracer
+from repro.trace.events import EventKind
+from repro.trace.sinks import CallbackSink
+from repro.trace.tracer import Tracer
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

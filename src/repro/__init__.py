@@ -32,21 +32,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from repro.core import JugglerConfig, JugglerGRO, StandardGRO
-from repro.harness import GroKind, make_gro_factory
-from repro.sim import MS, NS, SEC, US, Engine
-
-__all__ = [
-    "__version__",
-    "JugglerConfig",
-    "JugglerGRO",
-    "StandardGRO",
-    "GroKind",
-    "make_gro_factory",
-    "Engine",
-    "NS",
-    "US",
-    "MS",
-    "SEC",
-]

@@ -16,8 +16,15 @@ test — see ``tests/integration/test_layer_budgets.py``.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
+
+if TYPE_CHECKING:
+    from repro.analysis.sanitizer import Sanitizer
+
+#: ``JUGGLER_SANITIZE`` spellings that leave JSAN off.
+_DISABLED = ("", "0", "false", "off", "no")
 
 _current = None
 _env_checked = False
@@ -27,14 +34,16 @@ def current() -> Optional["Sanitizer"]:
     """The installed sanitizer, or None when sanitizing is disabled.
 
     The first call consults ``JUGGLER_SANITIZE``; later calls are a plain
-    global read.
+    global read.  The sanitizer module is imported only when asked for.
     """
     global _current, _env_checked
     if _current is None and not _env_checked:
         _env_checked = True
-        from repro.analysis.sanitizer import from_env
+        value = os.environ.get("JUGGLER_SANITIZE", "").strip().lower()
+        if value not in _DISABLED:
+            from repro.analysis.sanitizer import Sanitizer
 
-        _current = from_env()
+            _current = Sanitizer()
     return _current
 
 

@@ -30,7 +30,7 @@ and policy tables and turns violations into loud, readable
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.core.flush import FlushReason
 from repro.core.phases import Phase
@@ -260,13 +260,3 @@ class Sanitizer:
         self._fail("eviction from an empty table",
                    f"victim: {victim.key}")
 
-
-def from_env(environ=None) -> Optional[Sanitizer]:
-    """Build a sanitizer if ``JUGGLER_SANITIZE`` asks for one."""
-    import os
-
-    env = os.environ if environ is None else environ
-    value = env.get("JUGGLER_SANITIZE", "").strip().lower()
-    if value in ("", "0", "false", "off", "no"):
-        return None
-    return Sanitizer()

@@ -11,8 +11,8 @@ one per whole-run experiment — each carrying:
   skip completed work and what makes a re-run with different parameters
   a *different* task rather than a stale cache hit.
 * a **seed**: when the spec sets a root seed, each task derives its own
-  seed from ``sha256(root:experiment:payload)`` — the same hashing idiom
-  as :class:`repro.sim.rng.RngRegistry` — so per-task randomness is stable
+  seed from ``(root, experiment, payload)`` with
+  :func:`repro.sim.rng.derive_seed` — so per-task randomness is stable
   across runs and independent of scheduling order or ``--jobs``.  With no
   root seed, tasks keep each experiment's baked-in default seed, which
   makes a campaign's rows byte-identical to the serial ``run()`` loops.
@@ -28,7 +28,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
+
+from repro.sim.rng import derive_seed, unpaired
 
 
 def canonical_json(obj) -> str:
@@ -41,31 +43,6 @@ def _jsonify(obj):
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
     raise TypeError(f"not canonically serialisable: {type(obj).__name__}")
-
-
-def derive_seed(root_seed: int, experiment: str, payload: str) -> int:
-    """A per-task seed from the campaign root seed (sim.rng-style hashing)."""
-    digest = hashlib.sha256(
-        f"{root_seed}:{experiment}:{payload}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def unpaired(point: Mapping, paired: Sequence[str]) -> dict:
-    """The axes of a point that pick its randomness: all but the paired
-    arms.  The one rule behind both the per-task seed (:func:`make_task`)
-    and the family modules' per-cell seed (:func:`derive_cell_seed`)."""
-    return {axis: value for axis, value in point.items()
-            if axis not in paired}
-
-
-def derive_cell_seed(seed: int, experiment: str,
-                     axes: Sequence[Tuple[str, str]],
-                     paired: Sequence[str], point: Mapping) -> int:
-    """One cell's seed under ``seed``: hashed from the unpaired axis values
-    in ``axes`` (``POINT_AXES``) order, so paired arms share randomness."""
-    values = unpaired({axis: point[axis] for axis, _ in axes},
-                      paired).values()
-    return derive_seed(seed, experiment, ":".join(map(str, values)))
 
 
 @dataclass(frozen=True)

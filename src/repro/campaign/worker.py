@@ -69,7 +69,8 @@ def execute_task(wire: dict, attempt: int, worker_cfg: dict) -> dict:
     try:
         adapter = registry.get(wire["experiment"])
         if worker_cfg.get("trace") == "jsonl" and worker_cfg.get("trace_dir"):
-            from repro.trace import JsonlSink, Tracer
+            from repro.trace.sinks import JsonlSink
+            from repro.trace.tracer import Tracer
 
             trace_file = trace_path(worker_cfg["trace_dir"], wire)
             tracer = Tracer([JsonlSink(trace_file)])

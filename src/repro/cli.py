@@ -48,13 +48,10 @@ def run_trace(argv) -> int:
     Perfetto or ``chrome://tracing``) or a JSONL event log, plus a metrics
     snapshot.
     """
-    from repro.trace import (
-        ChromeTraceSink,
-        EventKind,
-        JsonlSink,
-        Tracer,
-        runtime,
-    )
+    from repro.trace import runtime
+    from repro.trace.events import EventKind
+    from repro.trace.sinks import ChromeTraceSink, JsonlSink
+    from repro.trace.tracer import Tracer
 
     parser = argparse.ArgumentParser(
         prog="juggler-repro trace",

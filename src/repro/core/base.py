@@ -10,7 +10,7 @@ the ``deliver`` callback, which in the full simulation is the TCP receiver.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
@@ -19,7 +19,9 @@ from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.net.segment import Segment
 from repro.trace import runtime as trace_runtime
-from repro.trace.tracer import Tracer
+
+if TYPE_CHECKING:
+    from repro.trace.tracer import Tracer
 
 DeliverFn = Callable[[Segment], None]
 

@@ -34,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.campaign.spec import derive_cell_seed
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
 from repro.experiments.common import grid_points
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
+from repro.sim.rng import derive_cell_seed
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 
@@ -104,7 +104,7 @@ POINT_AXES = (("cc", "ccs"),
               ("intensity", "intensities"),
               ("engine", "engines"))
 #: The arms of one paired comparison: they pick no randomness, so every
-#: arm of a cell draws the same seed (see repro.campaign.spec).
+#: arm of a cell draws the same seed (see repro.sim.rng.derive_cell_seed).
 PAIRED_AXES = ("cc", "engine")
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.campaign.spec import derive_cell_seed
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
 from repro.experiments.common import grid_points
@@ -40,6 +39,7 @@ from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
 from repro.net.addr import FiveTuple
 from repro.nic.nic import NicConfig
+from repro.sim.rng import derive_cell_seed
 from repro.sim.time import MS, US
 from repro.steer import (
     FlowDirectorConfig,
@@ -130,7 +130,7 @@ POINT_AXES = (("policy", "policies"),
               ("churn", "churn_levels"),
               ("engine", "engines"))
 #: The arms of one paired comparison: they pick no randomness, so every
-#: arm of a cell draws the same seed (see repro.campaign.spec).
+#: arm of a cell draws the same seed (see repro.sim.rng.derive_cell_seed).
 PAIRED_AXES = ("policy", "engine")
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.campaign.spec import derive_cell_seed
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
 from repro.experiments.common import SHORT_COALESCING, grid_points
@@ -53,6 +52,7 @@ from repro.faults.controller import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
+from repro.sim.rng import derive_cell_seed
 from repro.sim.time import MS, US
 
 #: Load level -> offered load as % of aggregate uplink capacity.
@@ -146,7 +146,7 @@ POINT_AXES = (("engine", "engines"),
               ("load", "loads"),
               ("fault", "faults"))
 #: The arms of one paired comparison: they pick no randomness, so every
-#: arm of a cell draws the same seed (see repro.campaign.spec).
+#: arm of a cell draws the same seed (see repro.sim.rng.derive_cell_seed).
 PAIRED_AXES = ("engine", "routing")
 
 

@@ -83,6 +83,9 @@ class QueuedLink:
             raise ValueError(f"link rate must be positive, got {rate_gbps}")
         if priorities < 1:
             raise ValueError(f"need at least one priority level, got {priorities}")
+        if prop_delay_ns < 0:
+            raise ValueError(f"link {name!r}: propagation delay must be "
+                             f"non-negative, got {prop_delay_ns} ns")
         self._engine = engine
         self.rate_gbps = rate_gbps
         self.sink = sink

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.campaign.spec import derive_cell_seed
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
@@ -35,6 +34,7 @@ from repro.harness.experiment import make_gro_factory
 from repro.harness.metrics import Sampler, percentiles
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
+from repro.sim.rng import derive_cell_seed
 from repro.sim.time import MS, US
 from repro.steer import FlowDirectorConfig, FlowDirectorSteering
 from repro.tcp.config import TcpConfig
@@ -139,7 +139,7 @@ POINT_AXES = (("fault_kind", "fault_kinds"),
               ("intensity", "intensities"),
               ("engine", "engines"))
 #: The arms of one paired comparison: they pick no randomness, so every
-#: arm of a cell draws the same seed (see repro.campaign.spec).
+#: arm of a cell draws the same seed (see repro.sim.rng.derive_cell_seed).
 PAIRED_AXES = ("engine",)
 
 

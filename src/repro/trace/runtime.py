@@ -11,9 +11,10 @@ scope an installation to one run.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.trace.tracer import Tracer
+if TYPE_CHECKING:
+    from repro.trace.tracer import Tracer
 
 _current: Optional[Tracer] = None
 

@@ -9,13 +9,8 @@ import pytest
 
 import repro.cli as cli
 from repro.campaign import registry
-from repro.campaign.spec import (
-    CampaignSpec,
-    ExperimentSpec,
-    derive_cell_seed,
-    derive_seed,
-    expand,
-)
+from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
+from repro.sim.rng import derive_cell_seed, derive_seed
 
 PAIRED_FAMILIES = ("fdir_reordering", "cc_reordering", "host_vs_fabric",
                    "faults_matrix")

@@ -217,7 +217,9 @@ def test_bbr_cwnd_tracks_gain_times_bdp():
 
 
 def test_bbr_emits_cc_state_transitions_when_traced():
-    from repro.trace import EventKind, RingBufferSink, Tracer
+    from repro.trace.events import EventKind
+    from repro.trace.sinks import RingBufferSink
+    from repro.trace.tracer import Tracer
 
     sink = RingBufferSink()
     tracer = Tracer([sink])

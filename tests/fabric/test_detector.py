@@ -8,7 +8,7 @@ import pytest
 
 from repro.fabric import DetectorConfig, ReorderDetector
 from repro.net import FiveTuple, MSS
-from repro.trace import MetricsRegistry
+from repro.trace.metrics import MetricsRegistry
 from repro.trace.groundtruth import GroundTruthSink, grade
 
 HEAVY_THRESHOLD = 10_000

@@ -93,6 +93,14 @@ def test_netfpga_dropper_installed_when_requested():
     assert bed.dropper.p == 0.5
 
 
+def test_netfpga_negative_reorder_delay_rejected_at_construction():
+    # The slow queue's delay is prop + reorder: negative, it used to build
+    # and then raise "cannot schedule ... in the past" mid-run.
+    with pytest.raises(ValueError, match="netfpga.slow"):
+        build_netfpga_pair(Engine(), random.Random(0), gro_factory,
+                           reorder_delay_ns=-1000)
+
+
 def test_dumbbell_connectivity_both_directions():
     engine = Engine()
     bed = build_priority_dumbbell(engine, gro_factory)

@@ -10,7 +10,9 @@ from repro.net import MSS, FiveTuple, Packet
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine
 from repro.sim.time import US
-from repro.trace import CallbackSink, EventKind, Tracer
+from repro.trace.events import EventKind
+from repro.trace.sinks import CallbackSink
+from repro.trace.tracer import Tracer
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

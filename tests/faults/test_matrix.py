@@ -147,7 +147,7 @@ def test_faults_run_cli(tmp_path, capsys, monkeypatch):
     }))
     out_path = tmp_path / "report.json"
     # The banner must say what is actually armed: "off" is one of the
-    # spellings sanitizer.from_env treats as disabled.
+    # spellings analysis.runtime treats as disabled.
     try:
         for env_value, armed in (("1", True), ("off", False), (None, False)):
             if env_value is None:

@@ -9,7 +9,7 @@ from repro.core import JugglerConfig, JugglerGRO
 from repro.net import MSS, FiveTuple, Packet
 from repro.nic.rxqueue import RxQueue
 from repro.sim import Engine, US
-from repro.trace import read_jsonl
+from repro.trace.sinks import read_jsonl
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -260,7 +260,8 @@ def test_whole_nic_delivers_the_same_packets_under_rss_and_fdir():
 
 def test_nic_drain_reconciles_per_queue_metrics():
     """Satellite: drain() writes final per-queue polls/drop counters."""
-    from repro.trace import Tracer, runtime
+    from repro.trace import runtime
+    from repro.trace.tracer import Tracer
     from repro.trace.sinks import CallbackSink
 
     tracer = Tracer([CallbackSink(lambda e: None)])
@@ -292,7 +293,8 @@ def test_shard_gauges_read_back_their_own_queue():
     overflow so no two shards share a value.
     """
     from repro.steer import StaticAffinitySteering
-    from repro.trace import Tracer, runtime
+    from repro.trace import runtime
+    from repro.trace.tracer import Tracer
     from repro.trace.sinks import CallbackSink
 
     ring = 8

@@ -7,7 +7,9 @@ import pytest
 from repro.net import FiveTuple
 from repro.sim import Engine
 from repro.steer import FlowDirectorConfig, FlowDirectorSteering
-from repro.trace import CallbackSink, EventKind, Tracer
+from repro.trace.events import EventKind
+from repro.trace.sinks import CallbackSink
+from repro.trace.tracer import Tracer
 
 
 def flows(n, base=5000):

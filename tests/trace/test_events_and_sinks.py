@@ -6,19 +6,21 @@ import pytest
 
 from repro.core import FlushReason, Phase
 from repro.net import FiveTuple
-from repro.trace import (
-    CallbackSink,
-    ChromeTraceSink,
+from repro.trace.events import (
     EventKind,
     Flush,
-    JsonlSink,
     PacketRx,
     PhaseTransition,
-    RingBufferSink,
     TimerFire,
-    Tracer,
+)
+from repro.trace.sinks import (
+    CallbackSink,
+    ChromeTraceSink,
+    JsonlSink,
+    RingBufferSink,
     read_jsonl,
 )
+from repro.trace.tracer import Tracer
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 FLOW_B = FiveTuple(3, 4, 2000, 80)

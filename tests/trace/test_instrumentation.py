@@ -7,7 +7,10 @@ from repro.net.segment import Segment
 from repro.nic.rxqueue import RxQueue
 from repro.sim import Engine, US
 from repro.tcp.receiver import TcpReceiver
-from repro.trace import EventKind, RingBufferSink, Tracer, runtime
+from repro.trace import runtime
+from repro.trace.events import EventKind
+from repro.trace.sinks import RingBufferSink
+from repro.trace.tracer import Tracer
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -3,7 +3,9 @@
 from repro.core import GroStats, FlushReason
 from repro.harness.metrics import Sampler
 from repro.sim import Engine, US
-from repro.trace import MetricsRegistry, Tracer, runtime
+from repro.trace import runtime
+from repro.trace.metrics import MetricsRegistry
+from repro.trace.tracer import Tracer
 
 
 def test_counter_get_or_create_and_inc():
