@@ -18,8 +18,9 @@ With ``--against`` the untraced run becomes ``--pairs`` runs alternating
 between the two checkouts (each pair started by the other tree); both trees
 get a line whose ``cell_wall_s`` spreads the per-run values, and this tree's
 carries ``pairs``: n, how many pairs it was ahead in, the median and
-quartiles of its per-pair ``cell_wall_s`` ratio to the parent, and both
-trees' per-run seconds in run order.  ``--against`` must be another
+quartiles of its per-pair ``cell_wall_s`` ratio to the parent, both
+trees' per-run seconds in run order, and the ``verdict`` (``better``,
+``worse`` or ``unresolved``; see :func:`verdict`).  ``--against`` must be another
 checkout than ``--root`` (compared after resolving both paths).  ``--seed``
 repeats: each seed records its own lines, one after the other.
 The benchmark itself is only read, never written: ``baseline.json`` is
@@ -65,6 +66,23 @@ def spread_of(values: list) -> dict:
     q1, _, q3 = quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"min": min(values), "median": median(values), "q1": q1, "q3": q3,
             "n": len(values)}
+
+
+def verdict(parent_s: list, change_s: list) -> str:
+    """``better`` when the change is ahead in at least 9 of 10 pairs and
+    its median undercuts the parent's by more than the parent's quartile
+    distance; ``worse`` for the mirror; ``unresolved`` otherwise."""
+    parent = spread_of(parent_s)
+    margin = parent["q3"] - parent["q1"]
+    gap = parent["median"] - median(change_s)
+    pairs = list(zip(parent_s, change_s))
+    ahead = sum(c < p for p, c in pairs)
+    behind = sum(c > p for p, c in pairs)
+    if 10 * ahead >= 9 * len(pairs) and gap > margin:
+        return "better"
+    if 10 * behind >= 9 * len(pairs) and -gap > margin:
+        return "worse"
+    return "unresolved"
 
 
 def head_of(root: str) -> str:
@@ -139,7 +157,8 @@ def record(args: argparse.Namespace, seed: int) -> None:
                     "ratio_median": q["median"], "ratio_q1": q["q1"],
                     "ratio_q3": q["q3"], "seed": seed,
                     "against": trees[0][1],
-                    "parent_s": parent_s, "change_s": walls}
+                    "parent_s": parent_s, "change_s": walls,
+                    "verdict": verdict(parent_s, walls)}
             line.update((key, median(end[key] for end in ends))
                         for key in END_TO_END)
             line.update((key, layer[key]) for key in PER_LAYER)
@@ -157,7 +176,8 @@ def record(args: argparse.Namespace, seed: int) -> None:
                   + " ".join(f"{layer} {self_s:.3f}"
                              for layer, self_s in largest)
                   + (" pairs {ahead}/{n} ratio {ratio_median:.3f} "
-                     "[{ratio_q1:.3f}, {ratio_q3:.3f}]".format(**line["pairs"])
+                     "[{ratio_q1:.3f}, {ratio_q3:.3f}] {verdict}".format(
+                         **line["pairs"])
                      if "pairs" in line else ""), flush=True)
 
 

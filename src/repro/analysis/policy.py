@@ -109,12 +109,10 @@ PACKAGE_POLICIES: Dict[str, Policy] = {
     "experiments": STANDARD,
     "trace": STANDARD,
     "analysis": STANDARD,
+    "perf": STANDARD,
     "campaign": RELAXED,
     "harness": RELAXED,
     "cli": RELAXED,
-    # Benchmarks measure host wall-clock by design; their workloads stay
-    # seeded and fixed-size.
-    "perf": RELAXED,
 }
 
 #: Module-level exemptions: (package, module) pairs allowed specific rules

@@ -10,7 +10,7 @@
     juggler-repro trace fig12                    # Chrome trace -> Perfetto
     juggler-repro trace fig12 --format jsonl --events flush,phase
     juggler-repro analyze                        # determinism lint, exit!=0 on findings
-    juggler-repro bench --check                  # hot-path microbenches vs BENCH_core.json
+    juggler-repro bench --check                  # cell call/event counts == BENCH_counts.json
     juggler-repro faults run --plan chaos.json   # one fault plan, one report
     juggler-repro sweep                          # grid families and their axes
     juggler-repro sweep cc_reordering --cc reno,bbr --intensity 3 --jobs 4

@@ -14,10 +14,14 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _interpolate(ordered: Sequence[float], q: float) -> float:
-    """The q-th percentile of an already-sorted, non-empty sequence."""
+def _check_q(q: float) -> None:
+    """Reject a percentile outside [0, 100], whatever the input holds."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
+    """The q-th percentile of an already-sorted, non-empty sequence."""
     if len(ordered) == 1:
         return float(ordered[0])
     rank = (len(ordered) - 1) * q / 100.0
@@ -29,6 +33,7 @@ def _interpolate(ordered: Sequence[float], q: float) -> float:
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The q-th percentile (0..100) by linear interpolation; 0.0 if empty."""
+    _check_q(q)
     if not values:
         return 0.0
     return _interpolate(sorted(values), q)
@@ -41,6 +46,8 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
     (p50, p99, ...) of the same samples should use this rather than calling
     :func:`percentile` repeatedly, which re-sorts per call.
     """
+    for q in qs:
+        _check_q(q)
     if not values:
         return [0.0 for _ in qs]
     ordered = sorted(values)

@@ -1,113 +1,102 @@
-"""``juggler-repro bench``: run the hot-path suite, gate, or refresh.
+"""``juggler-repro bench``: count the benchmark cells, check or refresh the
+record.
 
 ::
 
-    juggler-repro bench                      # run + print, no gate
-    juggler-repro bench --check              # fail (exit 1) on regression
-    juggler-repro bench --update             # rewrite BENCH_core.json
-    juggler-repro bench --bench gro.juggler_many_flows --rounds 5
-    juggler-repro bench --json out.json      # machine-readable results
+    juggler-repro bench                        # count + print, no check
+    juggler-repro bench --check                # exit 1 unless BENCH_counts.json holds exactly
+    juggler-repro bench --update               # rewrite BENCH_counts.json from this run
+    juggler-repro bench --bench cc_bbr_inorder # one cell (repeatable)
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from repro.perf.bench import BENCHES, run_benches
-from repro.perf.gate import (
-    DEFAULT_TOLERANCE,
-    check_against_baseline,
-    default_baseline_path,
-    load_baseline,
-    regressions,
-    write_baseline,
-)
+from repro.perf import counts
+
+
+def _print_reading(name: str, reading: dict) -> None:
+    """Events, calls per package under ``repro/``, the five busiest sites."""
+    packages: Counter = Counter()
+    for site, n in reading["calls"].items():
+        packages[site.split("/")[0].split(":")[0]] += n
+    print(f"{name}: {reading['events']:,} events, "
+          f"{sum(packages.values()):,} calls")
+    print("  " + "  ".join(f"{package} {n:,}"
+                           for package, n in sorted(packages.items())))
+    busiest = sorted(reading["calls"].items(), key=lambda kv: (-kv[1], kv[0]))
+    for site, n in busiest[:5]:
+        print(f"  {n:>10,}  {site}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="juggler-repro bench",
-        description="Run the pinned hot-path microbenchmarks "
-                    "(see docs/performance.md).",
+        description="Count Python calls and engine events in the benchmark "
+                    "cells (see docs/performance.md).",
     )
     parser.add_argument("--bench", action="append", metavar="NAME",
-                        help="run only this bench (repeatable); "
-                             "default: the full suite")
+                        help="count only this cell (repeatable); "
+                             "default: all four")
     parser.add_argument("--list", action="store_true",
-                        help="list available benches and exit")
-    parser.add_argument("--rounds", type=int, default=3, metavar="N",
-                        help="repetitions per bench; best round is "
-                             "reported (default 3)")
+                        help="list the cells and exit")
     parser.add_argument("--check", action="store_true",
-                        help="compare against the committed baseline; "
-                             "exit 1 on regression")
+                        help="exit 1 unless every count equals "
+                             f"{counts.RECORD.name}")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the committed baseline from this run")
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE, metavar="FRAC",
-                        help="relative gate band (default "
-                             f"{DEFAULT_TOLERANCE:.2f} = ±30%%)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file (default: BENCH_core.json "
-                             "at the repo root)")
+                        help=f"rewrite {counts.RECORD.name} from this run")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write this run's results as JSON")
+                        help="also write this run's counts as JSON")
     args = parser.parse_args(argv)
 
     if args.list:
-        for name, spec in BENCHES.items():
-            print(f"  {name:30s} [{spec.unit}]  {spec.description}")
+        for name, run in counts.CELLS.items():
+            print(f"  {name:18s} {run.func.__module__}.{run.func.__name__}")
         return 0
-
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else default_baseline_path())
-
-    print(f"running {len(args.bench) if args.bench else len(BENCHES)} "
-          f"bench(es), {args.rounds} round(s) each:")
-    try:
-        results = run_benches(args.bench, rounds=args.rounds,
-                              progress=print)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    names = args.bench or list(counts.CELLS)
+    unknown = [name for name in names if name not in counts.CELLS]
+    if unknown:
+        print(f"unknown cell(s): {', '.join(unknown)}; "
+              f"known: {', '.join(counts.CELLS)}", file=sys.stderr)
         return 2
 
+    measured = {}
+    for name in names:
+        measured[name] = counts.measure(name)
+        _print_reading(name, measured[name])
     if args.json:
-        payload = {
-            name: {"value": r.value, "unit": r.unit,
-                   "higher_is_better": r.higher_is_better,
-                   "rounds": r.rounds}
-            for name, r in sorted(results.items())
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2,
-                                              sort_keys=True) + "\n")
-        print(f"results written to {args.json}")
+        counts.write(measured, Path(args.json))
+        print(f"counts written to {args.json}")
 
+    recorded = counts.load()
     if args.update:
-        path = write_baseline(results, baseline_path)
-        print(f"baseline updated: {path}")
+        counts.write({**{name: recorded[name] for name in counts.CELLS
+                         if name in recorded}, **measured})
+        print(f"record updated: {counts.RECORD}")
+        return 0
+    if not args.check:
         return 0
 
-    if args.check:
-        baseline = load_baseline(baseline_path)
-        if not baseline.get("benchmarks"):
-            print(f"no baseline at {baseline_path}; "
-                  "run 'juggler-repro bench --update' first",
-                  file=sys.stderr)
-            return 2
-        findings = check_against_baseline(results, baseline,
-                                          tolerance=args.tolerance)
-        print(f"\ngate (±{args.tolerance:.0%} band) vs {baseline_path}:")
-        for finding in findings:
-            print(finding.line())
-        failed = regressions(findings)
-        if failed:
-            print(f"\nFAIL: {len(failed)} bench(es) regressed beyond the "
-                  "band", file=sys.stderr)
-            return 1
-        print("\nOK: no regression beyond the band")
+    rose, fell = counts.compare(recorded, measured)
+    for title, changes in (("rose", rose), ("fell", fell)):
+        if changes:
+            print(f"\n{title}:")
+            for cell, site, before, after in changes:
+                print(f"  {cell}  {site}: {before:,} -> {after:,}")
+    if rose:
+        print(f"\nFAIL: {len(rose)} count(s) rose above "
+              f"{counts.RECORD.name}", file=sys.stderr)
+    if fell:
+        print(f"\nFAIL: {len(fell)} count(s) fell: run "
+              "'juggler-repro bench --update' and commit "
+              f"{counts.RECORD.name}", file=sys.stderr)
+    if rose or fell:
+        return 1
+    print(f"\nOK: {len(measured)} cell(s) equal {counts.RECORD.name}")
     return 0
 
 

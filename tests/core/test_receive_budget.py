@@ -1,7 +1,7 @@
 """Juggler's per-packet and per-flow budgets of Python-level calls — counts,
 not timings.
 
-Each rig runs under ``sys.setprofile`` (see ``tests/callcount.py``) with N
+Each rig runs under ``sys.setprofile`` (see ``repro.perf.counts``) with N
 and with 2N packets (or tracked flows) and the difference is divided by N, so
 what a poll or a sweep pays once cancels exactly.  Per unit, besides the
 table probe's ``FiveTuple.__hash__`` — before, then now:
@@ -32,9 +32,8 @@ head-in-sequence test as slot reads.
 from repro.core import JugglerConfig, JugglerGRO, StandardGRO
 from repro.core.phases import Phase
 from repro.net import FiveTuple, MSS, Packet
+from repro.perf.counts import marginal_calls
 from repro.sim.time import US
-
-from ..callcount import marginal_calls
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 PROBE = ("net/addr.py", "__hash__")

@@ -26,11 +26,11 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
-from repro.perf.workloads import reordered_stream
 from repro.sim.time import US
 from repro.trace.sinks import CallbackSink
 from repro.trace.tracer import Tracer
 
+from ..streams import reordered_stream
 from .reference_juggler import ReferenceJugglerGRO
 
 PSH = TcpFlags.ACK | TcpFlags.PSH

@@ -30,10 +30,11 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
-from repro.perf.workloads import reordered_stream
 from repro.sim.time import US
 from repro.trace.sinks import CallbackSink
 from repro.trace.tracer import Tracer
+
+from ..streams import reordered_stream
 
 #: Golden (seed, flows, pkts/flow, window) shapes.  96 flows overflows the
 #: default 64-entry table, so admission/eviction runs mid-batch; the

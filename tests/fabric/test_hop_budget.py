@@ -56,9 +56,8 @@ from repro.fabric import (Host, PerPacketRouting, QueuedLink, ReorderDetector,
                           Switch)
 from repro.net import FiveTuple, MSS, Packet
 from repro.nic.nic import NicConfig
+from repro.perf.counts import marginal_calls
 from repro.sim import Engine, MS
-
-from ..callcount import marginal_calls
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 #: Files whose calls are a hop's (links, switch, the ``post`` under them) and

@@ -49,6 +49,11 @@ def test_percentile_validates_q():
         percentile([1], 101)
 
 
+def test_percentile_validates_q_on_empty_input():
+    with pytest.raises(ValueError):
+        percentile([], 150)
+
+
 def test_percentiles_matches_repeated_percentile():
     data = [7, 1, 9, 4, 2, 8, 3, 6, 5, 10]
     qs = (0, 25, 50, 90, 99, 100)
@@ -64,6 +69,11 @@ def test_percentiles_empty_and_validation():
     assert percentiles([], (50, 99)) == [0.0, 0.0]
     with pytest.raises(ValueError):
         percentiles([1, 2], (50, 101))
+
+
+def test_percentiles_validates_q_on_empty_input():
+    with pytest.raises(ValueError):
+        percentiles([], (50, 101))
 
 
 def test_histogram_counts_and_fraction():

@@ -1,4 +1,5 @@
-"""``scripts/record_e2e.py``'s argument handling (nothing is run)."""
+"""``scripts/record_e2e.py``'s argument handling and pair verdict (nothing is
+run)."""
 
 import importlib.util
 import os
@@ -46,3 +47,19 @@ def test_seed_repeats(record_e2e, monkeypatch, argv, seeds):
     monkeypatch.setattr(sys, "argv", ["record_e2e.py"] + argv)
     assert record_e2e.main() == 0
     assert recorded == seeds
+
+
+#: Ten parent runs: median 1.005, quartiles 0.98 / 1.02 (distance 0.04).
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change, expected", [
+    # Ahead in 10 of 10, medians 0.1 apart.
+    ([p * 0.9 for p in PARENT], "better"),
+    # Behind in 10 of 10, medians 0.1 apart.
+    ([p * 1.1 for p in PARENT], "worse"),
+    # Ahead in 9 of 10, but the medians are 0.015 apart: inside the quartiles.
+    ([p - 0.01 for p in PARENT[:9]] + [PARENT[9] + 0.01], "unresolved"),
+])
+def test_verdict(record_e2e, change, expected):
+    assert record_e2e.verdict(PARENT, change) == expected

@@ -4,12 +4,12 @@ An optional layer is ``None`` plus a guard at every site that would call it.
 Each cell below runs through its module's entry point for T and for 2T
 simulated milliseconds, and the *marginal* reading per package — Python-level
 calls made there, bytes by which its files' live allocations grew
-(``tests/callcount.py``) — is what the extra T of traffic cost: construction
+(``repro.perf.counts``) — is what the extra T of traffic cost: construction
 cancels.  A layer that is off must read (0, 0), exactly; the two indirections
-that are always on get a ceiling per operation.  Zeros are exact on every
-interpreter; ceilings are upper bounds because 3.10 and 3.12 frame
-comprehensions differently.  What this cannot see is a slower expression
-inside an existing function: that is ``cell_wall_s`` in ``benchmarks/e2e``.
+that are always on get a ceiling per operation.  Comprehension frames are
+not counted, so every reading is the same on every interpreter.  What this
+cannot see is a slower expression inside an existing function: that is
+``cell_wall_s`` in ``benchmarks/e2e``.
 """
 
 import functools
@@ -27,10 +27,9 @@ from repro.faults import runtime as faults_runtime
 from repro.faults.controller import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.net import FiveTuple, MSS, Packet
+from repro.perf.counts import marginal_bytes, marginal_calls
 from repro.sim import Engine
 from repro.sim.rng import RngRegistry
-
-from ..callcount import marginal_bytes, marginal_calls
 
 T_MS = 2
 

@@ -1,7 +1,7 @@
 """A burst packet's budget of Python-level calls — a count, not a timing.
 
 One ``TcpSender`` on a real ``Host`` cuts one burst into an idle
-``QueuedLink`` under ``sys.setprofile`` (see ``tests/callcount.py``); the run
+``QueuedLink`` under ``sys.setprofile`` (see ``repro.perf.counts``); the run
 is made with an N-packet and a 2N-packet burst and the difference divided by
 N, so what a burst pays once — ``send``, ``_emit_burst``, the head packet's
 constructor, arming the RTO, the link's first ``post`` — cancels exactly.
@@ -19,10 +19,9 @@ from repro.core import StandardGRO
 from repro.fabric import Host, QueuedLink
 from repro.net import FiveTuple, MSS
 from repro.net.constants import MAX_TSO_PAYLOAD, wire_bytes
+from repro.perf.counts import marginal_calls
 from repro.sim import Engine
 from repro.tcp import TcpConfig, TcpSender
-
-from ..callcount import marginal_calls
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 WIRE = [("fabric/host.py", "transmit"), ("fabric/link.py", "receive"),

@@ -222,7 +222,7 @@ def test_whole_nic_delivers_the_same_packets_under_rss_and_fdir():
     """
     import random
 
-    from repro.perf.workloads import reordered_stream
+    from ..streams import reordered_stream
     from repro.steer import FlowDirectorConfig, FlowDirectorSteering
 
     stream = reordered_stream(16, 24, window=4, seed=7)

@@ -1,7 +1,7 @@
 """An ACK's and a delivered segment's budget of Python-level calls in
 ``tcp/`` — counts, not timings.
 
-Each rig runs under ``sys.setprofile`` (see ``tests/callcount.py``) with N and
+Each rig runs under ``sys.setprofile`` (see ``repro.perf.counts``) with N and
 with 2N operations and the difference is held per operation, so what a
 connection pays once cancels.  The ceilings are on ``tcp/`` only: the policy's
 calls (``cc/``) are held by ``tests/integration/test_layer_budgets.py``, the
@@ -20,10 +20,10 @@ fields.  Per delivered single-packet segment the receiver went through
 import pytest
 
 from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
+from repro.perf.counts import marginal_calls
 from repro.sim import Engine, MS
 from repro.tcp import Connection, TcpConfig, TcpReceiver, TcpSender
 
-from ..callcount import marginal_calls
 from .helpers import DirectPair
 from .test_range_splice import NullHost
 
@@ -63,7 +63,7 @@ def test_marginal_calls_per_new_ack(pacing_gbps):
                               sender_rig(2 * n, pacing_gbps))
     assert tcp_calls(marginal) <= 12 * n, marginal
     for name in ("_sacked_bytes", "flight_size", "_usable_window",
-                 "_pacing_rate", "<genexpr>", "<listcomp>"):
+                 "_pacing_rate", "<genexpr>"):
         assert ("tcp/sender.py", name) not in marginal, marginal
 
 

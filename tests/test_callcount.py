@@ -2,7 +2,7 @@
 
 import random
 
-from .callcount import marginal_calls
+from repro.perf.counts import marginal_calls
 
 
 def randrange_rig(draws: int):
