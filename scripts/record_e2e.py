@@ -20,7 +20,7 @@ get a line whose ``cell_wall_s`` spreads the per-run values, and this tree's
 carries ``pairs``: n, how many pairs it was ahead in, the median and
 quartiles of its per-pair ``cell_wall_s`` ratio to the parent, both
 trees' per-run seconds in run order, and the ``verdict`` (``better``,
-``worse`` or ``unresolved``; see :func:`verdict`).  ``--against`` must be another
+``worse`` or ``unresolved``; see :func:`pairs_of`).  ``--against`` must be another
 checkout than ``--root`` (compared after resolving both paths).  ``--seed``
 repeats: each seed records its own lines, one after the other.
 The benchmark itself is only read, never written: ``baseline.json`` is
@@ -68,21 +68,26 @@ def spread_of(values: list) -> dict:
             "n": len(values)}
 
 
-def verdict(parent_s: list, change_s: list) -> str:
-    """``better`` when the change is ahead in at least 9 of 10 pairs and
-    its median undercuts the parent's by more than the parent's quartile
-    distance; ``worse`` for the mirror; ``unresolved`` otherwise."""
-    parent = spread_of(parent_s)
+def pairs_of(parent_s: list, change_s: list) -> dict:
+    """The change's ``cell_wall_s`` over the parent's, pair by pair: how many
+    pairs it is ahead in, the ratio's spread, and the ``verdict`` — ``better``
+    when it is ahead in at least 9 of 10 pairs and its median undercuts the
+    parent's by more than the parent's quartile distance, ``worse`` for the
+    mirror, ``unresolved`` otherwise."""
+    ratios = [c / p for c, p in zip(change_s, parent_s)]
+    q, parent = spread_of(ratios), spread_of(parent_s)
+    ahead, behind = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
     margin = parent["q3"] - parent["q1"]
     gap = parent["median"] - median(change_s)
-    pairs = list(zip(parent_s, change_s))
-    ahead = sum(c < p for p, c in pairs)
-    behind = sum(c > p for p, c in pairs)
-    if 10 * ahead >= 9 * len(pairs) and gap > margin:
-        return "better"
-    if 10 * behind >= 9 * len(pairs) and -gap > margin:
-        return "worse"
-    return "unresolved"
+    if 10 * ahead >= 9 * q["n"] and gap > margin:
+        verdict = "better"
+    elif 10 * behind >= 9 * q["n"] and -gap > margin:
+        verdict = "worse"
+    else:
+        verdict = "unresolved"
+    return {"n": q["n"], "ahead": ahead, "ratio_median": q["median"],
+            "ratio_q1": q["q1"], "ratio_q3": q["q3"],
+            "parent_s": parent_s, "change_s": change_s, "verdict": verdict}
 
 
 def head_of(root: str) -> str:
@@ -150,15 +155,8 @@ def record(args: argparse.Namespace, seed: int) -> None:
                     else runs[root][0][1]["cell_wall_s"]}
             if parent and root != parent:
                 parent_s = [end["cell_wall_s"] for end, _ in runs[parent]]
-                ratios = [c / p for c, p in zip(walls, parent_s)]
-                q = spread_of(ratios)
-                line["pairs"] = {
-                    "n": q["n"], "ahead": sum(r < 1 for r in ratios),
-                    "ratio_median": q["median"], "ratio_q1": q["q1"],
-                    "ratio_q3": q["q3"], "seed": seed,
-                    "against": trees[0][1],
-                    "parent_s": parent_s, "change_s": walls,
-                    "verdict": verdict(parent_s, walls)}
+                line["pairs"] = {**pairs_of(parent_s, walls), "seed": seed,
+                                 "against": trees[0][1]}
             line.update((key, median(end[key] for end in ends))
                         for key in END_TO_END)
             line.update((key, layer[key]) for key in PER_LAYER)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from pathlib import Path
 
 from repro.perf import counts
 
@@ -42,21 +41,13 @@ def main(argv=None) -> int:
     parser.add_argument("--bench", action="append", metavar="NAME",
                         help="count only this cell (repeatable); "
                              "default: all four")
-    parser.add_argument("--list", action="store_true",
-                        help="list the cells and exit")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless every count equals "
                              f"{counts.RECORD.name}")
     parser.add_argument("--update", action="store_true",
                         help=f"rewrite {counts.RECORD.name} from this run")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write this run's counts as JSON")
     args = parser.parse_args(argv)
 
-    if args.list:
-        for name, run in counts.CELLS.items():
-            print(f"  {name:18s} {run.func.__module__}.{run.func.__name__}")
-        return 0
     names = args.bench or list(counts.CELLS)
     unknown = [name for name in names if name not in counts.CELLS]
     if unknown:
@@ -68,9 +59,6 @@ def main(argv=None) -> int:
     for name in names:
         measured[name] = counts.measure(name)
         _print_reading(name, measured[name])
-    if args.json:
-        counts.write(measured, Path(args.json))
-        print(f"counts written to {args.json}")
 
     recorded = counts.load()
     if args.update:
@@ -81,6 +69,8 @@ def main(argv=None) -> int:
     if not args.check:
         return 0
 
+    if args.bench:  # a subset holds only its own rows
+        recorded = {name: recorded[name] for name in names if name in recorded}
     rose, fell = counts.compare(recorded, measured)
     for title, changes in (("rose", rose), ("fell", fell)):
         if changes:

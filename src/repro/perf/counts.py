@@ -7,13 +7,13 @@ the frame that allocated it.  The two instruments never run together: the
 profiler materialises a frame object per call, which tracemalloc would book
 against the callee's file.
 
-Comprehension frames are not counted: Python 3.12 inlines them (PEP 709), so
-counting them would make a reading depend on the interpreter.
-
 Budget tests hold the *marginal* cost: the same rig runs at size N and at 2N
 and the readings are subtracted, so whatever is paid once cancels.  The perf
 record, ``BENCH_counts.json``, holds the whole counts of four shortened
 benchmark cells (:data:`CELLS`); ``juggler-repro bench --check`` compares.
+The record leaves comprehension frames out: Python 3.12 inlines them
+(PEP 709), and one record has to hold on every interpreter.  The budgets
+count them, so a comprehension added to a per-packet path still costs there.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ def count(run, everywhere=False) -> Tuple[int, Counter]:
                 filename = _under_repro(code.co_filename)
                 if filename is None and everywhere:
                     filename = _in_stdlib(code.co_filename)
-                key = keys[code] = (
-                    filename and code.co_name not in _COMPREHENSIONS
-                    and (filename, code.co_name))
+                key = keys[code] = filename and (filename, code.co_name)
             if key:
                 counts[key] += 1
             if frame.f_back.f_code is _LOOP:
@@ -170,13 +168,14 @@ def _layers_off() -> Iterator[None]:
     """JSAN, the ambient fault plan and the tracer off for the block."""
     plan_path = os.environ.pop(faults_runtime.ENV_PLAN, None)
     plan, tracer = faults_runtime.current_plan(), trace_runtime.current()
+    sanitizer = sanitize_runtime._current, sanitize_runtime._env_checked
     faults_runtime.uninstall()
     trace_runtime.uninstall()
     sanitize_runtime.uninstall()
     try:
         yield
     finally:
-        sanitize_runtime.reset()
+        sanitize_runtime._current, sanitize_runtime._env_checked = sanitizer
         if tracer is not None:
             trace_runtime.install(tracer)
         if plan is not None:
@@ -187,13 +186,15 @@ def _layers_off() -> Iterator[None]:
 
 def measure(name: str) -> dict:
     """``{"events": n, "calls": {"file:function": n}}`` for one cell: run it
-    once so process-wide memos are full, then count the second run."""
+    once so process-wide memos are full, then count the second run,
+    comprehension frames left out."""
     with _layers_off():
         CELLS[name]()
         events, counts = count(CELLS[name])
     return {"events": events,
             "calls": {f"{file}:{function}": n
-                      for (file, function), n in sorted(counts.items())}}
+                      for (file, function), n in sorted(counts.items())
+                      if function not in _COMPREHENSIONS}}
 
 
 def load() -> dict:
@@ -210,14 +211,15 @@ def write(record: dict, path: Optional[Path] = None) -> None:
 
 def compare(recorded: dict, measured: dict) -> Tuple[list, list]:
     """``(rose, fell)``: ``(cell, "events" or "file:function", recorded,
-    measured)`` for every count of a measured cell that differs from the
-    record, a site missing on one side reading 0."""
+    measured)`` for every count that differs, a cell or site missing on one
+    side reading 0."""
     rose: list = []
     fell: list = []
-    for cell, reading in sorted(measured.items()):
-        old = recorded.get(cell, {"events": 0, "calls": {}})
+    nothing = {"events": 0, "calls": {}}
+    for cell in sorted(recorded.keys() | measured.keys()):
+        old, new = (side.get(cell, nothing) for side in (recorded, measured))
         old = {"events": old["events"], **old["calls"]}
-        new = {"events": reading["events"], **reading["calls"]}
+        new = {"events": new["events"], **new["calls"]}
         for site in sorted(old.keys() | new.keys()):
             before, after = old.get(site, 0), new.get(site, 0)
             if before != after:

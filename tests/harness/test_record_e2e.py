@@ -62,4 +62,6 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     ([p - 0.01 for p in PARENT[:9]] + [PARENT[9] + 0.01], "unresolved"),
 ])
 def test_verdict(record_e2e, change, expected):
-    assert record_e2e.verdict(PARENT, change) == expected
+    pairs = record_e2e.pairs_of(PARENT, change)
+    assert pairs["verdict"] == expected
+    assert pairs["n"] == 10
