@@ -7,8 +7,12 @@ receive path that implements it.
 
 from conftest import show, run_once
 
-from repro.core import JugglerConfig, JugglerGRO, Phase
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.phases import Phase
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)

@@ -2,9 +2,13 @@
 
 from conftest import show, run_once
 
-from repro.core import FlushReason, JugglerConfig, JugglerGRO
-from repro.net import FiveTuple, MSS, Packet, TcpFlags
-from repro.net.constants import MAX_GRO_SEGMENT
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.juggler import JugglerGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS, MAX_GRO_SEGMENT
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
 from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)

@@ -15,7 +15,7 @@ from repro.experiments.fig01_bandwidth_guarantee import (
     run_kernel,
 )
 from repro.harness.experiment import GroKind
-from repro.sim import MS
+from repro.sim.time import MS
 
 
 def sparkline(values, lo=0.0, hi=40.0) -> str:

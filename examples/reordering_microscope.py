@@ -12,9 +12,12 @@ feed the printout — no monkey-patching of engine internals.
 Run:  python examples/reordering_microscope.py
 """
 
-from repro.core import JugglerConfig, JugglerGRO
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import US
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.time import US
 from repro.trace.events import EventKind
 from repro.trace.sinks import CallbackSink
 from repro.trace.tracer import Tracer

@@ -13,14 +13,19 @@ Run:  python examples/tune_ofo_timeout.py
 
 import random
 
-from repro.core import JugglerConfig, JugglerGRO
-from repro.fabric import ReorderingSwitch, build_netfpga_pair
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.fabric.netfpga import ReorderingSwitch
+from repro.fabric.topology import build_netfpga_pair
 from repro.harness.reorder_metrics import ReorderObserver, recommend_ofo_timeout
-from repro.net import FiveTuple, MSS, Packet
-from repro.net.constants import transmit_time_ns, MAX_TSO_PAYLOAD
-from repro.nic import NicConfig
-from repro.sim import Engine, MS, US
-from repro.tcp import Connection, TcpConfig
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS, transmit_time_ns, MAX_TSO_PAYLOAD
+from repro.net.packet import Packet
+from repro.nic.nic import NicConfig
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
 
 RATE_GBPS = 10.0
 TRUE_TAU_US = 400  # what the "network" actually does; we pretend not to know

@@ -19,8 +19,11 @@ between the two checkouts (each pair started by the other tree); both trees
 get a line whose ``cell_wall_s`` spreads the per-run values, and this tree's
 carries ``pairs``: n, how many pairs it was ahead in, the median and
 quartiles of its per-pair ``cell_wall_s`` ratio to the parent, both
-trees' per-run seconds in run order, and the ``verdict`` (``better``,
-``worse`` or ``unresolved``; see :func:`pairs_of`).  ``--against`` must be another
+trees' per-run seconds in run order, the ``verdict`` on ``cell_wall_s``
+(``better``, ``worse`` or ``unresolved``; see :func:`pairs_of`) and
+``verdicts``, one per ``end_to_end`` metric of ``BENCHMARK.json``, each
+judged in that metric's ``better`` direction; the progress line prints every
+verdict that is not ``unresolved``.  ``--against`` must be another
 checkout than ``--root`` (compared after resolving both paths).  ``--seed``
 repeats: each seed records its own lines, one after the other.
 The benchmark itself is only read, never written: ``baseline.json`` is
@@ -68,17 +71,22 @@ def spread_of(values: list) -> dict:
             "n": len(values)}
 
 
-def pairs_of(parent_s: list, change_s: list) -> dict:
-    """The change's ``cell_wall_s`` over the parent's, pair by pair: how many
-    pairs it is ahead in, the ratio's spread, and the ``verdict`` — ``better``
-    when it is ahead in at least 9 of 10 pairs and its median undercuts the
-    parent's by more than the parent's quartile distance, ``worse`` for the
-    mirror, ``unresolved`` otherwise."""
+def pairs_of(parent_s: list, change_s: list, better: str = "lower") -> dict:
+    """The change's values of one metric over the parent's, pair by pair: how
+    many pairs it is ahead in (``better`` says which direction is ahead:
+    ``lower`` or ``higher``), the ratio's spread, and the ``verdict`` —
+    ``better`` when it is ahead in at least 9 of 10 pairs and its median beats
+    the parent's by more than the parent's quartile distance, ``worse`` for
+    the mirror, ``unresolved`` otherwise."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    sign = 1 if better == "lower" else -1
     ratios = [c / p for c, p in zip(change_s, parent_s)]
     q, parent = spread_of(ratios), spread_of(parent_s)
-    ahead, behind = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
+    ahead = sum(sign * (p - c) > 0 for c, p in zip(change_s, parent_s))
+    behind = sum(sign * (p - c) < 0 for c, p in zip(change_s, parent_s))
     margin = parent["q3"] - parent["q1"]
-    gap = parent["median"] - median(change_s)
+    gap = sign * (parent["median"] - median(change_s))
     if 10 * ahead >= 9 * q["n"] and gap > margin:
         verdict = "better"
     elif 10 * behind >= 9 * q["n"] and -gap > margin:
@@ -88,6 +96,16 @@ def pairs_of(parent_s: list, change_s: list) -> dict:
     return {"n": q["n"], "ahead": ahead, "ratio_median": q["median"],
             "ratio_q1": q["q1"], "ratio_q3": q["q3"],
             "parent_s": parent_s, "change_s": change_s, "verdict": verdict}
+
+
+def verdicts_of(parent_runs: list, change_runs: list, metrics: list) -> dict:
+    """``metric -> verdict`` of every ``end_to_end`` entry of
+    ``BENCHMARK.json`` over the two trees' alternating runs (each run a
+    ``metric -> value`` dict)."""
+    return {m["name"]: pairs_of([run[m["name"]] for run in parent_runs],
+                                [run[m["name"]] for run in change_runs],
+                                m["better"])["verdict"]
+            for m in metrics}
 
 
 def head_of(root: str) -> str:
@@ -154,9 +172,13 @@ def record(args: argparse.Namespace, seed: int) -> None:
                     "cell_wall_s": spread_of(walls) if parent
                     else runs[root][0][1]["cell_wall_s"]}
             if parent and root != parent:
-                parent_s = [end["cell_wall_s"] for end, _ in runs[parent]]
-                line["pairs"] = {**pairs_of(parent_s, walls), "seed": seed,
-                                 "against": trees[0][1]}
+                parent_ends = [end for end, _ in runs[parent]]
+                parent_s = [end["cell_wall_s"] for end in parent_ends]
+                line["pairs"] = {
+                    **pairs_of(parent_s, walls), "seed": seed,
+                    "against": trees[0][1],
+                    "verdicts": verdicts_of(parent_ends, ends,
+                                            manifest["end_to_end"])}
             line.update((key, median(end[key] for end in ends))
                         for key in END_TO_END)
             line.update((key, layer[key]) for key in PER_LAYER)
@@ -174,8 +196,10 @@ def record(args: argparse.Namespace, seed: int) -> None:
                   + " ".join(f"{layer} {self_s:.3f}"
                              for layer, self_s in largest)
                   + (" pairs {ahead}/{n} ratio {ratio_median:.3f} "
-                     "[{ratio_q1:.3f}, {ratio_q3:.3f}] {verdict}".format(
-                         **line["pairs"])
+                     "[{ratio_q1:.3f}, {ratio_q3:.3f}]".format(**line["pairs"])
+                     + "".join(f" {metric} {verdict}" for metric, verdict
+                               in sorted(line["pairs"]["verdicts"].items())
+                               if verdict != "unresolved")
                      if "pairs" in line else ""), flush=True)
 
 

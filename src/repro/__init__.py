@@ -12,13 +12,18 @@ The package provides:
 * ``repro.workloads`` / ``repro.harness`` — traffic generators and metrics;
 * ``repro.experiments`` — one module per paper table/figure.
 
+No package ``__init__`` imports a submodule: import each name from the
+module that defines it, so a process loads only what it builds.
+
 Quickstart::
 
     import random
-    from repro.sim import Engine, MS, US
-    from repro.core import JugglerGRO, JugglerConfig
-    from repro.fabric import build_netfpga_pair
-    from repro.tcp import Connection
+    from repro.core.config import JugglerConfig
+    from repro.core.juggler import JugglerGRO
+    from repro.fabric.topology import build_netfpga_pair
+    from repro.sim.engine import Engine
+    from repro.sim.time import MS, US
+    from repro.tcp.connection import Connection
 
     engine = Engine()
     rng = random.Random(1)
@@ -30,5 +35,3 @@ Quickstart::
     engine.run_until(20 * MS)
     print(conn.delivered_bytes * 8 / (20 * MS), "Gb/s despite reordering")
 """
-
-__version__ = "1.0.0"

@@ -15,34 +15,3 @@ The pieces (see docs/campaign.md for the full story):
 * :mod:`repro.campaign.reporter` — rebuilds the figures' ``render()``
   tables and a machine-readable summary from the store.
 """
-
-from repro.campaign.reporter import render_report, summarize
-from repro.campaign.scheduler import (
-    CampaignStats,
-    SchedulerConfig,
-    run_campaign,
-)
-from repro.campaign.spec import (
-    CampaignSpec,
-    ExperimentSpec,
-    Task,
-    build_default_spec,
-    derive_seed,
-    expand,
-)
-from repro.campaign.store import ResultStore
-
-__all__ = [
-    "CampaignSpec",
-    "CampaignStats",
-    "ExperimentSpec",
-    "ResultStore",
-    "SchedulerConfig",
-    "Task",
-    "build_default_spec",
-    "derive_seed",
-    "expand",
-    "render_report",
-    "run_campaign",
-    "summarize",
-]

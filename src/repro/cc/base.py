@@ -26,7 +26,8 @@ timeout.  See docs/transport.md for the full contract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import importlib
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.cc.rtt import RttEstimator
 
@@ -103,3 +104,28 @@ class CongestionControl:
             self.tracer.cc_state(now, self.flow, self.name, old_state,
                                  new_state, self.cwnd,
                                  self.pacing_rate_gbps())
+
+
+#: ``TcpConfig.cc`` selector -> (defining module, policy class).  A policy
+#: module is imported by the first :func:`make_cc` that names it, so a cell
+#: loads only the policies it runs.
+CC_ALGORITHMS: Dict[str, Tuple[str, str]] = {
+    "reno": ("repro.cc.reno", "RenoCC"),
+    "cubic": ("repro.cc.cubic", "CubicCC"),
+    "dctcp": ("repro.cc.dctcp", "DctcpCC"),
+    "bbr": ("repro.cc.bbr", "BbrV1CC"),
+}
+
+
+def make_cc(name: str, config: TcpConfig, rtt: RttEstimator, *, tracer=None,
+            flow=None) -> CongestionControl:
+    """Instantiate the policy registered under ``name``."""
+    try:
+        module, cls = CC_ALGORITHMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown congestion control {name!r}; "
+            f"choose from {sorted(CC_ALGORITHMS)}"
+        ) from None
+    policy = getattr(importlib.import_module(module), cls)
+    return policy(config, rtt, tracer=tracer, flow=flow)

@@ -183,7 +183,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.jobs > 1 or args.seed is not None:
-        from repro.campaign import SchedulerConfig, build_default_spec
+        from repro.campaign.scheduler import SchedulerConfig
+        from repro.campaign.spec import build_default_spec
         from repro.campaign.cli import run_and_report
 
         return run_and_report(

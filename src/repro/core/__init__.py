@@ -16,31 +16,3 @@ Engines share one interface (:class:`~repro.core.base.GroEngine`):
 * :class:`PrestoGRO` — a Presto-style OOO buffer that keeps state for every
   connection with no eviction (§6, related work).
 """
-
-from repro.core.config import JugglerConfig
-from repro.core.phases import Phase
-from repro.core.flush import FlushReason
-from repro.core.stats import GroStats
-from repro.core.ofo_queue import OfoQueue
-from repro.core.flow_entry import FlowEntry
-from repro.core.gro_table import GroTable
-from repro.core.base import GroEngine
-from repro.core.juggler import JugglerGRO
-from repro.core.standard_gro import StandardGRO
-from repro.core.chained_gro import ChainedGRO
-from repro.core.presto_gro import PrestoGRO
-
-__all__ = [
-    "JugglerConfig",
-    "Phase",
-    "FlushReason",
-    "GroStats",
-    "OfoQueue",
-    "FlowEntry",
-    "GroTable",
-    "GroEngine",
-    "JugglerGRO",
-    "StandardGRO",
-    "ChainedGRO",
-    "PrestoGRO",
-]

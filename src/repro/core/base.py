@@ -14,13 +14,13 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
-from repro.cpu.accounting import GroCpuAccountant
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.net.segment import Segment
 from repro.trace import runtime as trace_runtime
 
 if TYPE_CHECKING:
+    from repro.cpu.accounting import GroCpuAccountant
     from repro.trace.tracer import Tracer
 
 DeliverFn = Callable[[Segment], None]

@@ -14,7 +14,7 @@ instantiates its data structures per-queue.  The engine:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
@@ -23,10 +23,12 @@ from repro.core.flow_entry import FlowEntry
 from repro.core.flush import FlushReason
 from repro.core.gro_table import GroTable
 from repro.core.phases import Phase
-from repro.cpu.accounting import GroCpuAccountant
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 from repro.net.segment import BatchingMode, Segment
+
+if TYPE_CHECKING:
+    from repro.cpu.accounting import GroCpuAccountant
 
 
 class JugglerGRO(GroEngine):

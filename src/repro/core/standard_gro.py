@@ -14,15 +14,17 @@ vanilla receiver's CPU in Figures 9 and 10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
-from repro.cpu.accounting import GroCpuAccountant
 from repro.net.addr import FiveTuple
 from repro.net.constants import MAX_GRO_SEGMENT, MSS
 from repro.net.packet import Packet
 from repro.net.segment import BatchingMode, Segment
+
+if TYPE_CHECKING:
+    from repro.cpu.accounting import GroCpuAccountant
 
 
 class StandardGRO(GroEngine):

@@ -9,16 +9,3 @@ table, and models each core as a saturating server so that an overloaded
 application core throttles TCP through flow control, exactly the failure
 mode Figure 9's "vanilla + reordering" bars show.
 """
-
-from repro.cpu.costs import CostTable, DEFAULT_COSTS
-from repro.cpu.meter import CoreMeter
-from repro.cpu.core import CpuCore
-from repro.cpu.accounting import GroCpuAccountant
-
-__all__ = [
-    "CostTable",
-    "DEFAULT_COSTS",
-    "CoreMeter",
-    "CpuCore",
-    "GroCpuAccountant",
-]

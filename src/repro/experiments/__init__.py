@@ -11,7 +11,3 @@ one ``Cell`` (engine, RNG streams, GRO factory, topology, traffic) and its
 one ``measure()`` window — and keeps only what is its own: parameters,
 sweep axes, policies, probes and ``render``.
 """
-
-from repro.experiments import common
-
-__all__ = ["common"]

@@ -36,7 +36,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.time import US
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
-from repro.workloads.background import DiscardSink, PoissonPacketSource
 from repro.workloads.rpc import RpcWorkload
 
 @dataclass(frozen=True)
@@ -225,6 +224,8 @@ class Cell:
         """Poisson load on ToR 0's uplinks, routed to a discard sink under
         ToR 1 next to ``sink_host`` (its own downlink, so it does not queue
         behind the measured flows at the receiver's port)."""
+        from repro.workloads.background import DiscardSink, PoissonPacketSource
+
         pool = PacketPool()
         bg_dst = sink_host.host_id + 1_000_000  # synthetic, never a host
         net.tors[1].add_route(

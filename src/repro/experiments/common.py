@@ -8,10 +8,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, Sequence, Tuple
 
-from repro.cpu.accounting import GroCpuAccountant
-from repro.cpu.core import CpuCore
 from repro.cpu.costs import CostTable, DEFAULT_COSTS
-from repro.cpu.meter import CoreMeter
 from repro.fabric.host import Host
 from repro.nic.nic import NicConfig
 from repro.sim.engine import Engine
@@ -27,6 +24,10 @@ class HostCpu:
 
     def __init__(self, engine: Engine, costs: CostTable = DEFAULT_COSTS,
                  name: str = "host"):
+        from repro.cpu.accounting import GroCpuAccountant
+        from repro.cpu.core import CpuCore
+        from repro.cpu.meter import CoreMeter
+
         self.rx_meter = CoreMeter(f"{name}.rx")
         self.accountant = GroCpuAccountant(self.rx_meter, costs)
         self.app_core = CpuCore(engine, f"{name}.app")

@@ -41,13 +41,9 @@ from repro.net.addr import FiveTuple
 from repro.nic.nic import NicConfig
 from repro.sim.rng import derive_cell_seed
 from repro.sim.time import MS, US
-from repro.steer import (
-    FlowDirectorConfig,
-    FlowDirectorSteering,
-    RssSteering,
-    StaticAffinitySteering,
-    SteeringPolicy,
-)
+from repro.steer.flow_director import FlowDirectorConfig, FlowDirectorSteering
+from repro.steer.policy import RssSteering, SteeringPolicy
+from repro.steer.static import StaticAffinitySteering
 from repro.tcp.config import TcpConfig
 
 #: Churn level -> (steering_churn params, window period in us).  Level 0 is

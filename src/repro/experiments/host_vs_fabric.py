@@ -42,7 +42,6 @@ from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
 from repro.experiments.common import SHORT_COALESCING, grid_points
 from repro.fabric.detector import DetectorConfig, ReorderDetector
-from repro.fabric.flowcut import FlowcutRouting
 from repro.fabric.routing import (
     EcmpRouting,
     FlowletRouting,
@@ -161,6 +160,8 @@ def _policy_factory(routing: str, cell: Cell):
                                       flowlet_gap_ns=100_000,
                                       engine=cell.engine)
     if routing == "flowcut":
+        from repro.fabric.flowcut import FlowcutRouting
+
         return lambda: FlowcutRouting(rngs.stream("flowcut"))
     raise ValueError(f"unknown routing {routing!r}; known: {ROUTINGS}")
 
@@ -249,10 +250,10 @@ def run_point(params: HostFabricParams, *, engine: str, routing: str,
     pins = moves = 0
     for tor in net.tors:
         policy = tor.policy
-        if isinstance(policy, FlowcutRouting):
+        if routing == "flowcut":
             pins += policy.stats.pins
             moves += policy.stats.moves
-        elif isinstance(policy, FlowletRouting):
+        elif routing == "flowlet":
             pins += policy.flowlets_started
             moves += policy.flowlets_moved
 

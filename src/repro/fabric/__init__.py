@@ -7,50 +7,3 @@ controlled reordering (Figure 11).  Reordering emerges here exactly as in
 the testbed — from queueing-delay differences across parallel paths and
 priority levels — not from any artificial shuffling of the packet stream.
 """
-
-from repro.fabric.link import QueuedLink, LinkStats
-from repro.fabric.routing import (
-    EcmpRouting,
-    FlowletRouting,
-    PerPacketRouting,
-    PerTsoRouting,
-    RoutingPolicy,
-)
-from repro.fabric.flowcut import ExitTap, FlowcutRouting, FlowcutStats
-from repro.fabric.detector import (
-    DetectorConfig,
-    DetectorStats,
-    ReorderDetector,
-)
-from repro.fabric.switch import Switch
-from repro.fabric.netfpga import ReorderingSwitch
-from repro.fabric.host import Host
-from repro.fabric.topology import (
-    ClosNetwork,
-    build_clos,
-    build_netfpga_pair,
-    build_priority_dumbbell,
-)
-
-__all__ = [
-    "QueuedLink",
-    "LinkStats",
-    "RoutingPolicy",
-    "EcmpRouting",
-    "FlowletRouting",
-    "PerPacketRouting",
-    "PerTsoRouting",
-    "FlowcutRouting",
-    "FlowcutStats",
-    "ExitTap",
-    "ReorderDetector",
-    "DetectorConfig",
-    "DetectorStats",
-    "Switch",
-    "ReorderingSwitch",
-    "Host",
-    "ClosNetwork",
-    "build_clos",
-    "build_netfpga_pair",
-    "build_priority_dumbbell",
-]

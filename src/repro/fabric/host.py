@@ -5,10 +5,9 @@ endpoints (TCP senders receive ACK segments, TCP receivers data segments).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.base import GroEngine
-from repro.cpu.core import CpuCore
 from repro.fabric.link import PacketSink
 from repro.net.addr import FiveTuple
 from repro.net.packet import Packet
@@ -16,6 +15,9 @@ from repro.net.segment import Segment
 from repro.nic.nic import GroFactory, Nic, NicConfig
 from repro.sim.engine import Engine
 from repro.steer.policy import SteeringPolicy
+
+if TYPE_CHECKING:
+    from repro.cpu.core import CpuCore
 
 SegmentHandler = Callable[[Segment], None]
 

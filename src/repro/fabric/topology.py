@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.fabric.flowcut import ExitTap
 from repro.fabric.host import Host
 from repro.fabric.link import QueuedLink
 from repro.fabric.netfpga import ReorderingSwitch
@@ -22,11 +21,13 @@ from repro.fabric.routing import RoutingPolicy
 from repro.fabric.switch import Switch
 from repro.faults import runtime as faults_runtime
 from repro.faults.controller import FaultEngine
-from repro.faults.injectors import LossInjector
 from repro.faults.plan import FaultPlan
 from repro.nic.nic import GroFactory, NicConfig
 from repro.sim.engine import Engine
 from repro.steer.policy import SteeringPolicy
+
+if TYPE_CHECKING:
+    from repro.faults.injectors import LossInjector
 
 #: Builds a routing policy; one instance per switch so round-robin state
 #: (and any RNG) is not shared across switches.
@@ -99,9 +100,11 @@ def build_netfpga_pair(
         faults = FaultEngine(engine, plan)
         into_receiver = faults.wrap(receiver)
 
-    dropper = (
-        LossInjector(into_receiver, rng, drop_p) if drop_p > 0.0 else None
-    )
+    dropper = None
+    if drop_p > 0.0:
+        from repro.faults.injectors import LossInjector
+
+        dropper = LossInjector(into_receiver, rng, drop_p)
     switch = ReorderingSwitch(
         engine,
         dropper if dropper is not None else into_receiver,
@@ -288,6 +291,8 @@ def build_clos(
     ]
     wire_taps = any(p is not None for p in exact_policies)
     if wire_taps:
+        from repro.fabric.flowcut import ExitTap
+
         for policy in exact_policies:
             if policy is not None:
                 policy.track_inflight()

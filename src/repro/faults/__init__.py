@@ -15,38 +15,3 @@ On top sits the resilience matrix (:mod:`repro.faults.experiments`): a
 campaign-schedulable sweep of fault kind × intensity × GRO engine.  See
 docs/faults.md and ``juggler-repro faults run|matrix``.
 """
-
-from repro.faults.controller import FaultEngine
-from repro.faults.injectors import (
-    BlackholeInjector,
-    BurstLossInjector,
-    CorruptInjector,
-    DuplicateInjector,
-    FaultInjector,
-    JitterInjector,
-    LossInjector,
-    build_injector,
-)
-from repro.faults.plan import KINDS, WIRE_KINDS, FaultPlan, FaultSpec, load_plan
-from repro.faults.runtime import current_plan, injecting, install, uninstall
-
-__all__ = [
-    "FaultEngine",
-    "FaultInjector",
-    "LossInjector",
-    "BurstLossInjector",
-    "DuplicateInjector",
-    "CorruptInjector",
-    "JitterInjector",
-    "BlackholeInjector",
-    "build_injector",
-    "FaultPlan",
-    "FaultSpec",
-    "KINDS",
-    "WIRE_KINDS",
-    "load_plan",
-    "current_plan",
-    "install",
-    "uninstall",
-    "injecting",
-]

@@ -19,13 +19,15 @@ byte-identically and is independent of the experiment's own streams.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from repro.faults.injectors import FaultInjector, build_injector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.trace import runtime as trace_runtime
+
+if TYPE_CHECKING:
+    from repro.faults.injectors import FaultInjector
 
 #: Sentinel distinguishing "use the installed tracer" from "no tracer".
 _INSTALLED = object()
@@ -91,6 +93,8 @@ class FaultEngine:
         wire = self.plan.wire_faults()
         if not wire:
             return sink
+        from repro.faults.injectors import build_injector
+
         head = sink
         for spec in reversed(wire):
             injector = build_injector(

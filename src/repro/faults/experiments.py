@@ -36,7 +36,6 @@ from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
 from repro.sim.rng import derive_cell_seed
 from repro.sim.time import MS, US
-from repro.steer import FlowDirectorConfig, FlowDirectorSteering
 from repro.tcp.config import TcpConfig
 
 #: Per-kind intensity presets, levels 1..3: (params, window_us).  Faults
@@ -211,9 +210,15 @@ def run_scenario(params: MatrixParams, plan: FaultPlan, engine_name: str,
     # default single-queue RSS NIC it would be a no-op, so those cells get
     # a multi-queue Flow Director receiver (the substrate that can churn).
     churns = any(s.kind == "steering_churn" for s in plan.faults)
-    steering = (FlowDirectorSteering(FlowDirectorConfig(sample_rate=4),
-                                     rng=cell.rngs.stream("steer"))
-                if churns else None)
+    steering = None
+    if churns:
+        from repro.steer.flow_director import (
+            FlowDirectorConfig,
+            FlowDirectorSteering,
+        )
+
+        steering = FlowDirectorSteering(FlowDirectorConfig(sample_rate=4),
+                                        rng=cell.rngs.stream("steer"))
     bed = cell.pair(
         "fabric",
         rate_gbps=params.rate_gbps,

@@ -1,26 +1,1 @@
 """Experiment harness: metric collection and plain-text result rendering."""
-
-from repro.harness.metrics import (
-    Histogram,
-    Sampler,
-    ThroughputProbe,
-    mean,
-    percentile,
-    percentiles,
-)
-from repro.harness.reporting import banner, format_row, format_table
-from repro.harness.experiment import GroKind, make_gro_factory
-
-__all__ = [
-    "Histogram",
-    "Sampler",
-    "ThroughputProbe",
-    "mean",
-    "percentile",
-    "percentiles",
-    "banner",
-    "format_row",
-    "format_table",
-    "GroKind",
-    "make_gro_factory",
-]

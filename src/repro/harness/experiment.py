@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.core.chained_gro import ChainedGRO
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
-from repro.core.presto_gro import PrestoGRO
 from repro.core.standard_gro import StandardGRO
-from repro.cpu.accounting import GroCpuAccountant
 from repro.nic.nic import GroFactory
+
+if TYPE_CHECKING:
+    from repro.cpu.accounting import GroCpuAccountant
 
 
 class GroKind(enum.Enum):
@@ -56,5 +56,9 @@ def make_gro_factory(
     if kind is GroKind.VANILLA:
         return lambda deliver: StandardGRO(deliver, accountant)
     if kind is GroKind.CHAINED:
+        from repro.core.chained_gro import ChainedGRO
+
         return lambda deliver: ChainedGRO(deliver, accountant)
+    from repro.core.presto_gro import PrestoGRO
+
     return lambda deliver: PrestoGRO(deliver, config, accountant)

@@ -9,8 +9,3 @@ the queue empty, feeding every packet to the GRO engine, and signals polling
 completion.  Each RX queue owns its private GRO engine instance, exactly as
 Juggler instantiates its data structures per queue.
 """
-
-from repro.nic.rxqueue import RxQueue
-from repro.nic.nic import Nic, NicConfig
-
-__all__ = ["RxQueue", "Nic", "NicConfig"]

@@ -6,8 +6,3 @@ limiting, no switch changes beyond two strict-priority queues — but it only
 works if the receiver stack tolerates the reordering that mixing priorities
 induces, which is where Juggler comes in (Figures 1, 17, 18).
 """
-
-from repro.qos.bandwidth_guarantee import BandwidthGuaranteeController
-from repro.qos.flow_scheduling import PiasMarker, SrptMarker
-
-__all__ = ["BandwidthGuaranteeController", "PiasMarker", "SrptMarker"]

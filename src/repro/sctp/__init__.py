@@ -14,10 +14,3 @@ retransmission timeout, and a static window instead of full congestion
 control — enough to exercise ordered *message* delivery over a reordering
 fabric, which is what the generality claim is about.
 """
-
-from repro.sctp.association import SctpReceiver, SctpSender
-
-#: The IP protocol number SCTP traffic uses.
-SCTP_PROTO = 132
-
-__all__ = ["SctpSender", "SctpReceiver", "SCTP_PROTO"]

@@ -15,6 +15,9 @@ from repro.sim.engine import Engine
 from repro.sim.timer import Timer
 from repro.sim.time import MS
 
+#: The IP protocol number SCTP traffic uses.
+SCTP_PROTO = 132
+
 #: Called with (message_index, completion_time) on each delivered message.
 MessageCallback = Callable[[int, int], None]
 
@@ -31,8 +34,8 @@ class SctpSender:
         window_bytes: int = 1 << 20,
         rto_ns: int = 2 * MS,
     ):
-        if flow.proto != 132:
-            raise ValueError(f"SCTP association needs proto 132, got {flow.proto}")
+        if flow.proto != SCTP_PROTO:
+            raise ValueError(f"SCTP association needs proto {SCTP_PROTO}, got {flow.proto}")
         self._engine = engine
         self._host = host
         self.flow = flow
@@ -142,8 +145,8 @@ class SctpReceiver:
         message_sizes: Optional[List[int]] = None,
         on_message: Optional[MessageCallback] = None,
     ):
-        if flow.proto != 132:
-            raise ValueError(f"SCTP association needs proto 132, got {flow.proto}")
+        if flow.proto != SCTP_PROTO:
+            raise ValueError(f"SCTP association needs proto {SCTP_PROTO}, got {flow.proto}")
         self._engine = engine
         self._host = host
         self.flow = flow

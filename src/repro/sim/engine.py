@@ -214,8 +214,14 @@ class Engine:
         return self._loop(inf, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Run until every live event fired (or ``max_events`` callbacks ran)."""
-        self._loop(inf, -1 if max_events is None else max_events)
+        """Run until every live event fired, or until ``max_events``
+        callbacks ran (0 runs none; a negative budget is an error)."""
+        if max_events is None:
+            self._loop(inf, -1)
+        elif max_events > 0:
+            self._loop(inf, max_events)
+        elif max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
 
     def run_until(self, time: int) -> None:
         """Run all events with timestamp <= ``time``, then advance now to ``time``.

@@ -18,35 +18,3 @@ GRO shard, per-shard ``steer.*`` metrics) the policies steer into.  The
 fault plans, and the ``fdir_reordering`` experiment family (repro.
 experiments.fdir_reordering) sweeps policy x flow count x churn x engine.
 """
-
-from repro.steer.coreset import CoreSet, RxCore
-from repro.steer.flow_director import FlowDirectorConfig, FlowDirectorSteering
-from repro.steer.policy import RssSteering, SteeringPolicy
-from repro.steer.static import StaticAffinitySteering
-
-__all__ = [
-    "SteeringPolicy",
-    "RssSteering",
-    "FlowDirectorSteering",
-    "FlowDirectorConfig",
-    "StaticAffinitySteering",
-    "CoreSet",
-    "RxCore",
-]
-
-
-def make_policy(name: str, **kwargs) -> SteeringPolicy:
-    """Build a policy by grid name (``rss``/``flow_director``/``static``).
-
-    ``kwargs`` are forwarded to the policy constructor — the experiment
-    runner uses this to hand Flow Director its config and seeded rng.
-    """
-    if name == "rss":
-        return RssSteering()
-    if name == "flow_director":
-        return FlowDirectorSteering(**kwargs)
-    if name == "static":
-        return StaticAffinitySteering(**kwargs)
-    raise ValueError(
-        f"unknown steering policy {name!r} "
-        "(expected rss, flow_director, or static)")

@@ -15,10 +15,3 @@ delivered GRO segment (the paper's "15 times more ACKs"), buffers
 out-of-order data, and advertises a window coupled to the application-core
 drain rate.
 """
-
-from repro.tcp.config import TcpConfig
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
-from repro.tcp.connection import Connection
-
-__all__ = ["TcpConfig", "TcpReceiver", "TcpSender", "Connection"]

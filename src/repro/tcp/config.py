@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cc.base import CC_ALGORITHMS
 from repro.net.constants import MAX_TSO_PAYLOAD, MSS
 from repro.sim.time import MS, US
 
@@ -44,9 +45,9 @@ class TcpConfig:
     dctcp_g: float = 1.0 / 16.0
     #: Initial RTT estimate before any sample (seeds the RTO).
     initial_rtt: int = 200 * US
-    #: Congestion-control policy (see repro.cc): "reno" (the default,
-    #: byte-identical to the historical monolithic sender), "cubic",
-    #: "dctcp" or "bbr".
+    #: Congestion-control policy, a key of ``repro.cc.base.CC_ALGORITHMS``:
+    #: "reno" (the default, byte-identical to the historical monolithic
+    #: sender), "cubic", "dctcp" or "bbr".
     cc: str = "reno"
 
     def __post_init__(self) -> None:
@@ -67,10 +68,8 @@ class TcpConfig:
             # as sent and later "recover" it as loss.
             raise ValueError(f"max_burst must be <= MAX_TSO_PAYLOAD "
                              f"({MAX_TSO_PAYLOAD}), got {self.max_burst}")
-        # Mirrors repro.cc.CC_ALGORITHMS (kept literal: repro.tcp must not
-        # import repro.cc at config time).
-        if self.cc not in ("reno", "cubic", "dctcp", "bbr"):
+        if self.cc not in CC_ALGORITHMS:
             raise ValueError(
                 f"unknown congestion control {self.cc!r}; "
-                "choose from ['bbr', 'cubic', 'dctcp', 'reno']"
+                f"choose from {sorted(CC_ALGORITHMS)}"
             )

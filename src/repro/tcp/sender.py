@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.cc import make_cc
+from repro.cc.base import make_cc
 from repro.cc.rtt import RttEstimator
 from repro.fabric.host import Host
 from repro.net.addr import FiveTuple

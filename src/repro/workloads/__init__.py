@@ -9,21 +9,3 @@
   is 50%" conditions of §5.1.1 without simulating thousands of extra
   end-host stacks.
 """
-
-from repro.workloads.rpc import RpcWorkload, PingPongRpc, RpcRecord
-from repro.workloads.background import PoissonPacketSource
-from repro.workloads.distributions import (
-    DATA_MINING,
-    EmpiricalSizeDistribution,
-    WEB_SEARCH,
-)
-
-__all__ = [
-    "RpcWorkload",
-    "PingPongRpc",
-    "RpcRecord",
-    "PoissonPacketSource",
-    "EmpiricalSizeDistribution",
-    "WEB_SEARCH",
-    "DATA_MINING",
-]

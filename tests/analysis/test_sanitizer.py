@@ -10,15 +10,15 @@ import pytest
 
 from repro.analysis import runtime
 from repro.analysis.sanitizer import Sanitizer, SanitizerError
-from repro.core import (
-    FlowEntry,
-    FlushReason,
-    GroTable,
-    JugglerConfig,
-    JugglerGRO,
-    Phase,
-)
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.config import JugglerConfig
+from repro.core.flow_entry import FlowEntry
+from repro.core.flush import FlushReason
+from repro.core.gro_table import GroTable
+from repro.core.juggler import JugglerGRO
+from repro.core.phases import Phase
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

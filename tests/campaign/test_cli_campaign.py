@@ -7,7 +7,8 @@ import pytest
 
 import repro.campaign.cli as campaign_cli
 import repro.cli as cli
-from repro.campaign import SchedulerConfig, build_default_spec
+from repro.campaign.scheduler import SchedulerConfig
+from repro.campaign.spec import build_default_spec
 
 
 def selftest_args(tmp_path, *extra, plan=("ok", "ok")):

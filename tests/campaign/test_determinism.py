@@ -7,14 +7,9 @@ root seed the campaign rows match the modules' own serial ``run()``.
 
 import dataclasses
 
-from repro.campaign import (
-    CampaignSpec,
-    ExperimentSpec,
-    ResultStore,
-    SchedulerConfig,
-    expand,
-    run_campaign,
-)
+from repro.campaign.scheduler import SchedulerConfig, run_campaign
+from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
+from repro.campaign.store import ResultStore
 from repro.campaign.reporter import render_report
 
 SPEC = CampaignSpec(name="det", experiments=(

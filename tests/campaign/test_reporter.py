@@ -2,14 +2,9 @@
 
 import json
 
-from repro.campaign import (
-    CampaignSpec,
-    ExperimentSpec,
-    ResultStore,
-    SchedulerConfig,
-    expand,
-    run_campaign,
-)
+from repro.campaign.scheduler import SchedulerConfig, run_campaign
+from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
+from repro.campaign.store import ResultStore
 from repro.campaign.reporter import render_report, summarize
 
 TINY_FIG12 = ExperimentSpec(

@@ -12,14 +12,9 @@ import os
 
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    ExperimentSpec,
-    ResultStore,
-    SchedulerConfig,
-    expand,
-    run_campaign,
-)
+from repro.campaign.scheduler import SchedulerConfig, run_campaign
+from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
+from repro.campaign.store import ResultStore
 
 
 def selftest_spec(tmp_path, plan, task_ids=None, **overrides):

@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.cc import CC_ALGORITHMS, BbrV1CC, CubicCC, DctcpCC, RenoCC, make_cc
-from repro.cc.bbr import MIN_CWND, PROBE_BW_GAINS, STARTUP_GAIN
+from repro.cc.base import CC_ALGORITHMS, make_cc
+from repro.cc.bbr import BbrV1CC, MIN_CWND, PROBE_BW_GAINS, STARTUP_GAIN
+from repro.cc.cubic import CubicCC
+from repro.cc.dctcp import DctcpCC
+from repro.cc.reno import RenoCC
 from repro.cc.rtt import RttEstimator
-from repro.net import MSS
-from repro.sim import MS, US
-from repro.tcp import TcpConfig
+from repro.net.constants import MSS
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
 
 
 def policy(name, config=None):
@@ -26,9 +29,13 @@ def ack_kw(**overrides):
 
 def test_factory_covers_all_registered_names():
     assert sorted(CC_ALGORITHMS) == ["bbr", "cubic", "dctcp", "reno"]
-    for name, cls in CC_ALGORITHMS.items():
-        assert isinstance(policy(name), cls)
-        assert cls.name == name
+    classes = {"reno": RenoCC, "cubic": CubicCC, "dctcp": DctcpCC,
+               "bbr": BbrV1CC}
+    for name, (module, cls) in CC_ALGORITHMS.items():
+        built = policy(name)
+        assert type(built) is classes[name]
+        assert (type(built).__module__, type(built).__name__) == (module, cls)
+        assert built.name == name
 
 
 def test_factory_rejects_unknown_name():
@@ -39,6 +46,15 @@ def test_factory_rejects_unknown_name():
 def test_config_rejects_unknown_cc():
     with pytest.raises(ValueError, match="unknown congestion control"):
         TcpConfig(cc="vegas")
+
+
+def test_config_and_factory_name_the_same_choices():
+    with pytest.raises(ValueError) as from_config:
+        TcpConfig(cc="vegas")
+    with pytest.raises(ValueError) as from_factory:
+        make_cc("vegas", TcpConfig(), RttEstimator())
+    assert str(from_config.value) == str(from_factory.value)
+    assert str(sorted(CC_ALGORITHMS)) in str(from_config.value)
 
 
 # -- Reno (the historical default, extracted verbatim) -------------------------

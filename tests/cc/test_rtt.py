@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cc.rtt import RttEstimator
-from repro.sim import MS, US
+from repro.sim.time import MS, US
 
 
 def test_first_sample_seeds_srtt_and_rttvar():

@@ -11,9 +11,10 @@ ride along.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.net import FiveTuple, MSS
-from repro.sim import Engine
-from repro.tcp import TcpConfig
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.sim.engine import Engine
+from repro.tcp.config import TcpConfig
 from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)

@@ -4,7 +4,7 @@ import pytest
 
 from tests.core.helpers import JugglerHarness
 
-from repro.core import JugglerConfig
+from repro.core.config import JugglerConfig
 from repro.sim.time import US
 
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core import FlushReason, JugglerConfig, JugglerGRO
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.juggler import JugglerGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.net.segment import Segment
 from repro.sim.time import US
 

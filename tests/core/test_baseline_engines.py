@@ -1,13 +1,15 @@
 """StandardGRO, ChainedGRO and PrestoGRO baselines."""
 
-from repro.core import (
-    ChainedGRO,
-    FlushReason,
-    JugglerConfig,
-    PrestoGRO,
-    StandardGRO,
-)
-from repro.net import BatchingMode, FiveTuple, MSS, Packet, TcpFlags
+from repro.core.chained_gro import ChainedGRO
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.presto_gro import PrestoGRO
+from repro.core.standard_gro import StandardGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.segment import BatchingMode
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -3,8 +3,11 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core import ChainedGRO, StandardGRO
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.chained_gro import ChainedGRO
+from repro.core.standard_gro import StandardGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

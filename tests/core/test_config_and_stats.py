@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core import FlushReason, GroStats, JugglerConfig, Phase
-from repro.net import FiveTuple
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.phases import Phase
+from repro.core.stats import GroStats
+from repro.net.addr import FiveTuple
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import FlowEntry, GroTable, Phase
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.flow_entry import FlowEntry
+from repro.core.gro_table import GroTable
+from repro.core.phases import Phase
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -1,8 +1,14 @@
 """Base GroEngine plumbing shared by all engines."""
 
-from repro.core import FlushReason, JugglerConfig, JugglerGRO, StandardGRO
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.juggler import JugglerGRO
+from repro.core.standard_gro import StandardGRO
 from repro.core.base import GroEngine
-from repro.net import FiveTuple, MSS, Packet, Segment
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.net.segment import Segment
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 
@@ -37,7 +43,8 @@ def test_passthrough_not_counted_as_segment():
 
 
 def test_all_engines_share_interface():
-    from repro.core import ChainedGRO, PrestoGRO
+    from repro.core.chained_gro import ChainedGRO
+    from repro.core.presto_gro import PrestoGRO
 
     for cls in (StandardGRO, ChainedGRO):
         engine = cls(lambda s: None)

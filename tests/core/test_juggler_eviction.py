@@ -2,8 +2,11 @@
 
 from tests.core.helpers import FLOW, JugglerHarness, pkt
 
-from repro.core import FlushReason, JugglerConfig, Phase
-from repro.net import FiveTuple, MSS
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.phases import Phase
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
 from repro.sim.time import US
 
 

@@ -2,9 +2,10 @@
 
 from tests.core.helpers import FLOW, JugglerHarness, pkt
 
-from repro.core import FlushReason, JugglerConfig
-from repro.net import MSS, TcpFlags
-from repro.net.constants import MAX_GRO_SEGMENT
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.net.constants import MSS, MAX_GRO_SEGMENT
+from repro.net.flags import TcpFlags
 from repro.sim.time import US
 
 

@@ -3,8 +3,12 @@ under adversarial traffic, while a Presto-style design grows without limit."""
 
 import random
 
-from repro.core import JugglerConfig, JugglerGRO, PrestoGRO
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.presto_gro import PrestoGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.sim.time import MS, US
 
 

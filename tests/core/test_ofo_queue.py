@@ -1,8 +1,10 @@
 """Out-of-order queue invariants and merging behaviour."""
 
-from repro.core import OfoQueue
-from repro.net import FiveTuple, MSS, Packet, TcpFlags
-from repro.net.constants import MAX_GRO_SEGMENT
+from repro.core.ofo_queue import OfoQueue
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS, MAX_GRO_SEGMENT
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 
 from tests.core.helpers import FLOW, JugglerHarness
 
-from repro.core import JugglerConfig, OfoQueue
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.config import JugglerConfig
+from repro.core.ofo_queue import OfoQueue
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.sim.time import MS, US
 
 # Arrival orders: permutations with optional duplication of a 0..n-1 MSS
@@ -116,7 +119,7 @@ def test_juggler_in_order_delivery_without_timeouts(case):
     # Deliveries so far happened only through event-driven conditions,
     # which are all in-sequence flushes: the watermark never regresses.
     # (Duplicate packets are passed straight up out-of-band and excluded.)
-    from repro.core import FlushReason
+    from repro.core.flush import FlushReason
 
     ranges = [(s.seq, s.end_seq) for s, r, _ in harness.log
               if r is not FlushReason.DUPLICATE]

@@ -29,9 +29,13 @@ timeout walks iterate ``GroTable.deadline_lists()`` with the
 head-in-sequence test as slot reads.
 """
 
-from repro.core import JugglerConfig, JugglerGRO, StandardGRO
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.standard_gro import StandardGRO
 from repro.core.phases import Phase
-from repro.net import FiveTuple, MSS, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.perf.counts import marginal_calls
 from repro.sim.time import US
 

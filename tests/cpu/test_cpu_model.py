@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.cpu import (
-    CostTable,
-    CoreMeter,
-    CpuCore,
-    DEFAULT_COSTS,
-    GroCpuAccountant,
-)
-from repro.net import BatchingMode, FiveTuple, MSS, Packet, Segment
-from repro.sim import Engine
+from repro.cpu.accounting import GroCpuAccountant
+from repro.cpu.core import CpuCore
+from repro.cpu.costs import CostTable, DEFAULT_COSTS
+from repro.cpu.meter import CoreMeter
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.net.segment import BatchingMode, Segment
+from repro.sim.engine import Engine
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

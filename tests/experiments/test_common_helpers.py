@@ -7,7 +7,7 @@ from repro.experiments.cell import Cell, Window
 from repro.experiments.common import HostCpu, gbps
 from repro.harness.experiment import GroKind
 from repro.nic.nic import NicConfig
-from repro.sim import Engine
+from repro.sim.engine import Engine
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 
@@ -94,8 +94,8 @@ def test_host_cpu_windows():
 
 
 def test_host_cpu_attach():
-    from repro.core import StandardGRO
-    from repro.fabric import Host
+    from repro.core.standard_gro import StandardGRO
+    from repro.fabric.host import Host
 
     engine = Engine()
     cpu = HostCpu(engine)

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.fabric import DetectorConfig, ReorderDetector
-from repro.net import FiveTuple, MSS
+from repro.fabric.detector import DetectorConfig, ReorderDetector
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.groundtruth import GroundTruthSink, grade
 

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
-from repro.fabric import ExitTap, FlowcutRouting, QueuedLink
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine, US
+from repro.fabric.flowcut import ExitTap, FlowcutRouting
+from repro.fabric.link import QueuedLink
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
+from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 OTHER = FiveTuple(9, 9, 9, 9)
@@ -189,7 +193,7 @@ def test_exit_tap_decrements_and_forwards():
 def test_switch_wires_links_and_time_into_the_policy():
     """A Switch binds uplinks (congestion awareness) and supplies the
     engine clock to the wants_time policy."""
-    from repro.fabric import Switch
+    from repro.fabric.switch import Switch
 
     engine = Engine()
 

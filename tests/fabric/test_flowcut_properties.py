@@ -13,11 +13,17 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core import StandardGRO
-from repro.fabric import FlowcutRouting, PerPacketRouting, build_clos
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine, MS
-from repro.tcp import Connection, TcpConfig
+from repro.core.standard_gro import StandardGRO
+from repro.fabric.flowcut import FlowcutRouting
+from repro.fabric.routing import PerPacketRouting
+from repro.fabric.topology import build_clos
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
+from repro.sim.time import MS
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
 
 
 def _run_clos(policy_factory, *, pacing_gbps=2.0, volume=1 << 21):

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from repro.fabric import FlowletRouting, QueuedLink, Switch
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine, US
+from repro.fabric.link import QueuedLink
+from repro.fabric.routing import FlowletRouting
+from repro.fabric.switch import Switch
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
+from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 
@@ -137,10 +142,11 @@ def test_switch_supplies_time_to_flowlet_policy():
 def test_flowlet_switching_in_clos_avoids_reordering():
     """With a gap above the path-delay skew, flowlet switching delivers
     in order — CONGA's core claim — while still using both uplinks."""
-    from repro.fabric import build_clos
-    from repro.core import StandardGRO
-    from repro.sim import MS
-    from repro.tcp import Connection, TcpConfig
+    from repro.fabric.topology import build_clos
+    from repro.core.standard_gro import StandardGRO
+    from repro.sim.time import MS
+    from repro.tcp.config import TcpConfig
+    from repro.tcp.connection import Connection
 
     engine = Engine()
     rng = random.Random(5)

@@ -51,13 +51,19 @@ import random
 
 import pytest
 
-from repro.core import StandardGRO
-from repro.fabric import (Host, PerPacketRouting, QueuedLink, ReorderDetector,
-                          Switch)
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.standard_gro import StandardGRO
+from repro.fabric.detector import ReorderDetector
+from repro.fabric.host import Host
+from repro.fabric.link import QueuedLink
+from repro.fabric.routing import PerPacketRouting
+from repro.fabric.switch import Switch
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.nic.nic import NicConfig
 from repro.perf.counts import marginal_calls
-from repro.sim import Engine, MS
+from repro.sim.engine import Engine
+from repro.sim.time import MS
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 #: Files whose calls are a hop's (links, switch, the ``post`` under them) and

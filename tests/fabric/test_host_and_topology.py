@@ -4,16 +4,21 @@ import random
 
 import pytest
 
-from repro.core import JugglerConfig, JugglerGRO, StandardGRO
-from repro.fabric import (
-    Host,
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.standard_gro import StandardGRO
+from repro.fabric.host import Host
+from repro.fabric.topology import (
     build_clos,
     build_netfpga_pair,
     build_priority_dumbbell,
 )
 from repro.fabric.routing import EcmpRouting
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine, MS, US
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 

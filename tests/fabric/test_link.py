@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.fabric import QueuedLink
+from repro.fabric.link import QueuedLink
 from repro.faults.controller import FaultEngine
 from repro.faults.plan import FaultPlan
-from repro.net import FiveTuple, MSS, Packet
-from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW, transmit_time_ns
-from repro.sim import Engine
+from repro.net.addr import FiveTuple
+from repro.net.constants import (
+    MSS,
+    PRIORITY_HIGH,
+    PRIORITY_LOW,
+    transmit_time_ns,
+)
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -14,9 +14,11 @@ from dataclasses import astuple
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.fabric import QueuedLink
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine
+from repro.fabric.link import QueuedLink
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
 
 from .reference_link import ReferenceLink
 

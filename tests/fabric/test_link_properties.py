@@ -3,9 +3,13 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.fabric import QueuedLink, Switch, EcmpRouting
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine
+from repro.fabric.link import QueuedLink
+from repro.fabric.routing import EcmpRouting
+from repro.fabric.switch import Switch
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
 
 
 class Sink:

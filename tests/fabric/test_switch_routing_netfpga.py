@@ -4,18 +4,17 @@ import random
 
 import pytest
 
-from repro.fabric import (
-    EcmpRouting,
-    PerPacketRouting,
-    PerTsoRouting,
-    QueuedLink,
-    ReorderDetector,
-    ReorderingSwitch,
-    Switch,
-)
+from repro.fabric.detector import ReorderDetector
+from repro.fabric.link import QueuedLink
+from repro.fabric.netfpga import ReorderingSwitch
+from repro.fabric.routing import EcmpRouting, PerPacketRouting, PerTsoRouting
+from repro.fabric.switch import Switch
 from repro.faults.injectors import LossInjector
-from repro.net import FiveTuple, MSS, Packet
-from repro.sim import Engine, US
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.sim.engine import Engine
+from repro.sim.time import US
 
 
 class Sink:

@@ -6,7 +6,9 @@ from repro.core.standard_gro import StandardGRO
 from repro.faults.controller import FaultEngine
 from repro.faults.injectors import CorruptInjector, LossInjector
 from repro.faults.plan import FaultPlan
-from repro.net import MSS, FiveTuple, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine
 from repro.sim.time import US

@@ -14,7 +14,9 @@ from repro.faults.injectors import (
     build_injector,
 )
 from repro.faults.plan import FaultPlan
-from repro.net import MSS, FiveTuple, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.sim.engine import Engine
 

@@ -20,10 +20,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analysis.sanitizer import LEGAL_TRANSITIONS, Sanitizer
-from repro.core import JugglerConfig, JugglerGRO
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
 from repro.core.phases import Phase
 from repro.faults.injectors import CorruptInjector, DuplicateInjector
-from repro.net import MSS, FiveTuple, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)

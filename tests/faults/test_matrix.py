@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, ExperimentSpec, expand, registry
+from repro.campaign import registry
+from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
 from repro.faults.experiments import (
     MatrixParams,
     MatrixPoint,

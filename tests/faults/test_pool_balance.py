@@ -17,7 +17,9 @@ from repro.faults.injectors import (
     BurstLossInjector,
     LossInjector,
 )
-from repro.net import MSS, FiveTuple, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.net.pool import PacketPool, release_terminal
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.core import JugglerConfig, JugglerGRO
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
 from repro.fabric.topology import build_netfpga_pair
 from repro.faults import runtime
 from repro.faults.injectors import FaultInjector

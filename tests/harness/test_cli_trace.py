@@ -5,10 +5,14 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.core import JugglerConfig, JugglerGRO
-from repro.net import MSS, FiveTuple, Packet
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.nic.rxqueue import RxQueue
-from repro.sim import Engine, US
+from repro.sim.engine import Engine
+from repro.sim.time import US
 from repro.trace.sinks import read_jsonl
 
 FLOW = FiveTuple(1, 2, 1000, 80)

@@ -2,21 +2,24 @@
 
 import pytest
 
-from repro.core import ChainedGRO, JugglerGRO, PrestoGRO, StandardGRO
-from repro.cpu import GroCpuAccountant, CoreMeter
-from repro.harness import (
-    GroKind,
+from repro.core.chained_gro import ChainedGRO
+from repro.core.juggler import JugglerGRO
+from repro.core.presto_gro import PrestoGRO
+from repro.core.standard_gro import StandardGRO
+from repro.cpu.accounting import GroCpuAccountant
+from repro.cpu.meter import CoreMeter
+from repro.harness.experiment import GroKind, make_gro_factory
+from repro.harness.metrics import (
     Histogram,
     Sampler,
     ThroughputProbe,
-    banner,
-    format_table,
-    make_gro_factory,
     mean,
     percentile,
     percentiles,
 )
-from repro.sim import Engine, US
+from repro.harness.reporting import banner, format_table
+from repro.sim.engine import Engine
+from repro.sim.time import US
 
 
 def test_mean():

@@ -2,6 +2,7 @@
 run)."""
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -65,3 +66,33 @@ def test_verdict(record_e2e, change, expected):
     pairs = record_e2e.pairs_of(PARENT, change)
     assert pairs["verdict"] == expected
     assert pairs["n"] == 10
+
+
+@pytest.mark.parametrize("change, expected", [
+    # Higher in 10 of 10, medians 0.1 apart: better for a throughput.
+    ([p * 1.1 for p in PARENT], "better"),
+    # Lower in 10 of 10, medians 0.1 apart.
+    ([p * 0.9 for p in PARENT], "worse"),
+    # Higher in 9 of 10, but the medians are 0.015 apart.
+    ([p + 0.01 for p in PARENT[:9]] + [PARENT[9] - 0.01], "unresolved"),
+])
+def test_verdict_when_higher_is_better(record_e2e, change, expected):
+    pairs = record_e2e.pairs_of(PARENT, change, "higher")
+    assert pairs["verdict"] == expected
+    assert pairs["ahead"] == (9 if expected == "unresolved" else
+                              10 if expected == "better" else 0)
+
+
+def test_every_end_to_end_metric_gets_a_verdict(record_e2e):
+    """Each metric of the manifest is judged in its own direction."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    parent = [{m["name"]: value for m in metrics} for value in PARENT]
+    change = [{m["name"]: value * (0.9 if m["better"] == "lower" else 1.1)
+               for m in metrics} for value in PARENT]
+    verdicts = record_e2e.verdicts_of(parent, change, metrics)
+    assert sorted(verdicts) == sorted(m["name"] for m in metrics)
+    assert set(verdicts.values()) == {"better"}
+    assert {"lower", "higher"} <= {m["better"] for m in metrics}
+    assert set(record_e2e.verdicts_of(change, parent, metrics).values()) \
+        == {"worse"}

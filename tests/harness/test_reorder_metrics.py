@@ -84,9 +84,12 @@ def test_recommend_ofo_timeout_rule():
 
 def test_end_to_end_with_simulated_switch():
     """Wire the observer behind the NetFPGA switch and recover tau."""
-    from repro.fabric import ReorderingSwitch
-    from repro.net import FiveTuple, MSS, Packet
-    from repro.sim import Engine, MS, US
+    from repro.fabric.netfpga import ReorderingSwitch
+    from repro.net.addr import FiveTuple
+    from repro.net.constants import MSS
+    from repro.net.packet import Packet
+    from repro.sim.engine import Engine
+    from repro.sim.time import MS, US
 
     engine = Engine()
     observer = ReorderObserver()

@@ -4,11 +4,15 @@ because of this property."""
 
 import random
 
-from repro.core import JugglerConfig, JugglerGRO
-from repro.fabric import build_netfpga_pair
-from repro.nic import NicConfig
-from repro.sim import Engine, MS, US, RngRegistry
-from repro.tcp import Connection, TcpConfig
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.fabric.topology import build_netfpga_pair
+from repro.nic.nic import NicConfig
+from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
 
 
 def run_fingerprint(seed):

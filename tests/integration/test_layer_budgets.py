@@ -26,9 +26,11 @@ from repro.experiments.cell import Cell
 from repro.faults import runtime as faults_runtime
 from repro.faults.controller import FaultEngine
 from repro.faults.plan import FaultPlan
-from repro.net import FiveTuple, MSS, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.perf.counts import marginal_bytes, marginal_calls
-from repro.sim import Engine
+from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
 T_MS = 2

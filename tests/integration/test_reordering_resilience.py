@@ -9,11 +9,15 @@ import random
 
 import pytest
 
-from repro.core import JugglerConfig, JugglerGRO, StandardGRO
-from repro.fabric import build_netfpga_pair
-from repro.nic import NicConfig
-from repro.sim import Engine, MS, US
-from repro.tcp import Connection, TcpConfig
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.standard_gro import StandardGRO
+from repro.fabric.topology import build_netfpga_pair
+from repro.nic.nic import NicConfig
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
 
 
 def run(gro_kind, reorder_us=250, duration_ms=20, with_cpu=False):

@@ -3,13 +3,16 @@ with per-transport passthrough behaviour controlled by configuration."""
 
 import random
 
-from repro.core import JugglerConfig, JugglerGRO
-from repro.fabric import build_netfpga_pair
-from repro.net import FiveTuple
-from repro.nic import NicConfig
-from repro.sctp import SCTP_PROTO, SctpReceiver, SctpSender
-from repro.sim import Engine, MS, US
-from repro.tcp import Connection, TcpConfig
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.fabric.topology import build_netfpga_pair
+from repro.net.addr import FiveTuple
+from repro.nic.nic import NicConfig
+from repro.sctp.association import SCTP_PROTO, SctpReceiver, SctpSender
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
 
 
 def test_mixed_transports_share_one_gro_instance():

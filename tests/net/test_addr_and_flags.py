@@ -2,7 +2,8 @@
 
 import pickle
 
-from repro.net import FiveTuple, TcpFlags
+from repro.net.addr import FiveTuple
+from repro.net.flags import TcpFlags
 
 
 def test_reversed_swaps_endpoints():

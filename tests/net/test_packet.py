@@ -1,6 +1,8 @@
 """Packet header model."""
 
-from repro.net import FiveTuple, Packet, TcpFlags
+from repro.net.addr import FiveTuple
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
 from repro.net.constants import ETHERNET_OVERHEAD, HEADER_LEN
 from repro.net.pool import PacketPool
 

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.net import (
-    BatchingMode,
-    FiveTuple,
-    MSS,
-    Packet,
-    Segment,
-    TcpFlags,
-)
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.segment import BatchingMode, Segment
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

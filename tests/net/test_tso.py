@@ -4,9 +4,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.net import (FiveTuple, MSS, MAX_TSO_PAYLOAD, Packet, TcpFlags,
-                       segment_tso_burst)
-from repro.net.constants import transmit_time_ns, wire_bytes
+from repro.net.addr import FiveTuple
+from repro.net.constants import (
+    MSS,
+    MAX_TSO_PAYLOAD,
+    transmit_time_ns,
+    wire_bytes,
+)
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.tso import segment_tso_burst
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

@@ -15,13 +15,15 @@ now (3): the second line.  The packet itself is stamped from the burst's head
 inside the one ``Packet.burst`` call the burst makes.
 """
 
-from repro.core import StandardGRO
-from repro.fabric import Host, QueuedLink
-from repro.net import FiveTuple, MSS
-from repro.net.constants import MAX_TSO_PAYLOAD, wire_bytes
+from repro.core.standard_gro import StandardGRO
+from repro.fabric.host import Host
+from repro.fabric.link import QueuedLink
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS, MAX_TSO_PAYLOAD, wire_bytes
 from repro.perf.counts import marginal_calls
-from repro.sim import Engine
-from repro.tcp import TcpConfig, TcpSender
+from repro.sim.engine import Engine
+from repro.tcp.config import TcpConfig
+from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 WIRE = [("fabric/host.py", "transmit"), ("fabric/link.py", "receive"),

@@ -1,9 +1,13 @@
 """NAPI/hrtimer interplay edge cases."""
 
-from repro.core import JugglerConfig, JugglerGRO
-from repro.net import FiveTuple, MSS, Packet
-from repro.nic import RxQueue
-from repro.sim import Engine, MS, US
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.nic.rxqueue import RxQueue
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 

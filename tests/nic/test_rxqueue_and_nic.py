@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.core import JugglerConfig, JugglerGRO, StandardGRO
-from repro.net import FiveTuple, MSS, Packet
-from repro.nic import Nic, NicConfig, RxQueue
-from repro.sim import Engine, US
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.standard_gro import StandardGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.nic.nic import Nic, NicConfig
+from repro.nic.rxqueue import RxQueue
+from repro.sim.engine import Engine
+from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 
@@ -160,7 +166,7 @@ def test_nic_dropped_aggregates_queues():
 
 
 def test_nic_default_steering_is_rss():
-    from repro.steer import RssSteering
+    from repro.steer.policy import RssSteering
 
     engine = Engine()
     nic = Nic(engine, lambda s: None,
@@ -173,7 +179,7 @@ def test_nic_default_steering_is_rss():
 
 
 def test_nic_honors_static_affinity_policy():
-    from repro.steer import StaticAffinitySteering
+    from repro.steer.static import StaticAffinitySteering
 
     engine = Engine()
     flow_a, flow_b = FiveTuple(1, 2, 5000, 80), FiveTuple(1, 2, 5001, 80)
@@ -189,7 +195,10 @@ def test_nic_honors_static_affinity_policy():
 def test_nic_flow_director_rebalance_moves_traffic_between_queues():
     import random
 
-    from repro.steer import FlowDirectorConfig, FlowDirectorSteering
+    from repro.steer.flow_director import (
+        FlowDirectorConfig,
+        FlowDirectorSteering,
+    )
 
     engine = Engine()
     steering = FlowDirectorSteering(
@@ -223,7 +232,10 @@ def test_whole_nic_delivers_the_same_packets_under_rss_and_fdir():
     import random
 
     from ..streams import reordered_stream
-    from repro.steer import FlowDirectorConfig, FlowDirectorSteering
+    from repro.steer.flow_director import (
+        FlowDirectorConfig,
+        FlowDirectorSteering,
+    )
 
     stream = reordered_stream(16, 24, window=4, seed=7)
 
@@ -292,7 +304,7 @@ def test_shard_gauges_read_back_their_own_queue():
     core.  Each queue gets a different flow count, packet count and
     overflow so no two shards share a value.
     """
-    from repro.steer import StaticAffinitySteering
+    from repro.steer.static import StaticAffinitySteering
     from repro.trace import runtime
     from repro.trace.tracer import Tracer
     from repro.trace.sinks import CallbackSink

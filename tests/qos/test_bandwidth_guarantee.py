@@ -6,11 +6,14 @@ import pytest
 
 from tests.tcp.helpers import DirectPair
 
-from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW
-from repro.net import FiveTuple, MSS, Packet
-from repro.qos import BandwidthGuaranteeController
-from repro.sim import Engine, MS, US
-from repro.tcp import TcpSender, TcpConfig
+from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW, MSS
+from repro.net.addr import FiveTuple
+from repro.net.packet import Packet
+from repro.qos.bandwidth_guarantee import BandwidthGuaranteeController
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.sender import TcpSender
 
 
 class TxCapture:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.net import FiveTuple, MSS, Packet
-from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW
-from repro.qos import PiasMarker, SrptMarker
-from repro.sim import Engine
-from repro.tcp import TcpConfig
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS, PRIORITY_HIGH, PRIORITY_LOW
+from repro.net.packet import Packet
+from repro.qos.flow_scheduling import PiasMarker, SrptMarker
+from repro.sim.engine import Engine
+from repro.tcp.config import TcpConfig
 from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)

@@ -4,12 +4,15 @@ import random
 
 import pytest
 
-from repro.core import JugglerConfig, JugglerGRO
-from repro.fabric import build_netfpga_pair
-from repro.net import FiveTuple, MSS
-from repro.nic import NicConfig
-from repro.sctp import SCTP_PROTO, SctpReceiver, SctpSender
-from repro.sim import Engine, MS, US
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.fabric.topology import build_netfpga_pair
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.nic.nic import NicConfig
+from repro.sctp.association import SCTP_PROTO, SctpReceiver, SctpSender
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
 
 
 def juggler_factory(protocols=(6, 132)):

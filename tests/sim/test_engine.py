@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
 
 def test_starts_at_time_zero():
@@ -137,6 +137,29 @@ def test_max_events_bound():
     engine.schedule(1, recur)
     engine.run(max_events=5)
     assert len(count) == 5
+
+
+def test_max_events_zero_runs_nothing():
+    engine = Engine()
+    fired = []
+    for t in range(1, 6):
+        engine.schedule(t, fired.append, t)
+    engine.run(max_events=0)
+    assert fired == []
+    assert engine.now == 0
+    assert engine.events_processed == 0
+    engine.run()
+    assert fired == [1, 2, 3, 4, 5]
+
+
+def test_negative_max_events_is_rejected():
+    engine = Engine()
+    fired = []
+    for t in range(1, 6):
+        engine.schedule(t, fired.append, t)
+    with pytest.raises(ValueError):
+        engine.run(max_events=-3)
+    assert fired == []
 
 
 def test_events_processed_counter_skips_cancelled():

@@ -10,8 +10,9 @@ event can never touch another one.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.sim import Engine, RngRegistry, Timer
-from repro.sim.engine import COMPACT_FLOOR
+from repro.sim.engine import Engine, COMPACT_FLOOR
+from repro.sim.rng import RngRegistry
+from repro.sim.timer import Timer
 
 #: Deadlines of the data path sit within a few polling intervals of now
 #: (NEAR); RTOs, fault windows and probes sit tens of milliseconds out (FAR).

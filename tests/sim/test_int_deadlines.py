@@ -14,7 +14,8 @@ from repro.experiments import (
     fig15_active_flows as fig15,
     host_vs_fabric,
 )
-from repro.sim import Engine, Timer
+from repro.sim.engine import Engine
+from repro.sim.timer import Timer
 
 
 def check_int(when, callback):

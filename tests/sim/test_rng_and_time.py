@@ -1,7 +1,7 @@
 """Seeded RNG registry and time formatting."""
 
-from repro.sim import NS, US, MS, SEC, RngRegistry, format_time
-from repro.sim.rng import derive_cell_seed, derive_seed
+from repro.sim.rng import RngRegistry, derive_cell_seed, derive_seed
+from repro.sim.time import NS, US, MS, SEC, format_time
 
 
 def test_time_unit_ratios():

@@ -1,6 +1,7 @@
 """Re-armable hrtimer semantics."""
 
-from repro.sim import Engine, Timer
+from repro.sim.engine import Engine
+from repro.sim.timer import Timer
 
 
 def make(engine):

@@ -15,11 +15,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analysis.sanitizer import Sanitizer
-from repro.core import JugglerConfig, JugglerGRO
-from repro.net import FiveTuple, MSS, Packet
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.sim.time import US
-from repro.steer import CoreSet, FlowDirectorConfig, FlowDirectorSteering
-from repro.steer.coreset import RECONCILED_FIELDS
+from repro.steer.coreset import CoreSet, RECONCILED_FIELDS
+from repro.steer.flow_director import FlowDirectorConfig, FlowDirectorSteering
 from repro.trace.metrics import MetricsRegistry
 
 
@@ -132,7 +135,7 @@ def test_steering_decisions_replay_byte_identically(case):
 
 def test_coreset_reconcile_is_idempotent_and_per_queue():
     """Satellite: drain-time reconciliation accounts drops per queue."""
-    from repro.sim import Engine
+    from repro.sim.engine import Engine
 
     engine = Engine()
     coreset = CoreSet(engine, lambda segment: None,

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.net import FiveTuple
-from repro.sim import Engine
-from repro.steer import FlowDirectorConfig, FlowDirectorSteering
+from repro.net.addr import FiveTuple
+from repro.sim.engine import Engine
+from repro.steer.flow_director import FlowDirectorConfig, FlowDirectorSteering
 from repro.trace.events import EventKind
 from repro.trace.sinks import CallbackSink
 from repro.trace.tracer import Tracer

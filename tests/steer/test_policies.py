@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.net import FiveTuple
-from repro.steer import (
-    FlowDirectorConfig,
-    FlowDirectorSteering,
-    RssSteering,
-    StaticAffinitySteering,
-    make_policy,
-)
+from repro.net.addr import FiveTuple
+from repro.steer.flow_director import FlowDirectorConfig, FlowDirectorSteering
+from repro.steer.policy import RssSteering
+from repro.steer.static import StaticAffinitySteering
 
 
 def flows(n, base=5000):
@@ -147,13 +143,3 @@ def test_static_pin_validation_and_wrapping():
     policy.pin(flow, 5)  # wraps modulo the queue count
     assert policy.queue_index(flow) == 1
 
-
-# -- factory ------------------------------------------------------------------
-
-
-def test_make_policy_builds_each_kind():
-    assert isinstance(make_policy("rss"), RssSteering)
-    assert isinstance(make_policy("flow_director"), FlowDirectorSteering)
-    assert isinstance(make_policy("static"), StaticAffinitySteering)
-    with pytest.raises(ValueError):
-        make_policy("toeplitz")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from repro.core import JugglerConfig, JugglerGRO, StandardGRO
-from repro.fabric import Host, QueuedLink
-from repro.nic import NicConfig
-from repro.sim import Engine, US
+from repro.core.config import JugglerConfig
+from repro.core.juggler import JugglerGRO
+from repro.core.standard_gro import StandardGRO
+from repro.fabric.host import Host
+from repro.fabric.link import QueuedLink
+from repro.nic.nic import NicConfig
+from repro.sim.engine import Engine
+from repro.sim.time import US
 
 
 class DirectPair:

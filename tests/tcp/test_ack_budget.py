@@ -19,10 +19,18 @@ fields.  Per delivered single-packet segment the receiver went through
 
 import pytest
 
-from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.segment import Segment
 from repro.perf.counts import marginal_calls
-from repro.sim import Engine, MS
-from repro.tcp import Connection, TcpConfig, TcpReceiver, TcpSender
+from repro.sim.engine import Engine
+from repro.sim.time import MS
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
+from repro.tcp.receiver import TcpReceiver
+from repro.tcp.sender import TcpSender
 
 from .helpers import DirectPair
 from .test_range_splice import NullHost

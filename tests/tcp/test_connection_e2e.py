@@ -4,8 +4,10 @@ import pytest
 
 from tests.tcp.helpers import DirectPair
 
-from repro.sim import Engine, MS
-from repro.tcp import Connection, TcpConfig
+from repro.sim.engine import Engine
+from repro.sim.time import MS
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
 
 
 def transfer(gro="juggler", nbytes=1 << 20, duration_ms=20, rate=10.0,

@@ -11,10 +11,14 @@ bodies are kept here, verbatim, as the reference.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.net import FiveTuple, MSS, Packet, Segment
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.net.segment import Segment
 from repro.net.ranges import merge_range
-from repro.sim import Engine
-from repro.tcp import TcpConfig, TcpReceiver
+from repro.sim.engine import Engine
+from repro.tcp.config import TcpConfig
+from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)

@@ -4,10 +4,15 @@ import pytest
 
 from tests.tcp.helpers import DirectPair
 
-from repro.cpu import CpuCore
-from repro.net import FiveTuple, MSS, Packet, Segment
-from repro.sim import Engine, MS
-from repro.tcp import TcpConfig, TcpReceiver
+from repro.cpu.core import CpuCore
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
+from repro.net.segment import Segment
+from repro.sim.engine import Engine
+from repro.sim.time import MS
+from repro.tcp.config import TcpConfig
+from repro.tcp.receiver import TcpReceiver
 
 
 def make_receiver(engine=None, config=None, with_core=False):

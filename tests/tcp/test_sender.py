@@ -4,10 +4,16 @@ import pytest
 
 from tests.tcp.helpers import DirectPair
 
-from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
-from repro.net.constants import MAX_TSO_PAYLOAD, PRIORITY_HIGH
-from repro.sim import Engine, MS, US
-from repro.tcp import TcpConfig, TcpReceiver, TcpSender
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS, MAX_TSO_PAYLOAD, PRIORITY_HIGH
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.segment import Segment
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.receiver import TcpReceiver
+from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 

@@ -3,9 +3,13 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.net import FiveTuple, MSS, Packet, Segment, TcpFlags
-from repro.sim import Engine
-from repro.tcp import TcpConfig
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.segment import Segment
+from repro.sim.engine import Engine
+from repro.tcp.config import TcpConfig
 from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)

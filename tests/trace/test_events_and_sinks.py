@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.core import FlushReason, Phase
-from repro.net import FiveTuple
+from repro.core.flush import FlushReason
+from repro.core.phases import Phase
+from repro.net.addr import FiveTuple
 from repro.trace.events import (
     EventKind,
     Flush,

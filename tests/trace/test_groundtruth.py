@@ -1,6 +1,7 @@
 """The reordering oracle the bounded detector is graded against."""
 
-from repro.net import FiveTuple, MSS
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
 from repro.trace.events import FlowcutPin, PacketRx
 from repro.trace.groundtruth import GroundTruthSink, grade
 

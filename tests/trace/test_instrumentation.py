@@ -1,11 +1,17 @@
 """Hooks through JugglerGRO, GroTable, RxQueue, Engine and TcpReceiver."""
 
-from repro.core import FlushReason, JugglerConfig, JugglerGRO, Phase
+from repro.core.config import JugglerConfig
+from repro.core.flush import FlushReason
+from repro.core.juggler import JugglerGRO
+from repro.core.phases import Phase
 from repro.fabric.host import Host
-from repro.net import MSS, FiveTuple, Packet
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.net.segment import Segment
 from repro.nic.rxqueue import RxQueue
-from repro.sim import Engine, US
+from repro.sim.engine import Engine
+from repro.sim.time import US
 from repro.tcp.receiver import TcpReceiver
 from repro.trace import runtime
 from repro.trace.events import EventKind

@@ -1,8 +1,10 @@
 """Counters, gauges, histograms, timeseries and component bindings."""
 
-from repro.core import GroStats, FlushReason
+from repro.core.flush import FlushReason
+from repro.core.stats import GroStats
 from repro.harness.metrics import Sampler
-from repro.sim import Engine, US
+from repro.sim.engine import Engine
+from repro.sim.time import US
 from repro.trace import runtime
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.tracer import Tracer

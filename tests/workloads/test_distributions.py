@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from repro.workloads import DATA_MINING, WEB_SEARCH, EmpiricalSizeDistribution
+from repro.workloads.distributions import (
+    DATA_MINING,
+    WEB_SEARCH,
+    EmpiricalSizeDistribution,
+)
 
 
 def test_web_search_quantiles_match_knots():

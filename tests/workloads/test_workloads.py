@@ -6,10 +6,12 @@ import pytest
 
 from tests.tcp.helpers import DirectPair
 
-from repro.sim import Engine, MS, US
-from repro.tcp import Connection, TcpConfig
-from repro.workloads import PingPongRpc, PoissonPacketSource, RpcWorkload
-from repro.workloads.background import DiscardSink
+from repro.sim.engine import Engine
+from repro.sim.time import MS, US
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import Connection
+from repro.workloads.background import PoissonPacketSource, DiscardSink
+from repro.workloads.rpc import PingPongRpc, RpcWorkload
 
 
 def make_pair(engine):
