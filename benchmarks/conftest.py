@@ -1,10 +1,10 @@
 """Shared helpers for the per-figure benchmark harness.
 
 Each bench reproduces one table or figure from the paper: it runs the
-(scaled-down) experiment once under pytest-benchmark, prints the rows the
-paper plots, and asserts the qualitative shape (who wins, where the knees
-fall).  Absolute numbers are not expected to match the authors' hardware
-testbed — see EXPERIMENTS.md for the side-by-side record.
+(scaled-down) experiment once, prints the rows the paper plots, and asserts
+the qualitative shape (who wins, where the knees fall).  Absolute numbers
+are not expected to match the authors' hardware testbed — see
+EXPERIMENTS.md for the side-by-side record.
 """
 
 from __future__ import annotations
@@ -17,9 +17,3 @@ def show(title: str, body: str) -> None:
     print(title)
     print("=" * 74)
     print(body)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a deterministic experiment exactly once under the benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)

@@ -4,7 +4,7 @@ Paper: learning ``seq_next`` across the first polling interval (letting it
 move backwards) yields ~6% fewer segments up the stack.
 """
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.ablations import (
     AblationParams,
@@ -15,8 +15,8 @@ from repro.experiments.ablations import (
 PARAMS = AblationParams(reorder_delay_us=60, duration_ms=25)
 
 
-def test_ablation_buildup_phase(benchmark):
-    points = run_once(benchmark, run_buildup_ablation, PARAMS)
+def test_ablation_buildup_phase():
+    points = run_buildup_ablation(PARAMS)
     show("Ablation — build-up phase on/off "
          "(paper: ~6% fewer segments with the optimisation)",
          render(points))

@@ -5,7 +5,7 @@ strands re-entering flows on timeouts; the paper's inactive-first order
 avoids that.
 """
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.ablations import (
     AblationParams,
@@ -16,8 +16,8 @@ from repro.experiments.ablations import (
 PARAMS = AblationParams(duration_ms=30)
 
 
-def test_ablation_eviction_policy(benchmark):
-    points = run_once(benchmark, run_eviction_ablation, PARAMS)
+def test_ablation_eviction_policy():
+    points = run_eviction_ablation(PARAMS)
     show("Ablation — eviction policy "
          "(paper's inactive-first vs FIFO vs adversarial active-first)",
          render(points))

@@ -5,7 +5,7 @@ Paper: "a small 8 entry gro_table" suffices for per-packet load balancing;
 reordering, a 64 entry gro_table is adequate".
 """
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.ablations import (
     AblationParams,
@@ -17,8 +17,8 @@ PARAMS = AblationParams(duration_ms=30)
 CAPACITIES = (2, 4, 8, 16, 64)
 
 
-def test_ablation_table_size(benchmark):
-    points = run_once(benchmark, run_table_size_ablation, PARAMS, CAPACITIES)
+def test_ablation_table_size():
+    points = run_table_size_ablation(PARAMS, CAPACITIES)
     show("Ablation — gro_table capacity sweep "
          "(paper: small tables suffice; starving the table hurts)",
          render(points))

@@ -3,7 +3,7 @@
 flow scheduling") but does not evaluate.  Demonstrates that the scheduling
 win exists only on a reordering-resilient stack."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.flow_scheduling import (
     SchedulingParams,
@@ -14,8 +14,8 @@ from repro.experiments.flow_scheduling import (
 PARAMS = SchedulingParams(warmup_ms=8, measure_ms=30)
 
 
-def test_ext_flow_scheduling(benchmark):
-    points = run_once(benchmark, run, PARAMS)
+def test_ext_flow_scheduling():
+    points = run(PARAMS)
     show("Extension — PIAS-style flow scheduling over two priorities "
          "(§2.1 motivation: needs a reordering-resilient receiver)",
          render(points))

@@ -1,6 +1,6 @@
 """Figure 1: bandwidth guarantee via dynamic packet scheduling."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig01_bandwidth_guarantee import (
     Fig01Params,
@@ -13,8 +13,8 @@ PARAMS = Fig01Params(before_ms=25, after_ms=60, ofo_timeout_us=200,
                      sample_ms=5)
 
 
-def test_fig01_guarantee_time_series(benchmark):
-    results = run_once(benchmark, run, PARAMS)
+def test_fig01_guarantee_time_series():
+    results = run(PARAMS)
     show("Figure 1 — 20 Gb/s guarantee among 8 flows on a 40G link "
          "(paper: Juggler converges quickly and holds steady; vanilla is "
          "below target and far more variable)",

@@ -1,6 +1,6 @@
 """Figure 9: CPU overhead, single flow at 20 Gb/s."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.cpu_overhead import (
     CpuOverheadParams,
@@ -11,8 +11,8 @@ from repro.experiments.cpu_overhead import (
 BASE = CpuOverheadParams(warmup_ms=8, measure_ms=14)
 
 
-def test_fig09_single_flow_cpu(benchmark):
-    results = run_once(benchmark, run_figure, 1, BASE)
+def test_fig09_single_flow_cpu():
+    results = run_figure(1, BASE)
     show("Figure 9 — CPU overhead, single flow "
          "(paper: vanilla app core saturates and loses throughput under "
          "reordering; Juggler matches the no-reordering baseline)",

@@ -1,6 +1,6 @@
 """Figure 10: CPU overhead, 256 flows at 20 Gb/s."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.cpu_overhead import (
     CpuOverheadParams,
@@ -11,8 +11,8 @@ from repro.experiments.cpu_overhead import (
 BASE = CpuOverheadParams(warmup_ms=10, measure_ms=14)
 
 
-def test_fig10_many_flows_cpu(benchmark):
-    results = run_once(benchmark, run_figure, 256, BASE)
+def test_fig10_many_flows_cpu():
+    results = run_figure(256, BASE)
     show("Figure 10 — CPU overhead, 256 flows "
          "(paper: same comparisons and results as the single-flow case)",
          render(results))

@@ -1,6 +1,6 @@
 """Figure 12: batching efficiency vs inseq_timeout."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig12_inseq_timeout import Fig12Params, render, run
 
@@ -12,8 +12,8 @@ PARAMS = Fig12Params(
 )
 
 
-def test_fig12_batching_vs_inseq_timeout(benchmark):
-    result = run_once(benchmark, run, PARAMS)
+def test_fig12_batching_vs_inseq_timeout():
+    result = run(PARAMS)
     show("Figure 12 — batching extent & CPU vs inseq_timeout "
          "(paper: 25 -> ~44 MTUs, knee at 52us, independent of reordering)",
          render(result))

@@ -1,6 +1,6 @@
 """Figure 13: throughput vs ofo_timeout."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig13_ofo_timeout_throughput import (
     Fig13Params,
@@ -16,8 +16,8 @@ PARAMS = Fig13Params(
 )
 
 
-def test_fig13_throughput_vs_ofo_timeout(benchmark):
-    result = run_once(benchmark, run, PARAMS)
+def test_fig13_throughput_vs_ofo_timeout():
+    result = run(PARAMS)
     show("Figure 13 — throughput vs ofo_timeout "
          "(paper: line rate once ofo_timeout >~ tau - tau0, tau0 = 125us)",
          render(result))

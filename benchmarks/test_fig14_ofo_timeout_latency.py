@@ -1,6 +1,6 @@
 """Figure 14: small-RPC tail latency vs ofo_timeout under loss."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig14_ofo_timeout_latency import (
     Fig14Params,
@@ -15,8 +15,8 @@ PARAMS = Fig14Params(
 )
 
 
-def test_fig14_latency_vs_ofo_timeout(benchmark):
-    result = run_once(benchmark, run, PARAMS)
+def test_fig14_latency_vs_ofo_timeout():
+    result = run(PARAMS)
     show("Figure 14 — 10KB RPC p99 vs ofo_timeout at 0.1% loss "
          "(paper: flat below ~tau - tau0, grows beyond; see EXPERIMENTS.md "
          "for the low-ofo deviation of our SACK model)",

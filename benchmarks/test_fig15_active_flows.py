@@ -1,6 +1,6 @@
 """Figure 15: 99th percentile of active flows vs concurrency."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig15_active_flows import Fig15Params, render, run
 
@@ -12,8 +12,8 @@ PARAMS = Fig15Params(
 )
 
 
-def test_fig15_active_flow_count(benchmark):
-    result = run_once(benchmark, run, PARAMS)
+def test_fig15_active_flow_count():
+    result = run(PARAMS)
     show("Figure 15 — p99 active flows vs concurrency "
          "(paper: grows slowly with both axes, worst case < 35)",
          render(result))

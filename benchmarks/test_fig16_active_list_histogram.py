@@ -1,6 +1,6 @@
 """Figure 16: active-list statistics on the realistic Clos workload."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig16_active_list_histogram import (
     Fig16Params,
@@ -11,8 +11,8 @@ from repro.experiments.fig16_active_list_histogram import (
 PARAMS = Fig16Params(warmup_ms=8, measure_ms=15)
 
 
-def test_fig16_active_list_statistics(benchmark):
-    points = run_once(benchmark, run, PARAMS)
+def test_fig16_active_list_statistics():
+    points = run(PARAMS)
     show("Figure 16 — active/loss-recovery list lengths on the Clos "
          "workload (paper: 40G avg < 1 & p99 < 5; 10G p99 < 6; loss list "
          "almost always empty)",

@@ -1,6 +1,6 @@
 """Figure 18: achieved vs guaranteed bandwidth sweep."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig18_bandwidth_sweep import (
     Fig18Params,
@@ -13,8 +13,8 @@ PARAMS = Fig18Params(guarantees_gbps=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
                      ramp_ms=25, measure_ms=30)
 
 
-def test_fig18_guarantee_sweep(benchmark):
-    result = run_once(benchmark, run, PARAMS)
+def test_fig18_guarantee_sweep():
+    result = run(PARAMS)
     show("Figure 18 — achieved vs guaranteed bandwidth "
          "(paper: Juggler tracks the guarantee up to the single-core CPU "
          "limit; vanilla falls short with high variance; ~5G fair-share "

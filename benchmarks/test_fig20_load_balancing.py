@@ -1,6 +1,6 @@
 """Figure 20: RPC tails under per-flow / per-TSO / per-packet balancing."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.fig20_load_balancing import (
     Fig20Params,
@@ -12,8 +12,8 @@ from repro.experiments.fig20_load_balancing import (
 PARAMS = Fig20Params(loads_pct=(25, 50, 75, 90), warmup_ms=6, measure_ms=20)
 
 
-def test_fig20_load_balancing_tails(benchmark):
-    result = run_once(benchmark, run, PARAMS)
+def test_fig20_load_balancing_tails():
+    result = run(PARAMS)
     show("Figure 20 — RPC completion tails vs load "
          "(paper: per-packet >= 2x better small-RPC p99 than ECMP past 50% "
          "load; beats per-TSO by a growing margin)",

@@ -1,6 +1,6 @@
 """§3.1: linked-list batching costs ~50% more CPU on in-order traffic."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.sec31_chained_gro_cost import (
     Sec31Params,
@@ -13,8 +13,8 @@ from repro.harness.experiment import GroKind
 PARAMS = Sec31Params(warmup_ms=6, measure_ms=12)
 
 
-def test_sec31_chained_batching_overhead(benchmark):
-    points = run_once(benchmark, run, PARAMS)
+def test_sec31_chained_batching_overhead():
+    points = run(PARAMS)
     show("§3.1 — linked-list vs frags[] batching on in-order traffic "
          "(paper: chaining costs ~50% more CPU from cache misses)",
          render(points))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.experiments.sec512_latency_overhead import (
     Sec512Params,
@@ -13,8 +13,8 @@ from repro.experiments.sec512_latency_overhead import (
 PARAMS = Sec512Params(duration_ms=40)
 
 
-def test_sec512_median_latency_unchanged(benchmark):
-    points = run_once(benchmark, run, PARAMS)
+def test_sec512_median_latency_unchanged():
+    points = run(PARAMS)
     show("§5.1.2 — 150B RPC latency, idle network "
          "(paper: median identical with and without Juggler)",
          render(points))

@@ -1,6 +1,6 @@
 """Table 2: all six flushing conditions observed on one engine."""
 
-from conftest import show, run_once
+from conftest import show
 
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
@@ -44,8 +44,8 @@ def exercise_all_conditions():
     return gro.stats.flush_reasons
 
 
-def test_tab02_all_conditions(benchmark):
-    reasons = run_once(benchmark, exercise_all_conditions)
+def test_tab02_all_conditions():
+    reasons = exercise_all_conditions()
     table2 = [
         FlushReason.RETRANSMISSION,
         FlushReason.SEGMENT_FULL,

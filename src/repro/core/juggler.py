@@ -365,6 +365,10 @@ class JugglerGRO(GroEngine):
             self.sanitizer.check_ofo_timeout(entry, now,
                                              self.config.ofo_timeout)
         nodes = entry.ofo.pop_all()
+        if entry.phase is Phase.BUILD_UP:
+            # A duplicate that straddles a buffered run still lowered the
+            # learnt seq_next below it; this flush ends build-up (Table 1).
+            self.table.move(entry, Phase.ACTIVE_MERGE, now)
         if entry.phase is not Phase.LOSS_RECOVERY:
             # Remember only the *first* lost packet (best-effort design).
             entry.lost_seq = entry.seq_next

@@ -3,8 +3,8 @@
 Each module reproduces one table or figure from the paper's evaluation:
 ``run(params)`` executes the (scaled-down) experiment and returns a result
 object; ``render(result)`` produces the text table the corresponding bench
-prints; running a module as a script does both.  The benchmark suite in
-``benchmarks/`` wraps these entry points with pytest-benchmark.
+prints; running a module as a script does both.  The per-figure tests in
+``benchmarks/`` call these entry points and assert the paper's claims.
 
 Every module builds its universe through :mod:`repro.experiments.cell` —
 one ``Cell`` (engine, RNG streams, GRO factory, topology, traffic) and its

@@ -19,7 +19,6 @@ from repro.fabric.link import QueuedLink
 from repro.fabric.netfpga import ReorderingSwitch
 from repro.fabric.routing import RoutingPolicy
 from repro.fabric.switch import Switch
-from repro.faults import runtime as faults_runtime
 from repro.faults.controller import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.nic.nic import GroFactory, NicConfig
@@ -71,8 +70,7 @@ def build_netfpga_pair(
     return over a plain link so control traffic is never reordered — the
     same asymmetry the testbed had.
 
-    When a fault plan is supplied (or installed process-wide — see
-    :mod:`repro.faults.runtime`), its wire faults are chained in front of
+    When a fault plan is supplied, its wire faults are chained in front of
     the receiver and its link/NIC faults are bound to the data-direction
     queues; host-layer faults need receivers bound by the caller via
     ``testbed.faults.bind(receivers=...)``.  With no plan the packet path
@@ -92,12 +90,10 @@ def build_netfpga_pair(
         name="sender",
     )
 
-    plan = (fault_plan if fault_plan is not None
-            else faults_runtime.current_plan())
     faults: Optional[FaultEngine] = None
     into_receiver = receiver
-    if plan is not None:
-        faults = FaultEngine(engine, plan)
+    if fault_plan is not None:
+        faults = FaultEngine(engine, fault_plan)
         into_receiver = faults.wrap(receiver)
 
     dropper = None
@@ -228,13 +224,6 @@ class ClosNetwork:
     def hosts_of_tor(self, tor_index: int, hosts_per_tor: int) -> List[Host]:
         """The hosts attached to one ToR."""
         return self.hosts[tor_index * hosts_per_tor:(tor_index + 1) * hosts_per_tor]
-
-    def uplink_utilization(self, elapsed_ns: int) -> float:
-        """Mean utilisation across every ToR→spine uplink."""
-        links = [l for row in self.uplinks for l in row]
-        if not links:
-            return 0.0
-        return sum(l.stats.utilization(elapsed_ns) for l in links) / len(links)
 
 
 def build_clos(

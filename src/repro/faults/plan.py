@@ -33,6 +33,7 @@ host      receiver_stall    app stops reading -> advertised window closes
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Sequence, Tuple
@@ -56,6 +57,20 @@ KINDS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "steering_churn": ("nic", {"migrate_fraction": 0.5,
                                "flush_table": False}),
     "receiver_stall": ("host", {}),
+}
+
+#: param -> what a plan may set it to: ``bool`` for a switch, else a closed
+#: range ``(low, high)`` of finite numbers (``high`` None = unbounded).
+#: ``extra_us_max`` counts whole microseconds, ``ring_size`` >= 1 is
+#: :class:`~repro.nic.nic.NicConfig`'s own rule.
+BOUNDS: Dict[str, object] = {
+    **dict.fromkeys(("p", "p_enter", "p_exit", "p_loss_bad", "p_loss_good",
+                     "migrate_fraction"), (0, 1)),
+    "extra_us_max": (1, None),
+    "ring_size": (1, None),
+    "capacity_bytes": (0, None),
+    "threshold_bytes": (0, None),
+    "flush_table": bool,
 }
 
 #: Kinds that act on the packet stream itself (injector chain members).
@@ -175,6 +190,21 @@ def _parse_fault(index: int, entry: Mapping) -> FaultSpec:
         raise ValueError(
             f"fault #{index} ({kind}): unknown params {sorted(bad)}; "
             f"allowed: {sorted(legal)}")
+    for key, value in params.items():
+        bound = BOUNDS[key]
+        if bound is bool:
+            ok, wanted = isinstance(value, bool), "true or false"
+        else:
+            low, high = bound
+            ok = (isinstance(value, (int, float))
+                  and not isinstance(value, bool) and math.isfinite(value)
+                  and low <= value and (high is None or value <= high))
+            wanted = (f"a number >= {low}" if high is None
+                      else f"a number in [{low}, {high}]")
+        if not ok:
+            raise ValueError(
+                f"fault #{index} ({kind}): {key} must be {wanted}, "
+                f"got {value!r}")
     for key in ("at_us", "duration_us"):
         if key not in entry:
             raise ValueError(f"fault #{index} ({kind}): missing '{key}'")
@@ -203,7 +233,7 @@ def _parse_fault(index: int, entry: Mapping) -> FaultSpec:
 
 
 def load_plan(path) -> FaultPlan:
-    """Convenience wrapper used by the CLI and the env-var runtime."""
+    """Load and validate a plan file (the ``faults run --plan`` path)."""
     if not Path(path).exists():
         raise FileNotFoundError(f"fault plan not found: {path}")
     return FaultPlan.from_file(path)

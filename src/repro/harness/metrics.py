@@ -86,13 +86,7 @@ class Histogram:
 
 
 class Sampler:
-    """Calls ``probe()`` every ``interval_ns`` and keeps (time, value) pairs.
-
-    ``into`` optionally mirrors each sample into a registered metric — any
-    object with ``add(ts, value)``, typically a
-    :class:`repro.trace.metrics.Timeseries` from a ``MetricsRegistry`` — so
-    experiment samplers feed the same telemetry namespace as everything else.
-    """
+    """Calls ``probe()`` every ``interval_ns`` and keeps (time, value) pairs."""
 
     def __init__(
         self,
@@ -101,7 +95,6 @@ class Sampler:
         interval_ns: int,
         *,
         stop_at_ns: Optional[int] = None,
-        into=None,
     ):
         if interval_ns < 1:
             raise ValueError(f"interval must be >= 1 ns, got {interval_ns}")
@@ -109,7 +102,6 @@ class Sampler:
         self._probe = probe
         self.interval_ns = interval_ns
         self.stop_at_ns = stop_at_ns
-        self.into = into
         self.samples: List[Tuple[int, float]] = []
 
     def start(self) -> None:
@@ -122,8 +114,6 @@ class Sampler:
             return
         value = self._probe()
         self.samples.append((now, value))
-        if self.into is not None:
-            self.into.add(now, value)
         self._engine.schedule(self.interval_ns, self._tick)
 
     def values(self) -> List[float]:

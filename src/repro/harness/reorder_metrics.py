@@ -63,11 +63,6 @@ class ReorderObserver:
         self._seen.add(seq)
         self._arrivals.append((seq, now))
 
-    @property
-    def packets(self) -> int:
-        """Distinct packets observed."""
-        return len(self._arrivals)
-
     def stats(self) -> ReorderStats:
         """Compute the aggregate metrics for everything observed so far."""
         n = len(self._arrivals)

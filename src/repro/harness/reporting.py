@@ -11,15 +11,6 @@ def banner(title: str, width: int = 72) -> str:
     return f"{bar}\n{title}\n{bar}"
 
 
-def format_row(cells: Sequence, widths: Sequence[int]) -> str:
-    """One aligned table row."""
-    parts = []
-    for cell, width in zip(cells, widths):
-        text = f"{cell:.3f}" if isinstance(cell, float) else str(cell)
-        parts.append(text.rjust(width))
-    return "  ".join(parts)
-
-
 def format_table(headers: Sequence[str], rows: List[Sequence]) -> str:
     """A full aligned table with a header rule."""
     widths = [len(h) for h in headers]

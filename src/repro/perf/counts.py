@@ -36,7 +36,6 @@ from repro.experiments import (
     fig15_active_flows as fig15,
     host_vs_fabric,
 )
-from repro.faults import runtime as faults_runtime
 from repro.sim.engine import Engine
 from repro.trace import runtime as trace_runtime
 
@@ -165,11 +164,9 @@ RECORD = Path(__file__).resolve().parents[3] / "BENCH_counts.json"
 
 @contextmanager
 def _layers_off() -> Iterator[None]:
-    """JSAN, the ambient fault plan and the tracer off for the block."""
-    plan_path = os.environ.pop(faults_runtime.ENV_PLAN, None)
-    plan, tracer = faults_runtime.current_plan(), trace_runtime.current()
+    """JSAN and the tracer off for the block."""
+    tracer = trace_runtime.current()
     sanitizer = sanitize_runtime._current, sanitize_runtime._env_checked
-    faults_runtime.uninstall()
     trace_runtime.uninstall()
     sanitize_runtime.uninstall()
     try:
@@ -178,10 +175,6 @@ def _layers_off() -> Iterator[None]:
         sanitize_runtime._current, sanitize_runtime._env_checked = sanitizer
         if tracer is not None:
             trace_runtime.install(tracer)
-        if plan is not None:
-            faults_runtime.install(plan)
-        if plan_path is not None:
-            os.environ[faults_runtime.ENV_PLAN] = plan_path
 
 
 def measure(name: str) -> dict:

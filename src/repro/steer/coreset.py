@@ -16,9 +16,9 @@ every ring-overflow drop to the queue that dropped it.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-from repro.core.base import DeliverFn, GroEngine
+from repro.core.base import DeliverFn
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine
 
@@ -35,11 +35,6 @@ class RxCore:
         self.index = index
         self.queue = queue
         self.name = name
-
-    @property
-    def gro(self) -> GroEngine:
-        """This core's private GRO engine."""
-        return self.queue.gro
 
     @property
     def occupancy(self) -> int:
@@ -88,12 +83,6 @@ class CoreSet:
         self.queues: List[RxQueue] = [core.queue for core in self.cores]
         if tracer is not None and metrics_prefix is not None:
             self._bind_metrics(tracer, metrics_prefix)
-
-    def __len__(self) -> int:
-        return len(self.cores)
-
-    def __iter__(self) -> Iterator[RxCore]:
-        return iter(self.cores)
 
     def _bind_metrics(self, tracer, prefix: str) -> None:
         metrics = tracer.metrics

@@ -173,11 +173,6 @@ class TcpSender:
         return self.rtt.srtt
 
     @property
-    def rttvar(self) -> int:
-        """RTT variance from the shared estimator (ns)."""
-        return self.rtt.rttvar
-
-    @property
     def spurious_rexmits(self) -> int:
         """Retransmissions proven unnecessary (one per DSACK received)."""
         return self.dsacks_received

@@ -1,16 +1,15 @@
-"""The metrics registry: counters, gauges, histograms and timeseries.
+"""The metrics registry: counters and gauges.
 
 Components *register into* one :class:`MetricsRegistry` instead of growing
 bespoke counter bags: :class:`~repro.core.stats.GroStats` binds its counters
-as gauges, :class:`~repro.sim.engine.Engine` exposes its event-loop totals,
-and :class:`~repro.harness.metrics.Sampler` can feed a :class:`Timeseries`.
+as gauges and :class:`~repro.sim.engine.Engine` exposes its event-loop totals.
 A snapshot of the whole registry is one dict, ready for a report table or a
 JSON artifact.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict
 
 
 class Counter:
@@ -41,59 +40,12 @@ class Gauge:
         return self.probe()
 
 
-class HistogramMetric:
-    """Fixed-width histogram of observations (counts per bucket)."""
-
-    __slots__ = ("name", "bin_width", "counts", "total")
-
-    def __init__(self, name: str, bin_width: int = 1):
-        if bin_width < 1:
-            raise ValueError(f"bin_width must be >= 1, got {bin_width}")
-        self.name = name
-        self.bin_width = bin_width
-        self.counts: Dict[int, int] = {}
-        self.total = 0
-
-    def add(self, value: float) -> None:
-        """Record one observation."""
-        bucket = int(value) // self.bin_width
-        self.counts[bucket] = self.counts.get(bucket, 0) + 1
-        self.total += 1
-
-    def buckets(self) -> List[Tuple[int, int]]:
-        """Sorted (bucket_start, count) pairs."""
-        return sorted((b * self.bin_width, n) for b, n in self.counts.items())
-
-
-class Timeseries:
-    """(timestamp, value) samples, optionally bounded to the newest ``maxlen``."""
-
-    __slots__ = ("name", "maxlen", "samples")
-
-    def __init__(self, name: str, maxlen: Optional[int] = None):
-        self.name = name
-        self.maxlen = maxlen
-        self.samples: List[Tuple[int, float]] = []
-
-    def add(self, ts: int, value: float) -> None:
-        """Append one sample, evicting the oldest when bounded."""
-        self.samples.append((ts, value))
-        if self.maxlen is not None and len(self.samples) > self.maxlen:
-            del self.samples[0]
-
-    def values(self) -> List[float]:
-        """Just the sampled values."""
-        return [v for _, v in self.samples]
-
-
 class MetricsRegistry:
     """Named metrics, one namespace per tracer (or standalone)."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, HistogramMetric] = {}
-        self._timeseries: Dict[str, Timeseries] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter ``name``."""
@@ -112,20 +64,6 @@ class MetricsRegistry:
         self._gauges[name] = gauge
         return gauge
 
-    def histogram(self, name: str, bin_width: int = 1) -> HistogramMetric:
-        """Get or create the histogram ``name``."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = HistogramMetric(name, bin_width)
-        return hist
-
-    def timeseries(self, name: str, maxlen: Optional[int] = None) -> Timeseries:
-        """Get or create the timeseries ``name``."""
-        series = self._timeseries.get(name)
-        if series is None:
-            series = self._timeseries[name] = Timeseries(name, maxlen)
-        return series
-
     def snapshot(self) -> dict:
         """Every metric's current value as one plain dict."""
         out: dict = {}
@@ -133,10 +71,6 @@ class MetricsRegistry:
             out[name] = counter.value
         for name, gauge in self._gauges.items():
             out[name] = gauge.read()
-        for name, hist in self._histograms.items():
-            out[name] = {"total": hist.total, "buckets": hist.buckets()}
-        for name, series in self._timeseries.items():
-            out[name] = {"samples": len(series.samples)}
         return out
 
     def render(self) -> str:

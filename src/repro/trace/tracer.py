@@ -71,10 +71,6 @@ class Tracer:
 
     # -- wiring ---------------------------------------------------------------
 
-    def add_sink(self, sink: Sink) -> None:
-        """Attach another sink."""
-        self.sinks.append(sink)
-
     def wants(self, kind: EventKind) -> bool:
         """True when events of ``kind`` should be constructed at all."""
         return self.kinds is None or kind in self.kinds

@@ -2,6 +2,7 @@
 
 from tests.core.helpers import FLOW, JugglerHarness, pkt
 
+from repro.analysis.runtime import sanitizing
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.core.phases import Phase
@@ -79,6 +80,21 @@ def test_duplicate_during_buildup():
     harness.receive(pkt(0), now=1)
     assert harness.engine.stats.duplicates == 1
     assert FlushReason.DUPLICATE in harness.reasons()
+
+
+def test_straddling_duplicate_during_buildup_keeps_table_1_legal():
+    """A duplicate that starts below the only buffered run still lowers the
+    learnt ``seq_next``, opening a hole under it; its OFO timeout ends
+    build-up before loss recovery, the one legal path (JSAN checks it)."""
+    with sanitizing():
+        harness = harness_with()
+    harness.receive(pkt(MSS + MSS // 2), now=0)
+    harness.receive(pkt(MSS), now=1)       # overlaps: a duplicate
+    assert harness.entry().seq_next == MSS
+    harness.engine.check_timeouts(now=60 * US)
+    assert harness.entry().phase is Phase.LOSS_RECOVERY
+    assert harness.reasons() == [FlushReason.DUPLICATE,
+                                 FlushReason.OFO_TIMEOUT]
 
 
 def test_options_split_batches_but_preserve_order():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.standard_gro import StandardGRO
 from repro.faults.controller import FaultEngine
-from repro.faults.injectors import CorruptInjector, LossInjector
+from repro.faults.injectors import CorruptInjector, FaultInjector, LossInjector
 from repro.faults.plan import FaultPlan
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
@@ -271,3 +271,32 @@ def test_explicit_rng_registry_wins_over_plan_seed():
                          rng=registry, tracer=None)
     head = faults.wrap(Collect())
     assert head._rng is registry.stream("faults.loss-f")
+
+
+def _testbed(**kw):
+    import random
+
+    from repro.core.config import JugglerConfig
+    from repro.core.juggler import JugglerGRO
+    from repro.fabric.topology import build_netfpga_pair
+
+    return build_netfpga_pair(Engine(), random.Random(0),
+                              lambda cb: JugglerGRO(cb, JugglerConfig()), **kw)
+
+
+def test_no_plan_by_default():
+    bed = _testbed()
+    assert bed.faults is None
+    # The switch queues deliver straight into the receiver: no injector, no
+    # adapter, not one extra frame on the per-packet call stack.
+    assert bed.switch.fast_queue.sink is bed.receiver
+    assert bed.switch.slow_queue.sink is bed.receiver
+
+
+def test_explicit_plan_arms_the_testbed():
+    plan = plan_of(wire("loss", params={"p": 0.5}))
+    bed = _testbed(fault_plan=plan)
+    assert bed.faults is not None and bed.faults.plan is plan
+    # The wire chain sits between the switch queues and the receiver.
+    assert isinstance(bed.switch.fast_queue.sink, FaultInjector)
+    assert bed.switch.fast_queue.sink.sink is bed.receiver

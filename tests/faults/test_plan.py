@@ -1,5 +1,7 @@
 """FaultPlan parsing, validation and window expansion."""
 
+import json
+
 import pytest
 
 from repro.faults.plan import KINDS, WIRE_KINDS, FaultPlan, FaultSpec, load_plan
@@ -99,6 +101,59 @@ def test_validation_rejects(mutate, match):
         FaultPlan.from_dict(data)
 
 
+def bad_param(kind, **params):
+    return {"faults": [{"kind": kind, "at_us": 0, "duration_us": 1,
+                        "params": params}]}
+
+
+BAD_VALUES = [
+    ("loss", {"p": 1.5}, r"fault #0 \(loss\): p must be a number in \[0, 1\]"),
+    ("loss", {"p": -0.1}, r"p must be a number in \[0, 1\], got -0.1"),
+    ("loss", {"p": "0.5"}, r"p must be a number in \[0, 1\], got '0.5'"),
+    ("loss", {"p": True}, "p must be a number"),
+    ("loss", {"p": float("nan")}, "p must be a number"),
+    ("burst_loss", {"p_exit": 2}, "p_exit must be a number in"),
+    ("jitter", {"p": 7}, r"fault #0 \(jitter\): p must be"),
+    ("jitter", {"extra_us_max": 0}, "extra_us_max must be a number >= 1"),
+    ("ring_overflow", {"ring_size": 0}, "ring_size must be a number >= 1"),
+    ("queue_saturation", {"capacity_bytes": -9000},
+     "capacity_bytes must be a number >= 0"),
+    ("ce_storm", {"threshold_bytes": -1}, "threshold_bytes must be"),
+    ("steering_churn", {"migrate_fraction": 1.01}, "migrate_fraction must"),
+    ("steering_churn", {"flush_table": 1}, "flush_table must be true or false"),
+]
+
+
+@pytest.mark.parametrize("kind, params, match", BAD_VALUES, ids=[
+    f"{kind}-{key}={value!r}" for kind, params, _ in BAD_VALUES
+    for key, value in params.items()])
+def test_param_values_are_bounded(kind, params, match):
+    with pytest.raises(ValueError, match=match):
+        FaultPlan.from_dict(bad_param(kind, **params))
+
+
+def test_catalog_defaults_lie_in_bounds():
+    for kind, (_, defaults) in KINDS.items():
+        FaultPlan.from_dict(bad_param(kind, **defaults))
+
+
+def test_cli_rejects_an_out_of_range_value(tmp_path, capsys):
+    from repro.faults.cli import main
+
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(bad_param("ring_overflow", ring_size=0)))
+    assert main(["run", "--plan", str(path)]) == 2
+    assert "bad fault plan: fault #0 (ring_overflow): ring_size" in \
+        capsys.readouterr().err
+
+
+def test_committed_ci_plan_parses():
+    plan = FaultPlan.from_file("scripts/specs/chaos_plan.json")
+    assert plan.name == "ci-chaos"
+    layers = {spec.layer for spec in plan.faults}
+    assert layers == {"wire", "link", "nic", "host"}  # every layer covered
+
+
 def test_duplicate_fault_names_rejected():
     data = minimal()
     data["faults"].append(dict(data["faults"][0]))
@@ -107,8 +162,6 @@ def test_duplicate_fault_names_rejected():
 
 
 def test_load_plan_roundtrip(tmp_path):
-    import json
-
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(minimal()))
     plan = load_plan(path)

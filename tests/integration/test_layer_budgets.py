@@ -23,7 +23,6 @@ from repro.experiments import (
     fig20_load_balancing as fig20,
 )
 from repro.experiments.cell import Cell
-from repro.faults import runtime as faults_runtime
 from repro.faults.controller import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.net.addr import FiveTuple
@@ -66,14 +65,12 @@ OFF = {
 
 @pytest.fixture(autouse=True, scope="module")
 def layers_off():
-    """Pin JSAN and ambient chaos off, so the sanitize job runs this too."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(faults_runtime.ENV_PLAN, raising=False)
-        sanitize_runtime.uninstall()
-        try:
-            yield
-        finally:
-            sanitize_runtime.reset()
+    """Pin JSAN off, so the sanitize job runs this too."""
+    sanitize_runtime.uninstall()
+    try:
+        yield
+    finally:
+        sanitize_runtime.reset()
 
 
 @functools.lru_cache(maxsize=None)

@@ -231,7 +231,7 @@ def test_whole_nic_delivers_the_same_packets_under_rss_and_fdir():
     """
     import random
 
-    from ..streams import reordered_stream
+    from ..differential import reordered_stream
     from repro.steer.flow_director import (
         FlowDirectorConfig,
         FlowDirectorSteering,
