@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.cc.base import CongestionControl
 from repro.net.constants import MSS
+from repro.tcp.config import INITIAL_RTT
 
 #: RFC 8312 constants.
 CUBIC_C = 0.4
@@ -97,8 +98,7 @@ class CubicCC(CongestionControl):
             self._w_est = cwnd_seg
             self._acked_since_epoch = 0.0
         self._acked_since_epoch += acked / MSS
-        srtt = self.rtt.srtt if self.rtt.srtt is not None \
-            else self.config.initial_rtt
+        srtt = self.rtt.srtt if self.rtt.srtt is not None else INITIAL_RTT
         # Target the curve one RTT ahead (RFC 8312 §4.1).
         t_sec = (now - self._epoch_start + srtt) / 1e9
         target_seg = self.w_max + CUBIC_C * (t_sec - self._k) ** 3

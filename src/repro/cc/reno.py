@@ -5,27 +5,25 @@ This is the window arithmetic extracted *verbatim* from the pre-split
 avoidance (``cwnd += max(1, MSS * acked // cwnd)``), the halve-plus-three
 fast-retransmit entry, per-dupACK window inflation during recovery, the
 deflate-to-ssthresh exit, and the go-back-N RTO collapse to one MSS.  The
-DCTCP congestion-extent EWMA rides along exactly as it always did, gated
-on ``TcpConfig.ecn`` (on fabrics that never mark, it is arithmetic-free
-bookkeeping) — so ``cc="reno"`` reproduces the old sender's behavior
-byte-for-byte, marks or no marks.
+DCTCP congestion-extent EWMA rides along on every ACK (on fabrics that
+never mark, it is arithmetic-free bookkeeping) — so ``cc="reno"``
+reproduces the old sender's behavior byte-for-byte, marks or no marks.
 """
 
 from __future__ import annotations
 
 from repro.cc.base import CongestionControl
 from repro.net.constants import MSS
+from repro.tcp.config import DCTCP_G
 
 
 class RenoCC(CongestionControl):
-    """NewReno windows, with the legacy ECN-gated DCTCP reaction."""
+    """NewReno windows, with the legacy DCTCP reaction to CE echoes."""
 
     name = "reno"
 
     def __init__(self, config, rtt, *, tracer=None, flow=None):
         super().__init__(config, rtt, tracer=tracer, flow=flow)
-        #: Whether CE echoes feed the DCTCP EWMA (legacy: config-gated).
-        self._ecn = config.ecn
         # DCTCP state: congestion-extent EWMA and per-window counters.
         self.dctcp_alpha = 0.0
         self._window_acked = 0
@@ -50,16 +48,14 @@ class RenoCC(CongestionControl):
             else:
                 # Congestion avoidance: ~one MSS per RTT.
                 self.cwnd += max(1, MSS * acked // self.cwnd)
-        if self._ecn:
-            self._dctcp_window_update(acked, ack, snd_nxt)
+        self._dctcp_window_update(acked, ack, snd_nxt)
 
     def on_dupack(self, count: int, *, in_recovery: bool) -> None:
         if in_recovery:
             self.cwnd += MSS  # window inflation keeps the pipe full
 
     def on_ce(self, ce_bytes: int) -> None:
-        if self._ecn:
-            self._window_ce += ce_bytes
+        self._window_ce += ce_bytes
 
     def on_recovery_start(self, flight: int, now: int) -> None:
         super().on_recovery_start(flight, now)
@@ -81,8 +77,7 @@ class RenoCC(CongestionControl):
             return
         if self._window_acked > 0:
             fraction = min(1.0, self._window_ce / self._window_acked)
-            g = self.config.dctcp_g
-            self.dctcp_alpha += g * (fraction - self.dctcp_alpha)
+            self.dctcp_alpha += DCTCP_G * (fraction - self.dctcp_alpha)
             if self._window_ce > 0:
                 reduced = int(self.cwnd * (1.0 - self.dctcp_alpha / 2.0))
                 self.cwnd = max(2 * MSS, reduced)

@@ -33,10 +33,8 @@ class ChainedGRO(GroEngine):
         self,
         deliver: DeliverFn,
         accountant: Optional[GroCpuAccountant] = None,
-        max_segment_bytes: int = MAX_GRO_SEGMENT,
     ):
         super().__init__(deliver, accountant)
-        self.max_segment_bytes = max_segment_bytes
         self._chains: Dict[FiveTuple, List[Packet]] = {}
         self._chain_bytes: Dict[FiveTuple, int] = {}
 
@@ -64,7 +62,7 @@ class ChainedGRO(GroEngine):
 
         if packet.forces_flush:
             self._flush(packet.flow, FlushReason.FLAGS, now)
-        elif self._chain_bytes[packet.flow] + MSS > self.max_segment_bytes:
+        elif self._chain_bytes[packet.flow] + MSS > MAX_GRO_SEGMENT:
             self._flush(packet.flow, FlushReason.SEGMENT_FULL, now)
 
     def _flush(self, flow: FiveTuple, reason: FlushReason, now: int) -> None:

@@ -38,15 +38,3 @@ class FlushReason(enum.Enum):
     DUPLICATE = "duplicate"
     #: End-of-experiment drain requested by the harness.
     SHUTDOWN = "shutdown"
-
-    @property
-    def from_table2(self) -> bool:
-        """True for the six conditions enumerated in the paper's Table 2."""
-        return self in (
-            FlushReason.RETRANSMISSION,
-            FlushReason.SEGMENT_FULL,
-            FlushReason.FLAGS,
-            FlushReason.UNMERGEABLE,
-            FlushReason.INSEQ_TIMEOUT,
-            FlushReason.OFO_TIMEOUT,
-        )

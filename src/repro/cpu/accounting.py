@@ -2,7 +2,7 @@
 
 The GRO implementations (standard, Juggler, chained) are pure algorithms;
 they emit *events* ("scanned 3 nodes", "flushed a 44-MTU segment") through a
-:class:`GroCpuAccountant`, which prices them with a :class:`CostTable` and
+:class:`GroCpuAccountant`, which prices them from ``DEFAULT_COSTS`` and
 charges the RX core meter.  Experiments that don't study CPU attach no
 accountant: ``GroEngine.accountant`` is ``None`` and every charge site guards
 on it, like ``tracer`` and ``sanitizer`` (zero calls into ``repro/cpu``,
@@ -11,7 +11,7 @@ pinned by ``tests/integration/test_layer_budgets.py``).
 
 from __future__ import annotations
 
-from repro.cpu.costs import CostTable, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.meter import CoreMeter
 from repro.net.segment import BatchingMode, Segment
 
@@ -19,34 +19,33 @@ from repro.net.segment import BatchingMode, Segment
 class GroCpuAccountant:
     """Prices GRO-layer work onto an RX-core meter."""
 
-    def __init__(self, meter: CoreMeter, costs: CostTable = DEFAULT_COSTS):
+    def __init__(self, meter: CoreMeter):
         self.meter = meter
-        self.costs = costs
 
     def on_rx_packet(self) -> None:
         """Driver + NAPI handling of one wire packet."""
-        self.meter.charge(self.costs.rx_per_packet)
+        self.meter.charge(DEFAULT_COSTS.rx_per_packet)
 
     def on_gro_packet(self) -> None:
         """GRO flow lookup + header inspection of one packet."""
-        self.meter.charge(self.costs.gro_per_packet)
+        self.meter.charge(DEFAULT_COSTS.gro_per_packet)
 
     def on_merge(self, mode: BatchingMode) -> None:
         """Merging one packet into an existing segment."""
         if mode is BatchingMode.FRAGS_ARRAY:
-            self.meter.charge(self.costs.gro_merge_frag)
+            self.meter.charge(DEFAULT_COSTS.gro_merge_frag)
         else:
-            self.meter.charge(self.costs.gro_merge_chain)
+            self.meter.charge(DEFAULT_COSTS.gro_merge_chain)
 
     def on_node_scan(self, nodes: int) -> None:
         """Walking ``nodes`` OOO-queue entries to find an insert position."""
         if nodes:
-            self.meter.charge(self.costs.gro_node_scan * nodes)
+            self.meter.charge(DEFAULT_COSTS.gro_node_scan * nodes)
 
     def on_flush_segment(self, segment: Segment) -> None:
         """Pushing one merged segment up out of GRO."""
-        self.meter.charge(self.costs.rx_per_segment)
+        self.meter.charge(DEFAULT_COSTS.rx_per_segment)
 
     def on_poll(self) -> None:
         """Fixed overhead of one NAPI poll invocation."""
-        self.meter.charge(self.costs.rx_per_poll)
+        self.meter.charge(DEFAULT_COSTS.rx_per_poll)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, Sequence, Tuple
 
-from repro.cpu.costs import CostTable, DEFAULT_COSTS
 from repro.fabric.host import Host
 from repro.nic.nic import NicConfig
 from repro.sim.engine import Engine
@@ -22,14 +21,13 @@ SHORT_COALESCING = NicConfig(num_queues=1, coalesce_ns=30_000,
 class HostCpu:
     """RX-core accountant + application core for one measured host."""
 
-    def __init__(self, engine: Engine, costs: CostTable = DEFAULT_COSTS,
-                 name: str = "host"):
+    def __init__(self, engine: Engine, name: str = "host"):
         from repro.cpu.accounting import GroCpuAccountant
         from repro.cpu.core import CpuCore
         from repro.cpu.meter import CoreMeter
 
         self.rx_meter = CoreMeter(f"{name}.rx")
-        self.accountant = GroCpuAccountant(self.rx_meter, costs)
+        self.accountant = GroCpuAccountant(self.rx_meter)
         self.app_core = CpuCore(engine, f"{name}.app")
 
     def attach(self, host: Host) -> None:

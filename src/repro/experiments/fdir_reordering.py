@@ -225,7 +225,7 @@ def run_point(params: FdirParams, *, policy: str, flow_count: int,
         ofo_timeout_flushes=cell.flush_reasons().get(
             FlushReason.OFO_TIMEOUT, 0),
         gro_evictions=cell.totals().evictions,
-        queue_imbalance=round(nic.cores.imbalance(), 3),
+        queue_imbalance=round(nic.imbalance(), 3),
         packets_dropped=nic.dropped + (bed.faults.dropped
                                        if bed.faults is not None else 0),
     )

@@ -49,6 +49,8 @@ _SLOT_BYTES = 16
 _COUNTER_BYTES = 4
 #: Modeled cost of one heavy-store entry (flow id + estimate).
 _HEAVY_BYTES = 16
+#: Count-min rows (independent hash functions).
+SKETCH_ROWS = 2
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -70,8 +72,6 @@ class DetectorConfig:
     heavy_threshold_bytes: int = 10_000
     #: Flow slots idle this many observed packets are reclaimable.
     stale_after: int = 4096
-    #: Count-min rows (independent hash functions).
-    sketch_rows: int = 2
 
     def __post_init__(self):
         if self.memory_budget_bytes < 256:
@@ -80,8 +80,6 @@ class DetectorConfig:
                 f"{self.memory_budget_bytes} < 256 bytes")
         if self.heavy_threshold_bytes < 1:
             raise ValueError("heavy threshold must be positive")
-        if self.sketch_rows < 1:
-            raise ValueError("need at least one sketch row")
 
     @property
     def flow_slots(self) -> int:
@@ -92,7 +90,7 @@ class DetectorConfig:
     def sketch_width(self) -> int:
         """Three eighths of the budget buys count-min counters."""
         budget = self.memory_budget_bytes * 3 // 8
-        return max(2, budget // (_COUNTER_BYTES * self.sketch_rows))
+        return max(2, budget // (_COUNTER_BYTES * SKETCH_ROWS))
 
     @property
     def heavy_capacity(self) -> int:
@@ -138,9 +136,9 @@ class ReorderDetector:
         self._expected = array("q", [0]) * self._slots
         self._tick_col = array("q", [0]) * self._slots
         self._rows = [array("q", [0]) * self._width
-                      for _ in range(cfg.sketch_rows)]
+                      for _ in range(SKETCH_ROWS)]
         self._row_salts = [_mix(salt, 0xA11CE + r)
-                           for r in range(cfg.sketch_rows)]
+                           for r in range(SKETCH_ROWS)]
         #: flow -> last estimate at crossing time (real keys, bounded).
         self._heavy: Dict[object, int] = {}
         #: flow -> (sig, i1, i2, ((row, column), ...)), mixed on the flow's
@@ -263,7 +261,7 @@ class ReorderDetector:
         """Modeled register usage (≤ the configured budget)."""
         cfg = self.config
         return (self._slots * _SLOT_BYTES
-                + cfg.sketch_rows * cfg.sketch_width * _COUNTER_BYTES
+                + SKETCH_ROWS * cfg.sketch_width * _COUNTER_BYTES
                 + cfg.heavy_capacity * _HEAVY_BYTES)
 
     # -- metrics export --------------------------------------------------------

@@ -221,10 +221,6 @@ class ClosNetwork:
     #: (see repro.fabric.detector); empty otherwise.
     detectors: List = field(default_factory=list)
 
-    def hosts_of_tor(self, tor_index: int, hosts_per_tor: int) -> List[Host]:
-        """The hosts attached to one ToR."""
-        return self.hosts[tor_index * hosts_per_tor:(tor_index + 1) * hosts_per_tor]
-
 
 def build_clos(
     engine: Engine,

@@ -100,6 +100,9 @@ class Packet:
         # GRO-hot-path fields, precomputed once here instead of per merge
         # check (IntFlag arithmetic is far too slow for a per-probe cost).
         f = int(flags)
+        #: The merge signature: header fields that must match for GRO to
+        #: merge two packets.  Per Table 2, a packet that "differs from [the]
+        #: in-sequence segment in TCP options, CE marks, etc" forces a flush.
         self.sig = (options, ce, f & ~0x08)  # ~PSH
         #: Bytes occupied on the wire, including all framing overhead (the
         #: links read it several times per hop; ``payload_len`` never changes
@@ -199,21 +202,6 @@ class Packet:
     def end_seq(self) -> int:
         """Sequence number of the byte just past this packet's payload."""
         return self.seq + self.payload_len
-
-    @property
-    def is_pure_ack(self) -> bool:
-        """True for a zero-payload ACK (never buffered by GRO)."""
-        return self.payload_len == 0 and bool(self.flags & TcpFlags.ACK)
-
-    def merge_signature(self) -> tuple:
-        """Header fields that must match for GRO to merge two packets.
-
-        Per Table 2, a packet that "differs from [the] in-sequence segment in
-        TCP options, CE marks, etc" cannot be merged without losing
-        information TCP needs, and forces a flush.  (Precomputed at
-        construction as :attr:`sig`; hot paths compare that directly.)
-        """
-        return self.sig
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -43,7 +43,7 @@ def segment_tso_burst(
 
     ``nbytes`` above ``MAX_TSO_PAYLOAD`` is clamped, silently: a defence
     only, since the caller would book bytes that never reach the wire —
-    ``TcpConfig`` rejects a ``max_burst`` that large.
+    ``TcpSender`` caps its bursts at ``MAX_TSO_PAYLOAD``.
 
     ``tso_id`` is the caller's burst number, stamped on every packet.  It
     only has to be unique within the flow (per-TSO routing hashes

@@ -42,6 +42,8 @@ class RxQueue:
         #: (0 disables the frame trigger; real NICs coalesce on
         #: frames-or-time, whichever comes first).
         self.coalesce_frames = coalesce_frames
+        #: Ring buffer capacity in packets (the ``ring_overflow`` fault
+        #: shrinks it on a built queue).
         self.ring_size = ring_size
         self.name = name
         self._ring: Deque[Packet] = deque()

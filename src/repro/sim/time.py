@@ -18,23 +18,3 @@ MS = 1_000_000
 #: Nanoseconds per second.
 SEC = 1_000_000_000
 
-
-def format_time(ns: int) -> str:
-    """Render a nanosecond timestamp in the most readable unit.
-
-    >>> format_time(1_500)
-    '1.500us'
-    >>> format_time(250_000)
-    '250.000us'
-    >>> format_time(3_000_000_000)
-    '3.000s'
-    """
-    if ns < 0:
-        return "-" + format_time(-ns)
-    if ns < US:
-        return f"{ns}ns"
-    if ns < MS:
-        return f"{ns / US:.3f}us"
-    if ns < SEC:
-        return f"{ns / MS:.3f}ms"
-    return f"{ns / SEC:.3f}s"

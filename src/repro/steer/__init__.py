@@ -12,8 +12,8 @@ but real NICs expose several answers with very different failure modes:
   arrive at TCP reordered with zero fabric misbehaviour.
 * :class:`StaticAffinitySteering` — explicit pins, the control arm.
 
-:class:`CoreSet` supplies the per-core receive contexts (RX queue + private
-GRO shard, per-shard ``steer.*`` metrics) the policies steer into.  The
+The policies steer into ``Nic.queues`` (repro.nic.nic): one RX queue per
+core, each with a private GRO shard and per-shard ``steer.*`` metrics.  The
 ``steering_churn`` fault kind (repro.faults) drives ``rebalance()`` from
 fault plans, and the ``fdir_reordering`` experiment family (repro.
 experiments.fdir_reordering) sweeps policy x flow count x churn x engine.

@@ -12,10 +12,9 @@ though the fabric delivered every packet in order.
 
 The model, end to end:
 
-* **Rules** live in a bounded table.  ``signature`` mode mirrors the
-  hardware: one slot per hash bucket, a colliding new flow *overwrites* the
-  incumbent (that overwrite is the eviction-pressure metric).  ``lru``
-  mode is the idealised software variant.
+* **Rules** live in a bounded signature table, as in the hardware: one
+  slot per hash bucket, a colliding new flow *overwrites* the incumbent
+  (that overwrite is the eviction-pressure metric).
 * **Affinity** (which core a flow's application "runs on") is a
   deterministic mix of the flow hash with one of ``groups`` salts;
   :meth:`rebalance` re-salts ``migrate_fraction`` of the groups from the
@@ -56,14 +55,11 @@ def _mix(h: int, salt: int) -> int:
 class FlowDirectorConfig:
     """Knobs of the ATR model."""
 
-    #: Rule-table capacity (slots in ``signature`` mode, rules in ``lru``).
+    #: Rule-table capacity, in hash-indexed slots.
     table_size: int = 8192
     #: Install/update a rule every Nth steered packet (ATR samples TX
     #: traffic at a configurable rate; ixgbe's default is 20).
     sample_rate: int = 20
-    #: ``signature`` — hash-indexed slots, collisions overwrite (hardware);
-    #: ``lru`` — least-recently-used rule evicted (idealised).
-    eviction: str = "signature"
     #: Affinity groups; ``rebalance(fraction)`` re-salts ``fraction`` of
     #: them, so a fraction-f rebalance migrates ~f of the flows.
     groups: int = 64
@@ -74,10 +70,6 @@ class FlowDirectorConfig:
         if self.sample_rate < 1:
             raise ValueError(
                 f"sample_rate must be >= 1, got {self.sample_rate}")
-        if self.eviction not in ("signature", "lru"):
-            raise ValueError(
-                f"eviction must be 'signature' or 'lru', got "
-                f"{self.eviction!r}")
         if self.groups < 1:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
 
@@ -112,9 +104,8 @@ class FlowDirectorSteering(SteeringPolicy):
                        for _ in range(self.config.groups)]
         self._cursor = 0
         self._tick = 0
-        #: flow -> rule (lru mode) / bucket -> rule (signature mode); both
-        #: bounded by ``table_size``.
-        self._rules: Dict = {}
+        #: bucket -> rule, bounded by ``table_size``.
+        self._rules: Dict[int, _Rule] = {}
         # Counters (see docs/steering.md for the vocabulary).
         self.hits = 0
         self.misses = 0
@@ -150,12 +141,10 @@ class FlowDirectorSteering(SteeringPolicy):
         return _mix(h, self._salts[h % self.config.groups]) % self._n
 
     def _lookup(self, flow: FiveTuple, h: int) -> Optional[_Rule]:
-        if self.config.eviction == "signature":
-            rule = self._rules.get(h % self.config.table_size)
-            if rule is not None and rule.flow == flow:
-                return rule
-            return None
-        return self._rules.get(flow)
+        rule = self._rules.get(h % self.config.table_size)
+        if rule is not None and rule.flow == flow:
+            return rule
+        return None
 
     # -- data path ------------------------------------------------------------
 
@@ -200,23 +189,13 @@ class FlowDirectorSteering(SteeringPolicy):
                 rule.queue = target
             else:
                 self.rule_updates += 1
-            if self.config.eviction == "lru":
-                self._rules[flow] = self._rules.pop(flow)  # touch
             return
         # New rule: the flow's packets were landing on the RSS fallback
         # queue until now, so that is the rule's last-seen queue.
-        new_rule = _Rule(flow, target, last_queue=h % self._n)
-        if self.config.eviction == "signature":
-            slot = h % self.config.table_size
-            if slot in self._rules:
-                self.rule_evictions += 1
-            self._rules[slot] = new_rule
-        else:
-            if len(self._rules) >= self.config.table_size:
-                oldest = next(iter(self._rules))
-                del self._rules[oldest]
-                self.rule_evictions += 1
-            self._rules[flow] = new_rule
+        slot = h % self.config.table_size
+        if slot in self._rules:
+            self.rule_evictions += 1
+        self._rules[slot] = _Rule(flow, target, last_queue=h % self._n)
         self.installs += 1
 
     # -- control plane --------------------------------------------------------

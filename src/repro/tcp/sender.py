@@ -28,7 +28,7 @@ from repro.cc.base import make_cc
 from repro.cc.rtt import RttEstimator
 from repro.fabric.host import Host
 from repro.net.addr import FiveTuple
-from repro.net.constants import MSS, PRIORITY_LOW
+from repro.net.constants import MAX_TSO_PAYLOAD, MSS, PRIORITY_LOW
 from repro.net.packet import Packet
 from repro.net.ranges import merge_range
 from repro.net.segment import Segment
@@ -36,7 +36,8 @@ from repro.net.tso import segment_tso_burst
 from repro.sim.engine import Engine
 from repro.sim.event import EventHandle
 from repro.sim.timer import Timer
-from repro.tcp.config import TcpConfig
+from repro.tcp.config import (DUPACK_THRESHOLD, INITIAL_RTT, MAX_REORDERING,
+                               MAX_RTO, MIN_RTO, TcpConfig)
 from repro.trace import runtime as trace_runtime
 
 #: Returns the priority for one outgoing packet.
@@ -92,7 +93,7 @@ class TcpSender:
         # Reordering adaptation (Linux tcp_reordering): DSACKs push the
         # effective dupACK threshold up so persistent reordering stops
         # triggering spurious recoveries.
-        self.reordering_threshold = self.config.dupack_threshold
+        self.reordering_threshold = DUPACK_THRESHOLD
         self.dsacks_received = 0
 
         # RTT estimation / RTO (the estimator is shared with the policy).
@@ -223,7 +224,7 @@ class TcpSender:
             # unnecessary — the "loss" was reordering.  Widen tolerance.
             self.dsacks_received += 1
             self.reordering_threshold = min(
-                self.reordering_threshold + 1, self.config.max_reordering)
+                self.reordering_threshold + 1, MAX_REORDERING)
             if self._m_spurious is not None:
                 self._m_spurious.inc()
         if packet.ce_bytes:
@@ -290,7 +291,7 @@ class TcpSender:
         """The fast-retransmit trigger: tcp_reordering-adapted, with RFC
         5827 Early Retransmit for short flights."""
         threshold = self.reordering_threshold
-        if self.config.early_retransmit and threshold == self.config.dupack_threshold:
+        if threshold == DUPACK_THRESHOLD:
             # ER only applies while no reordering has been observed
             # (Linux disables it once the reordering metric grows).
             outstanding = -(-self.flight_size // MSS)  # ceil division
@@ -373,7 +374,7 @@ class TcpSender:
                 pos = block[1]
                 continue
             hole_end = min(block[0] if block is not None else limit, limit)
-            chunk = min(hole_end - pos, self.config.max_burst, budget)
+            chunk = min(hole_end - pos, MAX_TSO_PAYLOAD, budget)
             if chunk <= 0:
                 break
             self._emit_burst(pos, chunk,
@@ -418,7 +419,7 @@ class TcpSender:
                 window = self.peer_rwnd
             avail = self.snd_una + window - self.snd_nxt
             remaining = self.data_target - self.snd_nxt
-            burst = min(avail, self.config.max_burst, remaining)
+            burst = min(avail, MAX_TSO_PAYLOAD, remaining)
             if burst < min(MSS, remaining):
                 break  # window closed (ACKs will reopen it) or runt mid-stream
             self._emit_burst(self.snd_nxt, burst, push=(burst == remaining))
@@ -485,10 +486,9 @@ class TcpSender:
     def _arm_rto(self, only_if_unarmed: bool = False) -> None:
         if only_if_unarmed and self._rto_timer.armed:
             return
-        config = self.config
         self._rto_timer.arm_after(self.rtt.rto(
-            min_rto=config.min_rto, max_rto=config.max_rto,
-            initial_rtt=config.initial_rtt, backoff=self._rto_backoff))
+            min_rto=MIN_RTO, max_rto=MAX_RTO, initial_rtt=INITIAL_RTT,
+            backoff=self._rto_backoff))
 
     def _on_rto(self) -> None:
         if self.flight_size <= 0:

@@ -8,9 +8,19 @@ from repro.cc.cubic import CubicCC
 from repro.cc.dctcp import DctcpCC
 from repro.cc.reno import RenoCC
 from repro.cc.rtt import RttEstimator
+from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
+from repro.net.flags import TcpFlags
+from repro.net.packet import Packet
+from repro.net.segment import Segment
+from repro.sim.engine import Engine
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
+from repro.tcp.sender import TcpSender
+from repro.trace import runtime
+from repro.trace.events import EventKind
+from repro.trace.sinks import RingBufferSink
+from repro.trace.tracer import Tracer
 
 
 def policy(name, config=None):
@@ -46,6 +56,14 @@ def test_factory_rejects_unknown_name():
 def test_config_rejects_unknown_cc():
     with pytest.raises(ValueError, match="unknown congestion control"):
         TcpConfig(cc="vegas")
+
+
+@pytest.mark.parametrize("rx_buffer", [0, 1000, -5])
+def test_config_rejects_rx_buffer_below_one_mss(rx_buffer):
+    # A window that never opens for one segment ran the cell to the end at
+    # zero goodput, without an error.
+    with pytest.raises(ValueError, match=rf"rx_buffer.*{rx_buffer}"):
+        TcpConfig(rx_buffer=rx_buffer)
 
 
 def test_config_and_factory_name_the_same_choices():
@@ -107,24 +125,21 @@ def test_reno_rto_collapses_to_one_mss():
     assert cc.ssthresh == 10 * MSS
 
 
-def test_reno_dctcp_reaction_gated_on_config_ecn():
-    on = policy("reno", TcpConfig(ecn=True))
-    off = policy("reno", TcpConfig(ecn=False))
-    for cc in (on, off):
-        cc.ssthresh = cc.cwnd  # window updates visible immediately
-        cc.on_ce(5 * MSS)
-        cc.on_ack(10 * MSS, 0, **ack_kw(ack=10 * MSS, snd_nxt=10 * MSS))
-    assert on.dctcp_alpha > 0.0
-    assert off.dctcp_alpha == 0.0
+def test_reno_dctcp_reaction_to_ce_marks():
+    cc = policy("reno")
+    cc.ssthresh = cc.cwnd  # window updates visible immediately
+    cc.on_ce(5 * MSS)
+    cc.on_ack(10 * MSS, 0, **ack_kw(ack=10 * MSS, snd_nxt=10 * MSS))
+    assert cc.dctcp_alpha > 0.0
 
 
 # -- DCTCP ---------------------------------------------------------------------
 
 def test_dctcp_is_always_on_with_rfc8257_alpha_init():
-    cc = policy("dctcp", TcpConfig(ecn=False, cc="dctcp"))
+    cc = policy("dctcp")
     assert isinstance(cc, RenoCC)
     assert cc.dctcp_alpha == 1.0
-    cc.on_ce(2 * MSS)  # reacts despite config.ecn=False
+    cc.on_ce(2 * MSS)
     before = cc.cwnd
     cc.on_ack(4 * MSS, 0, **ack_kw(ack=4 * MSS, snd_nxt=4 * MSS))
     assert cc.cwnd < before + 4 * MSS  # the mark cut into the window
@@ -233,10 +248,6 @@ def test_bbr_cwnd_tracks_gain_times_bdp():
 
 
 def test_bbr_emits_cc_state_transitions_when_traced():
-    from repro.trace.events import EventKind
-    from repro.trace.sinks import RingBufferSink
-    from repro.trace.tracer import Tracer
-
     sink = RingBufferSink()
     tracer = Tracer([sink])
     cc = BbrV1CC(TcpConfig(cc="bbr"), RttEstimator(), tracer=tracer,
@@ -247,3 +258,59 @@ def test_bbr_emits_cc_state_transitions_when_traced():
     transitions = [(e.old_state, e.new_state) for e in sink.events
                    if e.kind is EventKind.CC_STATE]
     assert ("startup", "drain") in transitions
+
+
+# -- recovery events -------------------------------------------------------------
+
+class _TxSink:
+    """Stands in for the sender's host: keeps nothing."""
+
+    def register_handler(self, flow, handler):
+        pass
+
+    def transmit(self, packet):
+        pass
+
+
+def _traced_sender():
+    sink = RingBufferSink()
+    engine = Engine()
+    with runtime.tracing(Tracer([sink])):
+        sender = TcpSender(engine, _TxSink(), FiveTuple(0, 1, 1000, 80),
+                           TcpConfig(init_cwnd=40 * MSS))
+    return engine, sender, sink
+
+
+def _ack(sender, num, sack=()):
+    sender.on_ack_segment(Segment([Packet(
+        sender.flow.reversed(), 0, 0, flags=TcpFlags.ACK, ack=num,
+        rwnd=1 << 22, sack=sack)]))
+
+
+def _recoveries(sink):
+    return [e for e in sink.events if e.kind is EventKind.CC_RECOVERY]
+
+
+def test_cc_recovery_event_at_fast_retransmit():
+    engine, sender, sink = _traced_sender()
+    sender.send(1 << 20)
+    _ack(sender, 10 * MSS)
+    for i in range(3):
+        assert _recoveries(sink) == []
+        _ack(sender, 10 * MSS, sack=((12 * MSS, (13 + i) * MSS),))
+    (event,) = _recoveries(sink)
+    assert sender.fast_retransmits == 1
+    assert (event.trigger, event.algo) == ("fast_retransmit", "reno")
+    assert (event.cwnd, event.ssthresh) == (sender.cwnd, sender.ssthresh)
+    assert event.ssthresh < event.cwnd  # halved flight plus three MSS
+
+
+def test_cc_recovery_event_at_rto():
+    engine, sender, sink = _traced_sender()
+    sender.send(10 * MSS)
+    engine.run_until(1 * MS + 1)  # the first RTO fires at MIN_RTO, 1 ms
+    (event,) = _recoveries(sink)
+    assert sender.rtos == 1
+    assert (event.trigger, event.algo) == ("rto", "reno")
+    assert (event.cwnd, event.ssthresh) == (sender.cwnd, sender.ssthresh)
+    assert event.cwnd == MSS

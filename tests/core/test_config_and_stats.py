@@ -82,8 +82,3 @@ def test_stats_summary_round_trip():
     assert summary["flush_reasons"] == {"flags": 1}
 
 
-def test_flush_reason_table2_membership():
-    table2 = [r for r in FlushReason if r.from_table2]
-    assert len(table2) == 6
-    assert FlushReason.EVICTION not in table2
-    assert FlushReason.POLL_END not in table2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu.accounting import GroCpuAccountant
 from repro.cpu.core import CpuCore
-from repro.cpu.costs import CostTable, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.meter import CoreMeter
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
@@ -117,7 +117,7 @@ def test_core_charge_without_queueing():
 
 def test_accountant_prices_operations():
     meter = CoreMeter()
-    acct = GroCpuAccountant(meter, DEFAULT_COSTS)
+    acct = GroCpuAccountant(meter)
     acct.on_rx_packet()
     acct.on_gro_packet()
     expected = DEFAULT_COSTS.rx_per_packet + DEFAULT_COSTS.gro_per_packet
@@ -153,10 +153,3 @@ def test_accountant_flush_segment():
 def test_cost_table_immutable():
     with pytest.raises(Exception):
         DEFAULT_COSTS.rx_per_packet = 0  # frozen dataclass
-
-
-def test_custom_cost_table():
-    costs = CostTable(rx_per_packet=1.0)
-    meter = CoreMeter()
-    GroCpuAccountant(meter, costs).on_rx_packet()
-    assert meter.busy_ns == 1.0

@@ -76,8 +76,6 @@ def test_config_validation():
         DetectorConfig(memory_budget_bytes=128)
     with pytest.raises(ValueError):
         DetectorConfig(heavy_threshold_bytes=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(sketch_rows=0)
 
 
 # -- mechanics ----------------------------------------------------------------

@@ -169,12 +169,6 @@ def test_clos_same_tor_stays_local():
     assert all(l.stats.packets == 0 for row in net.uplinks for l in row)
 
 
-def test_clos_hosts_of_tor_helper():
-    net = build_clos(Engine(), gro_factory, lambda: EcmpRouting(),
-                     n_tors=2, hosts_per_tor=3, n_spines=1)
-    assert [h.host_id for h in net.hosts_of_tor(1, 3)] == [3, 4, 5]
-
-
 def test_gro_engines_accessor():
     engine = Engine()
     host = Host(engine, 1, lambda d: JugglerGRO(d, JugglerConfig()))

@@ -28,13 +28,6 @@ def test_pooled_reset_recomputes_wire_len_for_the_new_payload():
     assert again.reset(FLOW, 0, 0).wire_len == HEADER_LEN + ETHERNET_OVERHEAD
 
 
-def test_pure_ack_detection():
-    ack = Packet(FLOW, 0, 0, flags=TcpFlags.ACK)
-    assert ack.is_pure_ack
-    data = Packet(FLOW, 0, 100, flags=TcpFlags.ACK)
-    assert not data.is_pure_ack
-
-
 def test_packet_ids_unique():
     a, b = Packet(FLOW, 0, 100), Packet(FLOW, 0, 100)
     assert a.pid != b.pid
@@ -43,32 +36,32 @@ def test_packet_ids_unique():
 def test_merge_signature_matches_for_plain_packets():
     a = Packet(FLOW, 0, 1460)
     b = Packet(FLOW, 1460, 1460)
-    assert a.merge_signature() == b.merge_signature()
+    assert a.sig == b.sig
 
 
 def test_merge_signature_differs_on_options():
     a = Packet(FLOW, 0, 1460, options=("ts", 1))
     b = Packet(FLOW, 1460, 1460, options=("ts", 2))
-    assert a.merge_signature() != b.merge_signature()
+    assert a.sig != b.sig
 
 
 def test_merge_signature_differs_on_ce_mark():
     a = Packet(FLOW, 0, 1460, ce=True)
     b = Packet(FLOW, 1460, 1460, ce=False)
-    assert a.merge_signature() != b.merge_signature()
+    assert a.sig != b.sig
 
 
 def test_merge_signature_ignores_psh():
     # PSH ends a batch but does not make headers unmergeable by itself.
     a = Packet(FLOW, 0, 1460, flags=TcpFlags.ACK)
     b = Packet(FLOW, 1460, 1460, flags=TcpFlags.ACK | TcpFlags.PSH)
-    assert a.merge_signature() == b.merge_signature()
+    assert a.sig == b.sig
 
 
 def test_merge_signature_differs_on_other_flags():
     a = Packet(FLOW, 0, 1460, flags=TcpFlags.ACK)
     b = Packet(FLOW, 1460, 1460, flags=TcpFlags.ACK | TcpFlags.URG)
-    assert a.merge_signature() != b.merge_signature()
+    assert a.sig != b.sig
 
 
 def test_ce_bytes_defaults_to_zero():

@@ -8,7 +8,7 @@ from repro.core.standard_gro import StandardGRO
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.packet import Packet
-from repro.nic.nic import Nic, NicConfig
+from repro.nic.nic import RECONCILED_FIELDS, Nic, NicConfig
 from repro.nic.rxqueue import RxQueue
 from repro.sim.engine import Engine
 from repro.sim.time import US
@@ -148,15 +148,16 @@ def test_nic_config_validation():
         NicConfig(num_queues=0)
     with pytest.raises(ValueError):
         NicConfig(coalesce_ns=-1)
-    with pytest.raises(ValueError):
-        NicConfig(ring_size=0)
+    with pytest.raises(ValueError, match="coalesce_frames.*-3"):
+        NicConfig(coalesce_frames=-3)
 
 
 def test_nic_dropped_aggregates_queues():
     engine = Engine()
     nic = Nic(engine, lambda s: None,
               lambda d: StandardGRO(d),
-              NicConfig(num_queues=1, ring_size=2))
+              NicConfig(num_queues=1))
+    nic.queues[0].ring_size = 2
     for i in range(5):
         nic.receive(pkt(i * MSS))
     assert nic.dropped == 3
@@ -271,7 +272,7 @@ def test_whole_nic_delivers_the_same_packets_under_rss_and_fdir():
 
 
 def test_nic_drain_reconciles_per_queue_metrics():
-    """Satellite: drain() writes final per-queue polls/drop counters."""
+    """drain() writes final per-queue polls/drop counters, idempotently."""
     from repro.trace import runtime
     from repro.trace.tracer import Tracer
     from repro.trace.sinks import CallbackSink
@@ -281,7 +282,10 @@ def test_nic_drain_reconciles_per_queue_metrics():
         engine = Engine()
         nic = Nic(engine, lambda s: None,
                   lambda d: StandardGRO(d),
-                  NicConfig(num_queues=2, ring_size=2, coalesce_ns=50 * US))
+                  NicConfig(num_queues=2, coalesce_ns=50 * US))
+        for queue in nic.queues:
+            queue.ring_size = 2
+        assert nic.imbalance() == 1.0  # nothing delivered yet
         # 5 packets of one flow land on one queue: ring 2 -> 3 drops there.
         for i in range(5):
             nic.receive(pkt(i * MSS))
@@ -294,14 +298,19 @@ def test_nic_drain_reconciles_per_queue_metrics():
         assert snap[f"nic.rxq{1 - hot_index}.dropped"] == 0
         assert snap[f"nic.rxq{hot_index}.polls"] >= 1
         assert snap[f"nic.rxq{hot_index}.delivered"] == 2
+        assert {f"nic.rxq{j}.{field}" for j in range(2)
+                for field in RECONCILED_FIELDS} <= set(snap)
+        nic.drain()  # idempotent
+        assert tracer.metrics.snapshot() == snap
+        assert nic.imbalance() == 2.0  # all on one of two queues
 
 
 def test_shard_gauges_read_back_their_own_queue():
     """``steer<i>.shard<j>.*`` gauges report queue *j*, for every *j*.
 
-    ``CoreSet._bind_metrics`` registers the probes in a per-core loop; a
+    ``Nic._bind_shard_metrics`` registers the probes in a per-queue loop; a
     late-bound loop variable there would make every gauge read the last
-    core.  Each queue gets a different flow count, packet count and
+    queue.  Each queue gets a different flow count, packet count and
     overflow so no two shards share a value.
     """
     from repro.steer.static import StaticAffinitySteering
@@ -319,9 +328,10 @@ def test_shard_gauges_read_back_their_own_queue():
         engine = Engine()
         nic = Nic(engine, lambda s: None,
                   lambda d: JugglerGRO(d, JugglerConfig()),
-                  NicConfig(num_queues=4, ring_size=ring,
-                            coalesce_ns=10 * US),
+                  NicConfig(num_queues=4, coalesce_ns=10 * US),
                   steering=steering)
+        for queue in nic.queues:
+            queue.ring_size = ring
     # Polled round: queue j sees j+1 flows, one packet each.
     for pinned in flows.values():
         for flow in pinned:

@@ -1,25 +1,13 @@
-"""Seeded RNG registry and time formatting."""
+"""Seeded RNG registry and time units."""
 
 from repro.sim.rng import RngRegistry, derive_cell_seed, derive_seed
-from repro.sim.time import NS, US, MS, SEC, format_time
+from repro.sim.time import NS, US, MS, SEC
 
 
 def test_time_unit_ratios():
     assert US == 1_000 * NS
     assert MS == 1_000 * US
     assert SEC == 1_000 * MS
-
-
-def test_format_time_picks_readable_units():
-    assert format_time(5) == "5ns"
-    assert format_time(1_500) == "1.500us"
-    assert format_time(250 * US) == "250.000us"
-    assert format_time(3 * MS) == "3.000ms"
-    assert format_time(2 * SEC) == "2.000s"
-
-
-def test_format_time_negative():
-    assert format_time(-1_500) == "-1.500us"
 
 
 def test_same_seed_same_stream():

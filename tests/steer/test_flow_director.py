@@ -32,8 +32,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowDirectorConfig(sample_rate=0)
     with pytest.raises(ValueError):
-        FlowDirectorConfig(eviction="random")
-    with pytest.raises(ValueError):
         FlowDirectorConfig(groups=0)
     with pytest.raises(ValueError):
         make().rebalance(1.5)
@@ -64,24 +62,11 @@ def test_unmatched_flows_use_rss_fallback():
 
 
 def test_signature_table_is_bounded_and_overwrites():
-    policy = make(sample_rate=1, table_size=16, eviction="signature")
+    policy = make(sample_rate=1, table_size=16)
     for flow in flows(256):
         policy.queue_index(flow)
     assert policy.rule_count <= 16
     assert policy.rule_evictions > 0
-
-
-def test_lru_table_is_bounded_and_evicts_oldest():
-    policy = make(sample_rate=1, table_size=8, eviction="lru")
-    fs = flows(32)
-    for flow in fs:
-        policy.queue_index(flow)
-    assert policy.rule_count == 8
-    assert policy.rule_evictions == 24
-    # The survivors are exactly the 8 most recent installs.
-    for flow in fs[-8:]:
-        assert policy.current_queue(flow) == policy.current_queue(flow)
-    assert policy.counters()["rules"] == 8
 
 
 # -- migration on rebalance ---------------------------------------------------

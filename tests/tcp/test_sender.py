@@ -93,8 +93,7 @@ def test_congestion_avoidance_linear():
 
 
 def test_three_dupacks_trigger_fast_retransmit():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS,
-                                                 early_retransmit=False))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS))
     sender.send(1 << 20)
     sender.on_ack_segment(ack(10 * MSS))
     host.packets.clear()
@@ -110,8 +109,7 @@ def test_three_dupacks_trigger_fast_retransmit():
 
 
 def test_dsack_only_acks_do_not_count():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS,
-                                                 early_retransmit=False))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS))
     sender.send(1 << 20)
     sender.on_ack_segment(ack(10 * MSS))
     for _ in range(5):
@@ -122,8 +120,7 @@ def test_dsack_only_acks_do_not_count():
 
 
 def test_plain_dupacks_without_sack_count():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS,
-                                                 early_retransmit=False))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS))
     sender.send(1 << 20)
     sender.on_ack_segment(ack(10 * MSS))
     for _ in range(3):
@@ -132,7 +129,7 @@ def test_plain_dupacks_without_sack_count():
 
 
 def test_early_retransmit_lowers_threshold():
-    config = TcpConfig(init_cwnd=10 * MSS, early_retransmit=True)
+    config = TcpConfig(init_cwnd=10 * MSS)
     engine, host, sender = make_sender(config)
     sender.send(2 * MSS)  # two segments outstanding -> threshold 1
     sender.on_ack_segment(ack(0, sack=((MSS, 2 * MSS),)))
@@ -140,8 +137,7 @@ def test_early_retransmit_lowers_threshold():
 
 
 def test_recovery_exit_restores_ssthresh():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS,
-                                                 early_retransmit=False))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS))
     sender.send(1 << 20)
     sender.on_ack_segment(ack(10 * MSS))
     for i in range(3):
@@ -154,8 +150,7 @@ def test_recovery_exit_restores_ssthresh():
 
 
 def test_sack_recovery_walks_holes_via_partial_acks():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS,
-                                                 early_retransmit=False))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=40 * MSS))
     sender.send(40 * MSS)
     sender.on_ack_segment(ack(10 * MSS))
     host.packets.clear()
@@ -177,8 +172,7 @@ def test_sack_recovery_walks_holes_via_partial_acks():
 
 
 def test_rto_goes_back_to_snd_una():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS,
-                                                 min_rto=1 * MS))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS))
     sender.send(10 * MSS)
     host.packets.clear()
     engine.run_until(5 * MS)  # no ACKs: RTO fires
@@ -190,8 +184,7 @@ def test_rto_goes_back_to_snd_una():
 
 
 def test_rto_backoff_doubles():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS,
-                                                 min_rto=1 * MS))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS))
     sender.send(10 * MSS)
     engine.run_until(10 * MS)
     assert sender.rtos >= 2
@@ -199,8 +192,7 @@ def test_rto_backoff_doubles():
 
 
 def test_ack_progress_resets_backoff():
-    engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS,
-                                                 min_rto=1 * MS))
+    engine, host, sender = make_sender(TcpConfig(init_cwnd=10 * MSS))
     sender.send(10 * MSS)
     engine.run_until(2 * MS)
     assert sender._rto_backoff > 1
@@ -225,7 +217,7 @@ def test_done_when_all_acked():
 
 
 def test_dctcp_reduces_cwnd_on_marks():
-    config = TcpConfig(init_cwnd=40 * MSS, ecn=True)
+    config = TcpConfig(init_cwnd=40 * MSS)
     engine, host, sender = make_sender(config)
     sender.send(1 << 22)
     # First fully-marked window: ends slow start (one-window lag is real
@@ -244,7 +236,7 @@ def test_dctcp_reduces_cwnd_on_marks():
 
 
 def test_dctcp_alpha_decays_without_marks():
-    config = TcpConfig(init_cwnd=10 * MSS, ecn=True)
+    config = TcpConfig(init_cwnd=10 * MSS)
     engine, host, sender = make_sender(config)
     sender.dctcp_alpha = 1.0
     sender.send(1 << 22)
@@ -253,21 +245,12 @@ def test_dctcp_alpha_decays_without_marks():
     assert sender.dctcp_alpha < 1.0
 
 
-def test_ecn_disabled_ignores_marks():
-    config = TcpConfig(init_cwnd=40 * MSS, ecn=False)
-    engine, host, sender = make_sender(config)
-    sender.send(1 << 22)
-    sender.on_ack_segment(ack(20 * MSS, ce_bytes=20 * MSS))
-    sender.on_ack_segment(ack(41 * MSS, ce_bytes=21 * MSS))
-    assert sender.dctcp_alpha == 0.0
-
-
 def test_pacing_spaces_bursts():
     config = TcpConfig(init_cwnd=1 << 20)
     engine, host, sender = make_sender(config, pacing_gbps=1.0)
     sender.send(1 << 20)
     first_burst_bytes = sum(p.payload_len for p in host.packets)
-    assert first_burst_bytes <= config.max_burst
+    assert first_burst_bytes <= MAX_TSO_PAYLOAD
     engine.run_until(engine.now + 2 * MS)
     # More data released over time without any ACKs (pacing wakeups).
     assert sum(p.payload_len for p in host.packets) > first_burst_bytes
@@ -291,13 +274,11 @@ def test_close_stops_a_paced_sender():
     assert pair.link_ab.stats.packets == on_wire
 
 
-def test_burst_larger_than_tso_can_cut_is_rejected():
-    """TSO clamps a burst to MAX_TSO_PAYLOAD; a sender allowed bigger ones
+def test_booked_bytes_are_the_bytes_on_the_wire():
+    """TSO clamps a burst to MAX_TSO_PAYLOAD; a sender with bigger bursts
     booked the excess as sent (64 MSS: 93,440 B booked, 64,240 B on the
     wire) and later "recovered" it as loss."""
-    with pytest.raises(ValueError, match=rf"{MAX_TSO_PAYLOAD}.*{64 * MSS}"):
-        TcpConfig(max_burst=64 * MSS)
-    config = TcpConfig(init_cwnd=1 << 20, max_burst=MAX_TSO_PAYLOAD)
+    config = TcpConfig(init_cwnd=1 << 20)
     engine, host, sender = make_sender(config)
     sender.send(1 << 20)
     # What is booked is what went out, burst by burst.

@@ -9,7 +9,7 @@ from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.net.segment import Segment
 from repro.sim.engine import Engine
-from repro.tcp.config import TcpConfig
+from repro.tcp.config import DUPACK_THRESHOLD, MAX_REORDERING, TcpConfig
 from repro.tcp.sender import TcpSender
 
 FLOW = FiveTuple(0, 1, 1000, 80)
@@ -66,9 +66,8 @@ def test_sender_sequence_invariants_hold(events):
         for s1, e1 in sender.sacked:
             assert e1 > sender.snd_una
         assert 0.0 <= sender.dctcp_alpha <= 1.0
-        assert (sender.config.dupack_threshold
-                <= sender.reordering_threshold
-                <= sender.config.max_reordering)
+        assert (DUPACK_THRESHOLD <= sender.reordering_threshold
+                <= MAX_REORDERING)
 
     # Transmitted data never exceeds what the application provided.
     for packet in host.packets:
