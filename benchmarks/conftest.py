@@ -10,6 +10,12 @@ EXPERIMENTS.md for the side-by-side record.
 from __future__ import annotations
 
 
+def series(points, **axes):
+    """The points whose fields equal ``axes``: one curve of a figure."""
+    return [p for p in points
+            if all(getattr(p, k) == v for k, v in axes.items())]
+
+
 def show(title: str, body: str) -> None:
     """Print one figure's reproduced rows beneath a banner."""
     print()

@@ -6,17 +6,16 @@ move backwards) yields ~6% fewer segments up the stack.
 
 from conftest import show
 
-from repro.experiments.ablations import (
-    AblationParams,
-    render,
-    run_buildup_ablation,
-)
+from repro.experiments import ablations
+from repro.experiments.ablations import AblationParams, render
+from repro.experiments.common import run_grid
 
-PARAMS = AblationParams(reorder_delay_us=60, duration_ms=25)
+PARAMS = AblationParams(configs=("buildup=on", "buildup=off"),
+                        duration_ms=25)
 
 
 def test_ablation_buildup_phase():
-    points = run_buildup_ablation(PARAMS)
+    points = run_grid(ablations, PARAMS)
     show("Ablation — build-up phase on/off "
          "(paper: ~6% fewer segments with the optimisation)",
          render(points))

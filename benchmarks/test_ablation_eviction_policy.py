@@ -7,17 +7,17 @@ avoids that.
 
 from conftest import show
 
-from repro.experiments.ablations import (
-    AblationParams,
-    render,
-    run_eviction_ablation,
-)
+from repro.experiments import ablations
+from repro.experiments.ablations import AblationParams, render
+from repro.experiments.common import run_grid
 
-PARAMS = AblationParams(duration_ms=30)
+PARAMS = AblationParams(
+    configs=("evict=inactive_first", "evict=fifo", "evict=active_first"),
+    duration_ms=30)
 
 
 def test_ablation_eviction_policy():
-    points = run_eviction_ablation(PARAMS)
+    points = run_grid(ablations, PARAMS)
     show("Ablation — eviction policy "
          "(paper's inactive-first vs FIFO vs adversarial active-first)",
          render(points))

@@ -7,18 +7,16 @@ reordering, a 64 entry gro_table is adequate".
 
 from conftest import show
 
-from repro.experiments.ablations import (
-    AblationParams,
-    render,
-    run_table_size_ablation,
-)
+from repro.experiments import ablations
+from repro.experiments.ablations import AblationParams, render
+from repro.experiments.common import run_grid
 
-PARAMS = AblationParams(duration_ms=30)
-CAPACITIES = (2, 4, 8, 16, 64)
+PARAMS = AblationParams(
+    configs=tuple(ablations.STUDIES["gro_table size"]), duration_ms=30)
 
 
 def test_ablation_table_size():
-    points = run_table_size_ablation(PARAMS, CAPACITIES)
+    points = run_grid(ablations, PARAMS)
     show("Ablation — gro_table capacity sweep "
          "(paper: small tables suffice; starving the table hurts)",
          render(points))

@@ -5,17 +5,15 @@ win exists only on a reordering-resilient stack."""
 
 from conftest import show
 
-from repro.experiments.flow_scheduling import (
-    SchedulingParams,
-    render,
-    run,
-)
+from repro.experiments import flow_scheduling
+from repro.experiments.common import run_grid
+from repro.experiments.flow_scheduling import SchedulingParams, render
 
 PARAMS = SchedulingParams(warmup_ms=8, measure_ms=30)
 
 
 def test_ext_flow_scheduling():
-    points = run(PARAMS)
+    points = run_grid(flow_scheduling, PARAMS)
     show("Extension — PIAS-style flow scheduling over two priorities "
          "(§2.1 motivation: needs a reordering-resilient receiver)",
          render(points))

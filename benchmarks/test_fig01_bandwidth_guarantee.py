@@ -2,10 +2,11 @@
 
 from conftest import show
 
+from repro.experiments import fig01_bandwidth_guarantee as fig01
+from repro.experiments.common import run_grid
 from repro.experiments.fig01_bandwidth_guarantee import (
     Fig01Params,
     render,
-    run,
 )
 from repro.harness.experiment import GroKind
 
@@ -14,7 +15,7 @@ PARAMS = Fig01Params(before_ms=25, after_ms=60, ofo_timeout_us=200,
 
 
 def test_fig01_guarantee_time_series():
-    results = run(PARAMS)
+    results = run_grid(fig01, PARAMS)
     show("Figure 1 — 20 Gb/s guarantee among 8 flows on a 40G link "
          "(paper: Juggler converges quickly and holds steady; vanilla is "
          "below target and far more variable)",

@@ -2,17 +2,15 @@
 
 from conftest import show
 
-from repro.experiments.cpu_overhead import (
-    CpuOverheadParams,
-    render,
-    run_figure,
-)
+from repro.experiments import cpu_overhead
+from repro.experiments.common import run_grid
+from repro.experiments.cpu_overhead import CpuOverheadParams, render
 
-BASE = CpuOverheadParams(warmup_ms=8, measure_ms=14)
+PARAMS = CpuOverheadParams(flow_counts=(1,), warmup_ms=8, measure_ms=14)
 
 
 def test_fig09_single_flow_cpu():
-    results = run_figure(1, BASE)
+    results = run_grid(cpu_overhead, PARAMS)
     show("Figure 9 — CPU overhead, single flow "
          "(paper: vanilla app core saturates and loses throughput under "
          "reordering; Juggler matches the no-reordering baseline)",

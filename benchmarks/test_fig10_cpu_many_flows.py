@@ -2,17 +2,15 @@
 
 from conftest import show
 
-from repro.experiments.cpu_overhead import (
-    CpuOverheadParams,
-    render,
-    run_figure,
-)
+from repro.experiments import cpu_overhead
+from repro.experiments.common import run_grid
+from repro.experiments.cpu_overhead import CpuOverheadParams, render
 
-BASE = CpuOverheadParams(warmup_ms=10, measure_ms=14)
+PARAMS = CpuOverheadParams(flow_counts=(256,), warmup_ms=10, measure_ms=14)
 
 
 def test_fig10_many_flows_cpu():
-    results = run_figure(256, BASE)
+    results = run_grid(cpu_overhead, PARAMS)
     show("Figure 10 — CPU overhead, 256 flows "
          "(paper: same comparisons and results as the single-flow case)",
          render(results))

@@ -2,17 +2,18 @@
 
 from conftest import show
 
+from repro.experiments import fig16_active_list_histogram as fig16
+from repro.experiments.common import run_grid
 from repro.experiments.fig16_active_list_histogram import (
     Fig16Params,
     render,
-    run,
 )
 
 PARAMS = Fig16Params(warmup_ms=8, measure_ms=15)
 
 
 def test_fig16_active_list_statistics():
-    points = run(PARAMS)
+    points = run_grid(fig16, PARAMS)
     show("Figure 16 — active/loss-recovery list lengths on the Clos "
          "workload (paper: 40G avg < 1 & p99 < 5; 10G p99 < 6; loss list "
          "almost always empty)",

@@ -1,11 +1,12 @@
 """Figure 18: achieved vs guaranteed bandwidth sweep."""
 
-from conftest import show
+from conftest import series, show
 
+from repro.experiments import fig18_bandwidth_sweep as fig18
+from repro.experiments.common import run_grid
 from repro.experiments.fig18_bandwidth_sweep import (
     Fig18Params,
     render,
-    run,
 )
 from repro.harness.experiment import GroKind
 
@@ -14,14 +15,16 @@ PARAMS = Fig18Params(guarantees_gbps=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
 
 
 def test_fig18_guarantee_sweep():
-    result = run(PARAMS)
+    result = run_grid(fig18, PARAMS)
     show("Figure 18 — achieved vs guaranteed bandwidth "
          "(paper: Juggler tracks the guarantee up to the single-core CPU "
          "limit; vanilla falls short with high variance; ~5G fair-share "
          "floor)",
          render(result))
-    juggler = {p.guarantee_gbps: p for p in result.series(GroKind.JUGGLER)}
-    vanilla = {p.guarantee_gbps: p for p in result.series(GroKind.VANILLA)}
+    juggler = {p.guarantee_gbps: p
+               for p in series(result, kind=GroKind.JUGGLER)}
+    vanilla = {p.guarantee_gbps: p
+               for p in series(result, kind=GroKind.VANILLA)}
     # Juggler tracks the guarantee closely in the feasible region.
     for b in (5.0, 10.0, 15.0, 20.0, 25.0):
         assert abs(juggler[b].achieved_gbps - b) < 2.5, f"B={b}"

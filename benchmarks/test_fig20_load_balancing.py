@@ -2,23 +2,24 @@
 
 from conftest import show
 
+from repro.experiments import fig20_load_balancing as fig20
+from repro.experiments.common import run_grid
 from repro.experiments.fig20_load_balancing import (
     Fig20Params,
     LbPolicy,
     render,
-    run,
 )
 
 PARAMS = Fig20Params(loads_pct=(25, 50, 75, 90), warmup_ms=6, measure_ms=20)
 
 
 def test_fig20_load_balancing_tails():
-    result = run(PARAMS)
+    result = run_grid(fig20, PARAMS)
     show("Figure 20 — RPC completion tails vs load "
          "(paper: per-packet >= 2x better small-RPC p99 than ECMP past 50% "
          "load; beats per-TSO by a growing margin)",
          render(result))
-    by = {(p.policy, p.load_pct): p for p in result.points}
+    by = {(p.policy, p.load_pct): p for p in result}
     for load in (75, 90):
         ecmp = by[(LbPolicy.ECMP, load)]
         tso = by[(LbPolicy.PER_TSO, load)]

@@ -2,11 +2,12 @@
 
 from conftest import show
 
+from repro.experiments import sec31_chained_gro_cost as sec31
+from repro.experiments.common import run_grid
 from repro.experiments.sec31_chained_gro_cost import (
     Sec31Params,
     chained_overhead_pct,
     render,
-    run,
 )
 from repro.harness.experiment import GroKind
 
@@ -14,7 +15,7 @@ PARAMS = Sec31Params(warmup_ms=6, measure_ms=12)
 
 
 def test_sec31_chained_batching_overhead():
-    points = run(PARAMS)
+    points = run_grid(sec31, PARAMS)
     show("§3.1 — linked-list vs frags[] batching on in-order traffic "
          "(paper: chaining costs ~50% more CPU from cache misses)",
          render(points))

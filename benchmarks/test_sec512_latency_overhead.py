@@ -4,17 +4,15 @@ import pytest
 
 from conftest import show
 
-from repro.experiments.sec512_latency_overhead import (
-    Sec512Params,
-    render,
-    run,
-)
+from repro.experiments import sec512_latency_overhead as sec512
+from repro.experiments.common import run_grid
+from repro.experiments.sec512_latency_overhead import Sec512Params, render
 
 PARAMS = Sec512Params(duration_ms=40)
 
 
 def test_sec512_median_latency_unchanged():
-    points = run(PARAMS)
+    points = run_grid(sec512, PARAMS)
     show("§5.1.2 — 150B RPC latency, idle network "
          "(paper: median identical with and without Juggler)",
          render(points))

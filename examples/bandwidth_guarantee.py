@@ -12,10 +12,9 @@ Run:  python examples/bandwidth_guarantee.py
 
 from repro.experiments.fig01_bandwidth_guarantee import (
     Fig01Params,
-    run_kernel,
+    run_point,
 )
 from repro.harness.experiment import GroKind
-from repro.sim.time import MS
 
 
 def sparkline(values, lo=0.0, hi=40.0) -> str:
@@ -34,7 +33,7 @@ def main() -> None:
     print("Target flow throughput (each char = 5 ms; controller starts at "
           "the '|'):\n")
     for kind in (GroKind.JUGGLER, GroKind.VANILLA):
-        result = run_kernel(params, kind)
+        result = run_point(params, kind=kind)
         before = [v for t, v in result.series if t <= result.start_ns]
         after = [v for t, v in result.series if t > result.start_ns]
         print(f"{kind.value:8s} {sparkline(before)}|{sparkline(after)}")

@@ -12,7 +12,7 @@ Run:  python examples/per_packet_load_balancing.py
 from repro.experiments.fig20_load_balancing import (
     Fig20Params,
     LbPolicy,
-    run_cell,
+    run_point,
 )
 
 
@@ -24,7 +24,7 @@ def main() -> None:
           f"{'large RPC p99':>13}")
     rows = {}
     for policy in (LbPolicy.ECMP, LbPolicy.PER_TSO, LbPolicy.PER_PACKET):
-        point = run_cell(params, policy, load)
+        point = run_point(params, policy=policy, load_pct=load)
         rows[policy] = point
         print(f"{policy.value:>14}  {point.small_p50_us:>11.1f}us  "
               f"{point.small_p99_us:>11.1f}us  {point.large_p99_ms:>11.2f}ms")

@@ -6,8 +6,7 @@ The pieces (see docs/campaign.md for the full story):
   fingerprinted :class:`Task` objects with deterministically derived
   per-task seeds (``sim.rng``-style hashing).
 * :mod:`repro.campaign.registry` — adapters that let workers drive any
-  experiment by name: per-grid-point for the sweep figures, whole-run
-  for the rest.
+  experiment by name, one grid point per task.
 * :mod:`repro.campaign.scheduler` — process-pool fan-out with per-task
   timeouts, bounded retry with backoff, and worker-crash recovery.
 * :mod:`repro.campaign.store` — append-only JSONL result store keyed by

@@ -185,23 +185,31 @@ def main(argv) -> int:
     return _cmd_report(args)
 
 
+def _bool(text: str) -> bool:
+    """``true``/``false`` (any case) as a bool; anything else is invalid."""
+    try:
+        return {"true": True, "false": False}[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
 def _csv_of(cast):
     """An argparse ``type``: ``"a, b,c"`` -> ``[cast(a), cast(b), cast(c)]``."""
+    name, cast = cast.__name__, (_bool if cast is bool else cast)
+
     def parse(text: str) -> list:
         return [cast(part.strip()) for part in text.split(",")
                 if part.strip()]
     # argparse words its "invalid ... value" error with the type's name.
-    parse.__name__ = f"{cast.__name__} list"
+    parse.__name__ = f"{name} list"
     return parse
 
 
 def _list_families() -> str:
     lines = ["usage: juggler-repro sweep FAMILY [--<axis> a,b,c ...] "
              "[--jobs N] [--seed S] [--store PATH] [--json PATH]",
-             "grid families and their axes (paired arms marked *):"]
+             "families and their axes (paired arms marked *):"]
     for adapter in registry.ADAPTERS.values():
-        if not adapter.is_grid:
-            continue
         axes = ", ".join(
             axis + ("*" if axis in adapter.paired_axes else "")
             for axis in adapter.axis_names())
@@ -212,13 +220,13 @@ def _list_families() -> str:
 
 
 def sweep_main(argv) -> int:
-    """``juggler-repro sweep [FAMILY ...]``: one grid family, axes as flags."""
+    """``juggler-repro sweep [FAMILY ...]``: one family, axes as flags."""
     if not argv or argv[0] in ("-h", "--help"):
         print(_list_families())
         return 0
     family = argv[0]
     adapter = registry.ADAPTERS.get(family)
-    if adapter is None or not adapter.is_grid:
+    if adapter is None:
         print(f"unknown sweep family: {family}\n{_list_families()}",
               file=sys.stderr)
         return 2

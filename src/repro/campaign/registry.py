@@ -1,28 +1,24 @@
 """Experiment adapters: how the campaign runner drives each experiment.
 
-The scheduler moves tasks between processes as plain dicts; a worker
-resolves the experiment *by name* through this registry and asks its
-adapter to execute one task.  Two shapes exist:
-
-* :class:`GridAdapter` — experiments whose ``run()`` is a parameter sweep
-  (fig12–15 and the four reordering families).  One task per grid point;
-  the adapter calls the module's ``run_point(params, **point)`` and the
-  reporter later reassembles the points into the module's own ``render()``
-  table.  The module is the family record: its ``POINT_AXES`` names the
-  axes and its ``PAIRED_AXES`` (when present) the axes that are arms of
-  one paired comparison; nothing here repeats them.
-* :class:`ParamsAdapter` — everything else.  One task runs the whole
-  experiment and returns its rendered table as a single ``output`` row.
-
-Adapters import their experiment module lazily, so listing experiments
-stays cheap and workers only pay for what they run.
+A worker resolves the experiment *by name* through this registry and asks
+its adapter to run one task: one point of the module's grid (see
+:mod:`repro.experiments.common`) through ``run_point(params, **point)``.
+The reporter reassembles the points into the module's own ``render()``.
+The module is the family record (``POINT_AXES``, ``PAIRED_AXES``, and
+``run_point``'s annotations for its params and point classes), so an entry
+here is a name, a description and, where two families share a module,
+this family's slice of the grid.  Axis values are JSON-native; rows cross
+the JSON store with enums as their ``.value``.  Modules are imported
+lazily, so listing experiments stays cheap.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import importlib
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, \
+    get_type_hints
 
 
 def _tuplify(value):
@@ -35,101 +31,24 @@ def _tuplify(value):
 class Adapter:
     """Interface between the campaign machinery and one experiment."""
 
-    is_grid = False
-    #: Hidden adapters are resolvable by name (specs, ``sweep``, workers)
-    #: but do not appear in ``juggler-repro list`` or ``all``.
-    hidden = False
-
     def __init__(self, name: str, module: str, description: str,
-                 params_cls: Optional[str] = None):
+                 grid: Optional[Mapping] = None, hidden: bool = False):
         self.name = name
         self.module = module
         self.description = description
-        self.params_cls_name = params_cls
+        #: Axis values that replace the params defaults for this family.
+        self._grid = dict(grid or {})
+        #: Hidden adapters are resolvable by name (specs, ``sweep``,
+        #: workers) but do not appear in ``juggler-repro list`` or ``all``.
+        self.hidden = hidden
 
     def _mod(self):
         return importlib.import_module(self.module)
 
-    def _params_cls(self):
-        return getattr(self._mod(), self.params_cls_name)
+    def params_cls(self) -> type:
+        from repro.experiments.common import params_class
 
-    def build_params(self, base: Mapping, seed: Optional[int]):
-        """Instantiate the ``*Params`` dataclass with overrides + seed."""
-        kwargs = {k: _tuplify(v) for k, v in dict(base).items()}
-        if seed is not None:
-            kwargs["seed"] = seed
-        return self._params_cls()(**kwargs)
-
-    def validate_overrides(self, overrides: Mapping) -> None:
-        """Reject overrides that name fields the params class lacks."""
-        if not overrides:
-            return
-        fields = {f.name for f in dataclasses.fields(self._params_cls())}
-        unknown = set(overrides) - fields
-        if unknown:
-            raise ValueError(
-                f"{self.name}: unknown override field(s) "
-                f"{sorted(unknown)}; valid fields: {sorted(fields)}")
-
-    def axis_names(self) -> Tuple[str, ...]:
-        return ()
-
-    def execute(self, base: Mapping, seed: Optional[int], point: Mapping,
-                attempt: int = 1) -> List[dict]:
-        """Run one task; return its result rows (JSON-able dicts)."""
-        raise NotImplementedError
-
-    def render(self, records: Sequence[Mapping]) -> str:
-        """Rebuild the experiment's table from its completed records."""
-        raise NotImplementedError
-
-    def run_default(self) -> str:
-        """The serial, whole-experiment run (what the plain CLI prints)."""
-        raise NotImplementedError
-
-
-class ParamsAdapter(Adapter):
-    """Whole-run experiments: one task, output already rendered."""
-
-    def __init__(self, name: str, module: str, description: str,
-                 params_cls: str,
-                 runner: Optional[Callable] = None):
-        super().__init__(name, module, description, params_cls)
-        #: ``runner(mod, params_or_None) -> str``; params is None when the
-        #: task has no overrides and no derived seed, in which case the
-        #: module's own defaults apply (byte-identical to the plain CLI).
-        self._runner = runner or (
-            lambda mod, params: mod.render(
-                mod.run() if params is None else mod.run(params)))
-
-    def execute(self, base, seed, point, attempt=1):
-        mod = self._mod()
-        params = (None if not base and seed is None
-                  else self.build_params(base, seed))
-        return [{"output": self._runner(mod, params)}]
-
-    def render(self, records):
-        parts = []
-        for record in sorted(records, key=lambda r: r["index"]):
-            parts.extend(row["output"] for row in record["rows"])
-        return "\n".join(parts)
-
-    def run_default(self) -> str:
-        return self.execute({}, None, {})[0]["output"]
-
-
-class GridAdapter(Adapter):
-    """Sweep experiments: one task per grid point."""
-
-    is_grid = True
-
-    def __init__(self, name: str, module: str, description: str,
-                 params_cls: str, point_cls: str, result_cls: str,
-                 hidden: bool = False):
-        super().__init__(name, module, description, params_cls)
-        self.point_cls_name = point_cls
-        self.result_cls_name = result_cls
-        self.hidden = hidden
+        return params_class(self._mod())
 
     @property
     def axes(self) -> Tuple[Tuple[str, str], ...]:
@@ -142,41 +61,16 @@ class GridAdapter(Adapter):
         """Axes that are arms of one comparison: they pick no randomness."""
         return tuple(getattr(self._mod(), "PAIRED_AXES", ()))
 
-    def axis_names(self):
+    def axis_names(self) -> Tuple[str, ...]:
         return tuple(axis for axis, _ in self.axes)
 
     def default_grid(self) -> Dict[str, list]:
-        defaults = self._params_cls()()
-        return {axis: list(getattr(defaults, field))
+        """Axis -> values: this family's slice of the params defaults."""
+        defaults = self.params_cls()()
+        grid = {axis: list(getattr(defaults, field))
                 for axis, field in self.axes}
-
-    def validate_grid(self, grid: Optional[Mapping]) -> Dict[str, list]:
-        """Check axis names and shapes; axes left out keep their defaults."""
-        out = self.default_grid()
-        grid = grid or {}
-        unknown = set(grid) - set(out)
-        if unknown:
-            raise ValueError(
-                f"{self.name}: unknown grid axes {sorted(unknown)}; "
-                f"expected {sorted(out)}")
-        for axis, values in grid.items():
-            values = list(values)
-            if not values:
-                raise ValueError(f"{self.name}: empty grid axis '{axis}'")
-            if len(set(values)) != len(values):
-                raise ValueError(
-                    f"{self.name}: duplicate values on axis '{axis}'")
-            out[axis] = values
-        return out
-
-    def validate_overrides(self, overrides: Mapping) -> None:
-        super().validate_overrides(overrides)
-        grid_fields = {field for _, field in self.axes}
-        clash = set(overrides) & grid_fields
-        if clash:
-            raise ValueError(
-                f"{self.name}: {sorted(clash)} are grid axes — put them "
-                f"in 'grid', not 'overrides'")
+        grid.update(self._grid)
+        return grid
 
     def build_point_params(self, base: Mapping, seed: Optional[int],
                            point: Mapping):
@@ -186,129 +80,92 @@ class GridAdapter(Adapter):
             kwargs[field] = (point[axis],)
         if seed is not None:
             kwargs["seed"] = seed
-        return self._params_cls()(**kwargs)
+        return self.params_cls()(**kwargs)
 
-    def execute(self, base, seed, point, attempt=1):
-        mod = self._mod()
-        params = self.build_point_params(base, seed, point)
-        result = mod.run_point(params, **point)
-        return [dataclasses.asdict(result)]
+    def execute(self, base: Mapping, seed: Optional[int], point: Mapping,
+                attempt: int = 1) -> List[dict]:
+        """Run one task; return its result rows (JSON-able dicts).  A
+        ``run_point`` that takes ``attempt`` is told which one this is."""
+        run_point = self._mod().run_point
+        extra = ({"attempt": attempt}
+                 if "attempt" in get_type_hints(run_point) else {})
+        result = run_point(self.build_point_params(base, seed, point),
+                           **point, **extra)
+        return [{k: v.value if isinstance(v, enum.Enum) else v
+                 for k, v in dataclasses.asdict(result).items()}]
 
-    def render(self, records):
+    def render(self, records: Sequence[Mapping]) -> str:
+        """Rebuild the experiment's table from its completed records."""
+        from repro.experiments.common import point_class
+
         mod = self._mod()
-        point_cls = getattr(mod, self.point_cls_name)
-        points = [point_cls(**row)
+        cls = point_class(mod)
+        enums = {k: t for k, t in get_type_hints(cls).items()
+                 if isinstance(t, type) and issubclass(t, enum.Enum)}
+        points = [cls(**{k: enums[k](v) if k in enums else v
+                         for k, v in row.items()})
                   for record in sorted(records, key=lambda r: r["index"])
                   for row in record["rows"]]
-        result_cls = getattr(mod, self.result_cls_name)
-        return mod.render(result_cls(points=points))
+        return mod.render(points)
 
     def run_default(self) -> str:
+        """The serial, in-process run of the default grid (what the plain
+        CLI prints)."""
+        from repro.experiments.common import run_grid
+
+        grid = self.default_grid()
+        params = self.params_cls()(**{field: tuple(grid[axis])
+                                      for axis, field in self.axes})
         mod = self._mod()
-        return mod.render(mod.run())
-
-
-class SelftestAdapter(GridAdapter):
-    """The built-in failure-injection experiment (tests and CI)."""
-
-    def execute(self, base, seed, point, attempt=1):
-        mod = self._mod()
-        params = self.build_point_params(base, seed, point)
-        result = mod.run_point(params, attempt=attempt, **point)
-        return [dataclasses.asdict(result)]
-
-
-def _run_cpu_overhead(flows: int) -> Callable:
-    def runner(mod, params):
-        results = (mod.run_figure(flows) if params is None
-                   else mod.run_figure(flows, params))
-        return mod.render(results)
-    return runner
-
-
-def _run_ablations(mod, params):
-    # The build-up ablation defaults to 60 us reordering (see its
-    # docstring); pin that when a params override is supplied too.
-    if params is None:
-        buildup = mod.run_buildup_ablation()
-        eviction = mod.run_eviction_ablation()
-        table = mod.run_table_size_ablation()
-    else:
-        buildup = mod.run_buildup_ablation(
-            dataclasses.replace(params, reorder_delay_us=60))
-        eviction = mod.run_eviction_ablation(params)
-        table = mod.run_table_size_ablation(params)
-    return "\n".join([
-        "Build-up phase:", mod.render(buildup),
-        "\nEviction policy:", mod.render(eviction),
-        "\ngro_table size:", mod.render(table),
-    ])
+        return mod.render(run_grid(mod, params))
 
 
 _E = "repro.experiments"
 
 ADAPTERS: Dict[str, Adapter] = {a.name: a for a in [
-    ParamsAdapter("fig01", f"{_E}.fig01_bandwidth_guarantee",
-                  "bandwidth-guarantee time series (Figure 1)",
-                  "Fig01Params"),
-    ParamsAdapter("fig09", f"{_E}.cpu_overhead",
-                  "CPU overhead, single flow (Figure 9)",
-                  "CpuOverheadParams", runner=_run_cpu_overhead(1)),
-    ParamsAdapter("fig10", f"{_E}.cpu_overhead",
-                  "CPU overhead, 256 flows (Figure 10)",
-                  "CpuOverheadParams", runner=_run_cpu_overhead(256)),
-    GridAdapter("fig12", f"{_E}.fig12_inseq_timeout",
-                "batching vs inseq_timeout (Figure 12)", "Fig12Params",
-                point_cls="Fig12Point", result_cls="Fig12Result"),
-    GridAdapter("fig13", f"{_E}.fig13_ofo_timeout_throughput",
-                "throughput vs ofo_timeout (Figure 13)", "Fig13Params",
-                point_cls="Fig13Point", result_cls="Fig13Result"),
-    GridAdapter("fig14", f"{_E}.fig14_ofo_timeout_latency",
-                "RPC tail vs ofo_timeout under loss (Figure 14)",
-                "Fig14Params",
-                point_cls="Fig14Point", result_cls="Fig14Result"),
-    GridAdapter("fig15", f"{_E}.fig15_active_flows",
-                "active flows vs concurrency (Figure 15)", "Fig15Params",
-                point_cls="Fig15Point", result_cls="Fig15Result"),
-    ParamsAdapter("fig16", f"{_E}.fig16_active_list_histogram",
-                  "active-list statistics on Clos (Figure 16)",
-                  "Fig16Params"),
-    ParamsAdapter("fig18", f"{_E}.fig18_bandwidth_sweep",
-                  "guarantee sweep (Figure 18)", "Fig18Params"),
-    ParamsAdapter("fig20", f"{_E}.fig20_load_balancing",
-                  "load-balancing granularity (Figure 20)", "Fig20Params"),
-    ParamsAdapter("sec31", f"{_E}.sec31_chained_gro_cost",
-                  "linked-list batching cost (Section 3.1)", "Sec31Params"),
-    ParamsAdapter("sec512", f"{_E}.sec512_latency_overhead",
-                  "latency overhead (Section 5.1.2)", "Sec512Params"),
-    ParamsAdapter("ablations", f"{_E}.ablations",
-                  "design-choice ablations (DESIGN.md §5)", "AblationParams",
-                  runner=_run_ablations),
-    ParamsAdapter("scheduling", f"{_E}.flow_scheduling",
-                  "extension: PIAS/pFabric flow scheduling",
-                  "SchedulingParams"),
-    GridAdapter("fdir_reordering", f"{_E}.fdir_reordering",
-                "self-inflicted reordering: steering policy x flow count "
-                "x churn x GRO engine (docs/steering.md)", "FdirParams",
-                point_cls="FdirPoint", result_cls="FdirResult", hidden=True),
-    GridAdapter("cc_reordering", f"{_E}.cc_reordering",
-                "congestion control x reordering intensity x GRO engine "
-                "(docs/transport.md)", "CcParams",
-                point_cls="CcPoint", result_cls="CcResult", hidden=True),
-    GridAdapter("host_vs_fabric", f"{_E}.host_vs_fabric",
-                "host-side Juggler vs fabric-side in-order routing: GRO "
-                "engine x routing policy x load x fault (docs/fabric.md)",
-                "HostFabricParams", point_cls="HostFabricPoint",
-                result_cls="HostFabricResult", hidden=True),
-    GridAdapter("faults_matrix", "repro.faults.experiments",
-                "resilience matrix: fault kind x intensity x GRO engine "
-                "(docs/faults.md)", "MatrixParams",
-                point_cls="MatrixPoint", result_cls="MatrixResult",
-                hidden=True),
-    SelftestAdapter("selftest", "repro.campaign.selftest",
-                    "campaign failure-injection selftest", "SelftestParams",
-                    point_cls="SelftestPoint", result_cls="SelftestResult",
-                    hidden=True),
+    Adapter("fig01", f"{_E}.fig01_bandwidth_guarantee",
+            "bandwidth-guarantee time series (Figure 1)"),
+    Adapter("fig09", f"{_E}.cpu_overhead",
+            "CPU overhead, single flow (Figure 9)", grid={"num_flows": [1]}),
+    Adapter("fig10", f"{_E}.cpu_overhead",
+            "CPU overhead, 256 flows (Figure 10)", grid={"num_flows": [256]}),
+    Adapter("fig12", f"{_E}.fig12_inseq_timeout",
+            "batching vs inseq_timeout (Figure 12)"),
+    Adapter("fig13", f"{_E}.fig13_ofo_timeout_throughput",
+            "throughput vs ofo_timeout (Figure 13)"),
+    Adapter("fig14", f"{_E}.fig14_ofo_timeout_latency",
+            "RPC tail vs ofo_timeout under loss (Figure 14)"),
+    Adapter("fig15", f"{_E}.fig15_active_flows",
+            "active flows vs concurrency (Figure 15)"),
+    Adapter("fig16", f"{_E}.fig16_active_list_histogram",
+            "active-list statistics on Clos (Figure 16)"),
+    Adapter("fig18", f"{_E}.fig18_bandwidth_sweep",
+            "guarantee sweep (Figure 18)"),
+    Adapter("fig20", f"{_E}.fig20_load_balancing",
+            "load-balancing granularity (Figure 20)"),
+    Adapter("sec31", f"{_E}.sec31_chained_gro_cost",
+            "linked-list batching cost (Section 3.1)"),
+    Adapter("sec512", f"{_E}.sec512_latency_overhead",
+            "latency overhead (Section 5.1.2)"),
+    Adapter("ablations", f"{_E}.ablations",
+            "design-choice ablations (DESIGN.md §5)"),
+    Adapter("scheduling", f"{_E}.flow_scheduling",
+            "extension: PIAS/pFabric flow scheduling"),
+    Adapter("fdir_reordering", f"{_E}.fdir_reordering",
+            "self-inflicted reordering: steering policy x flow count "
+            "x churn x GRO engine (docs/steering.md)", hidden=True),
+    Adapter("cc_reordering", f"{_E}.cc_reordering",
+            "congestion control x reordering intensity x GRO engine "
+            "(docs/transport.md)", hidden=True),
+    Adapter("host_vs_fabric", f"{_E}.host_vs_fabric",
+            "host-side Juggler vs fabric-side in-order routing: GRO "
+            "engine x routing policy x load x fault (docs/fabric.md)",
+            hidden=True),
+    Adapter("faults_matrix", "repro.faults.experiments",
+            "resilience matrix: fault kind x intensity x GRO engine "
+            "(docs/faults.md)", hidden=True),
+    Adapter("selftest", "repro.campaign.selftest",
+            "campaign failure-injection selftest", hidden=True),
 ]}
 
 
@@ -328,8 +185,5 @@ def names(include_hidden: bool = False) -> List[str]:
 
 def cli_experiments() -> Dict[str, tuple]:
     """The ``{name: (runner, description)}`` dict the CLI lists and runs."""
-    def make_runner(adapter: Adapter):
-        return lambda: adapter.run_default()
-
-    return {name: (make_runner(adapter), adapter.description)
+    return {name: (adapter.run_default, adapter.description)
             for name, adapter in ADAPTERS.items() if not adapter.hidden}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.harness.reporting import format_table
@@ -51,13 +51,6 @@ class SelftestPoint:
     mode: str
     attempt: int
     value: int
-
-
-@dataclass
-class SelftestResult:
-    """All points."""
-
-    points: List[SelftestPoint] = field(default_factory=list)
 
 
 #: Sweep axes: (point field, params grid field).
@@ -96,14 +89,7 @@ def run_point(params: SelftestParams, *, task_id: int,
                          value=value)
 
 
-def run(params: SelftestParams = SelftestParams()) -> SelftestResult:
-    """Serial sweep (parity with real experiment modules)."""
-    return SelftestResult(points=[
-        run_point(params, task_id=task_id) for task_id in params.task_ids
-    ])
-
-
-def render(result: SelftestResult) -> str:
+def render(points: List[SelftestPoint]) -> str:
     """The points as a table."""
-    rows = [(p.task_id, p.mode, p.attempt, p.value) for p in result.points]
+    rows = [(p.task_id, p.mode, p.attempt, p.value) for p in points]
     return format_table(["task_id", "mode", "attempt", "value"], rows)

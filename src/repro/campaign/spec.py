@@ -1,9 +1,8 @@
 """Declarative sweep specs expanded into fingerprinted tasks.
 
 A campaign is a named set of experiments, each with parameter overrides
-and (for grid experiments) a grid of axis values.  :func:`expand` turns a
-spec into a flat list of :class:`Task` objects — one per grid point, or
-one per whole-run experiment — each carrying:
+and a grid of axis values.  :func:`expand` turns a spec into a flat list
+of :class:`Task` objects — one per grid point — each carrying:
 
 * a **fingerprint**: the SHA-256 of the canonical JSON of everything that
   determines the task's output (experiment, overrides, point, seed).  The
@@ -15,7 +14,8 @@ one per whole-run experiment — each carrying:
   :func:`repro.sim.rng.derive_seed` — so per-task randomness is stable
   across runs and independent of scheduling order or ``--jobs``.  With no
   root seed, tasks keep each experiment's baked-in default seed, which
-  makes a campaign's rows byte-identical to the serial ``run()`` loops.
+  makes a campaign's rows byte-identical to the serial
+  :func:`repro.experiments.common.run_grid`.
   A family's ``PAIRED_AXES`` (the arms of one comparison, e.g. the GRO
   engine) stay out of the seed payload — see :func:`unpaired` — so every
   arm of a cell gets the same seed; the fingerprint keeps the full point.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -47,7 +47,7 @@ def _jsonify(obj):
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of campaign work: a single grid point (or whole run)."""
+    """One unit of campaign work: a single grid point."""
 
     campaign: str
     experiment: str
@@ -56,7 +56,7 @@ class Task:
     index: int
     #: Parameter overrides applied to the experiment's ``*Params`` defaults.
     base: Mapping
-    #: Axis values for this grid point (empty for whole-run tasks).
+    #: Axis values for this grid point.
     point: Mapping
     #: Per-task seed, or None to keep the experiment's default seed.
     seed: Optional[int]
@@ -107,11 +107,10 @@ class ExperimentSpec:
     """One experiment's slice of a campaign."""
 
     experiment: str
-    #: ``*Params`` field overrides (grid-axis tuples excluded for grids).
+    #: ``*Params`` field overrides (grid-axis tuples excluded).
     overrides: Mapping = field(default_factory=dict)
-    #: axis name -> list of values for grid experiments; an axis left out
-    #: (or None for all of them) keeps its ``*Params`` default values.
-    #: Whole-run experiments take no grid and are a single task.
+    #: axis name -> list of values; an axis left out (or None for all of
+    #: them) keeps the family's default values.
     grid: Optional[Mapping] = None
 
 
@@ -180,38 +179,59 @@ def build_default_spec(names: Sequence[str], seed: Optional[int] = None,
 def expand(spec: CampaignSpec) -> List[Task]:
     """Flatten a spec into fingerprinted tasks, in deterministic order.
 
-    Grid experiments produce one task per point, iterated in the module's
-    own nesting order (outer axis first), so a campaign report lists rows
-    exactly as the serial ``render(run())`` would.
+    Each experiment produces one task per grid point, iterated in the
+    module's own nesting order (outer axis first), so a campaign report
+    lists rows exactly as the serial ``render(run_grid(...))`` would.
     """
     from repro.campaign import registry
 
     tasks: List[Task] = []
     for espec in spec.experiments:
         adapter = registry.get(espec.experiment)
-        if adapter.is_grid:
-            grid = adapter.validate_grid(espec.grid)
-            adapter.validate_overrides(espec.overrides)
-            paired = adapter.paired_axes
-            for point in _grid_product(adapter.axis_names(), grid):
-                tasks.append(make_task(spec.name, espec.experiment,
-                                       len(tasks), espec.overrides, point,
-                                       spec.seed, paired))
-        else:
-            if espec.grid:
-                raise ValueError(
-                    f"experiment '{espec.experiment}' takes no grid")
-            adapter.validate_overrides(espec.overrides)
+        _check_overrides(adapter, espec.overrides)
+        for point in _grid_points(adapter, espec.grid):
             tasks.append(make_task(spec.name, espec.experiment, len(tasks),
-                                   espec.overrides, {}, spec.seed))
+                                   espec.overrides, point, spec.seed,
+                                   adapter.paired_axes))
     _check_unique(tasks)
     return tasks
 
 
-def _grid_product(axis_names: Sequence[str], grid: Mapping):
-    values = [list(grid[axis]) for axis in axis_names]
-    for combo in itertools.product(*values):
-        yield dict(zip(axis_names, combo))
+def _grid_points(adapter, chosen: Optional[Mapping]):
+    """The points of ``chosen`` over the family's default grid (axes left
+    out keep their defaults), after checking its axis names and shapes."""
+    grid = adapter.default_grid()
+    unknown = set(chosen or {}) - set(grid)
+    if unknown:
+        raise ValueError(
+            f"{adapter.name}: unknown grid axes {sorted(unknown)}; "
+            f"expected {sorted(grid)}")
+    for axis, values in (chosen or {}).items():
+        values = list(values)
+        if not values:
+            raise ValueError(f"{adapter.name}: empty grid axis '{axis}'")
+        if len(set(values)) != len(values):
+            raise ValueError(
+                f"{adapter.name}: duplicate values on axis '{axis}'")
+        grid[axis] = values
+    names = adapter.axis_names()
+    for combo in itertools.product(*(grid[axis] for axis in names)):
+        yield dict(zip(names, combo))
+
+
+def _check_overrides(adapter, overrides: Mapping) -> None:
+    """Reject overrides that name unknown fields or grid axes."""
+    known = {f.name for f in fields(adapter.params_cls())}
+    unknown = set(overrides) - known
+    if unknown:
+        raise ValueError(
+            f"{adapter.name}: unknown override field(s) "
+            f"{sorted(unknown)}; valid fields: {sorted(known)}")
+    clash = set(overrides) & {name for _, name in adapter.axes}
+    if clash:
+        raise ValueError(
+            f"{adapter.name}: {sorted(clash)} are grid axes — put them "
+            f"in 'grid', not 'overrides'")
 
 
 def _check_unique(tasks: List[Task]) -> None:

@@ -12,17 +12,18 @@
     juggler-repro analyze                        # determinism lint, exit!=0 on findings
     juggler-repro bench --check                  # cell call/event counts == BENCH_counts.json
     juggler-repro faults run --plan chaos.json   # one fault plan, one report
-    juggler-repro sweep                          # grid families and their axes
+    juggler-repro sweep                          # every family and its axes
     juggler-repro sweep cc_reordering --cc reno,bbr --intensity 3 --jobs 4
     juggler-repro campaign run --spec sweep.json --store out.jsonl --jobs 4
     juggler-repro campaign resume --spec sweep.json --store out.jsonl
     juggler-repro campaign report --store out.jsonl --json summary.json
 
 The experiment catalog itself lives in :mod:`repro.campaign.registry`;
-this module is only the dispatcher.  ``--jobs 1`` (the default) runs the
-historical in-process serial loop; ``--jobs N`` or ``--seed`` routes the
-same selection through the campaign scheduler, and ``sweep FAMILY`` does
-the same for one grid family with its axes as flags (docs/campaign.md).
+this module is only the dispatcher.  ``--jobs 1`` (the default) runs each
+experiment's grid in-process (``repro.experiments.common.run_grid``);
+``--jobs N`` or ``--seed`` routes the same selection through the campaign
+scheduler, and ``sweep FAMILY`` does the same for one family with its axes
+as flags (docs/campaign.md).
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def main(argv=None) -> int:
               "artifact (see docs/observability.md)")
         print("run 'juggler-repro campaign --help' for parallel, resumable "
               "sweeps (see docs/campaign.md)")
-        print("run 'juggler-repro sweep' for the grid families (steering, "
-              "cc, fabric, faults matrix, fig12-15) with their axes as flags")
+        print("run 'juggler-repro sweep' for every family (these, plus "
+              "steering, cc, fabric, faults matrix) with its axes as flags")
         print("run 'juggler-repro faults run --plan FILE' for one fault "
               "plan (see docs/faults.md)")
         return 0

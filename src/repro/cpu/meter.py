@@ -1,4 +1,4 @@
-"""Busy-time accumulation and utilisation windows."""
+"""Busy-time accumulation for one modelled core."""
 
 from __future__ import annotations
 
@@ -6,17 +6,14 @@ from __future__ import annotations
 class CoreMeter:
     """Accumulates nanoseconds of busy time for one core.
 
-    Utilisation is measured over explicit windows so experiments can discard
-    warm-up: call :meth:`mark` at the window start and
-    :meth:`utilization_since` at the end.
+    Experiments measure utilisation as the difference of two
+    :attr:`busy_ns` readings over a window (see ``Cell.measure``).
     """
 
     def __init__(self, name: str = "core"):
         self.name = name
         # det: allow(float-ns) -- accumulator of fractional modeled work, not an event timestamp; never feeds back into scheduling
         self._busy_ns = 0.0
-        self._mark_busy = 0.0
-        self._mark_time = 0
 
     @property
     def busy_ns(self) -> float:
@@ -28,19 +25,3 @@ class CoreMeter:
         if ns < 0:
             raise ValueError(f"cannot charge negative work: {ns}")
         self._busy_ns += ns
-
-    def mark(self, now: int) -> None:
-        """Start a measurement window at simulation time ``now``."""
-        self._mark_busy = self._busy_ns
-        self._mark_time = now
-
-    def utilization_since(self, now: int) -> float:
-        """Fraction of one core used since the last :meth:`mark`.
-
-        Can exceed 1.0 when the offered work outstrips a single core — the
-        saturation signal Figure 9 reports as a pegged application core.
-        """
-        elapsed = now - self._mark_time
-        if elapsed <= 0:
-            return 0.0
-        return (self._busy_ns - self._mark_busy) / elapsed

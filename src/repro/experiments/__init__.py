@@ -1,9 +1,10 @@
 """Per-figure experiment implementations.
 
-Each module reproduces one table or figure from the paper's evaluation:
-``run(params)`` executes the (scaled-down) experiment and returns a result
-object; ``render(result)`` produces the text table the corresponding bench
-prints; running a module as a script does both.  The per-figure tests in
+Each module reproduces one table or figure from the paper's evaluation as a
+grid: ``POINT_AXES``, ``run_point(params, **point)`` for one (scaled-down)
+point, and ``render(points)`` for the text table the corresponding bench
+prints.  :func:`repro.experiments.common.run_grid` runs a module's whole
+grid; ``juggler-repro <name>`` runs and prints it.  The per-figure tests in
 ``benchmarks/`` call these entry points and assert the paper's claims.
 
 Every module builds its universe through :mod:`repro.experiments.cell` —

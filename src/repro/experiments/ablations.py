@@ -11,13 +11,14 @@
 
 All three run the same stress scenario: many concurrent flows through the
 NetFPGA reordering switch with a deliberately small table, so flows
-constantly leave and re-enter Juggler.
+constantly leave and re-enter Juggler.  The family's one axis is the
+labelled configs of all three studies (:data:`STUDIES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
@@ -28,12 +29,38 @@ from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 
 
+#: The stress scenario's aggregate offered load.
+TOTAL_GBPS = 10.0
+
+#: Each study's labelled configs, in render order: label -> overrides of
+#: the paper's ``JugglerConfig`` design, plus ``reorder_delay_us`` where a
+#: study pins the switch's delay.  The build-up study runs at 60 µs: the
+#: optimisation only pays off for stragglers that arrive while the
+#: re-entering flow is still inside its first polling interval, so delays
+#: much longer than a poll mask it.
+STUDIES: Dict[str, Dict[str, dict]] = {
+    "Build-up phase": {
+        f"buildup={'on' if enabled else 'off'}":
+            dict(enable_buildup=enabled, reorder_delay_us=60)
+        for enabled in (True, False)},
+    "Eviction policy": {
+        f"evict={policy}": dict(eviction_policy=policy)
+        for policy in ("inactive_first", "fifo", "active_first")},
+    "gro_table size": {
+        f"capacity={capacity}": dict(table_capacity=capacity)
+        for capacity in (2, 4, 8, 16, 64)},
+}
+CONFIGS: Dict[str, dict] = {label: overrides
+                            for study in STUDIES.values()
+                            for label, overrides in study.items()}
+
+
 @dataclass(frozen=True)
 class AblationParams:
     """Shared stress-scenario configuration."""
 
+    configs: tuple = tuple(CONFIGS)
     num_flows: int = 64
-    total_gbps: float = 10.0
     reorder_delay_us: int = 250
     inseq_timeout_us: int = 52
     ofo_timeout_us: int = 400
@@ -54,9 +81,20 @@ class AblationPoint:
     throughput_gbps: float
 
 
-def _run_stress(params: AblationParams, **ablated) -> AblationPoint:
-    """The stress scenario with the ``JugglerConfig`` fields in ``ablated``
-    overriding the paper's design."""
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("config", "configs"),)
+#: The configs are the arms of one comparison: they share a seed.
+PAIRED_AXES = ("config",)
+
+
+def run_point(params: AblationParams, *, config: str) -> AblationPoint:
+    """The stress scenario under one labelled config of :data:`STUDIES`."""
+    if config not in CONFIGS:
+        raise ValueError(f"unknown ablation config {config!r}; "
+                         f"known: {list(CONFIGS)}")
+    ablated = dict(CONFIGS[config])
+    reorder_delay_us = ablated.pop("reorder_delay_us",
+                                   params.reorder_delay_us)
     cell = Cell(
         params.seed, GroKind.JUGGLER,
         inseq_us=params.inseq_timeout_us,
@@ -66,16 +104,16 @@ def _run_stress(params: AblationParams, **ablated) -> AblationPoint:
     # One stream feeds both the switch and the flows' start offsets.
     bed = cell.pair(
         "workload",
-        rate_gbps=params.total_gbps,
-        reorder_delay_ns=params.reorder_delay_us * US,
+        rate_gbps=TOTAL_GBPS,
+        reorder_delay_ns=reorder_delay_us * US,
         nic_config=NicConfig(num_queues=1, coalesce_frames=25),
     )
     cell.paced_flows([bed.sender], bed.receiver, params.num_flows,
-                     params.total_gbps, 5000, TcpConfig(init_cwnd=1 << 17),
+                     TOTAL_GBPS, 5000, TcpConfig(init_cwnd=1 << 17),
                      cell.rngs.stream("workload"), 1 << 38)
     total = cell.measure(0, params.duration_ms * MS)
     return AblationPoint(
-        label="",
+        label=config,
         segments_per_packet=(total.segments / total.packets
                              if total.packets else 0.0),
         ooo_fraction=(total.ooo_segments / total.segments
@@ -87,48 +125,7 @@ def _run_stress(params: AblationParams, **ablated) -> AblationPoint:
     )
 
 
-def run_buildup_ablation(
-        params: AblationParams = AblationParams(reorder_delay_us=60),
-) -> List[AblationPoint]:
-    """With vs without the build-up phase.
-
-    Defaults to 60 µs reordering: the optimisation only pays off for
-    stragglers that arrive while the re-entering flow is still inside its
-    first polling interval, so delays much longer than a poll mask it.
-    """
-    points = []
-    for enabled in (True, False):
-        point = _run_stress(params, enable_buildup=enabled)
-        point.label = "buildup=on" if enabled else "buildup=off"
-        points.append(point)
-    return points
-
-
-def run_eviction_ablation(
-        params: AblationParams = AblationParams()) -> List[AblationPoint]:
-    """The paper's eviction order vs naive FIFO vs adversarial inversion."""
-    points = []
-    for policy in ("inactive_first", "fifo", "active_first"):
-        point = _run_stress(params, eviction_policy=policy)
-        point.label = f"evict={policy}"
-        points.append(point)
-    return points
-
-
-def run_table_size_ablation(
-        params: AblationParams = AblationParams(),
-        capacities: tuple = (2, 4, 8, 16, 64)) -> List[AblationPoint]:
-    """Sweeping gro_table capacity."""
-    points = []
-    for capacity in capacities:
-        point = _run_stress(params, table_capacity=capacity)
-        point.label = f"capacity={capacity}"
-        points.append(point)
-    return points
-
-
-def render(points: List[AblationPoint]) -> str:
-    """Any ablation's rows."""
+def _table(points: List[AblationPoint]) -> str:
     rows = [
         (p.label, round(p.segments_per_packet, 4), round(p.ooo_fraction, 4),
          p.ofo_timeout_flushes, p.evictions, round(p.throughput_gbps, 2))
@@ -141,10 +138,11 @@ def render(points: List[AblationPoint]) -> str:
     )
 
 
-if __name__ == "__main__":
-    print("Build-up phase ablation:")
-    print(render(run_buildup_ablation()))
-    print("\nEviction policy ablation:")
-    print(render(run_eviction_ablation()))
-    print("\nTable size ablation:")
-    print(render(run_table_size_ablation()))
+def render(points: List[AblationPoint]) -> str:
+    """One section per study that has points."""
+    sections = []
+    for title, configs in STUDIES.items():
+        mine = [p for p in points if p.label in configs]
+        if mine:
+            sections.append(f"{title}:\n{_table(mine)}")
+    return "\n\n".join(sections)

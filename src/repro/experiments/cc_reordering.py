@@ -31,12 +31,11 @@ byte-identical rows, whatever the worker count or result store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
 from repro.sim.rng import derive_cell_seed
@@ -92,13 +91,6 @@ class CcPoint:
     srtt_us: float
 
 
-@dataclass
-class CcResult:
-    """All cells."""
-
-    points: List[CcPoint] = field(default_factory=list)
-
-
 #: Sweep axes in loop-nesting order: (point field, params grid field).
 POINT_AXES = (("cc", "ccs"),
               ("intensity", "intensities"),
@@ -152,28 +144,16 @@ def run_point(params: CcParams, *, cc: str, intensity: int,
     )
 
 
-def run(params: CcParams = CcParams()) -> CcResult:
-    """Full sweep."""
-    return CcResult(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: CcResult) -> str:
+def render(points: List[CcPoint]) -> str:
     """The family as one table."""
     rows = [
         (p.cc, p.intensity, p.engine, round(p.goodput_gbps, 3),
          p.retx_packets, p.recoveries, p.spurious_rexmits, p.rtos,
          p.dupacks, p.tcp_ooo_segments, p.ofo_timeout_flushes, p.srtt_us)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["cc", "intensity", "engine", "goodput_gbps", "retx", "recov",
          "spurious", "rtos", "dupacks", "tcp_ooo", "ofo_flush", "srtt_us"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

@@ -18,7 +18,6 @@ Paper results this experiment reproduces:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List
 
@@ -33,11 +32,14 @@ from repro.tcp.config import TcpConfig
 
 @dataclass(frozen=True)
 class CpuOverheadParams:
-    """One scenario's configuration."""
+    """Both figures' scenarios (Figure 9 is the 1-flow slice, Figure 10 the
+    256-flow one) and their shared configuration."""
 
-    num_flows: int = 1
-    reordering: bool = True  # per-packet spraying vs ECMP
-    kind: GroKind = GroKind.JUGGLER
+    flow_counts: tuple = (1, 256)
+    #: Per-packet spraying (True) vs ECMP (False).
+    reorderings: tuple = (False, True)
+    #: GRO kernels, as :class:`GroKind` values.
+    kinds: tuple = ("vanilla", "juggler")
     target_gbps: float = 20.0
     uplink_gbps: float = 40.0
     n_spines: int = 2
@@ -50,36 +52,49 @@ class CpuOverheadParams:
 
 
 @dataclass
-class CpuOverheadResult:
+class CpuOverheadPoint:
     """One scenario's measurements."""
 
-    params: CpuOverheadParams
-    throughput_gbps: float = 0.0
-    rx_core_pct: float = 0.0
-    app_core_pct: float = 0.0
-    batching_extent: float = 0.0
-    segments: int = 0
-    ooo_segment_fraction: float = 0.0
-    acks_sent: int = 0
+    num_flows: int
+    reordering: bool
+    kind: GroKind
+    target_gbps: float
+    throughput_gbps: float
+    rx_core_pct: float
+    app_core_pct: float
+    batching_extent: float
+    segments: int
+    ooo_segment_fraction: float
+    acks_sent: int
 
     @property
     def throughput_pct_of_target(self) -> float:
         """Throughput as % of the rate-limited target."""
-        return 100.0 * self.throughput_gbps / self.params.target_gbps
+        return 100.0 * self.throughput_gbps / self.target_gbps
 
 
-def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
+#: Sweep axes in loop-nesting order: (point field, params grid field).
+POINT_AXES = (("num_flows", "flow_counts"),
+              ("reordering", "reorderings"),
+              ("kind", "kinds"))
+#: The routing and the kernel are the arms of one comparison.
+PAIRED_AXES = ("reordering", "kind")
+
+
+def run_point(params: CpuOverheadParams, *, num_flows: int,
+              reordering: bool, kind: str) -> CpuOverheadPoint:
     """Run one {flows, reordering, kernel} cell."""
-    cell = Cell(params.seed, params.kind, inseq_us=params.inseq_timeout_us,
+    kind = GroKind.of(kind)
+    cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
                 ofo_us=params.ofo_timeout_us, cpu=True)
     # ToR 0 hosts the senders; ToR 1 hosts the receiver and the background
     # sink.  All measured flows aim at one receiver host => one RX queue.
     net = cell.clos(
         (lambda: PerPacketRouting(cell.rngs.stream("spray")))
-        if params.reordering else EcmpRouting,
+        if reordering else EcmpRouting,
         params.uplink_gbps,
         n_tors=2,
-        hosts_per_tor=max(2, params.num_flows if params.num_flows <= 8 else 8),
+        hosts_per_tor=max(2, num_flows if num_flows <= 8 else 8),
         n_spines=params.n_spines,
         nic_config=NicConfig(num_queues=1, coalesce_frames=32),
     )
@@ -87,7 +102,7 @@ def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
     receiver = net.hosts[hosts_per_tor]
     cell.measure_host(receiver)
     cell.paced_flows(
-        net.hosts[:hosts_per_tor], receiver, params.num_flows,
+        net.hosts[:hosts_per_tor], receiver, num_flows,
         params.target_gbps, 10_000,
         TcpConfig(init_cwnd=1 << 19, rx_buffer=4 << 20),
         cell.rngs.stream("flow-start"), 1 << 40)
@@ -97,8 +112,11 @@ def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
 
     window = cell.measure(params.warmup_ms * MS,
                           (params.warmup_ms + params.measure_ms) * MS)
-    return CpuOverheadResult(
-        params=params,
+    return CpuOverheadPoint(
+        num_flows=num_flows,
+        reordering=reordering,
+        kind=kind,
+        target_gbps=params.target_gbps,
         throughput_gbps=window.goodput_gbps,
         rx_core_pct=window.rx_core_pct,
         app_core_pct=window.app_core_pct,
@@ -110,24 +128,13 @@ def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
     )
 
 
-def run_figure(num_flows: int,
-               base: CpuOverheadParams = CpuOverheadParams()) -> List[CpuOverheadResult]:
-    """All four bars of Figure 9 (num_flows=1) or Figure 10 (256)."""
-    return [
-        run_scenario(dataclasses.replace(
-            base, num_flows=num_flows, reordering=reordering, kind=kind))
-        for reordering in (False, True)
-        for kind in (GroKind.VANILLA, GroKind.JUGGLER)
-    ]
-
-
-def render(results: List[CpuOverheadResult]) -> str:
+def render(points: List[CpuOverheadPoint]) -> str:
     """The figure's bars as one table."""
     rows = [
         (
-            r.params.num_flows,
-            "per-packet" if r.params.reordering else "ecmp",
-            r.params.kind.value,
+            r.num_flows,
+            "per-packet" if r.reordering else "ecmp",
+            r.kind.value,
             round(r.throughput_pct_of_target, 1),
             round(r.rx_core_pct, 1),
             round(min(r.app_core_pct, 100.0), 1),
@@ -135,18 +142,10 @@ def render(results: List[CpuOverheadResult]) -> str:
             round(r.ooo_segment_fraction, 3),
             r.acks_sent,
         )
-        for r in results
+        for r in points
     ]
     return format_table(
         ["flows", "routing", "kernel", "tput_pct_target", "rx_core_pct",
          "app_core_pct", "batching", "ooo_frac", "acks"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print("Figure 9 (single flow):")
-    print(render(run_figure(1)))
-    print()
-    print("Figure 10 (256 flows):")
-    print(render(run_figure(256)))

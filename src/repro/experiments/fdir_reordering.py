@@ -28,12 +28,11 @@ store (the campaign fingerprint relies on this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.faults.plan import FaultPlan
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
@@ -111,13 +110,6 @@ class FdirPoint:
     #: Max/mean delivered-packets ratio across RX queues (1.0 = balanced).
     queue_imbalance: float
     packets_dropped: int
-
-
-@dataclass
-class FdirResult:
-    """All cells."""
-
-    points: List[FdirPoint] = field(default_factory=list)
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -231,15 +223,7 @@ def run_point(params: FdirParams, *, policy: str, flow_count: int,
     )
 
 
-def run(params: FdirParams = FdirParams()) -> FdirResult:
-    """Full sweep."""
-    return FdirResult(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: FdirResult) -> str:
+def render(points: List[FdirPoint]) -> str:
     """The family as one table."""
     rows = [
         (p.policy, p.flow_count, p.churn, p.engine,
@@ -247,7 +231,7 @@ def render(result: FdirResult) -> str:
          p.rpcs_completed, p.migrations, p.cross_queue_events,
          p.tcp_ooo_segments, p.ofo_timeout_flushes,
          round(p.queue_imbalance, 2), p.packets_dropped)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["policy", "flows", "churn", "engine", "goodput_gbps", "p99_us",
@@ -255,7 +239,3 @@ def render(result: FdirResult) -> str:
          "dropped"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

@@ -30,6 +30,8 @@ from repro.tcp.connection import Connection
 class Fig01Params:
     """Experiment configuration (durations scaled from the paper's ±2 s)."""
 
+    #: GRO kernels, as :class:`GroKind` values.
+    kinds: tuple = ("juggler", "vanilla")
     line_rate_gbps: float = 40.0
     guarantee_gbps: float = 20.0
     num_flows: int = 8
@@ -43,7 +45,7 @@ class Fig01Params:
 
 
 @dataclass
-class Fig01Result:
+class Fig01Point:
     """The target flow's throughput time series for one kernel."""
 
     kind: GroKind
@@ -112,8 +114,15 @@ def throughput_sampler(cell: Cell, conn: Connection,
     return probe
 
 
-def run_kernel(params: Fig01Params, kind: GroKind) -> Fig01Result:
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("kind", "kinds"),)
+#: The kernels are the arms of one comparison: they share a seed.
+PAIRED_AXES = ("kind",)
+
+
+def run_point(params: Fig01Params, *, kind: str) -> Fig01Point:
     """The time series for one kernel."""
+    kind = GroKind.of(kind)
     cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
                 ofo_us=params.ofo_timeout_us)
     _, target, controller = guarantee_rig(
@@ -124,16 +133,10 @@ def run_kernel(params: Fig01Params, kind: GroKind) -> Fig01Result:
     cell.engine.schedule(start_ns, controller.start)
     cell.measure(start_ns, (params.before_ms + params.after_ms) * MS)
 
-    return Fig01Result(kind=kind, series=probe.samples, start_ns=start_ns)
+    return Fig01Point(kind=kind, series=probe.samples, start_ns=start_ns)
 
 
-def run(params: Fig01Params = Fig01Params()) -> List[Fig01Result]:
-    """Both kernels' time series."""
-    return [run_kernel(params, GroKind.JUGGLER),
-            run_kernel(params, GroKind.VANILLA)]
-
-
-def render(results: List[Fig01Result]) -> str:
+def render(results: List[Fig01Point]) -> str:
     """Summary statistics of the two panels."""
     rows = [
         (r.kind.value, round(r.before_mean(), 2), round(r.after_mean(), 2),
@@ -145,11 +148,3 @@ def render(results: List[Fig01Result]) -> str:
          "after_stdev"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    for result in run():
-        print(f"--- {result.kind.value} ---")
-        for t, v in result.series:
-            print(f"{(t - result.start_ns) / MS:8.1f} ms  {v:6.2f} Gb/s")
-    print(render(run()))

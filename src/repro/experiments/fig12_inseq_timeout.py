@@ -13,11 +13,10 @@ as batching rises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
@@ -53,18 +52,6 @@ class Fig12Point:
     rx_core_pct: float
     app_core_pct: float
     throughput_gbps: float
-
-
-@dataclass
-class Fig12Result:
-    """All cells, ordered by (τ, inseq_timeout)."""
-
-    points: List[Fig12Point] = field(default_factory=list)
-
-    def series(self, reorder_delay_us: int) -> List[Fig12Point]:
-        """One curve of the figure."""
-        return [p for p in self.points
-                if p.reorder_delay_us == reorder_delay_us]
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -106,28 +93,16 @@ def run_cell(params: Fig12Params, reorder_us: int, inseq_us: int) -> Fig12Point:
     )
 
 
-def run(params: Fig12Params = Fig12Params()) -> Fig12Result:
-    """Full sweep."""
-    return Fig12Result(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: Fig12Result) -> str:
+def render(points: List[Fig12Point]) -> str:
     """The figure's two panels as one table."""
     rows = [
         (p.reorder_delay_us, p.inseq_timeout_us,
          round(p.batching_extent, 2), round(p.rx_core_pct, 1),
          round(p.app_core_pct, 1), round(p.throughput_gbps, 2))
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["reorder_us", "inseq_timeout_us", "batching_extent_mtus",
          "rx_core_pct", "app_core_pct", "throughput_gbps"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

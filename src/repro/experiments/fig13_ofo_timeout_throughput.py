@@ -14,12 +14,11 @@ the hole and its filler are processed in the same poll.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.harness.experiment import GroKind
 from repro.harness.reporting import format_table
 from repro.nic.nic import NicConfig
@@ -51,18 +50,6 @@ class Fig13Point:
     throughput_gbps: float
     fast_retransmits: int
     ofo_flushes: int
-
-
-@dataclass
-class Fig13Result:
-    """All cells."""
-
-    points: List[Fig13Point] = field(default_factory=list)
-
-    def series(self, reorder_delay_us: int) -> List[Fig13Point]:
-        """One panel of the figure."""
-        return [p for p in self.points
-                if p.reorder_delay_us == reorder_delay_us]
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -101,27 +88,15 @@ def run_cell(params: Fig13Params, reorder_us: int, ofo_us: int) -> Fig13Point:
     )
 
 
-def run(params: Fig13Params = Fig13Params()) -> Fig13Result:
-    """Full sweep."""
-    return Fig13Result(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: Fig13Result) -> str:
+def render(points: List[Fig13Point]) -> str:
     """The figure's three panels as one table."""
     rows = [
         (p.reorder_delay_us, p.ofo_timeout_us,
          round(p.throughput_gbps, 2), p.fast_retransmits, p.ofo_flushes)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["reorder_us", "ofo_timeout_us", "throughput_gbps",
          "fast_retransmits", "ofo_flushes"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

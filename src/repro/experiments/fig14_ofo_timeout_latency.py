@@ -14,11 +14,10 @@ sit in Juggler's OOO queue instead of triggering duplicate ACKs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.harness.experiment import GroKind
 from repro.harness.metrics import percentiles
 from repro.harness.reporting import format_table
@@ -55,18 +54,6 @@ class Fig14Point:
     p99_latency_us: float
     median_latency_us: float
     rpcs_completed: int
-
-
-@dataclass
-class Fig14Result:
-    """All cells."""
-
-    points: List[Fig14Point] = field(default_factory=list)
-
-    def series(self, reorder_delay_us: int) -> List[Fig14Point]:
-        """One panel of the figure."""
-        return [p for p in self.points
-                if p.reorder_delay_us == reorder_delay_us]
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -108,28 +95,16 @@ def run_cell(params: Fig14Params, reorder_us: int, ofo_us: int) -> Fig14Point:
     )
 
 
-def run(params: Fig14Params = Fig14Params()) -> Fig14Result:
-    """Full sweep."""
-    return Fig14Result(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: Fig14Result) -> str:
+def render(points: List[Fig14Point]) -> str:
     """The figure's three panels as one table."""
     rows = [
         (p.reorder_delay_us, p.ofo_timeout_us,
          round(p.p99_latency_us, 1), round(p.median_latency_us, 1),
          p.rpcs_completed)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["reorder_us", "ofo_timeout_us", "p99_latency_us",
          "median_latency_us", "rpcs"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

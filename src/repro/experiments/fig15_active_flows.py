@@ -11,11 +11,10 @@ flows send single-MTU TSO bursts that reordering cannot split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.harness.experiment import GroKind
 from repro.harness.metrics import Sampler, percentile
 from repro.harness.reporting import format_table
@@ -50,18 +49,6 @@ class Fig15Point:
     p99_active_flows: float
     mean_active_flows: float
     max_active_flows: int
-
-
-@dataclass
-class Fig15Result:
-    """All cells."""
-
-    points: List[Fig15Point] = field(default_factory=list)
-
-    def series(self, reorder_delay_us: int) -> List[Fig15Point]:
-        """One curve of the figure."""
-        return [p for p in self.points
-                if p.reorder_delay_us == reorder_delay_us]
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -114,28 +101,16 @@ def run_cell(params: Fig15Params, nflows: int, reorder_us: int) -> Fig15Point:
     )
 
 
-def run(params: Fig15Params = Fig15Params()) -> Fig15Result:
-    """Full sweep."""
-    return Fig15Result(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: Fig15Result) -> str:
+def render(points: List[Fig15Point]) -> str:
     """The figure's curves as one table."""
     rows = [
         (p.reorder_delay_us, p.concurrent_flows,
          round(p.p99_active_flows, 1), round(p.mean_active_flows, 2),
          p.max_active_flows)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["reorder_us", "concurrent_flows", "p99_active", "mean_active",
          "max_active"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

@@ -27,14 +27,17 @@ from repro.nic.nic import NicConfig
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 
+#: The Clos links' speed; the receiver's own port is the swept axis.
+FABRIC_GBPS = 40.0
+
 
 @dataclass(frozen=True)
 class Fig16Params:
     """Experiment configuration."""
 
+    receiver_ports_gbps: tuple = (40.0, 10.0)
     num_flows: int = 256
     target_gbps: float = 20.0
-    fabric_gbps: float = 40.0
     background_gbps: float = 20.0
     inseq_timeout_us: int = 13
     ofo_timeout_us: int = 100
@@ -57,13 +60,18 @@ class Fig16Point:
     max_loss_recovery: int
 
 
-def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("receiver_port_gbps", "receiver_ports_gbps"),)
+
+
+def run_point(params: Fig16Params, *,
+              receiver_port_gbps: float) -> Fig16Point:
     """One receiver-port-speed measurement."""
     cell = Cell(params.seed, GroKind.JUGGLER, inseq_us=params.inseq_timeout_us,
                 ofo_us=params.ofo_timeout_us, cpu=True)
     net = cell.clos(
         lambda: PerPacketRouting(cell.rngs.stream("spray")),
-        params.fabric_gbps,
+        FABRIC_GBPS,
         n_tors=2,
         hosts_per_tor=8,
         n_spines=2,
@@ -82,7 +90,7 @@ def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
         min(params.target_gbps, receiver_port_gbps * 0.8), 7000,
         TcpConfig(init_cwnd=1 << 18), cell.rngs.stream("flow-start"), 1 << 40)
     cell.background(net, net.hosts[9], params.background_gbps,
-                    params.fabric_gbps)
+                    FABRIC_GBPS)
 
     gro = receiver.gro_engines[0]
     active_hist = Histogram()
@@ -111,11 +119,6 @@ def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
     )
 
 
-def run(params: Fig16Params = Fig16Params()) -> List[Fig16Point]:
-    """Both panels: 40 Gb/s and 10 Gb/s receiver ports."""
-    return [run_panel(params, 40.0), run_panel(params, 10.0)]
-
-
 def render(points: List[Fig16Point]) -> str:
     """Both panels as one table."""
     rows = [
@@ -130,7 +133,3 @@ def render(points: List[Fig16Point]) -> str:
          "frac_active<=5", "mean_loss_list", "max_loss_list"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

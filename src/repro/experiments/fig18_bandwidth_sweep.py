@@ -15,7 +15,7 @@ Paper results:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.cell import Cell
@@ -33,6 +33,8 @@ from repro.sim.time import MS
 class Fig18Params:
     """Sweep configuration."""
 
+    #: GRO kernels, as :class:`GroKind` values.
+    kinds: tuple = ("juggler", "vanilla")
     guarantees_gbps: tuple = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     line_rate_gbps: float = 40.0
     alpha: float = 0.1
@@ -41,8 +43,6 @@ class Fig18Params:
     ramp_ms: int = 30
     measure_ms: int = 40
     sample_ms: int = 5
-    #: Model the receiver's per-core CPU limit (the paper's ~25 Gb/s knee).
-    model_cpu_limit: bool = True
     seed: int = 18
 
 
@@ -57,26 +57,22 @@ class Fig18Point:
     app_core_pct: float
 
 
-@dataclass
-class Fig18Result:
-    """All cells."""
-
-    points: List[Fig18Point] = field(default_factory=list)
-
-    def series(self, kind: GroKind) -> List[Fig18Point]:
-        """One curve of the figure."""
-        return [p for p in self.points if p.kind is kind]
+#: Sweep axes in loop-nesting order: (point field, params grid field).
+POINT_AXES = (("kind", "kinds"), ("guarantee_gbps", "guarantees_gbps"))
+#: The kernels are the arms of one comparison: they share a seed.
+PAIRED_AXES = ("kind",)
 
 
-def run_cell(params: Fig18Params, kind: GroKind,
-             guarantee_gbps: float) -> Fig18Point:
+def run_point(params: Fig18Params, *, kind: str,
+              guarantee_gbps: float) -> Fig18Point:
     """One kernel × guarantee measurement."""
+    kind = GroKind.of(kind)
     cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
                 ofo_us=params.ofo_timeout_us, cpu=True)
     bed, target, controller = guarantee_rig(
         cell, params.line_rate_gbps, guarantee_gbps, params.alpha, 8)
-    if params.model_cpu_limit:
-        cell.measure_host(bed.receivers[0])
+    # Model the receiver's per-core CPU limit (the paper's ~25 Gb/s knee).
+    cell.measure_host(bed.receivers[0])
 
     controller.start()
     # The probe's byte baseline is taken at the cut, after the ramp.
@@ -100,28 +96,15 @@ def run_cell(params: Fig18Params, kind: GroKind,
     )
 
 
-def run(params: Fig18Params = Fig18Params()) -> Fig18Result:
-    """Both kernels across the guarantee sweep."""
-    result = Fig18Result()
-    for kind in (GroKind.JUGGLER, GroKind.VANILLA):
-        for guarantee in params.guarantees_gbps:
-            result.points.append(run_cell(params, kind, guarantee))
-    return result
-
-
-def render(result: Fig18Result) -> str:
+def render(points: List[Fig18Point]) -> str:
     """The figure's two curves as one table."""
     rows = [
         (p.kind.value, p.guarantee_gbps, round(p.achieved_gbps, 2),
          round(p.stdev_gbps, 2), round(min(p.app_core_pct, 100.0), 1))
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["kernel", "guarantee_gbps", "achieved_gbps", "stdev",
          "app_core_pct"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

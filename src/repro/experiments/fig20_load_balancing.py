@@ -15,7 +15,7 @@ large-RPC tails order the same way.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.cell import Cell
@@ -48,8 +48,9 @@ class Fig20Params:
     """Sweep configuration (scaled down: fewer sessions per pair, shorter
     runs; load fractions and RPC sizes match the paper)."""
 
+    #: Load-balancing policies, as :class:`LbPolicy` values.
+    policies: tuple = ("per-flow-ecmp", "per-tso", "per-packet")
     loads_pct: tuple = (25, 50, 75, 90)
-    policies: tuple = (LbPolicy.ECMP, LbPolicy.PER_TSO, LbPolicy.PER_PACKET)
     large_rpc_bytes: int = 1_000_000
     small_rpc_bytes: int = 150
     large_pairs: int = 4
@@ -61,9 +62,8 @@ class Fig20Params:
     n_spines: int = 2
     inseq_timeout_us: int = 13
     ofo_timeout_us: int = 150
-    #: DCTCP marking threshold (None = tail-drop only, the paper's testbed
-    #: transport regime; deep queues amplify the policy differences).
-    ecn_threshold_kb: int | None = None
+    #: Tail-drop only (no ECN marking), the paper's testbed transport
+    #: regime; deep queues amplify the policy differences.
     queue_capacity_kb: int = 2048
     warmup_ms: int = 6
     measure_ms: int = 25
@@ -84,15 +84,10 @@ class Fig20Point:
     small_rpcs: int
 
 
-@dataclass
-class Fig20Result:
-    """All cells."""
-
-    points: List[Fig20Point] = field(default_factory=list)
-
-    def series(self, policy: LbPolicy) -> List[Fig20Point]:
-        """One curve of each panel."""
-        return [p for p in self.points if p.policy is policy]
+#: Sweep axes in loop-nesting order: (point field, params grid field).
+POINT_AXES = (("policy", "policies"), ("load_pct", "loads_pct"))
+#: The load-balancing policies are the arms of one comparison.
+PAIRED_AXES = ("policy",)
 
 
 def _policy_factory(policy: LbPolicy, cell: Cell):
@@ -106,8 +101,10 @@ def _policy_factory(policy: LbPolicy, cell: Cell):
     return lambda: PerPacketRouting(cell.rngs.stream("spray"))
 
 
-def run_cell(params: Fig20Params, policy: LbPolicy, load_pct: int) -> Fig20Point:
+def run_point(params: Fig20Params, *, policy: str,
+              load_pct: int) -> Fig20Point:
     """One (policy, load) measurement."""
+    policy = LbPolicy(policy)
     cell = Cell(params.seed, GroKind.JUGGLER, inseq_us=params.inseq_timeout_us,
                 ofo_us=params.ofo_timeout_us)
     net = cell.clos(
@@ -118,8 +115,6 @@ def run_cell(params: Fig20Params, policy: LbPolicy, load_pct: int) -> Fig20Point
         n_spines=params.n_spines,
         nic_config=SHORT_COALESCING,
         queue_capacity_bytes=params.queue_capacity_kb * 1024,
-        ecn_threshold_bytes=(params.ecn_threshold_kb * 1024
-                             if params.ecn_threshold_kb is not None else None),
     )
     large, small = cell.rpc_mix(
         net.hosts[:8], net.hosts[8:], params,
@@ -143,29 +138,16 @@ def run_cell(params: Fig20Params, policy: LbPolicy, load_pct: int) -> Fig20Point
     )
 
 
-def run(params: Fig20Params = Fig20Params()) -> Fig20Result:
-    """Full sweep."""
-    result = Fig20Result()
-    for policy in params.policies:
-        for load in params.loads_pct:
-            result.points.append(run_cell(params, policy, load))
-    return result
-
-
-def render(result: Fig20Result) -> str:
+def render(points: List[Fig20Point]) -> str:
     """Both panels of the figure as one table."""
     rows = [
         (p.policy.value, p.load_pct, round(p.large_p99_ms, 2),
          round(p.large_p50_ms, 2), round(p.small_p99_us, 1),
          round(p.small_p50_us, 1), p.large_rpcs, p.small_rpcs)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["policy", "load_pct", "large_p99_ms", "large_p50_ms",
          "small_p99_us", "small_p50_us", "n_large", "n_small"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

@@ -28,14 +28,19 @@ from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
 
+#: The flow-size mix: a fraction of mice, the rest elephants.
+MICE_BYTES = 50_000
+ELEPHANT_BYTES = 2_000_000
+MICE_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class SchedulingParams:
     """Workload and fabric configuration."""
 
-    mice_bytes: int = 50_000
-    elephant_bytes: int = 2_000_000
-    mice_fraction: float = 0.8
+    #: ``marking/kernel`` configs: no prioritisation or PIAS marking, with
+    #: a Juggler or a vanilla receiver.
+    configs: tuple = ("none/juggler", "pias/juggler", "pias/vanilla")
     #: Offered load as a fraction of the 40 Gb/s bottleneck.
     load: float = 0.7
     line_rate_gbps: float = 40.0
@@ -67,9 +72,21 @@ class _FlowRecord:
     finished: Optional[int] = None
 
 
-def run_config(params: SchedulingParams, *, kind: GroKind,
-               prioritize: bool) -> SchedulingPoint:
-    """One configuration of the mice/elephants experiment."""
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("config", "configs"),)
+#: The configs are the arms of one comparison: they share a seed.
+PAIRED_AXES = ("config",)
+
+
+def run_point(params: SchedulingParams, *, config: str) -> SchedulingPoint:
+    """One ``marking/kernel`` configuration of the mice/elephants
+    experiment."""
+    marking, _, kernel = config.partition("/")
+    if marking not in ("none", "pias"):
+        raise ValueError(f"unknown marking {marking!r} in config "
+                         f"{config!r}; known: none, pias")
+    kind = GroKind(kernel)
+    prioritize = marking == "pias"
     cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
                 ofo_us=params.ofo_timeout_us)
     engine = cell.engine
@@ -77,14 +94,14 @@ def run_config(params: SchedulingParams, *, kind: GroKind,
     bed = cell.dumbbell(params.line_rate_gbps)
     tcp = TcpConfig(rx_buffer=8 << 20)
     records: List[_FlowRecord] = []
-    mean_size = (params.mice_fraction * params.mice_bytes
-                 + (1 - params.mice_fraction) * params.elephant_bytes)
+    mean_size = (MICE_FRACTION * MICE_BYTES
+                 + (1 - MICE_FRACTION) * ELEPHANT_BYTES)
     mean_gap_ns = mean_size * 8 / (params.line_rate_gbps * params.load)
     next_port = [10_000]
 
     def launch_flow() -> None:
-        mouse = arrival_rng.random() < params.mice_fraction
-        size = params.mice_bytes if mouse else params.elephant_bytes
+        mouse = arrival_rng.random() < MICE_FRACTION
+        size = MICE_BYTES if mouse else ELEPHANT_BYTES
         sender_host = bed.senders[next_port[0] % 2]
         receiver_host = bed.receivers[next_port[0] % 2]
         record = _FlowRecord(size, engine.now)
@@ -111,28 +128,18 @@ def run_config(params: SchedulingParams, *, kind: GroKind,
 
     done = [r for r in records
             if r.finished is not None and r.started >= params.warmup_ms * MS]
-    mice = [r.finished - r.started for r in done if r.size == params.mice_bytes]
+    mice = [r.finished - r.started for r in done if r.size == MICE_BYTES]
     elephants = [r.finished - r.started for r in done
-                 if r.size == params.elephant_bytes]
-    label = f"{'pias' if prioritize else 'none'}/{kind.value}"
+                 if r.size == ELEPHANT_BYTES]
     mice_p50, mice_p99 = percentiles(mice, (50, 99))
     return SchedulingPoint(
-        label=label,
+        label=config,
         mice_p50_us=mice_p50 / US,
         mice_p99_us=mice_p99 / US,
         elephant_p99_ms=percentile(elephants, 99) / MS,
         mice_done=len(mice),
         elephants_done=len(elephants),
     )
-
-
-def run(params: SchedulingParams = SchedulingParams()) -> List[SchedulingPoint]:
-    """Baseline, PIAS+Juggler, PIAS+vanilla."""
-    return [
-        run_config(params, kind=GroKind.JUGGLER, prioritize=False),
-        run_config(params, kind=GroKind.JUGGLER, prioritize=True),
-        run_config(params, kind=GroKind.VANILLA, prioritize=True),
-    ]
 
 
 def render(points: List[SchedulingPoint]) -> str:
@@ -147,7 +154,3 @@ def render(points: List[SchedulingPoint]) -> str:
          "n_mice", "n_eleph"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

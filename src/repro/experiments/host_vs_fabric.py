@@ -35,12 +35,12 @@ byte-identical rows, whatever the worker count or result store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
-from repro.experiments.common import SHORT_COALESCING, grid_points
+from repro.experiments.common import SHORT_COALESCING
 from repro.fabric.detector import DetectorConfig, ReorderDetector
 from repro.fabric.routing import (
     EcmpRouting,
@@ -130,13 +130,6 @@ class HostFabricPoint:
     det_reordered: int
     #: Flows the detectors reported as heavy reorderers.
     det_heavy: int
-
-
-@dataclass
-class HostFabricResult:
-    """All cells."""
-
-    points: List[HostFabricPoint] = field(default_factory=list)
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -290,15 +283,7 @@ def run_point(params: HostFabricParams, *, engine: str, routing: str,
     )
 
 
-def run(params: HostFabricParams = HostFabricParams()) -> HostFabricResult:
-    """Full sweep."""
-    return HostFabricResult(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: HostFabricResult) -> str:
+def render(points: List[HostFabricPoint]) -> str:
     """The family as one table."""
     rows = [
         (p.engine, p.routing, p.load, p.fault, p.goodput_gbps,
@@ -306,7 +291,7 @@ def render(result: HostFabricResult) -> str:
          p.tcp_ooo_segments, p.ofo_timeout_flushes, p.batching,
          p.uplink_imbalance, p.pins, p.moves, p.drops, p.retx_packets,
          p.det_reordered, p.det_heavy)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["engine", "routing", "load", "fault", "goodput_gbps",
@@ -315,7 +300,3 @@ def render(result: HostFabricResult) -> str:
          "retx", "det_reord", "det_heavy"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

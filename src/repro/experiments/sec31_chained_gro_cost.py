@@ -12,7 +12,7 @@ the three GRO engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.experiments.cell import Cell
 from repro.harness.experiment import GroKind
@@ -26,6 +26,8 @@ from repro.tcp.config import TcpConfig
 class Sec31Params:
     """Experiment configuration."""
 
+    #: GRO engines, as :class:`GroKind` values.
+    kinds: tuple = ("vanilla", "chained", "juggler")
     rate_gbps: float = 10.0
     inseq_timeout_us: int = 52
     warmup_ms: int = 6
@@ -45,8 +47,15 @@ class Sec31Point:
     throughput_gbps: float
 
 
-def run_engine(params: Sec31Params, kind: GroKind) -> Sec31Point:
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("kind", "kinds"),)
+#: The engines are the arms of one comparison: they share a seed.
+PAIRED_AXES = ("kind",)
+
+
+def run_point(params: Sec31Params, *, kind: str) -> Sec31Point:
     """Measure one GRO engine."""
+    kind = GroKind.of(kind)
     cell = Cell(params.seed, kind, inseq_us=params.inseq_timeout_us,
                 ofo_us=400, cpu=True)
     bed = cell.pair(
@@ -71,15 +80,12 @@ def run_engine(params: Sec31Params, kind: GroKind) -> Sec31Point:
     )
 
 
-def run(params: Sec31Params = Sec31Params()) -> List[Sec31Point]:
-    """Vanilla frags[] GRO vs linked-list chaining vs Juggler."""
-    return [run_engine(params, kind)
-            for kind in (GroKind.VANILLA, GroKind.CHAINED, GroKind.JUGGLER)]
-
-
-def chained_overhead_pct(points: List[Sec31Point]) -> float:
-    """Extra total CPU of linked-list batching over vanilla, in percent."""
+def chained_overhead_pct(points: List[Sec31Point]) -> Optional[float]:
+    """Extra total CPU of linked-list batching over vanilla, in percent;
+    None unless ``points`` hold both engines."""
     by_kind = {p.kind: p for p in points}
+    if GroKind.VANILLA not in by_kind or GroKind.CHAINED not in by_kind:
+        return None
     vanilla = by_kind[GroKind.VANILLA].total_pct
     chained = by_kind[GroKind.CHAINED].total_pct
     if vanilla <= 0:
@@ -100,9 +106,8 @@ def render(points: List[Sec31Point]) -> str:
          "batching", "throughput_gbps"],
         rows,
     )
+    overhead = chained_overhead_pct(points)
+    if overhead is None:
+        return table
     return (f"{table}\n\nlinked-list chaining overhead vs vanilla: "
-            f"{chained_overhead_pct(points):.1f}% (paper: ~50%)")
-
-
-if __name__ == "__main__":
-    print(render(run()))
+            f"{overhead:.1f}% (paper: ~50%)")

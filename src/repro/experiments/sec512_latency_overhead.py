@@ -23,6 +23,8 @@ from repro.workloads.rpc import PingPongRpc
 class Sec512Params:
     """Experiment configuration."""
 
+    #: GRO kernels, as :class:`GroKind` values.
+    kinds: tuple = ("juggler", "vanilla")
     rpc_bytes: int = 150
     rate_gbps: float = 40.0
     duration_ms: int = 40
@@ -39,8 +41,15 @@ class Sec512Point:
     rpcs: int
 
 
-def run_kernel(params: Sec512Params, kind: GroKind) -> Sec512Point:
+#: Sweep axes: (point field, params grid field).
+POINT_AXES = (("kind", "kinds"),)
+#: The kernels are the arms of one comparison: they share a seed.
+PAIRED_AXES = ("kind",)
+
+
+def run_point(params: Sec512Params, *, kind: str) -> Sec512Point:
     """Closed-loop small RPCs over an idle network."""
+    kind = GroKind.of(kind)
     cell = Cell(params.seed, kind, inseq_us=13, ofo_us=100)
     bed = cell.pair(
         "unused",
@@ -63,18 +72,8 @@ def run_kernel(params: Sec512Params, kind: GroKind) -> Sec512Point:
     )
 
 
-def run(params: Sec512Params = Sec512Params()) -> List[Sec512Point]:
-    """Both kernels."""
-    return [run_kernel(params, GroKind.JUGGLER),
-            run_kernel(params, GroKind.VANILLA)]
-
-
 def render(points: List[Sec512Point]) -> str:
     """Medians side by side."""
     rows = [(p.kind.value, round(p.median_us, 2), round(p.p99_us, 2), p.rpcs)
             for p in points]
     return format_table(["kernel", "median_us", "p99_us", "rpcs"], rows)
-
-
-if __name__ == "__main__":
-    print(render(run()))

@@ -22,13 +22,12 @@ order on every packet of every cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.experiments.cell import Cell
-from repro.experiments.common import grid_points
 from repro.faults.plan import KINDS, FaultPlan
 from repro.harness.experiment import make_gro_factory
 from repro.harness.metrics import Sampler, percentiles
@@ -124,13 +123,6 @@ class MatrixPoint:
     packets_dropped: int
     #: ``reason:count`` pairs, sorted by reason name.
     flush_mix: str
-
-
-@dataclass
-class MatrixResult:
-    """All cells."""
-
-    points: List[MatrixPoint] = field(default_factory=list)
 
 
 #: Sweep axes in loop-nesting order: (point field, params grid field).
@@ -274,29 +266,17 @@ def run_scenario(params: MatrixParams, plan: FaultPlan, engine_name: str,
     }
 
 
-def run(params: MatrixParams = MatrixParams()) -> MatrixResult:
-    """Full sweep."""
-    return MatrixResult(points=[
-        run_point(params, **point)
-        for point in grid_points(POINT_AXES, params)
-    ])
-
-
-def render(result: MatrixResult) -> str:
+def render(points: List[MatrixPoint]) -> str:
     """The matrix as one table."""
     rows = [
         (p.fault_kind, p.intensity, p.engine,
          round(p.goodput_gbps, 3), round(p.p99_latency_us, 1),
          p.rpcs_completed, round(p.loss_recovery_frac, 3), p.evictions,
          p.ofo_timeout_flushes, p.faults_injected, p.packets_dropped)
-        for p in result.points
+        for p in points
     ]
     return format_table(
         ["fault", "level", "engine", "goodput_gbps", "p99_us", "rpcs",
          "lr_frac", "evict", "ofo_flush", "windows", "dropped"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(render(run()))

@@ -6,45 +6,19 @@ end-hosts.  For example, pFabric dynamically increases a flow's priority as
 it nears completion to implement the Shortest Remaining Processing Time
 (SRPT) scheduling policy."
 
-Two end-host markers over the fabric's two strict-priority levels:
-
-* :class:`SrptMarker` — pFabric-style: a packet goes high priority when the
-  flow's *remaining* bytes fall below a threshold (requires knowing flow
-  sizes, as pFabric does).
-* :class:`PiasMarker` — PIAS-style: a packet goes high priority while the
-  flow's *sent-so-far* bytes are below a threshold (information-agnostic;
-  flows demote themselves as they age).
-
-Both change a flow's priority mid-stream, so packets of one flow straddle
-two switch queues — precisely the reordering Juggler exists to absorb.
+One end-host marker over the fabric's two strict-priority levels,
+:class:`PiasMarker` — PIAS-style: a packet goes high priority while the
+flow's *sent-so-far* bytes are below a threshold (information-agnostic;
+flows demote themselves as they age).  pFabric's SRPT marking is not
+reproduced.  The marker changes a flow's priority mid-stream, so packets of
+one flow straddle two switch queues — precisely the reordering Juggler
+exists to absorb.
 """
 
 from __future__ import annotations
 
 from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW
 from repro.net.packet import Packet
-from repro.tcp.sender import TcpSender
-
-
-class SrptMarker:
-    """pFabric-flavoured: high priority once the flow is near completion."""
-
-    def __init__(self, sender: TcpSender, threshold_bytes: int):
-        if threshold_bytes < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold_bytes}")
-        self._sender = sender
-        self.threshold_bytes = threshold_bytes
-        self.high_marked = 0
-        self.low_marked = 0
-
-    def priority_fn(self, packet: Packet) -> int:
-        """High priority when few bytes remain after this packet."""
-        remaining = self._sender.data_target - packet.seq
-        if remaining <= self.threshold_bytes:
-            self.high_marked += 1
-            return PRIORITY_HIGH
-        self.low_marked += 1
-        return PRIORITY_LOW
 
 
 class PiasMarker:

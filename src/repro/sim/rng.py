@@ -6,7 +6,7 @@ experiment's root seed.  This keeps experiments reproducible and lets one
 component's draw count change without perturbing the others — essential when
 comparing vanilla vs Juggler runs on "the same" workload.
 
-:func:`derive_seed` is the one hashing rule: streams, forks, grid cells
+:func:`derive_seed` is the one hashing rule: streams, grid cells
 (:func:`derive_cell_seed`) and campaign tasks all derive their seeds with it.
 """
 
@@ -65,7 +65,3 @@ class RngRegistry:
             rng = random.Random(derive_seed(self._seed, name))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per host) from this one."""
-        return RngRegistry(derive_seed(self._seed, "fork", name))

@@ -52,17 +52,6 @@ class Timer:
         """(Re-)arm the timer ``delay`` ns from now."""
         self.arm_at(self._engine.now + delay)
 
-    def arm_if_earlier(self, time: int) -> None:
-        """Arm for ``time`` unless already armed for an earlier deadline.
-
-        This is how Juggler's per-table hrtimer is managed: each buffered
-        packet wants a wake-up at its own timeout; the timer tracks the
-        soonest one.
-        """
-        entry = self.entry
-        if entry is None or entry[0] > time:
-            self.arm_at(time)
-
     def cancel(self) -> None:
         """Disarm the timer if pending.  Idempotent."""
         entry = self.entry

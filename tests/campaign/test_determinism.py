@@ -2,7 +2,7 @@
 
 The acceptance bar from the roadmap: a campaign at ``--jobs 4`` produces
 byte-identical result rows and report text to ``--jobs 1``, and with no
-root seed the campaign rows match the modules' own serial ``run()``.
+root seed the campaign rows match the serial ``run_grid``.
 """
 
 import dataclasses
@@ -44,13 +44,14 @@ def test_parallel_rows_and_report_match_serial(tmp_path):
 
 def test_campaign_rows_match_module_serial_run(tmp_path):
     # No root seed: tasks keep the module defaults, so the campaign's
-    # fig12 rows are the very numbers mod.run() computes in-process.
+    # fig12 rows are the very numbers run_grid computes in-process.
     from repro.experiments import fig12_inseq_timeout as mod
+    from repro.experiments.common import run_grid
 
     params = dataclasses.replace(
         mod.Fig12Params(), warmup_ms=2, measure_ms=3,
         reorder_delays_us=(250,), inseq_timeouts_us=(0, 52))
-    expected = [dataclasses.asdict(p) for p in mod.run(params).points]
+    expected = [dataclasses.asdict(p) for p in run_grid(mod, params)]
 
     store = ResultStore(tmp_path / "r.jsonl")
     run_campaign(expand(SPEC), store, SchedulerConfig(jobs=2, retries=0))
@@ -66,12 +67,11 @@ def test_task_rows_do_not_depend_on_process_history():
     are the same.  fig20's per-TSO routing hashes ``(flow, tso_id)``, so a
     process-wide burst counter used to make it the task that moved."""
     from repro.campaign import registry
-    from repro.experiments.fig20_load_balancing import LbPolicy
 
     def fig20_per_tso():
         return registry.get("fig20").execute(
-            {"policies": (LbPolicy.PER_TSO,), "loads_pct": (70,),
-             "warmup_ms": 2, "measure_ms": 4}, None, {})
+            {"warmup_ms": 2, "measure_ms": 4}, None,
+            {"policy": "per-tso", "load_pct": 70})
 
     def fig13_point():
         return registry.get("fig13").execute(

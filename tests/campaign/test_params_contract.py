@@ -18,7 +18,7 @@ ALL_EXPERIMENTS = registry.names(include_hidden=True)
 @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
 def test_params_are_frozen_and_seeded(name):
     adapter = registry.get(name)
-    cls = adapter._params_cls()
+    cls = adapter.params_cls()
     assert dataclasses.is_dataclass(cls)
     assert cls.__dataclass_params__.frozen, \
         f"{cls.__name__} must be frozen=True for campaign fingerprinting"
@@ -41,9 +41,7 @@ def test_params_are_frozen_and_seeded(name):
 def test_grid_axis_fields_hold_tuples(name):
     # Axis fields must default to tuples (hashable, JSON-expandable).
     adapter = registry.get(name)
-    if not adapter.is_grid:
-        pytest.skip("whole-run experiment")
-    params = adapter._params_cls()()
+    params = adapter.params_cls()()
     for axis, field in adapter.axes:
         values = getattr(params, field)
         assert isinstance(values, tuple), (name, field)

@@ -26,13 +26,14 @@ def test_report_matches_module_render(tmp_path):
     import dataclasses
 
     from repro.experiments import fig12_inseq_timeout as mod
+    from repro.experiments.common import run_grid
 
     spec, store = run_tiny(tmp_path)
     report = render_report(store.load(), spec)
     params = dataclasses.replace(
         mod.Fig12Params(), warmup_ms=2, measure_ms=3,
         reorder_delays_us=(250,), inseq_timeouts_us=(0, 52))
-    expected = mod.render(mod.run(params))
+    expected = mod.render(run_grid(mod, params))
     assert expected in report
 
 
@@ -74,3 +75,24 @@ def test_summarize_counts(tmp_path):
     assert summary["experiments"]["fig12"]["rows"] == 2
     # The summary must be JSON-serialisable as-is.
     json.dumps(summary)
+
+
+def test_every_family_renders_any_one_of_its_points():
+    # No simulation: every recorded golden row is a one-point subset of
+    # its family, rebuilt from JSON the way the reporter rebuilds a store.
+    import os
+
+    from repro.campaign import registry
+
+    rows_path = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "golden", "rows.json")
+    with open(rows_path) as fh:
+        golden = json.load(fh)
+    assert set(golden) == set(registry.names(include_hidden=True)) \
+        - {"selftest"}
+    for family, cells in golden.items():
+        adapter = registry.get(family)
+        for cell, rows in cells.items():
+            for row in rows if isinstance(rows, list) else [rows]:
+                text = adapter.render([{"index": 0, "rows": [row]}])
+                assert len(text.splitlines()) >= 3, (family, cell, text)

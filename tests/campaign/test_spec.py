@@ -81,10 +81,16 @@ def test_default_grid_comes_from_params_defaults():
                           * len(defaults.ofo_timeouts_us))
 
 
-def test_whole_run_experiment_is_one_task():
-    tasks = expand(build_default_spec(["sec512"]))
-    assert len(tasks) == 1
-    assert tasks[0].point == {}
+def test_every_family_expands_one_task_per_point():
+    # fig09 and fig10 share a module; each family's default grid is its
+    # own slice of it.
+    assert [t.point for t in expand(build_default_spec(["sec512"]))] \
+        == [{"kind": "juggler"}, {"kind": "vanilla"}]
+    fig09 = expand(build_default_spec(["fig09"]))
+    fig10 = expand(build_default_spec(["fig10"]))
+    assert len(fig09) == len(fig10) == 4
+    assert {t.point["num_flows"] for t in fig09} == {1}
+    assert {t.point["num_flows"] for t in fig10} == {256}
 
 
 def test_unknown_experiment_rejected():
@@ -135,10 +141,10 @@ def test_unknown_override_field_rejected():
         expand(spec)
 
 
-def test_grid_on_whole_run_experiment_rejected():
+def test_axis_override_clash_rejected_on_every_family():
     spec = CampaignSpec(name="t", experiments=(
-        ExperimentSpec("sec512", grid={"x": [1]}),))
-    with pytest.raises(ValueError, match="takes no grid"):
+        ExperimentSpec("fig20", overrides={"loads_pct": [25, 50]}),))
+    with pytest.raises(ValueError, match="are grid axes"):
         expand(spec)
 
 

@@ -13,7 +13,7 @@ from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
 from repro.sim.rng import derive_cell_seed, derive_seed
 
 PAIRED_FAMILIES = ("fdir_reordering", "cc_reordering", "host_vs_fabric",
-                   "faults_matrix")
+                   "faults_matrix", "fig18", "sec31", "sec512")
 
 #: family -> its cheapest cell, as a spec-file grid.
 CHEAPEST_CELL = {
@@ -26,6 +26,7 @@ CHEAPEST_CELL = {
     "faults_matrix": {"fault_kind": ["loss"], "intensity": [1],
                       "engine": ["juggler"]},
     "fig13": {"reorder_delay_us": [250], "ofo_timeout_us": [1000]},
+    "sec512": {"kind": ["juggler"]},
 }
 
 
@@ -68,7 +69,7 @@ def test_bare_sweep_lists_every_grid_family_with_its_axes(capsys):
     lines = capsys.readouterr().out.splitlines()
     for name, adapter in registry.ADAPTERS.items():
         listed = [line for line in lines if line.split()[:1] == [name]]
-        assert len(listed) == (1 if adapter.is_grid else 0), name
+        assert len(listed) == 1, name
         for axis in adapter.axis_names():
             starred = axis + ("*" if axis in adapter.paired_axes else "")
             assert starred in listed[0].replace(",", " ").split()
@@ -76,9 +77,6 @@ def test_bare_sweep_lists_every_grid_family_with_its_axes(capsys):
 
 def test_sweep_rejects_bad_selections(capsys):
     assert cli.main(["sweep", "no_such_family"]) == 2
-    assert "unknown sweep family" in capsys.readouterr().err
-    # A whole-run experiment is not a grid family either.
-    assert cli.main(["sweep", "sec512"]) == 2
     assert "unknown sweep family" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as unknown_axis:
@@ -90,6 +88,11 @@ def test_sweep_rejects_bad_selections(capsys):
         cli.main(["sweep", "cc_reordering", "--intensity", "high"])
     assert bad_value.value.code == 2
     assert "--intensity" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as bad_bool:
+        cli.main(["sweep", "fig09", "--reordering", "maybe"])
+    assert bad_bool.value.code == 2
+    assert "invalid bool list value" in capsys.readouterr().err
 
     assert cli.main(["sweep", "cc_reordering", "--cc", ","]) == 2
     assert "empty grid axis 'cc'" in capsys.readouterr().err

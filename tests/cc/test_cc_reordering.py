@@ -8,8 +8,6 @@ from repro.campaign import registry
 from repro.experiments.cc_reordering import (
     INTENSITY_LEVELS,
     CcParams,
-    CcPoint,
-    CcResult,
     render,
     run_point,
 )
@@ -74,7 +72,7 @@ def test_rows_deterministic_and_adapter_parity():
     assert direct == again
 
     adapter = registry.get("cc_reordering")
-    assert adapter.hidden and adapter.is_grid
+    assert adapter.hidden
     base = {"duration_ms": FAST.duration_ms, "warmup_ms": FAST.warmup_ms}
     rows = adapter.execute(base, None,
                            {"cc": "reno", "intensity": 0,
@@ -84,7 +82,7 @@ def test_rows_deterministic_and_adapter_parity():
 
 def test_render_shapes_one_row_per_point():
     point = run_point(FAST, cc="dctcp", intensity=1, engine="presto")
-    table = render(CcResult(points=[point]))
+    table = render([point])
     assert "goodput_gbps" in table
     assert "dctcp" in table
     assert len(table.splitlines()) == 3  # header, rule, one row

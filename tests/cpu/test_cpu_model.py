@@ -35,27 +35,6 @@ def test_meter_rejects_negative():
         CoreMeter().charge(-1)
 
 
-def test_utilization_window():
-    meter = CoreMeter()
-    meter.charge(1000)
-    meter.mark(now=0)
-    meter.charge(500)
-    assert meter.utilization_since(now=1000) == 0.5
-
-
-def test_utilization_can_exceed_one():
-    meter = CoreMeter()
-    meter.mark(now=0)
-    meter.charge(5000)
-    assert meter.utilization_since(now=1000) == 5.0
-
-
-def test_utilization_empty_window():
-    meter = CoreMeter()
-    meter.mark(now=100)
-    assert meter.utilization_since(now=100) == 0.0
-
-
 # --- CpuCore --------------------------------------------------------------------
 
 

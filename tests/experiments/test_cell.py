@@ -69,31 +69,37 @@ def test_measure_host_restricts_gro_counters_and_cpu():
     assert net.hosts[3].gro_engines[0].stats.packets > 0
 
 
-def test_run_figure_carries_every_base_field(monkeypatch):
-    """A field of a non-default ``base`` other than the three the figure
-    varies survives into each scenario."""
-    monkeypatch.setattr(
-        cpu_overhead, "run_scenario",
-        lambda params: cpu_overhead.CpuOverheadResult(params=params))
-    base = cpu_overhead.CpuOverheadParams(
+def test_run_figure_carries_every_base_field():
+    """A field of a non-default ``base`` other than the figure's axes
+    survives into each point's params."""
+    from repro.campaign import registry
+    from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
+
+    base = dict(
         target_gbps=7.0, uplink_gbps=25.0, n_spines=3, background_gbps=1.5,
         inseq_timeout_us=21, ofo_timeout_us=77, warmup_ms=1, measure_ms=2,
         seed=99)
-    varied = {"num_flows", "reordering", "kind"}
-    fixed = [f.name for f in dataclasses.fields(base)
-             if f.name not in varied]
+    axes = {"flow_counts", "reorderings", "kinds"}
     defaults = cpu_overhead.CpuOverheadParams()
-    assert all(getattr(base, name) != getattr(defaults, name)
-               for name in fixed)
+    fixed = [f.name for f in dataclasses.fields(defaults)
+             if f.name not in axes]
+    assert sorted(fixed) == sorted(base)
+    assert all(base[name] != getattr(defaults, name) for name in fixed)
 
-    results = cpu_overhead.run_figure(16, base)
-    assert [(r.params.reordering, r.params.kind) for r in results] == [
-        (False, GroKind.VANILLA), (False, GroKind.JUGGLER),
-        (True, GroKind.VANILLA), (True, GroKind.JUGGLER)]
-    for result in results:
-        assert result.params.num_flows == 16
+    adapter = registry.get("fig10")
+    tasks = expand(CampaignSpec(name="t", experiments=(
+        ExperimentSpec("fig10", overrides=base,
+                       grid={"num_flows": [16]}),)))
+    assert [(t.point["reordering"], t.point["kind"]) for t in tasks] == [
+        (False, "vanilla"), (False, "juggler"),
+        (True, "vanilla"), (True, "juggler")]
+    for task in tasks:
+        params = adapter.build_point_params(task.base, task.seed, task.point)
+        assert params.flow_counts == (16,)
+        assert params.reorderings == (task.point["reordering"],)
+        assert params.kinds == (task.point["kind"],)
         for name in fixed:
-            assert getattr(result.params, name) == getattr(base, name)
+            assert getattr(params, name) == base[name]
 
 
 def _calls(path):

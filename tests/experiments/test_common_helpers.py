@@ -113,30 +113,23 @@ def test_experiment_modules_render_strings():
     """Every experiment module's render() produces printable text."""
     from repro.experiments import (
         ablations,
-        cpu_overhead,
         fig12_inseq_timeout,
         fig13_ofo_timeout_throughput,
         fig14_ofo_timeout_latency,
         sec512_latency_overhead,
     )
 
-    r12 = fig12_inseq_timeout.Fig12Result()
-    r12.points.append(fig12_inseq_timeout.Fig12Point(250, 0, 25.0, 50.0,
-                                                     40.0, 9.5))
-    assert "batching" in fig12_inseq_timeout.render(r12)
+    p12 = fig12_inseq_timeout.Fig12Point(250, 0, 25.0, 50.0, 40.0, 9.5)
+    assert "batching" in fig12_inseq_timeout.render([p12])
 
-    r13 = fig13_ofo_timeout_throughput.Fig13Result()
-    r13.points.append(fig13_ofo_timeout_throughput.Fig13Point(
-        250, 100, 9.4, 0, 2))
-    assert "throughput" in fig13_ofo_timeout_throughput.render(r13)
+    p13 = fig13_ofo_timeout_throughput.Fig13Point(250, 100, 9.4, 0, 2)
+    assert "throughput" in fig13_ofo_timeout_throughput.render([p13])
 
-    r14 = fig14_ofo_timeout_latency.Fig14Result()
-    r14.points.append(fig14_ofo_timeout_latency.Fig14Point(
-        250, 100, 900.0, 400.0, 100))
-    assert "latency" in fig14_ofo_timeout_latency.render(r14)
+    p14 = fig14_ofo_timeout_latency.Fig14Point(250, 100, 900.0, 400.0, 100)
+    assert "latency" in fig14_ofo_timeout_latency.render([p14])
 
-    point = ablations.AblationPoint("x", 0.1, 0.0, 0, 0, 9.0)
-    assert "x" in ablations.render([point])
+    point = ablations.AblationPoint("evict=fifo", 0.1, 0.0, 0, 0, 9.0)
+    assert ablations.render([point]).startswith("Eviction policy:\n")
 
     sp = sec512_latency_overhead.Sec512Point(
         __import__("repro.harness.experiment",

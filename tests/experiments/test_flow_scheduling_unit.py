@@ -1,14 +1,14 @@
 """Unit-level checks on the flow-scheduling extension experiment."""
 
-import pytest
-
 from repro.experiments.flow_scheduling import (
+    ELEPHANT_BYTES,
+    MICE_BYTES,
+    MICE_FRACTION,
     SchedulingParams,
     SchedulingPoint,
     render,
-    run_config,
+    run_point,
 )
-from repro.harness.experiment import GroKind
 
 
 def test_render_produces_rows():
@@ -20,14 +20,14 @@ def test_render_produces_rows():
 
 def test_params_defaults_sane():
     params = SchedulingParams()
-    assert params.mice_bytes < params.threshold_bytes < params.elephant_bytes
-    assert 0.0 < params.mice_fraction < 1.0
+    assert MICE_BYTES < params.threshold_bytes < ELEPHANT_BYTES
+    assert 0.0 < MICE_FRACTION < 1.0
     assert 0.0 < params.load < 1.0
 
 
 def test_tiny_run_completes_flows():
     params = SchedulingParams(warmup_ms=3, measure_ms=8)
-    point = run_config(params, kind=GroKind.JUGGLER, prioritize=True)
+    point = run_point(params, config="pias/juggler")
     assert point.mice_done > 10
     assert point.mice_p50_us > 0
     assert point.label == "pias/juggler"
@@ -35,5 +35,5 @@ def test_tiny_run_completes_flows():
 
 def test_prioritisation_label():
     params = SchedulingParams(warmup_ms=3, measure_ms=6)
-    point = run_config(params, kind=GroKind.VANILLA, prioritize=False)
+    point = run_point(params, config="none/vanilla")
     assert point.label == "none/vanilla"

@@ -8,7 +8,6 @@ from repro.campaign import registry
 from repro.campaign.spec import derive_seed
 from repro.experiments.host_vs_fabric import (
     HostFabricParams,
-    HostFabricResult,
     render,
     run_point,
 )
@@ -100,7 +99,7 @@ def test_rows_deterministic_and_adapter_parity():
     assert direct == again
 
     adapter = registry.get("host_vs_fabric")
-    assert adapter.hidden and adapter.is_grid
+    assert adapter.hidden
     base = {"warmup_ms": FAST.warmup_ms, "measure_ms": FAST.measure_ms}
     rows = adapter.execute(base, None,
                            {"engine": "standard", "routing": "flowcut",
@@ -123,6 +122,6 @@ def test_faulted_cell_actually_hurts():
 def test_render_shapes_one_row_per_point():
     point = run_point(FAST, engine="juggler", routing="flowlet",
                       load=1, fault=0)
-    table = render(HostFabricResult(points=[point]))
+    table = render([point])
     assert "goodput_gbps" in table and "flowlet" in table
     assert len(table.splitlines()) == 3  # header, rule, one row

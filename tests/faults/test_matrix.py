@@ -10,7 +10,6 @@ from repro.campaign.spec import CampaignSpec, ExperimentSpec, expand
 from repro.faults.experiments import (
     MatrixParams,
     MatrixPoint,
-    MatrixResult,
     _PRESETS,
     gro_factory,
     preset_plan,
@@ -89,7 +88,6 @@ def test_run_point_returns_measurements():
 
 def test_matrix_adapter_is_registered_and_hidden():
     adapter = registry.get("faults_matrix")
-    assert adapter.is_grid
     assert adapter.hidden
     assert "faults_matrix" not in registry.names()
     assert "faults_matrix" in registry.names(include_hidden=True)
@@ -127,7 +125,7 @@ def test_render_lists_cells_in_order():
         MatrixPoint("loss", 1, "standard", 0.9, 12.0, 4, 0.0, 0, 0, 3, 4,
                     ""),
     ]
-    table = render(MatrixResult(points=points))
+    table = render(points)
     lines = table.splitlines()
     assert lines[0].split() == [
         "fault", "level", "engine", "goodput_gbps", "p99_us", "rpcs",

@@ -43,13 +43,12 @@ from repro.experiments import (
     sec512_latency_overhead as sec512,
 )
 from repro.faults import experiments as faults_matrix
-from repro.harness.experiment import GroKind
 
 ROWS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "rows.json")
 
 _FIG01 = fig01.Fig01Params(before_ms=4, after_ms=8)
-_CPU = dict(warmup_ms=2, measure_ms=4)
+_CPU = cpu_overhead.CpuOverheadParams(warmup_ms=2, measure_ms=4)
 _FIG12 = fig12.Fig12Params(warmup_ms=3, measure_ms=5)
 _FIG13 = fig13.Fig13Params(warmup_ms=3, measure_ms=5)
 _FIG14 = fig14.Fig14Params(duration_ms=25)
@@ -77,71 +76,76 @@ def _hvf(engine: str, routing: str, load: int, fault: int) -> Callable:
 #: family -> cell label -> thunk returning a point (or a list of points).
 CELLS: Dict[str, Dict[str, Callable]] = {
     "fig01": {
-        "juggler": lambda: fig01.run_kernel(_FIG01, GroKind.JUGGLER),
-        "vanilla": lambda: fig01.run_kernel(_FIG01, GroKind.VANILLA),
+        "juggler": lambda: fig01.run_point(_FIG01, kind="juggler"),
+        "vanilla": lambda: fig01.run_point(_FIG01, kind="vanilla"),
     },
     "fig09": {
-        "1flow-spray-vanilla": lambda: cpu_overhead.run_scenario(
-            cpu_overhead.CpuOverheadParams(
-                num_flows=1, reordering=True, kind=GroKind.VANILLA, **_CPU)),
+        "1flow-spray-vanilla": lambda: cpu_overhead.run_point(
+            _CPU, num_flows=1, reordering=True, kind="vanilla"),
     },
     "fig10": {
-        "16flows-spray-juggler": lambda: cpu_overhead.run_scenario(
-            cpu_overhead.CpuOverheadParams(
-                num_flows=16, reordering=True, kind=GroKind.JUGGLER, **_CPU)),
-        "16flows-ecmp-vanilla": lambda: cpu_overhead.run_scenario(
-            cpu_overhead.CpuOverheadParams(
-                num_flows=16, reordering=False, kind=GroKind.VANILLA,
-                **_CPU)),
+        "16flows-spray-juggler": lambda: cpu_overhead.run_point(
+            _CPU, num_flows=16, reordering=True, kind="juggler"),
+        "16flows-ecmp-vanilla": lambda: cpu_overhead.run_point(
+            _CPU, num_flows=16, reordering=False, kind="vanilla"),
     },
     "fig12": {
-        "tau250-inseq0": lambda: fig12.run_cell(_FIG12, 250, 0),
-        "tau500-inseq52": lambda: fig12.run_cell(_FIG12, 500, 52),
+        "tau250-inseq0": lambda: fig12.run_point(
+            _FIG12, reorder_delay_us=250, inseq_timeout_us=0),
+        "tau500-inseq52": lambda: fig12.run_point(
+            _FIG12, reorder_delay_us=500, inseq_timeout_us=52),
     },
     "fig13": {
-        "tau500-ofo100": lambda: fig13.run_cell(_FIG13, 500, 100),
-        "tau500-ofo600": lambda: fig13.run_cell(_FIG13, 500, 600),
+        "tau500-ofo100": lambda: fig13.run_point(
+            _FIG13, reorder_delay_us=500, ofo_timeout_us=100),
+        "tau500-ofo600": lambda: fig13.run_point(
+            _FIG13, reorder_delay_us=500, ofo_timeout_us=600),
     },
     "fig14": {
-        "tau250-ofo400": lambda: fig14.run_cell(_FIG14, 250, 400),
+        "tau250-ofo400": lambda: fig14.run_point(
+            _FIG14, reorder_delay_us=250, ofo_timeout_us=400),
     },
     "fig15": {
-        "64flows-tau500": lambda: fig15.run_cell(_FIG15, 64, 500),
+        "64flows-tau500": lambda: fig15.run_point(
+            _FIG15, reorder_delay_us=500, concurrent_flows=64),
     },
     "fig16": {
-        "rx40g": lambda: fig16.run_panel(_FIG16, 40.0),
-        "rx10g": lambda: fig16.run_panel(_FIG16, 10.0),
+        "rx40g": lambda: fig16.run_point(_FIG16, receiver_port_gbps=40.0),
+        "rx10g": lambda: fig16.run_point(_FIG16, receiver_port_gbps=10.0),
     },
     "fig18": {
-        "juggler-15g": lambda: fig18.run_cell(_FIG18, GroKind.JUGGLER, 15.0),
-        "vanilla-15g": lambda: fig18.run_cell(_FIG18, GroKind.VANILLA, 15.0),
+        "juggler-15g": lambda: fig18.run_point(
+            _FIG18, kind="juggler", guarantee_gbps=15.0),
+        "vanilla-15g": lambda: fig18.run_point(
+            _FIG18, kind="vanilla", guarantee_gbps=15.0),
     },
     "fig20": {
-        policy.value: (lambda policy=policy:
-                       fig20.run_cell(_FIG20, policy, 70))
-        for policy in (fig20.LbPolicy.ECMP, fig20.LbPolicy.PER_TSO,
-                       fig20.LbPolicy.PER_PACKET, fig20.LbPolicy.FLOWLET)
+        policy: (lambda policy=policy:
+                 fig20.run_point(_FIG20, policy=policy, load_pct=70))
+        for policy in ("per-flow-ecmp", "per-tso", "per-packet", "flowlet")
     },
     "sec31": {
-        kind.value: (lambda kind=kind: sec31.run_engine(_SEC31, kind))
-        for kind in (GroKind.VANILLA, GroKind.CHAINED, GroKind.JUGGLER)
+        kind: (lambda kind=kind: sec31.run_point(_SEC31, kind=kind))
+        for kind in ("vanilla", "chained", "juggler")
     },
     "sec512": {
-        kind.value: (lambda kind=kind: sec512.run_kernel(_SEC512, kind))
-        for kind in (GroKind.JUGGLER, GroKind.VANILLA)
+        kind: (lambda kind=kind: sec512.run_point(_SEC512, kind=kind))
+        for kind in ("juggler", "vanilla")
     },
     "ablations": {
-        "buildup": lambda: ablations.run_buildup_ablation(
-            dataclasses.replace(_ABL, reorder_delay_us=60)),
-        "eviction": lambda: ablations.run_eviction_ablation(_ABL),
-        "table-size": lambda: ablations.run_table_size_ablation(
-            _ABL, capacities=(2, 16)),
+        study: (lambda configs=configs: [
+            ablations.run_point(_ABL, config=config) for config in configs])
+        for study, configs in (
+            ("buildup", ("buildup=on", "buildup=off")),
+            ("eviction", ("evict=inactive_first", "evict=fifo",
+                          "evict=active_first")),
+            ("table-size", ("capacity=2", "capacity=16")))
     },
     "scheduling": {
-        "none-juggler": lambda: flow_scheduling.run_config(
-            _SCHED, kind=GroKind.JUGGLER, prioritize=False),
-        "pias-vanilla": lambda: flow_scheduling.run_config(
-            _SCHED, kind=GroKind.VANILLA, prioritize=True),
+        "none-juggler": lambda: flow_scheduling.run_point(
+            _SCHED, config="none/juggler"),
+        "pias-vanilla": lambda: flow_scheduling.run_point(
+            _SCHED, config="pias/vanilla"),
     },
     "fdir_reordering": {
         "fdir-8-churn2-juggler": lambda: fdir_reordering.run_point(

@@ -3,17 +3,16 @@ paper-shape invariants.  The benchmarks run the fuller parameter grids."""
 
 import pytest
 
-from repro.harness.experiment import GroKind
+from repro.experiments.common import run_grid
 
 
 def test_fig12_batching_rises_with_inseq_timeout():
-    from repro.experiments.fig12_inseq_timeout import Fig12Params, run
+    from repro.experiments import fig12_inseq_timeout as fig12
 
-    params = Fig12Params(inseq_timeouts_us=(0, 100),
-                         reorder_delays_us=(250,),
-                         warmup_ms=4, measure_ms=6)
-    result = run(params)
-    low, high = result.series(250)
+    params = fig12.Fig12Params(inseq_timeouts_us=(0, 100),
+                               reorder_delays_us=(250,),
+                               warmup_ms=4, measure_ms=6)
+    low, high = run_grid(fig12, params)
     assert high.batching_extent > low.batching_extent * 1.3
     assert high.rx_core_pct <= low.rx_core_pct + 1.0
 
@@ -42,13 +41,11 @@ def test_fig14_latency_grows_past_knee():
 
 
 def test_fig9_vanilla_saturates_juggler_does_not():
-    from repro.experiments.cpu_overhead import CpuOverheadParams, run_scenario
+    from repro.experiments.cpu_overhead import CpuOverheadParams, run_point
 
-    base = dict(num_flows=1, warmup_ms=5, measure_ms=8)
-    vanilla = run_scenario(CpuOverheadParams(reordering=True,
-                                             kind=GroKind.VANILLA, **base))
-    juggler = run_scenario(CpuOverheadParams(reordering=True,
-                                             kind=GroKind.JUGGLER, **base))
+    params = CpuOverheadParams(warmup_ms=5, measure_ms=8)
+    vanilla = run_point(params, num_flows=1, reordering=True, kind="vanilla")
+    juggler = run_point(params, num_flows=1, reordering=True, kind="juggler")
     assert juggler.throughput_pct_of_target > 90
     assert vanilla.throughput_pct_of_target < 70
     # CPU per delivered bit: the vanilla kernel burns several times more
@@ -70,67 +67,64 @@ def test_fig15_active_flows_bounded():
 
 def test_fig16_lists_tiny_on_realistic_workload():
     from repro.experiments.fig16_active_list_histogram import (
-        Fig16Params, run_panel)
+        Fig16Params, run_point)
 
     params = Fig16Params(warmup_ms=5, measure_ms=8)
-    point = run_panel(params, receiver_port_gbps=40.0)
+    point = run_point(params, receiver_port_gbps=40.0)
     assert point.p99_active <= 8  # paper: < 5 at 40G; allow sim slack
     assert point.mean_loss_recovery < 0.5
 
 
 def test_fig18_juggler_tracks_guarantee_vanilla_does_not():
-    from repro.experiments.fig18_bandwidth_sweep import Fig18Params, run_cell
+    from repro.experiments.fig18_bandwidth_sweep import Fig18Params, run_point
 
     params = Fig18Params(ramp_ms=20, measure_ms=20)
-    juggler = run_cell(params, GroKind.JUGGLER, guarantee_gbps=15.0)
-    vanilla = run_cell(params, GroKind.VANILLA, guarantee_gbps=15.0)
+    juggler = run_point(params, kind="juggler", guarantee_gbps=15.0)
+    vanilla = run_point(params, kind="vanilla", guarantee_gbps=15.0)
     assert juggler.achieved_gbps == pytest.approx(15.0, abs=2.0)
     assert vanilla.achieved_gbps < juggler.achieved_gbps
 
 
 def test_fig20_per_packet_beats_ecmp_tail():
     from repro.experiments.fig20_load_balancing import (
-        Fig20Params, LbPolicy, run_cell)
+        Fig20Params, LbPolicy, run_point)
 
     params = Fig20Params(warmup_ms=4, measure_ms=12)
-    ecmp = run_cell(params, LbPolicy.ECMP, load_pct=90)
-    spray = run_cell(params, LbPolicy.PER_PACKET, load_pct=90)
+    ecmp = run_point(params, policy=LbPolicy.ECMP, load_pct=90)
+    spray = run_point(params, policy=LbPolicy.PER_PACKET, load_pct=90)
     assert spray.small_p99_us < ecmp.small_p99_us
     assert spray.large_p99_ms < ecmp.large_p99_ms
 
 
 def test_sec31_chained_costs_more():
-    from repro.experiments.sec31_chained_gro_cost import (
-        Sec31Params, run, chained_overhead_pct)
+    from repro.experiments import sec31_chained_gro_cost as sec31
 
-    points = run(Sec31Params(warmup_ms=4, measure_ms=8))
-    overhead = chained_overhead_pct(points)
+    points = run_grid(sec31, sec31.Sec31Params(warmup_ms=4, measure_ms=8))
+    overhead = sec31.chained_overhead_pct(points)
     assert 20.0 < overhead < 80.0  # paper: ~50%
 
 
 def test_sec512_no_added_latency():
-    from repro.experiments.sec512_latency_overhead import Sec512Params, run
+    from repro.experiments import sec512_latency_overhead as sec512
 
-    points = run(Sec512Params(duration_ms=20))
-    juggler, vanilla = points
+    juggler, vanilla = run_grid(sec512, sec512.Sec512Params(duration_ms=20))
     assert juggler.median_us == pytest.approx(vanilla.median_us, rel=0.02)
 
 
 def test_ablation_buildup_reduces_segments():
-    from repro.experiments.ablations import (
-        AblationParams, run_buildup_ablation)
+    from repro.experiments import ablations
 
-    on, off = run_buildup_ablation(AblationParams(reorder_delay_us=60,
-                                                  duration_ms=15))
+    on, off = run_grid(ablations, ablations.AblationParams(
+        configs=("buildup=on", "buildup=off"), duration_ms=15))
     assert on.segments_per_packet <= off.segments_per_packet
 
 
 def test_ablation_eviction_policy_matters():
-    from repro.experiments.ablations import (
-        AblationParams, run_eviction_ablation)
+    from repro.experiments import ablations
 
-    paper, fifo, inverted = run_eviction_ablation(
-        AblationParams(duration_ms=25))
+    paper, fifo, inverted = run_grid(ablations, ablations.AblationParams(
+        configs=("evict=inactive_first", "evict=fifo", "evict=active_first"),
+        duration_ms=25))
     assert inverted.segments_per_packet > 1.1 * paper.segments_per_packet
     assert inverted.evictions > paper.evictions
     # Throughput differences are within noise at smoke scale; just check
@@ -139,10 +133,8 @@ def test_ablation_eviction_policy_matters():
 
 
 def test_ablation_table_size_knee():
-    from repro.experiments.ablations import (
-        AblationParams, run_table_size_ablation)
+    from repro.experiments import ablations
 
-    points = run_table_size_ablation(AblationParams(duration_ms=15),
-                                     capacities=(2, 16))
-    tiny, ample = points
+    tiny, ample = run_grid(ablations, ablations.AblationParams(
+        configs=("capacity=2", "capacity=16"), duration_ms=15))
     assert tiny.segments_per_packet > ample.segments_per_packet

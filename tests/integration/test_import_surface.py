@@ -26,7 +26,7 @@ ABSENT = ("concurrent.futures", "multiprocessing", "socket", "logging",
           "repro.core.presto_gro", "repro.cpu.accounting", "repro.cpu.core",
           "repro.cpu.meter", "repro.fabric.flowcut", "repro.faults.injectors",
           "repro.steer.flow_director", "repro.steer.static",
-          "repro.workloads.background", "repro.workloads.distributions")
+          "repro.workloads.background")
 
 #: The four benchmark families plus the faults matrix, then one built cell
 #: (the NetFPGA pair: engine, links, NICs, a JugglerGRO per host).

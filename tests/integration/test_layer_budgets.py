@@ -46,9 +46,9 @@ CELLS = {
         cc_reordering.CcParams(warmup_ms=1, duration_ms=ms),
         cc="bbr", intensity=0, engine="standard"),
     # The Clos under per-flow ECMP: four link hops, no detector on any ToR.
-    "clos-ecmp": lambda ms: fig20.run_cell(
+    "clos-ecmp": lambda ms: fig20.run_point(
         fig20.Fig20Params(warmup_ms=1, measure_ms=ms - 1),
-        fig20.LbPolicy.ECMP, 25),
+        policy="per-flow-ecmp", load_pct=25),
 }
 
 #: Layers that are off in every cell above -> their files under ``repro/``.

@@ -1,27 +1,13 @@
-"""SRPT/PIAS packet markers."""
+"""The PIAS packet marker."""
 
 import pytest
 
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS, PRIORITY_HIGH, PRIORITY_LOW
 from repro.net.packet import Packet
-from repro.qos.flow_scheduling import PiasMarker, SrptMarker
-from repro.sim.engine import Engine
-from repro.tcp.config import TcpConfig
-from repro.tcp.sender import TcpSender
+from repro.qos.flow_scheduling import PiasMarker
 
 FLOW = FiveTuple(0, 1, 1000, 80)
-
-
-class NullHost:
-    def register_handler(self, flow, handler):
-        pass
-
-    def unregister_handler(self, flow):
-        pass
-
-    def transmit(self, packet):
-        pass
 
 
 def pkt(seq):
@@ -46,31 +32,6 @@ def test_pias_retransmission_keeps_offset_class():
 def test_pias_validates_threshold():
     with pytest.raises(ValueError):
         PiasMarker(-1)
-
-
-def test_srpt_promotes_near_completion():
-    sender = TcpSender(Engine(), NullHost(), FLOW, TcpConfig())
-    sender.send(100 * MSS)
-    marker = SrptMarker(sender, threshold_bytes=10 * MSS)
-    assert marker.priority_fn(pkt(0)) == PRIORITY_LOW
-    assert marker.priority_fn(pkt(89 * MSS)) == PRIORITY_LOW
-    assert marker.priority_fn(pkt(91 * MSS)) == PRIORITY_HIGH
-    assert marker.priority_fn(pkt(99 * MSS)) == PRIORITY_HIGH
-
-
-def test_srpt_tracks_growing_target():
-    sender = TcpSender(Engine(), NullHost(), FLOW, TcpConfig())
-    sender.send(20 * MSS)
-    marker = SrptMarker(sender, threshold_bytes=5 * MSS)
-    assert marker.priority_fn(pkt(16 * MSS)) == PRIORITY_HIGH
-    sender.send(20 * MSS)  # more data queued: no longer near completion
-    assert marker.priority_fn(pkt(16 * MSS)) == PRIORITY_LOW
-
-
-def test_srpt_validates_threshold():
-    sender = TcpSender(Engine(), NullHost(), FLOW, TcpConfig())
-    with pytest.raises(ValueError):
-        SrptMarker(sender, -5)
 
 
 def test_whole_short_flow_rides_high_priority():

@@ -63,34 +63,6 @@ def test_arm_at_absolute_time():
     assert fired == [80]
 
 
-def test_arm_if_earlier_keeps_sooner_deadline():
-    engine = Engine()
-    timer, fired = make(engine)
-    timer.arm_at(100)
-    timer.arm_if_earlier(200)
-    assert timer.expires_at == 100
-    engine.run()
-    assert fired == [100]
-
-
-def test_arm_if_earlier_moves_later_deadline_forward():
-    engine = Engine()
-    timer, fired = make(engine)
-    timer.arm_at(200)
-    timer.arm_if_earlier(100)
-    assert timer.expires_at == 100
-    engine.run()
-    assert fired == [100]
-
-
-def test_arm_if_earlier_on_disarmed_timer_arms():
-    engine = Engine()
-    timer, fired = make(engine)
-    timer.arm_if_earlier(150)
-    engine.run()
-    assert fired == [150]
-
-
 def test_rearm_inside_callback():
     engine = Engine()
     fired = []

