@@ -7,8 +7,9 @@ The pieces (see docs/campaign.md for the full story):
   per-task seeds (``sim.rng``-style hashing).
 * :mod:`repro.campaign.registry` — adapters that let workers drive any
   experiment by name, one grid point per task.
-* :mod:`repro.campaign.scheduler` — process-pool fan-out with per-task
-  timeouts, bounded retry with backoff, and worker-crash recovery.
+* :mod:`repro.campaign.scheduler` — runs each task in its own child
+  process, ``jobs`` at a time; a crash fails only its own task, and
+  every outcome is final.
 * :mod:`repro.campaign.store` — append-only JSONL result store keyed by
   task fingerprint; what makes ``campaign resume`` skip finished work.
 * :mod:`repro.campaign.reporter` — rebuilds the figures' ``render()``

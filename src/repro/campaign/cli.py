@@ -47,21 +47,15 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="result store (append-only JSONL)")
     parser.add_argument("--name", default=None,
                         help="campaign name override")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = inline serial)")
+    parser.add_argument("--jobs", type=registry.job_count, default=1,
+                        help="tasks run at once, each in its own process "
+                             "(default 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="root seed for per-task seed derivation "
                              "(default: keep each experiment's own seed)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS", help="per-task timeout")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="extra attempts per failing task (default 2)")
-    parser.add_argument("--backoff", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="first-retry backoff; doubles per attempt")
     parser.add_argument("--trace", choices=("jsonl",), default=None,
-                        help="per-task tracing (workers inherit the "
-                             "repro.trace runtime)")
+                        help="per-task tracing (task processes inherit "
+                             "the repro.trace runtime)")
     parser.add_argument("--trace-dir", default="campaign_traces",
                         help="directory for per-task trace files")
     parser.add_argument("--report", action="store_true",
@@ -133,10 +127,8 @@ def _cmd_run(args, resume: bool) -> int:
               file=sys.stderr)
         return 2
     config = SchedulerConfig(
-        jobs=args.jobs, timeout_s=args.timeout, retries=args.retries,
-        backoff_s=args.backoff, trace=args.trace,
-        trace_dir=args.trace_dir if args.trace else None,
-    )
+        jobs=args.jobs, trace=args.trace,
+        trace_dir=args.trace_dir if args.trace else None)
     return run_and_report(spec, args.store, config, report=args.report)
 
 
@@ -241,8 +233,8 @@ def sweep_main(argv) -> int:
             f"--{axis}", default=None, metavar="A,B,C", type=_csv_of(cast),
             help=f"comma-separated {cast.__name__} values (default "
                  f"{','.join(map(str, values))})")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1)")
+    parser.add_argument("--jobs", type=registry.job_count, default=1,
+                        metavar="N", help="tasks run at once (default 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="campaign root seed (default: the family's "
                              "baked-in seed)")
@@ -258,5 +250,5 @@ def sweep_main(argv) -> int:
     spec = CampaignSpec(name=family, seed=args.seed,
                         experiments=(ExperimentSpec(family, grid=grid),))
     return run_and_report(spec, args.store,
-                          SchedulerConfig(jobs=max(1, args.jobs)),
+                          SchedulerConfig(jobs=args.jobs),
                           json_path=args.json)

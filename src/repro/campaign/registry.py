@@ -82,15 +82,11 @@ class Adapter:
             kwargs["seed"] = seed
         return self.params_cls()(**kwargs)
 
-    def execute(self, base: Mapping, seed: Optional[int], point: Mapping,
-                attempt: int = 1) -> List[dict]:
-        """Run one task; return its result rows (JSON-able dicts).  A
-        ``run_point`` that takes ``attempt`` is told which one this is."""
-        run_point = self._mod().run_point
-        extra = ({"attempt": attempt}
-                 if "attempt" in get_type_hints(run_point) else {})
-        result = run_point(self.build_point_params(base, seed, point),
-                           **point, **extra)
+    def execute(self, base: Mapping, seed: Optional[int],
+                point: Mapping) -> List[dict]:
+        """Run one task; return its result rows (JSON-able dicts)."""
+        result = self._mod().run_point(
+            self.build_point_params(base, seed, point), **point)
         return [{k: v.value if isinstance(v, enum.Enum) else v
                  for k, v in dataclasses.asdict(result).items()}]
 
@@ -187,3 +183,12 @@ def cli_experiments() -> Dict[str, tuple]:
     """The ``{name: (runner, description)}`` dict the CLI lists and runs."""
     return {name: (adapter.run_default, adapter.description)
             for name, adapter in ADAPTERS.items() if not adapter.hidden}
+
+
+def job_count(text: str) -> int:
+    """The ``--jobs N`` argparse type of every command that runs tasks:
+    a whole number of at least 1 (argparse exits 2 on anything else)."""
+    jobs = int(text)
+    if jobs < 1:
+        raise ValueError(text)
+    return jobs

@@ -51,40 +51,31 @@ def render_report(records: Sequence[Mapping],
             parts.append(
                 f"  {record['experiment']}"
                 + (f"[{where}]" if where else "")
-                + f": {record.get('failure')} after "
-                  f"{record.get('attempts')} attempt(s) — "
-                  f"{record.get('error')}")
+                + f": {record.get('failure')} — {record.get('error')}")
         parts.append("")
     if not parts:
         return "(no results in store)"
     return "\n".join(parts).rstrip() + "\n"
 
 
-def summarize(records: Sequence[Mapping],
-              stats: Optional[Mapping] = None) -> dict:
+def summarize(records: Sequence[Mapping]) -> dict:
     """Machine-readable rollup (written by ``campaign report --json``)."""
     experiments: Dict[str, dict] = {}
-    attempts = 0
     for record in records:
         entry = experiments.setdefault(
             record["experiment"],
             {"tasks": 0, "ok": 0, "failed": 0, "rows": 0})
         entry["tasks"] += 1
-        attempts += record.get("attempts") or 0
         if record.get("status") == "ok":
             entry["ok"] += 1
             entry["rows"] += len(record.get("rows") or [])
         else:
             entry["failed"] += 1
-    summary = {
+    return {
         "campaigns": sorted({r.get("campaign") for r in records
                              if r.get("campaign")}),
         "tasks": len(records),
         "ok": sum(e["ok"] for e in experiments.values()),
         "failed": sum(e["failed"] for e in experiments.values()),
-        "attempts": attempts,
         "experiments": experiments,
     }
-    if stats is not None:
-        summary["scheduler"] = dict(stats)
-    return summary

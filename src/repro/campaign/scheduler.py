@@ -1,36 +1,32 @@
-"""Fan tasks out over worker processes; retry, back off, survive crashes.
+"""Run campaign tasks, each in its own child process.
 
-Execution model:
+Every pending task is started as a :class:`multiprocessing.Process`; at
+most ``jobs`` run at once, and ``jobs == 1`` is the same loop with one
+child.  The child sends its outcome dict (see :mod:`repro.campaign.worker`)
+back over a one-way pipe.  The parent waits on the pipes and reads an
+outcome before joining its child, so a large outcome cannot fill the pipe
+and deadlock.  A pipe that closes with no outcome means that child died
+hard (``kill -9``, OOM): its task alone is recorded as a ``crash``, and
+the caller survives it.
 
-* ``jobs == 1`` runs tasks inline in this process — the exact serial
-  behaviour the figure modules have always had, with the same retry and
-  timeout accounting (but no crash isolation).
-* ``jobs > 1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Workers report failures as structured outcomes (see
-  :mod:`repro.campaign.worker`), so the only exception the scheduler
-  expects from a future is ``BrokenProcessPool`` — a worker died hard
-  (OOM-killed, ``kill -9``).  That poisons every in-flight future, so the
-  scheduler rebuilds the pool and resubmits the affected tasks with their
-  attempt counters bumped: the task that actually keeps killing its
-  worker exhausts its retry budget and is recorded as failed, while
-  innocent bystanders complete on the fresh pool.  The campaign always
-  runs to completion.
-
-Every finished task (ok or given up) is appended to the result store
-immediately, which is what makes ``campaign resume`` cheap and a crash of
-the *scheduler* process lose almost nothing.
+A task is a deterministic function of its inputs, so a failure would
+repeat: every outcome is final.  A failed task is stored as failed, and
+``campaign resume`` re-runs exactly those.  Every finished task is
+appended to the result store immediately, which is what makes ``campaign
+resume`` cheap and a crash of the *scheduler* process lose almost nothing.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from multiprocessing.connection import wait
+from typing import Callable, Optional, Sequence
 
 from repro.campaign.spec import Task
-from repro.campaign.store import ResultStore, failure_outcome, make_record
+from repro.campaign.store import ResultStore, make_record
 from repro.campaign.worker import execute_task
 
 Progress = Optional[Callable[[str], None]]
@@ -40,49 +36,36 @@ Progress = Optional[Callable[[str], None]]
 class SchedulerConfig:
     """Knobs for one campaign run."""
 
+    #: Child processes running at once.
     jobs: int = 1
-    #: Per-task wall-clock budget (None = unlimited).
-    timeout_s: Optional[float] = None
-    #: Extra attempts after the first failure (attempts = retries + 1).
-    retries: int = 2
-    #: First retry waits this long; doubles per subsequent attempt.
-    backoff_s: float = 0.25
     #: "jsonl" to give every task its own trace file under ``trace_dir``.
     trace: Optional[str] = None
     trace_dir: Optional[str] = None
 
-    def worker_cfg(self) -> dict:
-        return {"timeout_s": self.timeout_s, "trace": self.trace,
-                "trace_dir": self.trace_dir}
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, not {self.jobs}")
 
 
 @dataclass
 class CampaignStats:
-    """What happened, for the summary line and the machine summary."""
+    """What happened, for the summary line."""
 
     planned: int = 0
     skipped: int = 0
     ran: int = 0
     ok: int = 0
     failed: int = 0
-    retries: int = 0
-    pool_rebuilds: int = 0
     elapsed_s: float = 0.0
 
     def summary_line(self, name: str) -> str:
         return (f"campaign '{name}': planned {self.planned}, "
                 f"skipped {self.skipped}, ran {self.ran}, ok {self.ok}, "
-                f"failed {self.failed}, retries {self.retries} "
-                f"({self.elapsed_s:.1f}s)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+                f"failed {self.failed} ({self.elapsed_s:.1f}s)")
 
 
-@dataclass
-class _Pending:
-    task: Task
-    attempt: int = 1
+def _child(writer, wire: dict, trace_dir: Optional[str]) -> None:
+    writer.send(execute_task(wire, trace_dir))
 
 
 def run_campaign(tasks: Sequence[Task], store: ResultStore,
@@ -100,164 +83,56 @@ def run_campaign(tasks: Sequence[Task], store: ResultStore,
         say(f"resume: {stats.skipped} task(s) already complete, "
             f"{len(todo)} to run")
 
-    if config.trace == "jsonl" and config.trace_dir:
-        import os
+    trace_dir = config.trace_dir if config.trace == "jsonl" else None
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
 
-        os.makedirs(config.trace_dir, exist_ok=True)
-
-    if todo:
-        if config.jobs <= 1:
-            _run_inline(todo, store, config, stats, say)
-        else:
-            _run_pool(todo, store, config, stats, say)
+    queue = iter(todo)
+    running = {}  # reader -> (task, process)
+    try:
+        while True:
+            while len(running) < config.jobs:
+                task = next(queue, None)
+                if task is None:
+                    break
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                process = multiprocessing.Process(
+                    target=_child, args=(writer, task.to_wire(), trace_dir),
+                    daemon=True)
+                process.start()
+                writer.close()
+                running[reader] = (task, process)
+            if not running:
+                break
+            for reader in wait(list(running)):
+                task, process = running.pop(reader)
+                try:
+                    outcome = reader.recv()
+                except EOFError:
+                    outcome = None
+                reader.close()
+                process.join()
+                if outcome is None:
+                    outcome = {"status": "crash", "error": (
+                        f"worker process died without an outcome "
+                        f"(exit code {process.exitcode})")}
+                _finish(store, stats, task, outcome, say)
+    finally:
+        for _task, process in running.values():
+            process.kill()
+            process.join()
 
     stats.elapsed_s = round(time.perf_counter() - started, 3)
     return stats
 
 
-def _backoff(config: SchedulerConfig, attempt: int) -> None:
-    if config.backoff_s > 0:
-        time.sleep(config.backoff_s * (2 ** (attempt - 1)))
-
-
 def _finish(store: ResultStore, stats: CampaignStats, task: Task,
-            outcome: dict, attempts: int, say) -> None:
-    store.append(make_record(task.to_wire(), outcome, attempts))
+            outcome: dict, say) -> None:
+    store.append(make_record(task.to_wire(), outcome))
     stats.ran += 1
-    if outcome.get("status") == "ok":
+    if outcome["status"] == "ok":
         stats.ok += 1
-        say(f"  ok     {task.label} "
-            f"({outcome.get('elapsed_s', 0):.2f}s, attempt {attempts})")
+        say(f"  ok     {task.label} ({outcome['elapsed_s']:.2f}s)")
     else:
         stats.failed += 1
-        say(f"  FAILED {task.label} after {attempts} attempt(s): "
-            f"{outcome.get('error')}")
-
-
-def _run_inline(todo: List[Task], store: ResultStore,
-                config: SchedulerConfig, stats: CampaignStats, say) -> None:
-    worker_cfg = config.worker_cfg()
-    for task in todo:
-        attempt = 1
-        while True:
-            outcome = execute_task(task.to_wire(), attempt, worker_cfg)
-            if outcome["status"] == "ok" or attempt > config.retries:
-                _finish(store, stats, task, outcome, attempt, say)
-                break
-            stats.retries += 1
-            say(f"  retry  {task.label} (attempt {attempt} "
-                f"{outcome['status']}: {outcome.get('error')})")
-            _backoff(config, attempt)
-            attempt += 1
-
-
-_CRASH_ERROR = "worker process died (killed or crashed hard)"
-
-
-def _run_pool(todo: List[Task], store: ResultStore,
-              config: SchedulerConfig, stats: CampaignStats, say) -> None:
-    """The parallel path.
-
-    A hard worker death (``kill -9``, OOM) poisons every in-flight future
-    of a ``ProcessPoolExecutor``, and the futures API cannot say *which*
-    task was on the dying worker.  Charging every interrupted task a
-    failed attempt would let one repeat-crasher exhaust innocent tasks'
-    retry budgets collaterally, so crash attribution is exact instead:
-    interrupted tasks go to a quarantine and are re-run **one at a time**
-    on a fresh pool.  A task that crashes while running alone is the
-    culprit and is charged a crashed attempt; tasks that complete in
-    quarantine were bystanders and pay nothing.  Parallel fan-out resumes
-    once the quarantine drains.
-    """
-    worker_cfg = config.worker_cfg()
-    pool = ProcessPoolExecutor(max_workers=config.jobs)
-    inflight: Dict = {}
-    #: Pendings awaiting (re)submission: initial tasks and retries.
-    backlog: List[_Pending] = [_Pending(task) for task in todo]
-    #: Pendings interrupted by a pool break, re-run serially.
-    quarantine: List[_Pending] = []
-    pool_broken = False
-
-    def rebuild_pool() -> None:
-        nonlocal pool, pool_broken
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = ProcessPoolExecutor(max_workers=config.jobs)
-        stats.pool_rebuilds += 1
-        pool_broken = False
-
-    def retry_or_finish(pending: _Pending, outcome: dict,
-                        serially: bool = False) -> None:
-        if outcome["status"] == "ok" or pending.attempt > config.retries:
-            _finish(store, stats, pending.task, outcome, pending.attempt,
-                    say)
-            return
-        stats.retries += 1
-        say(f"  retry  {pending.task.label} (attempt {pending.attempt} "
-            f"{outcome['status']}: {outcome.get('error')})")
-        _backoff(config, pending.attempt)
-        retry = _Pending(pending.task, pending.attempt + 1)
-        if serially:
-            quarantine.insert(0, retry)
-        else:
-            backlog.append(retry)
-
-    def probe(pending: _Pending) -> None:
-        """Run one quarantined task alone; a crash now has one suspect."""
-        nonlocal pool_broken
-        try:
-            future = pool.submit(execute_task, pending.task.to_wire(),
-                                 pending.attempt, worker_cfg)
-            outcome = future.result()
-        except BrokenProcessPool:
-            say(f"  crash  {pending.task.label} killed its worker "
-                f"(attempt {pending.attempt})")
-            rebuild_pool()
-            retry_or_finish(pending, failure_outcome("crash", _CRASH_ERROR),
-                            serially=True)
-            return
-        retry_or_finish(pending, outcome)
-
-    try:
-        while inflight or backlog or quarantine:
-            if pool_broken:
-                interrupted = list(inflight.values())
-                inflight.clear()
-                rebuild_pool()
-                say(f"  worker crashed; rebuilt pool, re-running "
-                    f"{len(interrupted)} interrupted task(s) serially")
-                quarantine.extend(interrupted)
-                continue
-            if quarantine:
-                probe(quarantine.pop(0))
-                continue
-            if backlog:
-                drain, backlog[:] = backlog[:], []
-                for pending in drain:
-                    try:
-                        future = pool.submit(execute_task,
-                                             pending.task.to_wire(),
-                                             pending.attempt, worker_cfg)
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        quarantine.append(pending)
-                    else:
-                        inflight[future] = pending
-                continue
-            completed, _ = wait(list(inflight),
-                                return_when=FIRST_COMPLETED)
-            for future in completed:
-                pending = inflight.pop(future)
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    # Interrupted, not yet guilty: quarantine re-runs it
-                    # alone without charging an attempt.
-                    pool_broken = True
-                    quarantine.append(pending)
-                    continue
-                except Exception as exc:  # pool bookkeeping failures
-                    outcome = failure_outcome(
-                        "error", f"{type(exc).__name__}: {exc}")
-                retry_or_finish(pending, outcome)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        say(f"  FAILED {task.label}: {outcome['error']}")

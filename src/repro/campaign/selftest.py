@@ -1,28 +1,24 @@
 """Failure-injection experiment for exercising the campaign scheduler.
 
-Registered (hidden) as ``selftest`` so worker processes can resolve it by
+Registered (hidden) as ``selftest`` so task processes can resolve it by
 name like any real experiment.  Each grid point's behaviour comes from
 ``plan[task_id]``:
 
-``ok``          return a row immediately.
-``fail``        raise on every attempt (retry-then-give-up accounting).
-``flaky``       raise while ``attempt <= fail_attempts``, then succeed.
-``crash``       ``SIGKILL`` the worker process (BrokenProcessPool path).
-``crash_once``  crash while ``attempt <= fail_attempts``, then succeed.
-``sleep``       sleep ``sleep_s`` then return (per-task timeout path).
+``ok``     return a row immediately.
+``fail``   raise (a task that fails is stored failed, not re-run).
+``crash``  ``SIGKILL`` the task's own process (the crash path).
 
-When ``marker_dir`` is set, every execution appends one
-``<attempt> <pid>`` line to ``<marker_dir>/task<task_id>.log`` before
-doing anything else — tests count lines to prove resume re-runs nothing
-and retries run exactly as budgeted (the line survives even when the
-execution then kills its own worker).
+When ``marker_dir`` is set, every execution appends one ``<pid>`` line to
+``<marker_dir>/task<task_id>.log`` before doing anything else — tests
+count lines to prove each task executes exactly once and resume re-runs
+nothing completed (the line survives even when the execution then kills
+its own process).
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 from dataclasses import dataclass
 from typing import List
 
@@ -36,9 +32,6 @@ class SelftestParams:
     task_ids: tuple = (0, 1, 2, 3)
     #: Behaviour per task id (padded with "ok" when shorter).
     plan: tuple = ()
-    #: ``flaky``/``crash_once`` succeed once ``attempt > fail_attempts``.
-    fail_attempts: int = 1
-    sleep_s: float = 5.0
     marker_dir: str = ""
     seed: int = 99
 
@@ -49,7 +42,6 @@ class SelftestPoint:
 
     task_id: int
     mode: str
-    attempt: int
     value: int
 
 
@@ -63,33 +55,25 @@ def _mode(params: SelftestParams, task_id: int) -> str:
     return "ok"
 
 
-def run_point(params: SelftestParams, *, task_id: int,
-              attempt: int = 1) -> SelftestPoint:
+def run_point(params: SelftestParams, *, task_id: int) -> SelftestPoint:
     """Execute one point with the planned behaviour."""
     if params.marker_dir:
         marker = os.path.join(params.marker_dir, f"task{task_id}.log")
         with open(marker, "a", encoding="utf-8") as handle:
-            handle.write(f"{attempt} {os.getpid()}\n")
+            handle.write(f"{os.getpid()}\n")
             handle.flush()
             os.fsync(handle.fileno())
     mode = _mode(params, task_id)
     if mode == "fail":
         raise RuntimeError(f"selftest task {task_id} always fails")
-    if mode == "flaky" and attempt <= params.fail_attempts:
-        raise RuntimeError(
-            f"selftest task {task_id} flaky on attempt {attempt}")
-    if mode == "crash" or (mode == "crash_once"
-                           and attempt <= params.fail_attempts):
+    if mode == "crash":
         os.kill(os.getpid(), signal.SIGKILL)
-    if mode == "sleep":
-        time.sleep(params.sleep_s)
     # Deterministic payload: depends only on (seed, task_id).
     value = (params.seed * 1_000_003 + task_id * 97) % 1_000_000_007
-    return SelftestPoint(task_id=task_id, mode=mode, attempt=attempt,
-                         value=value)
+    return SelftestPoint(task_id=task_id, mode=mode, value=value)
 
 
 def render(points: List[SelftestPoint]) -> str:
     """The points as a table."""
-    rows = [(p.task_id, p.mode, p.attempt, p.value) for p in points]
-    return format_table(["task_id", "mode", "attempt", "value"], rows)
+    rows = [(p.task_id, p.mode, p.value) for p in points]
+    return format_table(["task_id", "mode", "value"], rows)

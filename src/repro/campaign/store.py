@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 logger = logging.getLogger("repro.campaign")
 
@@ -64,8 +64,8 @@ class ResultStore:
     def completed(self) -> Dict[str, dict]:
         """fingerprint -> record for tasks that finished OK (last wins).
 
-        Failed records are *not* included: resume retries failures but
-        never re-runs completed work.
+        Failed records are *not* included: resume re-runs failed tasks but
+        never completed work.
         """
         return {record["fingerprint"]: record
                 for record in self.load() if record.get("status") == "ok"}
@@ -93,8 +93,8 @@ class ResultStore:
             os.fsync(handle.fileno())
 
 
-def make_record(task_wire: dict, outcome: dict, attempts: int) -> dict:
-    """Build the stored record for one finished (ok or given-up) task."""
+def make_record(task_wire: dict, outcome: dict) -> dict:
+    """Build the stored record for one finished (ok or failed) task."""
     ok = outcome.get("status") == "ok"
     return {
         "fingerprint": task_wire["fingerprint"],
@@ -107,14 +107,8 @@ def make_record(task_wire: dict, outcome: dict, attempts: int) -> dict:
         "status": "ok" if ok else "failed",
         "failure": None if ok else outcome.get("status"),
         "error": outcome.get("error"),
-        "attempts": attempts,
         "elapsed_s": outcome.get("elapsed_s"),
         "rows": outcome.get("rows"),
         "trace_file": outcome.get("trace_file"),
     }
 
-
-def failure_outcome(kind: str, error: str,
-                    elapsed_s: Optional[float] = None) -> dict:
-    """An outcome dict for scheduler-side failures (worker crashes)."""
-    return {"status": kind, "error": error, "elapsed_s": elapsed_s}

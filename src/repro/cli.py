@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Dict
 
-from repro.campaign.registry import cli_experiments
+from repro.campaign.registry import cli_experiments, job_count
 
 #: name -> (runner, description).  A plain mutable dict so tests can
 #: monkeypatch stub runners in.
@@ -147,8 +147,8 @@ def main(argv=None) -> int:
         help="experiment names (see 'list'), or 'all'",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes; >1 runs the selection through the "
+        "--jobs", type=job_count, default=1, metavar="N",
+        help="tasks run at once; >1 runs the selection through the "
              "campaign scheduler (default 1: serial, in-process)")
     parser.add_argument(
         "--seed", type=int, default=None,
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
 
         return run_and_report(
             build_default_spec(names, seed=args.seed, name="cli"),
-            args.store, SchedulerConfig(jobs=max(1, args.jobs)))
+            args.store, SchedulerConfig(jobs=args.jobs))
 
     for name in names:
         runner, description = EXPERIMENTS[name]

@@ -234,7 +234,6 @@ def build_clos(
     uplink_rate_gbps: float = 40.0,
     nic_config: Optional[NicConfig] = None,
     queue_capacity_bytes: Optional[int] = None,
-    ecn_threshold_bytes: Optional[int] = None,
     detector_factory: Optional[Callable] = None,
 ) -> ClosNetwork:
     """Build hosts ↔ ToRs ↔ spines with one uplink per (ToR, spine) pair.
@@ -301,7 +300,6 @@ def build_clos(
                 host_id,
                 QueuedLink(engine, host_rate_gbps, host,
                            capacity_bytes=queue_capacity_bytes,
-                           ecn_threshold_bytes=ecn_threshold_bytes,
                            name=f"h{host_id}-down"),
             )
             hosts.append(host)
@@ -312,7 +310,6 @@ def build_clos(
         for s, spine in enumerate(spines):
             link = QueuedLink(engine, uplink_rate_gbps, spine,
                               capacity_bytes=queue_capacity_bytes,
-                              ecn_threshold_bytes=ecn_threshold_bytes,
                               name=f"tor{t}-spine{s}")
             tor.add_uplink(link)
             row.append(link)
@@ -325,7 +322,6 @@ def build_clos(
             sink = ExitTap(tor, _resolve) if wire_taps else tor
             link = QueuedLink(engine, uplink_rate_gbps, sink,
                               capacity_bytes=queue_capacity_bytes,
-                              ecn_threshold_bytes=ecn_threshold_bytes,
                               name=f"spine{s}-tor{t}")
             for i in range(hosts_per_tor):
                 spine.add_route(t * hosts_per_tor + i, link)

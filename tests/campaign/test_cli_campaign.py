@@ -26,16 +26,14 @@ def selftest_args(tmp_path, *extra, plan=("ok", "ok")):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     return ["--spec", str(spec_path),
-            "--store", str(tmp_path / "r.jsonl"),
-            "--backoff", "0", *extra]
+            "--store", str(tmp_path / "r.jsonl"), *extra]
 
 
 def executions(tmp_path, task_id):
     path = tmp_path / "markers" / f"task{task_id}.log"
     if not path.exists():
-        return []
-    return [int(line.split()[0])
-            for line in path.read_text().splitlines() if line.strip()]
+        return 0
+    return sum(1 for line in path.read_text().splitlines() if line.strip())
 
 
 def test_campaign_run_resume_report(tmp_path, capsys):
@@ -48,8 +46,8 @@ def test_campaign_run_resume_report(tmp_path, capsys):
     # Resume re-runs nothing.
     assert cli.main(["campaign", "resume", *args]) == 0
     assert "ran 0," in capsys.readouterr().out
-    assert executions(tmp_path, 0) == [1]
-    assert executions(tmp_path, 1) == [1]
+    assert executions(tmp_path, 0) == 1
+    assert executions(tmp_path, 1) == 1
 
     # Report re-renders from the store alone, plus a JSON summary.
     summary_path = tmp_path / "summary.json"
@@ -69,11 +67,11 @@ def test_campaign_run_refuses_nonempty_store(tmp_path, capsys):
     assert cli.main(["campaign", "run", *args]) == 2
     assert "campaign resume" in capsys.readouterr().err
     # The guard fired before any task ran.
-    assert executions(tmp_path, 0) == [1]
+    assert executions(tmp_path, 0) == 1
 
 
 def test_campaign_run_exit_code_on_failure(tmp_path, capsys):
-    args = selftest_args(tmp_path, "--retries", "0", plan=("ok", "fail"))
+    args = selftest_args(tmp_path, plan=("ok", "fail"))
     assert cli.main(["campaign", "run", *args]) == 1
     assert "failed 1" in capsys.readouterr().out
 
@@ -82,6 +80,20 @@ def test_campaign_rejects_spec_and_experiments_together(tmp_path):
     args = selftest_args(tmp_path)
     with pytest.raises(SystemExit):
         cli.main(["campaign", "run", *args, "--experiments", "fig12"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run", "--experiments", "fig12"],
+    ["sweep", "sec512"],
+    ["all"],
+])
+def test_jobs_below_one_is_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--store", str(tmp_path / "r.jsonl"),
+                  "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_campaign_rejects_unknown_experiment(tmp_path):

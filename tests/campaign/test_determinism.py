@@ -27,7 +27,7 @@ SPEC = CampaignSpec(name="det", experiments=(
 def campaign_rows(tmp_path, jobs):
     store = ResultStore(tmp_path / f"jobs{jobs}.jsonl")
     stats = run_campaign(expand(SPEC), store,
-                         SchedulerConfig(jobs=jobs, retries=0))
+                         SchedulerConfig(jobs=jobs))
     assert stats.failed == 0
     records = sorted(store.load(),
                      key=lambda r: (r["experiment"], r["index"]))
@@ -54,7 +54,7 @@ def test_campaign_rows_match_module_serial_run(tmp_path):
     expected = [dataclasses.asdict(p) for p in run_grid(mod, params)]
 
     store = ResultStore(tmp_path / "r.jsonl")
-    run_campaign(expand(SPEC), store, SchedulerConfig(jobs=2, retries=0))
+    run_campaign(expand(SPEC), store, SchedulerConfig(jobs=2))
     fig12 = sorted((r for r in store.load() if r["experiment"] == "fig12"),
                    key=lambda r: r["index"])
     got = [row for record in fig12 for row in record["rows"]]

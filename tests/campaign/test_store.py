@@ -12,7 +12,7 @@ def record(fp, status="ok", index=0):
     outcome = ({"status": "ok", "rows": [{"v": index}], "elapsed_s": 0.1}
                if status == "ok"
                else {"status": "error", "error": "boom"})
-    return make_record(wire, outcome, attempts=1)
+    return make_record(wire, outcome)
 
 
 def test_append_load_round_trip(tmp_path):

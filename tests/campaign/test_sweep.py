@@ -100,6 +100,21 @@ def test_sweep_rejects_bad_selections(capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_sweep_failure_is_final(tmp_path, capsys):
+    # A bad axis value fails inside run_point.  The task is deterministic,
+    # so it runs once, fails once, and the command exits 1.
+    argv = ["sweep", "sec512", "--kind", "foo",
+            "--store", str(tmp_path / "s.jsonl")]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if "FAILED" in line
+              and "sec512" in line and "kind=foo" in line]
+    assert len(failed) == 1
+    assert "unknown GRO engine: 'foo'" in failed[0]
+    assert "retry" not in out
+    assert "ran 1, ok 0, failed 1" in out
+
+
 @pytest.mark.parametrize("family", PAIRED_FAMILIES)
 def test_seeded_arms_of_one_cell_share_a_task_seed(family):
     adapter = registry.get(family)
