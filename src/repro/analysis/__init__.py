@@ -7,9 +7,9 @@ Two halves (docs/analysis.md is the reference):
   the global ``random`` stream, ad-hoc RNG construction, mutable default
   arguments, unordered-set iteration and float-contaminated nanosecond
   timestamps all fail ``juggler-repro analyze``.
-* :mod:`repro.analysis.sanitizer` — JSAN, a runtime invariant checker for
-  the Juggler state machine (Table 1 phase legality, Table 2 flush
-  validity, three-list residency, ofo-queue monotonicity, §4.3 eviction
-  order), installed process-wide via :mod:`repro.analysis.runtime` or
-  ``JUGGLER_SANITIZE=1`` and zero-cost when off.
+* :mod:`repro.analysis.sanitizer` — JSAN, which runs
+  :mod:`repro.analysis.spec` (Tables 1-2 and §4.3 of the paper) in lockstep
+  with every Juggler engine and stops at the first step they differ;
+  installed via :mod:`repro.analysis.runtime` or ``JUGGLER_SANITIZE=1``,
+  nothing is wrapped when off.
 """

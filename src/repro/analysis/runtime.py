@@ -1,17 +1,12 @@
 """Process-wide sanitizer installation — the same idiom as tracing.
 
-Engines and tables read :func:`current` once, at construction time, and
-keep the reference (or ``None``).  Three ways to turn JSAN on:
-
-* ``JUGGLER_SANITIZE=1`` in the environment — picked up lazily on the
-  first :func:`current` call, which is how the tier-1 suite and the CI
-  sanitize job run the whole stack under checking with zero code changes;
-* :func:`install` / :func:`uninstall` for explicit control;
-* the :func:`sanitizing` context manager to scope checking to one block.
-
-When nothing installs a sanitizer, :func:`current` returns ``None`` and
-every hook in the engine degrades to one attribute load and one identity
-test — see ``tests/integration/test_layer_budgets.py``.
+``JugglerGRO`` reads :func:`current` once, when it is built, and hands
+itself to the sanitizer it gets (JSAN then shadows that engine).  Three
+ways to turn JSAN on: ``JUGGLER_SANITIZE=1`` in the environment (read on
+the first :func:`current` call; how the tier-1 suite and the CI sanitize
+job run the whole stack checked), :func:`install` / :func:`uninstall`,
+and the :func:`sanitizing` context manager.  When none is installed,
+:func:`current` returns ``None`` and nothing is armed.
 """
 
 from __future__ import annotations

@@ -1,262 +1,131 @@
-"""JSAN — the Juggler state-machine sanitizer.
+"""JSAN — the Juggler sanitizer: every engine in lockstep with the spec.
 
-ASan catches the write through the dangling pointer at the moment it
-happens, not when the corrupted heap finally crashes something unrelated.
-JSAN does the same for the Juggler state machine: with ``JUGGLER_SANITIZE=1``
-(or an explicit install through :mod:`repro.analysis.runtime`), every
-phase transition, admission, eviction and flush is checked against the
-paper's contracts at the moment it executes:
-
-* **Table 1 / Figure 5** — phase-transition legality (e.g. post-merge can
-  only re-enter active merging; nothing ever returns to build-up);
-* **Table 2** — flush-reason validity (an ``inseq_timeout`` flush requires
-  an in-sequence head whose clock actually expired, an ``ofo_timeout``
-  flush requires an armed hole, ...);
-* **Figure 4** — every flow entry resident in exactly one of the three
-  lists, with list counts matching the gauges the engine exports;
-* ofo-queue sequence monotonicity and non-overlap;
-* the §4.3 eviction preference (inactive first, loss recovery last).
-
-The structures being checked each expose ``invariant_violations()``
-(:class:`~repro.core.flow_entry.FlowEntry`,
-:class:`~repro.core.ofo_queue.OfoQueue`,
-:class:`~repro.core.gro_table.GroTable`); this module owns the transition
-and policy tables and turns violations into loud, readable
-:class:`SanitizerError` diagnostics.  When disabled the hooks cost one
-``if self.sanitizer is not None`` test and allocate nothing —
-``tests/integration/test_layer_budgets.py`` enforces that (zero calls into
-``repro/analysis``, zero bytes), the same contract ``repro.trace`` honours.
+Like ASan, JSAN stops a run at the step that goes wrong, not where the
+damage finally shows.  With ``JUGGLER_SANITIZE=1`` (or an install through
+:mod:`repro.analysis.runtime`) each :class:`~repro.core.juggler.JugglerGRO`
+(so each ``PrestoGRO`` too) hands itself to :meth:`Sanitizer.arm` when
+built.  Its ``receive_batch``, ``poll_complete``, ``check_timeouts`` and
+``flush_all`` are then wrapped to feed a :class:`~repro.analysis.spec.Spec`
+the same input, and after every step the engine must match it: the step's
+deliveries with their reasons; its transitions, admissions and removals
+(transient ones too, in order); each touched flow's fields and runs; the
+three lists and the flow index in FIFO order; ``next_deadline()``; and the
+spec-level ``GroStats`` counters.  With JSAN off nothing is wrapped.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
-
-from repro.core.flush import FlushReason
+from repro.analysis.spec import TRANSITIONS, Spec
 from repro.core.phases import Phase
 
 
 class SanitizerError(AssertionError):
-    """A Juggler invariant was violated (details in the message)."""
-
-
-#: Table 1 / Figure 5: the legal phase transitions.  Self-transitions are
-#: legal re-enqueues (they implement the FIFO ordering eviction uses).
-LEGAL_TRANSITIONS: FrozenSet[Tuple[Phase, Phase]] = frozenset({
-    (Phase.INITIAL, Phase.BUILD_UP),       # first packet, build-up enabled
-    (Phase.INITIAL, Phase.ACTIVE_MERGE),   # build-up ablation disabled
-    (Phase.BUILD_UP, Phase.ACTIVE_MERGE),  # first flush pins seq_next
-    (Phase.ACTIVE_MERGE, Phase.POST_MERGE),     # queue drained
-    (Phase.ACTIVE_MERGE, Phase.LOSS_RECOVERY),  # ofo_timeout fired
-    (Phase.POST_MERGE, Phase.ACTIVE_MERGE),     # fresh data arrived
-    (Phase.LOSS_RECOVERY, Phase.ACTIVE_MERGE),  # the hole was filled
-})
-
-#: Flush reasons JugglerGRO may emit for buffered data (Table 2 plus the
-#: engine-internal bookkeeping reasons).  POLL_END / OUT_OF_SEQUENCE are
-#: the *standard* GRO's failure modes — Juggler emitting one is a bug.
-JUGGLER_FLUSH_REASONS: FrozenSet[FlushReason] = frozenset({
-    FlushReason.RETRANSMISSION,
-    FlushReason.SEGMENT_FULL,
-    FlushReason.FLAGS,
-    FlushReason.UNMERGEABLE,
-    FlushReason.INSEQ_TIMEOUT,
-    FlushReason.OFO_TIMEOUT,
-    FlushReason.EVICTION,
-    FlushReason.DUPLICATE,
-    FlushReason.SHUTDOWN,
-})
-
-#: Reasons for the event-driven (rows 1-4 of Table 2) in-sequence flushes.
-EVENT_FLUSH_REASONS: FrozenSet[FlushReason] = frozenset({
-    FlushReason.SEGMENT_FULL,
-    FlushReason.FLAGS,
-    FlushReason.UNMERGEABLE,
-})
+    """An engine left the spec (details in the message)."""
 
 
 class Sanitizer:
-    """Runtime invariant checker for the Juggler engine and its table.
-
-    One instance can serve any number of engines; it is stateless apart
-    from the ``checks_run`` counter (useful to assert coverage in tests).
-    """
+    """Arms every engine built while installed; ``checks_run`` counts the
+    steps compared, across all of them."""
 
     __slots__ = ("checks_run",)
 
     def __init__(self) -> None:
         self.checks_run = 0
 
-    # -- failure plumbing ----------------------------------------------------
+    def arm(self, gro) -> None:
+        """Shadow ``gro`` with a spec of its own from now on."""
+        Shadow(self, gro)
 
-    def _fail(self, what: str, *details: str) -> None:
-        lines = [f"JSAN: {what}"] + [f"  {d}" for d in details]
-        raise SanitizerError("\n".join(lines))
 
-    # -- Table 1: phase lifecycle --------------------------------------------
+class Shadow:
+    """One engine and its spec, compared step by step."""
 
-    def check_transition(self, entry, old_phase: Phase,
-                         new_phase: Phase) -> None:
-        """A ``gro_table.move`` must follow Table 1 / Figure 5."""
-        self.checks_run += 1
-        if old_phase is new_phase:
-            return  # re-enqueue at the tail: FIFO bookkeeping, not a move
-        if (old_phase, new_phase) not in LEGAL_TRANSITIONS:
-            self._fail(
-                f"illegal phase transition {old_phase.value} -> "
-                f"{new_phase.value}",
-                f"flow: {entry.key}",
-                "legal successors of "
-                f"{old_phase.value}: "
-                + (", ".join(sorted(t.value for f, t in LEGAL_TRANSITIONS
-                                    if f is old_phase)) or "(none)"),
-                "see Table 1 / Figure 5 of the paper",
-            )
+    def __init__(self, sanitizer: Sanitizer, gro) -> None:
+        self.sanitizer, self.gro, self.spec = sanitizer, gro, Spec(gro.config)
+        self.delivered: list = []
+        self.log: list = []
+        self.busy = False
+        for what, model in (("receive_batch", self.spec.poll),
+                            ("poll_complete", self.spec.poll_complete),
+                            ("check_timeouts", self.spec.timer),
+                            ("flush_all", self.spec.flush_all)):
+            setattr(gro, what, self._stepper(what, getattr(gro, what), model))
+        deliver_segment, log = gro._deliver_segment, self.log
 
-    def check_admission(self, table, entry) -> None:
-        """A new entry enters storage in build-up or active merge only."""
-        self.checks_run += 1
-        if entry.phase not in (Phase.BUILD_UP, Phase.ACTIVE_MERGE):
-            self._fail(
-                f"flow admitted to gro_table in phase {entry.phase.value}",
-                f"flow: {entry.key}",
-                "the transient INITIAL phase must resolve to build_up or "
-                "active_merge before storage (§4.2.1)",
-            )
-        if len(table) > table.capacity:
-            self._fail(
-                f"gro_table over capacity: {len(table)} > {table.capacity}",
-                f"flow: {entry.key}",
-                "caller must evict before admitting (§4.3)",
-            )
+        def delivered(segment, reason, now):
+            self.delivered.append((segment.flow, segment.seq, segment.end_seq, reason))
+            deliver_segment(segment, reason, now)
 
-    # -- Figure 4: list residency --------------------------------------------
+        gro._deliver_segment = delivered
+        # The table's own transitions, admissions and removals, in order.
+        table = gro.table
+        add, move, remove = table.add, table.move, table.remove
+        table.add = lambda e: (add(e), log.append((e.key, Phase.INITIAL, e.phase)))
+        table.move = lambda e, phase, now=0: (log.append((e.key, e.phase, phase)),
+                                             move(e, phase, now))
+        table.remove = lambda e: (log.append((e.key, e.phase, None)), remove(e))
 
-    def check_table(self, table) -> None:
-        """Full audit: residency, counts and every entry's invariants."""
-        self.checks_run += 1
-        violations = table.invariant_violations()
-        if violations:
-            self._fail("gro_table invariant violation", *violations)
+    def _stepper(self, what, body, model):
+        """``body`` (an engine method) as one step, then ``model`` with the
+        same arguments — the spec's method of the same signature."""
 
-    def check_flow(self, entry) -> None:
-        """Audit one entry (and its ofo queue) after a mutation."""
-        self.checks_run += 1
-        violations = entry.invariant_violations()
-        if violations:
-            self._fail(f"flow_entry invariant violation on {entry.key}",
-                       *violations)
+        def step(*args, **kwargs):
+            if self.busy:  # poll_complete's own sweep is part of its step
+                return body(*args, **kwargs)
+            self.busy = True
+            try:
+                body(*args, **kwargs)
+            finally:
+                self.busy = False
+            model(*args, **kwargs)
+            args += tuple(kwargs.values())
+            self._compare((what, args[-1]), args[0] if len(args) > 1 else ())
 
-    def check_ofo(self, entry) -> None:
-        """Audit only the ofo queue (post-insert hot-path hook)."""
-        self.checks_run += 1
-        violations = entry.ofo.invariant_violations()
-        if violations:
-            self._fail(f"ofo_queue invariant violation on {entry.key}",
-                       *violations)
+        return step
 
-    # -- Table 2: flush validity ---------------------------------------------
+    def _compare(self, where, packets) -> None:
+        self.sanitizer.checks_run += 1
+        gro, spec = self.gro, self.spec
+        illegal = [f"{old.value} -> {new.value}" for _, old, new in self.log
+                   if new is not None and old is not new and (old, new) not in TRANSITIONS]
+        if illegal:
+            _fail(where, "illegal phase transition " + ", ".join(illegal)
+                  + " (Table 1 / Figure 5)", self.log, spec.log)
+        _same(where, "deliveries (flow, seq, end_seq, reason)", self.delivered, spec.delivered)
+        _same(where, "phase transitions (flow, old, new)", self.log, spec.log)
+        touched = dict.fromkeys(p.flow for p in packets)
+        touched.update((row[0], None) for row in spec.delivered + spec.log)
+        flows = gro.table._flows
+        for key in touched:
+            entry = flows.get(key)
+            state = None if entry is None else (
+                entry.phase, entry.seq_next, entry.lost_seq, entry.hole_since,
+                entry.flush_timestamp, [(n.seq, n.end_seq) for n in entry.ofo.nodes])
+            if state != spec.state(key):
+                _fail(where, f"flow {key} (phase, seq_next, lost_seq, hole_since, "
+                      "flush_timestamp, runs) differs from the spec", state, spec.state(key))
+        for name, bucket in gro.table._lists.items():
+            if list(bucket) != list(spec.lists[name]):
+                _fail(where, f"the {name} list differs from the spec (Figure 4, FIFO "
+                      "order)", list(bucket), list(spec.lists[name]))
+        _same(where, "the flow index", list(flows), list(spec.flows))
+        _same(where, "next_deadline()", gro.next_deadline(), spec.next_deadline())
+        stats = gro.stats
+        _same(where, "GroStats (packets, flows_created, merges, duplicates, segments, "
+              "flush_reasons, evictions)",
+              (stats.packets, stats.flows_created, stats.merges, stats.duplicates,
+               stats.segments, stats.flush_reasons, stats.evictions),
+              (spec.packets, spec.flows_created, spec.merges, spec.duplicates,
+               sum(spec.reasons.values()), spec.reasons, spec.evictions))
+        for log in (self.delivered, self.log, spec.delivered, spec.log):
+            log.clear()
 
-    def check_event_flush(self, entry, reason: FlushReason) -> None:
-        """Rows 1-4 of Table 2: event-driven flush of an in-sequence head."""
-        self.checks_run += 1
-        if reason not in EVENT_FLUSH_REASONS:
-            self._fail(
-                f"event-driven flush tagged {reason.value}",
-                f"flow: {entry.key}",
-                "event checks may only flush for segment_full, flags or "
-                "unmergeable (Table 2 rows 1-4)",
-            )
-        head = entry.ofo.head
-        if head is None or head.seq != entry.seq_next:
-            self._fail(
-                f"{reason.value} flush of a head that is not in sequence",
-                f"flow: {entry.key}",
-                f"head seq: {None if head is None else head.seq}, "
-                f"seq_next: {entry.seq_next}",
-            )
 
-    def check_inseq_timeout(self, entry, now: int, timeout: int) -> None:
-        """Row 5 of Table 2: the in-sequence clock must have expired."""
-        self.checks_run += 1
-        if not entry.head_in_sequence:
-            self._fail(
-                "inseq_timeout flush without an in-sequence head",
-                f"flow: {entry.key}",
-                f"head seq: "
-                f"{None if entry.ofo.head is None else entry.ofo.head.seq}, "
-                f"seq_next: {entry.seq_next}",
-            )
-        elapsed = now - entry.flush_timestamp
-        if elapsed < timeout:
-            self._fail(
-                "inseq_timeout flush before the timeout expired",
-                f"flow: {entry.key}",
-                f"elapsed: {elapsed}ns < inseq_timeout: {timeout}ns",
-            )
+def _same(where: tuple, what: str, engine, spec) -> None:
+    if engine != spec:
+        _fail(where, f"{what} differ from the spec", engine, spec)
 
-    def check_ofo_timeout(self, entry, now: int, timeout: int) -> None:
-        """Row 6 of Table 2: an armed hole must have aged past timeout."""
-        self.checks_run += 1
-        if entry.hole_since is None:
-            self._fail(
-                "ofo_timeout flush with no hole armed",
-                f"flow: {entry.key}",
-                "hole_since is None — nothing was presumed lost",
-            )
-        elapsed = now - entry.hole_since
-        if elapsed < timeout:
-            self._fail(
-                "ofo_timeout flush before the timeout expired",
-                f"flow: {entry.key}",
-                f"elapsed: {elapsed}ns < ofo_timeout: {timeout}ns",
-            )
 
-    def check_flush_reason(self, flow, reason: FlushReason) -> None:
-        """Juggler never emits the standard-GRO failure reasons."""
-        self.checks_run += 1
-        if reason not in JUGGLER_FLUSH_REASONS:
-            self._fail(
-                f"Juggler flushed with reason {reason.value}",
-                f"flow: {flow}",
-                "poll_end / out_of_sequence / passthrough are standard-GRO "
-                "reasons; Juggler emitting one means the resilient path "
-                "was bypassed",
-            )
-
-    # -- §4.3: eviction preference -------------------------------------------
-
-    def check_eviction(self, table, victim, policy: str) -> None:
-        """The victim must respect the configured preference order."""
-        self.checks_run += 1
-        if policy == "fifo":
-            return
-        if policy == "inactive_first":
-            order = ("inactive", "active", "loss_recovery")
-        elif policy == "active_first":
-            order = ("active", "loss_recovery", "inactive")
-        else:
-            self._fail(f"unknown eviction policy {policy!r}")
-            return
-        victim_list = victim.phase.list_name
-        lens = {
-            "active": table.active_len,
-            "inactive": table.inactive_len,
-            "loss_recovery": table.loss_recovery_len,
-        }
-        for list_name in order:
-            if lens[list_name] > 0:
-                if victim_list != list_name:
-                    self._fail(
-                        f"eviction from the {victim_list} list while the "
-                        f"{list_name} list is non-empty",
-                        f"victim: {victim.key} (phase "
-                        f"{victim.phase.value})",
-                        f"policy {policy!r} prefers: "
-                        + " > ".join(order),
-                        f"list lengths: {lens}",
-                    )
-                return
-        self._fail("eviction from an empty table",
-                   f"victim: {victim.key}")
-
+def _fail(where: tuple, what: str, engine, spec) -> None:
+    raise SanitizerError(f"JSAN: {what}, after {where[0]} at t={where[1]}\n"
+                         f"  engine: {engine}\n  spec:   {spec}")

@@ -35,8 +35,6 @@ class FlowEntry:
         "lost_seq",
         "phase",
         "hole_since",
-        "created_at",
-        "last_seen",
     )
 
     def __init__(self, key: FiveTuple, now: int, max_payload: Optional[int] = None):
@@ -54,8 +52,6 @@ class FlowEntry:
         #: When the head of the OOO queue first stopped being in-sequence
         #: (a "hole" appeared); arms the ofo_timeout.  None = no hole.
         self.hole_since: Optional[int] = None
-        self.created_at = now
-        self.last_seen = now
 
     @property
     def has_hole(self) -> bool:
@@ -95,53 +91,6 @@ class FlowEntry:
         assert self.seq_next is not None
         if end_seq > self.seq_next:
             self.seq_next = end_seq
-
-    def invariant_violations(self) -> list:
-        """Per-entry audit for JSAN (see :mod:`repro.analysis.sanitizer`).
-
-        Checks the cross-field contracts the engine maintains between
-        hook points: ``seq_next`` known once past build-up, ``lost_seq``
-        set exactly in loss recovery (§4.2.5), post-merge entries drained
-        (§4.2.4), ``hole_since`` armed iff a hole exists, the head run at
-        or past ``seq_next``, and the ofo queue's own structure.
-        """
-        violations = []
-        if self.phase in (Phase.ACTIVE_MERGE, Phase.POST_MERGE,
-                          Phase.LOSS_RECOVERY) and self.seq_next is None:
-            violations.append(
-                f"phase {self.phase.value} but seq_next is unknown "
-                "(only initial/build_up may still be learning)")
-        if (self.lost_seq is not None) != (self.phase is Phase.LOSS_RECOVERY):
-            violations.append(
-                f"lost_seq={self.lost_seq} in phase {self.phase.value} "
-                "(must be set exactly while in loss_recovery, §4.2.5)")
-        if self.phase is Phase.POST_MERGE:
-            if self.ofo:
-                violations.append(
-                    f"post_merge entry still buffers {len(self.ofo)} "
-                    "run(s); the inactive list must hold drained flows "
-                    "only (§4.2.4)")
-            if self.hole_since is not None:
-                violations.append(
-                    "post_merge entry has an armed hole; it would never "
-                    "be swept (inactive flows carry no deadlines)")
-        if self.hole_since is not None and not self.has_hole:
-            violations.append(
-                f"hole_since={self.hole_since} armed but the queue head "
-                "is in sequence — a phantom ofo_timeout would fire")
-        if self.has_hole and self.hole_since is None:
-            violations.append(
-                "a hole exists but hole_since is unarmed — its "
-                "ofo_timeout would never fire")
-        head = self.ofo.head
-        if (head is not None and self.seq_next is not None
-                and head.seq < self.seq_next):
-            violations.append(
-                f"head run starts at {head.seq}, below seq_next "
-                f"{self.seq_next} — stale bytes the flush logic cannot "
-                "release")
-        violations.extend(self.ofo.invariant_violations())
-        return violations
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -14,9 +14,8 @@ complexity profile as the kernel's doubly linked lists.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
-from repro.analysis import runtime as sanitize_runtime
 from repro.core.flow_entry import FlowEntry
 from repro.core.phases import Phase
 from repro.net.addr import FiveTuple
@@ -32,10 +31,6 @@ class GroTable:
         #: Optional :class:`~repro.trace.tracer.Tracer` for phase events;
         #: set by the owning engine, None when tracing is disabled.
         self.tracer = None
-        #: Optional :class:`~repro.analysis.sanitizer.Sanitizer` (JSAN);
-        #: None when sanitizing is disabled, so every hook below costs one
-        #: identity test on the hot path.
-        self.sanitizer = sanitize_runtime.current()
         self._flows: Dict[FiveTuple, FlowEntry] = {}
         self._lists: Dict[str, Dict[FiveTuple, FlowEntry]] = {
             "active": {},
@@ -84,8 +79,6 @@ class GroTable:
             raise ValueError("gro_table is full; evict first")
         self._flows[entry.key] = entry
         self._lists[entry.phase.list_name][entry.key] = entry
-        if self.sanitizer is not None:
-            self.sanitizer.check_admission(self, entry)
 
     def move(self, entry: FlowEntry, phase: Phase, now: int = 0) -> None:
         """Transition ``entry`` to ``phase``, re-homing it on the right list.
@@ -95,8 +88,6 @@ class GroTable:
         trace event when tracing is enabled.
         """
         old_phase = entry.phase
-        if self.sanitizer is not None:
-            self.sanitizer.check_transition(entry, old_phase, phase)
         old_list = self._lists[old_phase.list_name]
         old_list.pop(entry.key, None)
         entry.phase = phase
@@ -133,49 +124,6 @@ class GroTable:
             if bucket:
                 return next(iter(bucket.values()))
         raise LookupError("gro_table lists are inconsistent")
-
-    def invariant_violations(self) -> List[str]:
-        """Figure 4 audit for JSAN: every tracked flow resident in exactly
-        one list, stored where its phase says, with the per-list length
-        gauges (:attr:`active_len` & friends) consistent with the index —
-        plus each entry's own invariants.  Returns human-readable
-        violation strings; empty means healthy."""
-        violations: List[str] = []
-        seen: Dict[FiveTuple, str] = {}
-        for list_name, bucket in self._lists.items():
-            for key, entry in bucket.items():
-                if key in seen:
-                    violations.append(
-                        f"flow {key} resident on both the {seen[key]} "
-                        f"and {list_name} lists")
-                seen[key] = list_name
-                if entry.phase.list_name != list_name:
-                    violations.append(
-                        f"flow {key} in phase {entry.phase.value} stored "
-                        f"on the {list_name} list (belongs on "
-                        f"{entry.phase.list_name})")
-                if self._flows.get(key) is not entry:
-                    violations.append(
-                        f"flow {key} on the {list_name} list but absent "
-                        "from (or stale in) the table index")
-        for key in self._flows:
-            if key not in seen:
-                violations.append(
-                    f"flow {key} tracked but resident on no list")
-        gauge_total = (self.active_len + self.inactive_len
-                       + self.loss_recovery_len)
-        if gauge_total != len(self._flows):
-            violations.append(
-                f"list length gauges sum to {gauge_total} but the table "
-                f"tracks {len(self._flows)} flow(s)")
-        if len(self._flows) > self.capacity:
-            violations.append(
-                f"table holds {len(self._flows)} flows, over its "
-                f"capacity {self.capacity}")
-        for key, entry in self._flows.items():
-            for violation in entry.invariant_violations():
-                violations.append(f"flow {key}: {violation}")
-        return violations
 
     def deadline_lists(self) -> tuple:
         """Flows that may have pending timeout work (non-empty OOO queues

@@ -44,21 +44,14 @@ class JugglerGRO(GroEngine):
         self.config = config if config is not None else JugglerConfig()
         self.table = GroTable(self.config.table_capacity)
         self.table.tracer = self.tracer
-        #: None = sanitizing disabled (the common case); every hook below
-        #: guards on this, so the hot path pays one identity test and
-        #: allocates nothing — the same contract as ``self.tracer``.
-        self.sanitizer = sanitize_runtime.current()
-        self.table.sanitizer = self.sanitizer
+        sanitizer = sanitize_runtime.current()
+        if sanitizer is not None:
+            sanitizer.arm(self)  # JSAN: the spec shadows this instance
 
     def attach_tracer(self, tracer) -> None:
         """Enable tracing on engine and table together."""
         super().attach_tracer(tracer)
         self.table.tracer = tracer
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Enable (or with None, disable) JSAN on engine and table."""
-        self.sanitizer = sanitizer
-        self.table.sanitizer = sanitizer
 
     # -- public state inspection (Figs. 15, 16 sample these) ----------------
 
@@ -105,14 +98,13 @@ class JugglerGRO(GroEngine):
 
         The only body of lookup → admit → build-up/established → event
         checks (rows 1-4 of Table 2: "in-sequence packet flushing decisions
-        are made after merging every packet", Figure 2 caption) → sanitizer.
+        are made after merging every packet", Figure 2 caption).
         Engine-level lookups are hoisted out of the loop and the common
         packet — established flow, at or past ``seq_next`` — reads the
         queue's ``nodes`` and the segments' slots directly.
         """
         accountant = self.accountant
         tracer = self.tracer
-        sanitizer = self.sanitizer
         stats = self.stats
         table = self.table
         flows = table._flows
@@ -141,16 +133,11 @@ class JugglerGRO(GroEngine):
             entry = flows.get(packet.flow)
             if entry is None:
                 entry = self._admit_new_flow(packet, now)
-            entry.last_seen = now
             phase = entry.phase
             if phase is not buildup and packet.seq < entry.seq_next:
                 self._receive_old_data(entry, packet, now)
             else:
-                if phase is buildup:
-                    # seq_next may still move backwards while we learn it
-                    # (§4.2.2).
-                    entry.learn_seq_next(packet.seq)
-                elif phase is post_merge:
+                if phase is post_merge:
                     # Fresh data after a quiescent period: back to active
                     # merging.
                     table.move(entry, active_merge, now)
@@ -165,6 +152,11 @@ class JugglerGRO(GroEngine):
                     stats.duplicates += 1
                     self._deliver_packet(packet, FlushReason.DUPLICATE, now)
                 else:
+                    if phase is buildup:
+                        # seq_next may still move backwards while we learn
+                        # it (§4.2.2) — from buffered bytes only: a
+                        # duplicate straddling a run must not open a hole.
+                        entry.learn_seq_next(packet.seq)
                     if result.merged:
                         stats.merges += 1
                         if accountant is not None:
@@ -177,8 +169,6 @@ class JugglerGRO(GroEngine):
                         entry.hole_since = None
                     elif entry.hole_since is None:
                         entry.hole_since = now
-                    if sanitizer is not None:
-                        sanitizer.check_ofo(entry)
             # Flush in-sequence head runs that meet an event-driven condition.
             nodes = entry.ofo.nodes
             while nodes:
@@ -209,8 +199,6 @@ class JugglerGRO(GroEngine):
                 entry.hole_since = None
             elif entry.hole_since is None:
                 entry.hole_since = now
-            if sanitizer is not None:
-                sanitizer.check_flow(entry)
 
     def _admit_new_flow(self, packet: Packet, now: int) -> FlowEntry:
         """Initial phase: create the entry, evicting if the table is full."""
@@ -280,8 +268,6 @@ class JugglerGRO(GroEngine):
             self.table.move(entry, Phase.POST_MERGE, now)
 
     def _flush_head(self, entry: FlowEntry, reason: FlushReason, now: int) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.check_event_flush(entry, reason)
         node = entry.ofo.pop_head()
         if entry.phase is Phase.BUILD_UP:
             self.table.move(entry, Phase.ACTIVE_MERGE, now)
@@ -296,8 +282,6 @@ class JugglerGRO(GroEngine):
         if self.accountant is not None:
             self.accountant.on_poll()
         self.check_timeouts(now)
-        if self.sanitizer is not None:
-            self.sanitizer.check_table(self.table)
 
     def check_timeouts(self, now: int) -> None:
         """inseq/ofo timeout sweep — poll completions and the hrtimer."""
@@ -339,12 +323,7 @@ class JugglerGRO(GroEngine):
     def _inseq_timeout_fire(self, entry: FlowEntry, now: int) -> None:
         """Flush the in-order run at the head — don't delay it any longer."""
         assert entry.seq_next is not None
-        if self.sanitizer is not None:
-            self.sanitizer.check_inseq_timeout(entry, now,
-                                               self.config.inseq_timeout)
         run = entry.ofo.pop_inseq_run(entry.seq_next)
-        if not run:
-            return
         if entry.phase is Phase.BUILD_UP:
             self.table.move(entry, Phase.ACTIVE_MERGE, now)
         for node in run:
@@ -361,14 +340,7 @@ class JugglerGRO(GroEngine):
         """The missing packet is presumed lost: flush everything, enter loss
         recovery (§4.2.5, Figure 7)."""
         assert entry.seq_next is not None
-        if self.sanitizer is not None:
-            self.sanitizer.check_ofo_timeout(entry, now,
-                                             self.config.ofo_timeout)
         nodes = entry.ofo.pop_all()
-        if entry.phase is Phase.BUILD_UP:
-            # A duplicate that straddles a buffered run still lowered the
-            # learnt seq_next below it; this flush ends build-up (Table 1).
-            self.table.move(entry, Phase.ACTIVE_MERGE, now)
         if entry.phase is not Phase.LOSS_RECOVERY:
             # Remember only the *first* lost packet (best-effort design).
             entry.lost_seq = entry.seq_next
@@ -398,15 +370,13 @@ class JugglerGRO(GroEngine):
                         deadline = candidate
         return deadline
 
-    # -- delivery interposition (Table 2 reason validity) ---------------------
+    # -- delivery -------------------------------------------------------------
 
     def _deliver_segment(self, segment: Segment, reason: FlushReason,
                          now: int) -> None:
-        """:meth:`GroEngine._deliver_segment` with the reason check and with
+        """:meth:`GroEngine._deliver_segment` with
         :meth:`GroStats.record_delivery` done here: one call per segment."""
         flow = segment.flow
-        if self.sanitizer is not None:
-            self.sanitizer.check_flush_reason(flow, reason)
         segment.flushed_at = now
         seq = segment.seq
         end_seq = segment.end_seq
@@ -429,9 +399,6 @@ class JugglerGRO(GroEngine):
 
     def _evict(self, entry: FlowEntry, now: int) -> None:
         """Flush all of a victim's packets and drop its state (§4.3)."""
-        if self.sanitizer is not None:
-            self.sanitizer.check_eviction(self.table, entry,
-                                          self.config.eviction_policy)
         self.stats.record_eviction(entry.phase)
         if self.tracer is not None:
             self.tracer.eviction(now, entry.key, entry.phase)

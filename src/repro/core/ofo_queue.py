@@ -203,42 +203,6 @@ class OfoQueue:
             expect = node.end_seq
         return popped
 
-    def invariant_violations(self) -> List[str]:
-        """Structural audit for JSAN (see :mod:`repro.analysis.sanitizer`).
-
-        The queue must hold strictly increasing, non-overlapping,
-        non-empty runs, each within the configured payload cap.  Returns
-        human-readable violation strings; empty means healthy.
-        """
-        violations: List[str] = []
-        prev_end: Optional[int] = None
-        for i, node in enumerate(self.nodes):
-            if node.seq >= node.end_seq:
-                violations.append(
-                    f"node[{i}] is empty or inverted: "
-                    f"[{node.seq}, {node.end_seq})")
-            if prev_end is not None:
-                if node.seq < prev_end:
-                    violations.append(
-                        f"node[{i}] starting at {node.seq} overlaps the "
-                        f"previous run ending at {prev_end}")
-                elif node.seq == prev_end and i > 0:
-                    # Touching runs are legal (header mismatch keeps them
-                    # unmerged) — only out-of-order starts are not.
-                    pass
-            if prev_end is not None and node.seq < self.nodes[i - 1].seq:
-                violations.append(
-                    f"node[{i}] at {node.seq} breaks sequence "
-                    f"monotonicity (previous starts at "
-                    f"{self.nodes[i - 1].seq})")
-            if (self.max_payload is not None
-                    and node.payload_len > self.max_payload):
-                violations.append(
-                    f"node[{i}] holds {node.payload_len} payload bytes, "
-                    f"over the {self.max_payload} cap")
-            prev_end = node.end_seq
-        return violations
-
     def covers(self, seq: int) -> bool:
         """True if byte ``seq`` is currently buffered."""
         for node in self.nodes:

@@ -5,7 +5,7 @@ they emit *events* ("scanned 3 nodes", "flushed a 44-MTU segment") through a
 :class:`GroCpuAccountant`, which prices them from ``DEFAULT_COSTS`` and
 charges the RX core meter.  Experiments that don't study CPU attach no
 accountant: ``GroEngine.accountant`` is ``None`` and every charge site guards
-on it, like ``tracer`` and ``sanitizer`` (zero calls into ``repro/cpu``,
+on it, like ``tracer`` (zero calls into ``repro/cpu``,
 pinned by ``tests/integration/test_layer_budgets.py``).
 """
 

@@ -15,9 +15,9 @@ name, so the three engines face identical fabric and workload randomness —
 and all randomness flows through named ``sim.rng`` streams.  Same seed ⇒
 byte-identical result rows, which the campaign fingerprinting relies on.
 
-Run with ``JUGGLER_SANITIZE=1`` to have the invariant sanitizer re-prove
-Table 1 transition legality, Table 2 flush validity, and the §4.3 eviction
-order on every packet of every cell.
+Run with ``JUGGLER_SANITIZE=1`` to hold every Juggler engine of every cell
+to the Table 1 / Table 2 / §4.3 spec (:mod:`repro.analysis.spec`) after
+every poll.
 """
 
 from __future__ import annotations

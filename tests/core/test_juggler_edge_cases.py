@@ -83,18 +83,20 @@ def test_duplicate_during_buildup():
 
 
 def test_straddling_duplicate_during_buildup_keeps_table_1_legal():
-    """A duplicate that starts below the only buffered run still lowers the
-    learnt ``seq_next``, opening a hole under it; its OFO timeout ends
-    build-up before loss recovery, the one legal path (JSAN checks it)."""
+    """A duplicate that starts below the only buffered run is handed up and
+    teaches build-up nothing: ``seq_next`` stays at the run, no hole opens,
+    and the run leaves on its in-sequence timeout, ending build-up (JSAN
+    holds the engine to the spec throughout)."""
     with sanitizing():
         harness = harness_with()
     harness.receive(pkt(MSS + MSS // 2), now=0)
     harness.receive(pkt(MSS), now=1)       # overlaps: a duplicate
-    assert harness.entry().seq_next == MSS
+    assert harness.entry().seq_next == MSS + MSS // 2
+    assert harness.entry().hole_since is None
     harness.engine.check_timeouts(now=60 * US)
-    assert harness.entry().phase is Phase.LOSS_RECOVERY
+    assert harness.entry().phase is Phase.POST_MERGE
     assert harness.reasons() == [FlushReason.DUPLICATE,
-                                 FlushReason.OFO_TIMEOUT]
+                                 FlushReason.INSEQ_TIMEOUT]
 
 
 def test_options_split_batches_but_preserve_order():

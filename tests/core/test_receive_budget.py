@@ -29,6 +29,9 @@ timeout walks iterate ``GroTable.deadline_lists()`` with the
 head-in-sequence test as slot reads.
 """
 
+import pytest
+
+from repro.analysis import runtime as sanitize_runtime
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
 from repro.core.standard_gro import StandardGRO
@@ -44,6 +47,16 @@ PROBE = ("net/addr.py", "__hash__")
 INSERT = ("core/ofo_queue.py", "insert")
 
 
+@pytest.fixture(autouse=True)
+def _unsanitized():
+    """The budgets are the unsanitized path's: every rig builds its engine
+    with JSAN uninstalled (an armed engine's steps run the spec too)."""
+    saved = sanitize_runtime._current, sanitize_runtime._env_checked
+    sanitize_runtime.uninstall()
+    yield
+    sanitize_runtime._current, sanitize_runtime._env_checked = saved
+
+
 def per_unit(rig, n=20):
     """``(file, function) -> calls`` per unit of ``rig``, exact."""
     marginal = marginal_calls(rig(n), rig(2 * n))
@@ -55,7 +68,6 @@ def established():
     """An engine holding FLOW past BUILD_UP, its queue drained (built here,
     outside any count)."""
     gro = JugglerGRO(lambda segment: None, JugglerConfig())
-    gro.attach_sanitizer(None)  # the budget is the unsanitized path's
     for k in range(3):
         gro.receive(Packet(FLOW, k * MSS, MSS), 0)
     gro.check_timeouts(51 * US)  # inseq_timeout: out of BUILD_UP
@@ -111,7 +123,6 @@ def sweep_rig(flows: int):
     whose in-sequence heads are not yet due, plus one that fires."""
     gro = JugglerGRO(lambda segment: None,
                      JugglerConfig(table_capacity=2 * flows + 1))
-    gro.attach_sanitizer(None)
     gro.receive(Packet(FiveTuple(9, 2, 999, 80), 0, MSS), 0)
     for i in range(flows):
         gro.receive(Packet(FiveTuple(1, 2, 2000 + i, 80), 0, MSS), 40 * US)

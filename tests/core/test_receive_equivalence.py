@@ -1,7 +1,11 @@
-"""The flat per-packet path against the helper chain it replaced, through
-``tests/differential.py``: ``JugglerGRO`` against ``reference_juggler.py``'s
-``receive_batch`` / ``_event_checks`` / ``_after_flush_transitions`` /
-``OfoQueue.insert`` / ``_deliver_segment``."""
+"""``JugglerGRO`` against the spec, through ``tests/differential.py``: each
+engine is built under JSAN, whose shadow runs :mod:`repro.analysis.spec`
+(Tables 1-2 and §4.3, written from the paper) beside it and compares
+deliveries, phase transitions, flow state, lists, deadlines and counters
+after every poll, completion, hrtimer sweep and ``flush_all``.  What the
+spec cannot see — ``nodes_scanned``, CPU charges, trace events — is pinned
+by ``test_receive_budget.py``, ``test_receive_path_spec.py``, the golden
+rows and the e2e digests."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -15,15 +19,16 @@ from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.sim.time import US
 
-from ..differential import PSH, assert_equivalent, feed, spiced_polls
-from .reference_juggler import ReferenceJugglerGRO
+from ..differential import PSH, Side, feed, replay, spiced_polls
 
 
-def run_both(polls, config, **kw):
-    return assert_equivalent(
-        lambda deliver, cpu: JugglerGRO(deliver, config, cpu),
-        lambda deliver, cpu: ReferenceJugglerGRO(deliver, config, cpu),
-        polls, **kw)
+def against_spec(polls, config, accounted=False, traced=False):
+    """One engine under its JSAN shadow through ``polls``: engine and spec."""
+    side = Side(lambda deliver, cpu: JugglerGRO(deliver, config, cpu),
+                "receive_batch", accounted, traced)
+    replay([side], polls)
+    assert side.sanitizer.checks_run > len(polls)  # the shadow compared
+    return side
 
 
 @given(seed=st.integers(0, 1 << 16), flows=st.integers(1, 10),
@@ -33,12 +38,12 @@ def run_both(polls, config, **kw):
        segment_mss=st.sampled_from((3, 8, 44)),
        buildup=st.booleans(), accounted=st.booleans(), traced=st.booleans())
 @settings(max_examples=80, deadline=None, derandomize=True)
-def test_flat_path_equals_the_helper_chain(seed, flows, pkts, window, spice,
+def test_engine_equals_the_spec(seed, flows, pkts, window, spice,
                                            capacity, segment_mss, buildup,
                                            accounted, traced):
     config = JugglerConfig(table_capacity=capacity, enable_buildup=buildup,
                            max_segment_bytes=segment_mss * MSS + 100)
-    run_both(spiced_polls(seed, flows, pkts, window, spice), config,
+    against_spec(spiced_polls(seed, flows, pkts, window, spice), config,
              accounted=accounted, traced=traced)
 
 
@@ -46,7 +51,7 @@ def test_mix_reaches_every_branch():
     """The generator is not vacuous: one mid-sized draw fires every flush
     reason, evicts, finds duplicates and scans for stragglers."""
     config = JugglerConfig(table_capacity=4, max_segment_bytes=8 * MSS + 100)
-    stats = run_both(spiced_polls(2, 12, 40, 6, 0.2), config).gro.stats
+    stats = against_spec(spiced_polls(2, 12, 40, 6, 0.2), config).gro.stats
     standard_only = {FlushReason.POLL_END, FlushReason.OUT_OF_SEQUENCE,
                      FlushReason.PASSTHROUGH}
     assert set(stats.flush_reasons) == set(FlushReason) - standard_only
@@ -58,6 +63,10 @@ def test_mix_reaches_every_branch():
 FLOW = FiveTuple(1, 2, 1000, 80)
 
 
+def data(k, flags=TcpFlags.ACK):
+    return Packet(FLOW, k * MSS, MSS, flags=flags)
+
+
 def test_hole_clock_restarts_after_a_fill_and_flush():
     """Trap: the per-packet path refreshes the hole clock after the insert
     and again after the event checks, and the two do not collapse.  The
@@ -65,17 +74,13 @@ def test_hole_clock_restarts_after_a_fill_and_flush():
     as SEGMENT_FULL and leaves a detached run, whose clock starts at *this*
     poll's ``now`` — not at the time of the hole the packet just filled."""
     config = JugglerConfig(enable_buildup=False, max_segment_bytes=3 * MSS)
-
-    def data(k, flags=TcpFlags.ACK):
-        return Packet(FLOW, k * MSS, MSS, flags=flags)
-
     t0, t1 = 1 * US, 9 * US
     polls = [
         (0, [data(0, PSH)], True, 0),                  # seq_next = 1 MSS
         (t0, [data(2), data(3), data(5)], True, t0),   # hole at 1 since t0
         (t1, [data(1)], True, t1),                     # fills: [1, 4) full
     ]
-    new = run_both(polls, config)
+    new = against_spec(polls, config)
     # The harness drained the engines; replay to look at the state between.
     gro = JugglerGRO(lambda segment: None, config)
     for now, packets, _, _ in polls:
@@ -86,3 +91,4 @@ def test_hole_clock_restarts_after_a_fill_and_flush():
         [(5 * MSS, 6 * MSS)]
     assert entry.hole_since == t1
     assert FlushReason.SEGMENT_FULL in new.gro.stats.flush_reasons
+

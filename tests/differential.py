@@ -1,4 +1,4 @@
-"""One differential harness for the receive path.
+"""One differential harness for the receive path and the link hop.
 
 Two GRO engines — two bodies (a live engine against the reference body it
 replaced) or one body fed two ways (per-packet ``receive`` against
@@ -6,10 +6,15 @@ replaced) or one body fed two ways (per-packet ``receive`` against
 writes to a packet) and must be the same machine after every poll, poll
 completion, hrtimer sweep and the final ``flush_all``: every field of
 :func:`snapshot` equal, where a field an engine lacks reads as empty.  Each
-engine is built under its own JSAN sanitizer.
+engine is built under its own JSAN sanitizer, so a Juggler side is also
+held to the spec (:mod:`repro.analysis.spec`) after every step; one side
+alone through :func:`replay` is the engine-against-spec check.
 
 A new pair is one call, ``assert_equivalent(make_a, make_b, polls)``, with
-``make(deliver, accountant)`` building an engine.
+``make(deliver, accountant)`` building an engine.  Two links are one call
+too, ``assert_links_equivalent(link_a, link_b, schedule, ...)``: the
+arrivals are posted on a simulation engine that logs every event, and the
+snapshot is the deliveries, ``LinkStats`` and that event log.
 """
 
 import dataclasses
@@ -24,6 +29,7 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
+from repro.sim.engine import Engine
 from repro.sim.time import US
 from repro.trace.sinks import CallbackSink
 from repro.trace.tracer import Tracer
@@ -76,9 +82,10 @@ def reordered_stream(flows, pkts, *, window=8, spice=0.0, burst=16,
                     old = rng.choice(arrived)
                     arrived.append(Packet(flow, old.seq, old.payload_len))
                 elif roll < 2 * spice:
-                    # Half old, half new once its first half is flushed.
-                    arrived.append(Packet(
-                        flow, rng.choice(arrived).seq + MSS // 2, MSS))
+                    # Half old, half new once its first half is flushed;
+                    # four MSS wide, it may pass whole buffered runs.
+                    arrived.append(Packet(flow, rng.choice(arrived).seq
+                                          + MSS // 2, MSS * rng.choice((1, 4))))
                 elif roll < 2.5 * spice:
                     arrived.append(Packet(flow, packet.seq, 0))
         per_flow.append(arrived)
@@ -153,7 +160,7 @@ class Side:
     def __init__(self, make, how, accounted, traced):
         self.how, self.delivered, self.events = how, [], []
         self.meter = RecordingMeter()
-        with sanitizing():
+        with sanitizing() as self.sanitizer:
             self.gro = make(self._deliver, GroCpuAccountant(self.meter)
                             if accounted else None)
         if traced:
@@ -185,7 +192,7 @@ def snapshot(side):
     table = getattr(gro, "table", None)
     state["table"] = [] if table is None else [
         (name, str(e.key), e.phase, e.seq_next, e.lost_seq, e.hole_since,
-         e.flush_timestamp, e.last_seen, [_run(n) for n in e.ofo.nodes])
+         e.flush_timestamp, [_run(n) for n in e.ofo.nodes])
         for name, bucket in table._lists.items() for e in bucket.values()
     ] + [str(key) for key in table._flows]
     state["held"] = [(str(flow), _run(segment))
@@ -202,12 +209,23 @@ def assert_equivalent(make_a, make_b, polls, *, feed_a="receive_batch",
     sides = (Side(make_a, feed_a, accounted, traced),
              Side(make_b, feed_b, accounted, traced))
 
-    def step(when, act):
-        for side in sides:
-            act(side)
+    def compare(when):
         left, right = map(snapshot, sides)
         for field, value in left.items():
             assert value == right[field], (field, when)
+
+    return replay(sides, polls, compare)[0]
+
+
+def replay(sides, polls, check=lambda when: None):
+    """Hand every side each poll, completion, hrtimer sweep and the final
+    ``flush_all``, calling ``check(when)`` after each; returns ``sides``.
+    A Juggler side alone is checked against the spec by its JSAN shadow."""
+
+    def step(when, act):
+        for side in sides:
+            act(side)
+        check(when)
 
     for index, (now, packets, complete, timer_at) in enumerate(polls):
         step(("poll", index), lambda s: feed(s.gro, packets, now, s.how))
@@ -217,4 +235,73 @@ def assert_equivalent(make_a, make_b, polls, *, feed_a="receive_batch",
             step(("timer", index), lambda s: s.gro.check_timeouts(timer_at))
             now = timer_at
     step("flush_all", lambda s: s.gro.flush_all(now + 1))
-    return sides[0]
+    return sides
+
+
+# -- the link hop ----------------------------------------------------------------
+
+LINK_FLOW = FiveTuple(1, 2, 1000, 80)
+
+
+class RecordingEngine(Engine):
+    """Logs ``(time, seq, callback name)`` of every event scheduled."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def post(self, delay, callback, *args):
+        self.log.append((self.now + delay, self.events_allocated,
+                         callback.__name__))
+        super().post(delay, callback, *args)
+
+    def post_at(self, time, callback, *args):
+        self.log.append((time, self.events_allocated, callback.__name__))
+        super().post_at(time, callback, *args)
+
+
+def link_run(link_class, schedule, priorities, capacity, ecn, prop_delay_ns,
+             clamp):
+    """Feed ``schedule`` — ``(gap ns, priority, payload)`` arrivals — into a
+    link from the engine, with an optional ``(at, for, capacity)``
+    ``queue_saturation`` clamp; returns the snapshot: ``(seq, time, ce)``
+    per delivery, ``astuple(LinkStats)`` and the engine's event log."""
+    engine = RecordingEngine()
+    delivered = []
+
+    class Sink:
+        def receive(self, packet):
+            delivered.append((packet.seq, engine.now, packet.ce))
+
+    link = link_class(engine, 10.0, Sink(), prop_delay_ns=prop_delay_ns,
+                      priorities=priorities, capacity_bytes=capacity,
+                      ecn_threshold_bytes=ecn)
+
+    def arrive(i, priority, size):
+        link.enqueue(Packet(LINK_FLOW, i, size, priority=priority))
+
+    def set_capacity(value):
+        link.capacity_bytes = value
+
+    at = 0
+    for i, (gap, priority, size) in enumerate(schedule):
+        at += gap
+        engine.post_at(at, arrive, i, priority, size)
+    if clamp is not None:
+        start, length, clamped = clamp
+        engine.post_at(start, set_capacity, clamped)
+        engine.post_at(start + length, set_capacity, capacity)
+    engine.run()
+    assert link._queued_bytes == 0 and not link._busy
+    return delivered, dataclasses.astuple(link.stats), engine.log
+
+
+def assert_links_equivalent(link_a, link_b, *config):
+    """Both links through the same arrivals: every delivery instant, drop,
+    CE mark, counter and posted event equal; returns A's snapshot."""
+    delivered, stats, log = link_run(link_a, *config)
+    ref_delivered, ref_stats, ref_log = link_run(link_b, *config)
+    assert delivered == ref_delivered
+    assert stats == ref_stats
+    assert log == ref_log
+    return delivered, stats, log

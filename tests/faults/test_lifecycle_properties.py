@@ -3,15 +3,17 @@
 Satellite of the fault-injection PR: whatever the fault pattern, the
 Juggler lifecycle must keep to the paper's contracts —
 
-* every phase transition is Table 1 / Figure 5 legal (JSAN enforces this
-  at the moment of the move; the tests also assert it post-hoc);
+* every phase transition is Table 1 / Figure 5 legal (JSAN checks each
+  step's transitions against the spec; the tests also assert it post-hoc);
 * loss recovery is entered only from active merging via an ``ofo_timeout``
   and exited only back to active merging when the hole is filled;
 * a flow in loss recovery is never evicted while an avoidable victim (an
   inactive or plain-active flow) exists (§4.3).
 
-The sanitizer stays attached throughout, so any violation fails the test
-at its source rather than as a downstream symptom.
+Every engine is built under JSAN, whose shadow holds it to the spec after
+every step, so any violation fails the test at its source rather than as
+a downstream symptom; the transcript below is the tracer's phase and
+eviction events.
 """
 
 import random
@@ -19,7 +21,8 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.sanitizer import LEGAL_TRANSITIONS, Sanitizer
+from repro.analysis.runtime import sanitizing
+from repro.analysis.spec import TRANSITIONS
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
 from repro.core.phases import Phase
@@ -28,41 +31,47 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 from repro.sim.time import US
+from repro.trace.events import Eviction, PhaseTransition
+from repro.trace.sinks import CallbackSink
+from repro.trace.tracer import Tracer
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 
 
-class RecordingSanitizer(Sanitizer):
-    """JSAN plus a transcript of transitions and evictions."""
+class Transcript:
+    """The tracer's transitions and evictions, with the JSAN that ran."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, sanitizer):
+        self.sanitizer = sanitizer
         self.transitions = []
         self.evictions = []
 
-    def check_transition(self, entry, old_phase, new_phase):
-        if old_phase is not new_phase:
-            self.transitions.append((entry.key, old_phase, new_phase))
-        super().check_transition(entry, old_phase, new_phase)
+    def record(self, event):
+        if isinstance(event, PhaseTransition):
+            self.transitions.append(
+                (event.flow, event.old_phase, event.new_phase))
+        elif isinstance(event, Eviction):
+            self.evictions.append((event.flow, event.phase))
 
-    def check_eviction(self, table, victim, policy):
-        self.evictions.append((victim.key, victim.phase))
-        super().check_eviction(table, victim, policy)
+    @property
+    def checks_run(self):
+        return self.sanitizer.checks_run
 
 
 def make_engine(**config):
-    sanitizer = RecordingSanitizer()
     defaults = dict(inseq_timeout=50 * US, ofo_timeout=200 * US,
                     table_capacity=8)
     defaults.update(config)
-    gro = JugglerGRO(lambda segment: None, JugglerConfig(**defaults))
-    gro.attach_sanitizer(sanitizer)
-    return gro, sanitizer
+    with sanitizing() as sanitizer:
+        gro = JugglerGRO(lambda segment: None, JugglerConfig(**defaults))
+    transcript = Transcript(sanitizer)
+    gro.attach_tracer(Tracer([CallbackSink(transcript.record)]))
+    return gro, transcript
 
 
-def assert_legal(sanitizer):
-    for _, old, new in sanitizer.transitions:
-        assert (old, new) in LEGAL_TRANSITIONS, (old, new)
+def assert_legal(transcript):
+    for _, old, new in transcript.transitions:
+        assert (old, new) in TRANSITIONS, (old, new)
 
 
 @st.composite
@@ -79,7 +88,7 @@ def fault_patterns(draw, max_packets=20):
 @settings(max_examples=80, deadline=None)
 def test_recovery_entered_on_timeout_and_exited_on_fill(case):
     n, dropped, doubled = case
-    gro, sanitizer = make_engine()
+    gro, transcript = make_engine()
     now = 0
     for i in range(n):
         if i in dropped:
@@ -113,15 +122,15 @@ def test_recovery_entered_on_timeout_and_exited_on_fill(case):
         assert entry.phase is not Phase.LOSS_RECOVERY
 
     gro.flush_all(now)
-    assert_legal(sanitizer)
+    assert_legal(transcript)
     # Loss recovery is entered only from active merging, and left only for
     # active merging (Table 1).
-    for _, old, new in sanitizer.transitions:
+    for _, old, new in transcript.transitions:
         if new is Phase.LOSS_RECOVERY:
             assert old is Phase.ACTIVE_MERGE
         if old is Phase.LOSS_RECOVERY:
             assert new is Phase.ACTIVE_MERGE
-    assert sanitizer.checks_run > 0
+    assert transcript.checks_run > 0
 
 
 @given(fault_patterns(), st.integers(min_value=0, max_value=2 ** 32))
@@ -129,7 +138,7 @@ def test_recovery_entered_on_timeout_and_exited_on_fill(case):
 def test_lifecycle_legal_under_duplication_and_corruption(case, seed):
     """Drive the stream through real injectors with a NIC-checksum stage."""
     n, corrupted, doubled = case
-    gro, sanitizer = make_engine()
+    gro, transcript = make_engine()
     now = 0
 
     class Checksum:
@@ -162,8 +171,8 @@ def test_lifecycle_legal_under_duplication_and_corruption(case, seed):
     if entry is not None:
         assert entry.phase is not Phase.LOSS_RECOVERY
     gro.flush_all(now)
-    assert_legal(sanitizer)
-    assert sanitizer.checks_run > 0
+    assert_legal(transcript)
+    assert transcript.checks_run > 0
 
 
 def force_into_recovery(gro, flow, now):
@@ -181,7 +190,7 @@ def force_into_recovery(gro, flow, now):
 @given(st.integers(min_value=1, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_recovery_flows_evicted_only_when_unavoidable(extra_flows):
-    gro, sanitizer = make_engine(table_capacity=2)
+    gro, transcript = make_engine(table_capacity=2)
     recovery_flow = FiveTuple(1, 2, 5000, 80)
     now = 0
     force_into_recovery(gro, recovery_flow, now)
@@ -193,21 +202,21 @@ def test_recovery_flows_evicted_only_when_unavoidable(extra_flows):
         now += 10 * US
         gro.receive(Packet(FiveTuple(1, 2, 6000 + i, 80), 0, MSS), now)
         assert gro.table.lookup(recovery_flow) is not None
-    for key, phase in sanitizer.evictions:
+    for key, phase in transcript.evictions:
         assert phase is not Phase.LOSS_RECOVERY, key
-    assert_legal(sanitizer)
+    assert_legal(transcript)
 
 
 def test_recovery_flow_is_evicted_when_nothing_else_remains():
     """With only loss-recovery flows resident, eviction may take one —
-    legally (the sanitizer allows it) and as the last resort."""
-    gro, sanitizer = make_engine(table_capacity=2)
+    legally (the spec allows it) and as the last resort."""
+    gro, transcript = make_engine(table_capacity=2)
     now = 0
     for port in (5000, 5001):
         force_into_recovery(gro, FiveTuple(1, 2, port, 80), now)
         now += 1000 * US
     now += 1000 * US
     gro.receive(Packet(FiveTuple(1, 2, 7000, 80), 0, MSS), now)
-    assert len(sanitizer.evictions) == 1
-    assert sanitizer.evictions[0][1] is Phase.LOSS_RECOVERY
-    assert_legal(sanitizer)
+    assert len(transcript.evictions) == 1
+    assert transcript.evictions[0][1] is Phase.LOSS_RECOVERY
+    assert_legal(transcript)

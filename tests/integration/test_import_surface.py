@@ -22,6 +22,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 ABSENT = ("concurrent.futures", "multiprocessing", "socket", "logging",
           "repro.trace.events", "repro.trace.metrics", "repro.trace.sinks",
           "repro.trace.tracer", "repro.analysis.sanitizer",
+          "repro.analysis.spec",
           "repro.cc.cubic", "repro.cc.dctcp", "repro.core.chained_gro",
           "repro.core.presto_gro", "repro.cpu.accounting", "repro.cpu.core",
           "repro.cpu.meter", "repro.fabric.flowcut", "repro.faults.injectors",
@@ -76,9 +77,11 @@ def test_jsan_loads_when_it_is_asked_for():
     loaded = modules_after(BUILD_CELL + """
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
-assert JugglerGRO(lambda segment: None, JugglerConfig()).sanitizer is not None
+from repro.analysis import runtime
+JugglerGRO(lambda segment: None, JugglerConfig()).poll_complete(0)
+assert runtime.current().checks_run == 1
 """, sanitize="1")
-    assert "repro.analysis.sanitizer" in loaded
+    assert {"repro.analysis.sanitizer", "repro.analysis.spec"} <= loaded
 
 
 def test_a_cc_policy_loads_when_it_is_built():
