@@ -20,7 +20,6 @@ from repro.net.segment import Segment
 from repro.trace import runtime as trace_runtime
 
 if TYPE_CHECKING:
-    from repro.cpu.accounting import GroCpuAccountant
     from repro.trace.tracer import Tracer
 
 DeliverFn = Callable[[Segment], None]
@@ -29,14 +28,8 @@ DeliverFn = Callable[[Segment], None]
 class GroEngine(abc.ABC):
     """Abstract GRO engine: packets in, merged segments out."""
 
-    def __init__(
-        self,
-        deliver: DeliverFn,
-        accountant: Optional[GroCpuAccountant] = None,
-    ):
+    def __init__(self, deliver: DeliverFn):
         self.deliver = deliver
-        #: None = no CPU model attached; hot paths guard on this before charging.
-        self.accountant = accountant
         self.stats = GroStats()
         #: None = tracing disabled; hot paths guard on this before emitting.
         self.tracer: Optional[Tracer] = trace_runtime.current()
@@ -98,9 +91,6 @@ class GroEngine(abc.ABC):
         self.stats.record_delivery(
             segment.flow, segment.seq, segment.end_seq, segment.mtus, reason
         )
-        accountant = self.accountant
-        if accountant is not None:
-            accountant.on_flush_segment(segment)
         tracer = self.tracer
         if tracer is not None:
             tracer.flush(now, segment.flow, segment.seq, segment.end_seq,

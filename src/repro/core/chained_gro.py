@@ -9,41 +9,33 @@ in-order traffic."
 
 This engine reproduces that measurement point: every packet is chained onto
 the flow's linked-list batch in *arrival* order (so TCP still sees the
-reordering — the design needs TCP-side fixes too), and the CPU accountant
-charges the chain-element cache-miss cost per merge and per delivery.
+reordering — the design needs TCP-side fixes too), and the CPU model prices
+a cache miss per chained merge on the RX core and per delivered chain
+element on the application core.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
-from repro.cpu.accounting import GroCpuAccountant
 from repro.net.addr import FiveTuple
 from repro.net.constants import MAX_GRO_SEGMENT, MSS
 from repro.net.packet import Packet
-from repro.net.segment import BatchingMode, Segment
+from repro.net.segment import Segment
 
 
 class ChainedGRO(GroEngine):
     """Linked-list batching of packets in arrival order, per flow."""
 
-    def __init__(
-        self,
-        deliver: DeliverFn,
-        accountant: Optional[GroCpuAccountant] = None,
-    ):
-        super().__init__(deliver, accountant)
+    def __init__(self, deliver: DeliverFn):
+        super().__init__(deliver)
         self._chains: Dict[FiveTuple, List[Packet]] = {}
         self._chain_bytes: Dict[FiveTuple, int] = {}
 
     def receive(self, packet: Packet, now: int) -> None:
         """Chain the packet onto its flow's batch, whatever its sequence."""
-        accountant = self.accountant
-        if accountant is not None:
-            accountant.on_rx_packet()
-            accountant.on_gro_packet()
         if packet.payload_len == 0:
             self._passthrough(packet, now)
             return
@@ -57,8 +49,6 @@ class ChainedGRO(GroEngine):
             chain.append(packet)
             self._chain_bytes[packet.flow] += packet.payload_len
             self.stats.merges += 1
-            if accountant is not None:
-                accountant.on_merge(BatchingMode.LINKED_LIST)
 
         if packet.forces_flush:
             self._flush(packet.flow, FlushReason.FLAGS, now)
@@ -72,8 +62,7 @@ class ChainedGRO(GroEngine):
 
     def poll_complete(self, now: int) -> None:
         """Like vanilla GRO, everything flushes at polling completion."""
-        if self.accountant is not None:
-            self.accountant.on_poll()
+        self.stats.polls += 1
         for flow in list(self._chains):
             self._flush(flow, FlushReason.POLL_END, now)
 

@@ -63,12 +63,6 @@ class FlowEntry:
             and head.seq > self.seq_next
         )
 
-    @property
-    def head_in_sequence(self) -> bool:
-        """True when the head run starts exactly at seq_next."""
-        head = self.ofo.head
-        return head is not None and head.seq == self.seq_next
-
     def refresh_hole_state(self, now: int) -> None:
         """Recompute ``hole_since`` after any queue or seq_next change.
 

@@ -14,7 +14,7 @@ instantiates its data structures per-queue.  The engine:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
@@ -25,10 +25,7 @@ from repro.core.gro_table import GroTable
 from repro.core.phases import Phase
 from repro.net.constants import MSS
 from repro.net.packet import Packet
-from repro.net.segment import BatchingMode, Segment
-
-if TYPE_CHECKING:
-    from repro.cpu.accounting import GroCpuAccountant
+from repro.net.segment import Segment
 
 
 class JugglerGRO(GroEngine):
@@ -38,9 +35,8 @@ class JugglerGRO(GroEngine):
         self,
         deliver: DeliverFn,
         config: Optional[JugglerConfig] = None,
-        accountant: Optional[GroCpuAccountant] = None,
     ):
-        super().__init__(deliver, accountant)
+        super().__init__(deliver)
         self.config = config if config is not None else JugglerConfig()
         self.table = GroTable(self.config.table_capacity)
         self.table.tracer = self.tracer
@@ -103,7 +99,6 @@ class JugglerGRO(GroEngine):
         packet — established flow, at or past ``seq_next`` — reads the
         queue's ``nodes`` and the segments' slots directly.
         """
-        accountant = self.accountant
         tracer = self.tracer
         stats = self.stats
         table = self.table
@@ -115,9 +110,6 @@ class JugglerGRO(GroEngine):
         active_merge = Phase.ACTIVE_MERGE
         post_merge = Phase.POST_MERGE
         for packet in packets:
-            if accountant is not None:
-                accountant.on_rx_packet()
-                accountant.on_gro_packet()
             if tracer is not None:
                 tracer.packet_rx(now, packet.flow, packet.seq,
                                  packet.end_seq, packet.payload_len)
@@ -144,8 +136,6 @@ class JugglerGRO(GroEngine):
                 result = entry.ofo.insert(packet)
                 scanned = result.scanned
                 stats.nodes_scanned += scanned
-                if accountant is not None:
-                    accountant.on_node_scan(scanned)
                 if result.duplicate:
                     # Bytes already buffered: never hold the copy (memory
                     # safety); hand it up so TCP's DSACK machinery sees it.
@@ -159,8 +149,6 @@ class JugglerGRO(GroEngine):
                         entry.learn_seq_next(packet.seq)
                     if result.merged:
                         stats.merges += 1
-                        if accountant is not None:
-                            accountant.on_merge(BatchingMode.FRAGS_ARRAY)
                         if tracer is not None:
                             tracer.merge(now, entry.key, packet.seq,
                                          packet.end_seq, scanned)
@@ -279,8 +267,7 @@ class JugglerGRO(GroEngine):
 
     def poll_complete(self, now: int) -> None:
         """End of a NAPI polling cycle: run the timeout checks (§4.1)."""
-        if self.accountant is not None:
-            self.accountant.on_poll()
+        self.stats.polls += 1
         self.check_timeouts(now)
 
     def check_timeouts(self, now: int) -> None:
@@ -389,8 +376,6 @@ class JugglerGRO(GroEngine):
             stats.ooo_segments += 1
         if expected is None or end_seq > expected:
             stats._expected[flow] = end_seq
-        if self.accountant is not None:
-            self.accountant.on_flush_segment(segment)
         if self.tracer is not None:
             self.tracer.flush(now, flow, seq, end_seq, segment.mtus, reason)
         self.deliver(segment)

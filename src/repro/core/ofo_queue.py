@@ -67,24 +67,9 @@ class OfoQueue:
         return self.nodes[0] if self.nodes else None
 
     @property
-    def buffered_packets(self) -> int:
-        """Total MTU packets currently buffered."""
-        return sum(node.mtus for node in self.nodes)
-
-    @property
     def buffered_bytes(self) -> int:
         """Total payload bytes currently buffered."""
         return sum(node.payload_len for node in self.nodes)
-
-    @property
-    def min_seq(self) -> Optional[int]:
-        """Lowest buffered sequence number."""
-        return self.nodes[0].seq if self.nodes else None
-
-    @property
-    def max_end_seq(self) -> Optional[int]:
-        """Highest buffered end-sequence number."""
-        return self.nodes[-1].end_seq if self.nodes else None
 
     def insert(self, packet: Packet) -> InsertResult:
         """Place ``packet`` into the queue, merging where possible.
@@ -202,12 +187,3 @@ class OfoQueue:
             popped.append(node)
             expect = node.end_seq
         return popped
-
-    def covers(self, seq: int) -> bool:
-        """True if byte ``seq`` is currently buffered."""
-        for node in self.nodes:
-            if node.seq <= seq < node.end_seq:
-                return True
-            if node.seq > seq:
-                return False
-        return False

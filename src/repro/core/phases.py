@@ -26,27 +26,19 @@ class Phase(enum.Enum):
     """Lifecycle phase of a flow entry; determines which list holds it.
 
     ``list_name`` — which of the three gro_table lists flows in this phase
-    live on ("none" for the transient INITIAL, which is never stored).
-
-    ``evictable_rank`` — eviction preference, lower evicted first (§4.3):
-    post-merge flows have empty OOO queues and no holes, so evicting them
-    is free; active flows may have holes and risk timeout stalls on
-    re-entry (Figure 8); loss-recovery flows are the worst candidates
-    because their future packets are *known* to have holes.
-
-    Both are precomputed member attributes — the table re-homes entries on
-    every phase transition, so these sit on the receive hot path.
+    live on ("none" for the transient INITIAL, which is never stored).  It
+    is a precomputed member attribute — the table re-homes entries on every
+    phase transition, so it sits on the receive hot path.
     """
 
-    INITIAL = ("initial", "none", 2)
-    BUILD_UP = ("build_up", "active", 1)
-    ACTIVE_MERGE = ("active_merge", "active", 1)
-    POST_MERGE = ("post_merge", "inactive", 0)
-    LOSS_RECOVERY = ("loss_recovery", "loss_recovery", 2)
+    INITIAL = ("initial", "none")
+    BUILD_UP = ("build_up", "active")
+    ACTIVE_MERGE = ("active_merge", "active")
+    POST_MERGE = ("post_merge", "inactive")
+    LOSS_RECOVERY = ("loss_recovery", "loss_recovery")
 
-    def __new__(cls, value: str, list_name: str, evictable_rank: int):
+    def __new__(cls, value: str, list_name: str):
         member = object.__new__(cls)
         member._value_ = value
         member.list_name = list_name
-        member.evictable_rank = evictable_rank
         return member

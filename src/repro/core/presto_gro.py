@@ -16,7 +16,6 @@ from typing import Optional
 from repro.core.base import DeliverFn
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
-from repro.cpu.accounting import GroCpuAccountant
 
 #: Effectively-unbounded table capacity standing in for "track everything".
 _UNBOUNDED = 2**31
@@ -29,7 +28,6 @@ class PrestoGRO(JugglerGRO):
         self,
         deliver: DeliverFn,
         config: Optional[JugglerConfig] = None,
-        accountant: Optional[GroCpuAccountant] = None,
     ):
         base = config if config is not None else JugglerConfig()
         unbounded = JugglerConfig(
@@ -38,7 +36,7 @@ class PrestoGRO(JugglerGRO):
             table_capacity=_UNBOUNDED,
             max_segment_bytes=base.max_segment_bytes,
         )
-        super().__init__(deliver, unbounded, accountant)
+        super().__init__(deliver, unbounded)
 
     @property
     def tracked_flows(self) -> int:

@@ -14,17 +14,14 @@ vanilla receiver's CPU in Figures 9 and 10.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
 from repro.net.addr import FiveTuple
 from repro.net.constants import MAX_GRO_SEGMENT, MSS
 from repro.net.packet import Packet
-from repro.net.segment import BatchingMode, Segment
-
-if TYPE_CHECKING:
-    from repro.cpu.accounting import GroCpuAccountant
+from repro.net.segment import Segment
 
 
 class StandardGRO(GroEngine):
@@ -33,10 +30,9 @@ class StandardGRO(GroEngine):
     def __init__(
         self,
         deliver: DeliverFn,
-        accountant: Optional[GroCpuAccountant] = None,
         max_segment_bytes: int = MAX_GRO_SEGMENT,
     ):
-        super().__init__(deliver, accountant)
+        super().__init__(deliver)
         self.max_segment_bytes = max_segment_bytes
         self._batch: Dict[FiveTuple, Segment] = {}
 
@@ -56,16 +52,12 @@ class StandardGRO(GroEngine):
         ``append`` as slot reads and stores, so a held flow's next packet
         costs the ``_batch`` probe and no other call.
         """
-        accountant = self.accountant
         stats = self.stats
         batch = self._batch
         max_bytes = self.max_segment_bytes
         #: A held run longer than this has no room for one more MSS.
         room_for_mss = max_bytes - MSS
         for packet in packets:
-            if accountant is not None:
-                accountant.on_rx_packet()
-                accountant.on_gro_packet()
             payload = packet.payload_len
             if payload == 0:
                 self._passthrough(packet, now)
@@ -85,8 +77,6 @@ class StandardGRO(GroEngine):
                     if packet.sent_at < held.first_sent_at:
                         held.first_sent_at = packet.sent_at
                     stats.merges += 1
-                    if accountant is not None:
-                        accountant.on_merge(BatchingMode.FRAGS_ARRAY)
                     if closed:
                         del batch[flow]
                         self._deliver_segment(held, FlushReason.FLAGS, now)
@@ -115,8 +105,7 @@ class StandardGRO(GroEngine):
     def poll_complete(self, now: int) -> None:
         """Flush everything and start fresh — vanilla GRO keeps no state
         across polling intervals."""
-        if self.accountant is not None:
-            self.accountant.on_poll()
+        self.stats.polls += 1
         for flow in list(self._batch):
             self._flush(flow, FlushReason.POLL_END, now)
 

@@ -42,6 +42,8 @@ class GroStats:
     merges: int = 0
     #: Duplicate-payload packets seen.
     duplicates: int = 0
+    #: NAPI poll completions (``poll_complete`` calls).
+    polls: int = 0
 
     # Next-expected byte per flow, for ooo_segments accounting.  Keyed by
     # five-tuple; bounded by the number of distinct flows in an experiment.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.cpu.meter import CoreMeter
 from repro.sim.engine import Engine
 
 
@@ -22,8 +21,12 @@ class CpuCore:
 
     def __init__(self, engine: Engine, name: str = "core"):
         self._engine = engine
-        self.meter = CoreMeter(name)
         self.name = name
+        #: Total nanoseconds of work submitted since construction;
+        #: experiments measure utilisation as the difference of two
+        #: readings over a window (see ``Cell.measure``).
+        # det: allow(float-ns) -- accumulator of fractional modeled work, not an event timestamp; never feeds back into scheduling
+        self.busy_ns = 0.0
         self._busy_until = 0
         self._jobs_completed = 0
 
@@ -45,12 +48,12 @@ class CpuCore:
     ) -> int:
         """Enqueue ``work_ns`` of processing; fire ``callback`` on completion.
 
-        Returns the absolute completion time.  Work is also charged to the
-        core's meter so utilisation reflects everything submitted.
+        Returns the absolute completion time.  Work is also added to
+        :attr:`busy_ns` so utilisation reflects everything submitted.
         """
         if work_ns < 0:
             raise ValueError(f"negative work: {work_ns}")
-        self.meter.charge(work_ns)
+        self.busy_ns += work_ns
         start = max(self._engine.now, self._busy_until)
         done = start + max(1, round(work_ns))
         self._busy_until = done
@@ -59,18 +62,6 @@ class CpuCore:
         else:
             self._jobs_completed += 1
         return done
-
-    def charge(self, work_ns: float) -> None:
-        """Account work without modelling its queueing delay.
-
-        Used for bookkeeping-only costs (e.g. RX-core accounting in
-        experiments that study the application core), where the utilisation
-        number matters but the latency coupling does not.
-        """
-        self.meter.charge(work_ns)
-        self._busy_until = max(self._busy_until, self._engine.now) + max(
-            1, round(work_ns)
-        )
 
     def _complete(self, callback: Callable[..., Any], args: tuple) -> None:
         self._jobs_completed += 1

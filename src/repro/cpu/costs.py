@@ -20,6 +20,12 @@ Where the calibration anchors come from:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from repro.net.segment import BatchingMode
+
+if TYPE_CHECKING:
+    from repro.core.stats import GroStats
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,20 @@ class CostTable:
     #: TCP receiver out-of-order handling per OOO segment (queue insert,
     #: SACK bookkeeping, immediate dupACK).
     app_per_ooo_segment: float = 1200.0
+
+    def rx_busy_ns(self, stats: GroStats, mode: BatchingMode) -> float:
+        """RX-core nanoseconds for the work one GRO engine's ``stats``
+        count: driver and GRO handling per packet (pure ACKs included), a
+        merge per packet merged (chaining costs more than a frag append),
+        each OOO-queue node scanned, each segment pushed up, each poll."""
+        merge = (self.gro_merge_chain if mode is BatchingMode.LINKED_LIST
+                 else self.gro_merge_frag)
+        return ((stats.packets + stats.passthrough_packets)
+                * (self.rx_per_packet + self.gro_per_packet)
+                + stats.merges * merge
+                + stats.nodes_scanned * self.gro_node_scan
+                + stats.segments * self.rx_per_segment
+                + stats.polls * self.rx_per_poll)
 
 
 #: The cost table all experiments use unless they explicitly override it.

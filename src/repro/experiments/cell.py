@@ -20,23 +20,29 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.base import GroEngine
+from repro.core.base import DeliverFn, GroEngine
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.experiments.common import SHORT_COALESCING, HostCpu, gbps
+from repro.cpu.costs import DEFAULT_COSTS
+from repro.experiments.common import SHORT_COALESCING, gbps
 from repro.fabric import topology
 from repro.fabric.host import Host
 from repro.fabric.link import QueuedLink
 from repro.harness.experiment import GroKind, make_gro_factory
 from repro.net.pool import PacketPool
+from repro.net.segment import BatchingMode
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.time import US
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
 from repro.workloads.rpc import RpcWorkload
+
+if TYPE_CHECKING:
+    from repro.cpu.core import CpuCore
+
 
 @dataclass(frozen=True)
 class Window:
@@ -58,7 +64,8 @@ class Window:
     batched_mtus: int
     ooo_segments: int
     evictions: int
-    #: Busy nanoseconds of the measured host's cores (0 without a HostCpu).
+    #: Busy nanoseconds of the modelled RX and application cores (0 without
+    #: a CPU model); see :meth:`Cell.rx_busy_ns`.
     rx_busy_ns: float
     app_busy_ns: float
 
@@ -100,14 +107,30 @@ class Cell:
         :class:`JugglerConfig` field (``table_capacity``, ...)."""
         self.engine = Engine()
         self.rngs = RngRegistry(seed)
-        #: RX-core accountant shared by every queue + one application core;
-        #: coupled to a host by :meth:`measure_host`.
-        self.cpu = HostCpu(self.engine) if cpu else None
         self.gro_factory = make_gro_factory(
             kind,
             JugglerConfig(inseq_timeout=inseq_us * US,
-                          ofo_timeout=ofo_us * US, **juggler),
-            self.cpu.accountant if self.cpu else None)
+                          ofo_timeout=ofo_us * US, **juggler))
+        #: The CPU model, None without one: an application core, coupled
+        #: to a host by :meth:`measure_host`, and every GRO engine the
+        #: factory builds, whose counters price the RX core.
+        self.app_core: Optional[CpuCore] = None
+        self.rx_engines: List[GroEngine] = []
+        if cpu:
+            from repro.cpu.core import CpuCore
+
+            self.app_core = CpuCore(self.engine, "app")
+            self._merge_mode = (BatchingMode.LINKED_LIST
+                                if GroKind.of(kind) is GroKind.CHAINED
+                                else BatchingMode.FRAGS_ARRAY)
+            build = self.gro_factory
+
+            def recorded(deliver: DeliverFn) -> GroEngine:
+                gro = build(deliver)
+                self.rx_engines.append(gro)
+                return gro
+
+            self.gro_factory = recorded
         #: Hosts whose GRO engines :meth:`measure` sums.
         self.measured: List[Host] = []
         #: Every connection made through :meth:`flows` and friends.
@@ -149,8 +172,8 @@ class Cell:
         """Restrict GRO counters to ``host`` and run its TCP endpoints on
         the modelled application core (when the cell has a CPU model)."""
         self.measured = [host]
-        if self.cpu is not None:
-            self.cpu.attach(host)
+        if self.app_core is not None:
+            host.app_core = self.app_core
 
     # -- traffic --------------------------------------------------------------
 
@@ -250,6 +273,14 @@ class Cell:
             out.update(gro.stats.flush_reasons)
         return out
 
+    def rx_busy_ns(self) -> float:
+        """RX-core busy nanoseconds since t = 0: the cost table's price of
+        the counters of *every* engine the factory built — the senders'
+        ACK-path engines too, not only :meth:`gro_engines` — all on one
+        core, the paper's "all flows on a single RX queue"."""
+        return sum((DEFAULT_COSTS.rx_busy_ns(gro.stats, self._merge_mode)
+                    for gro in self.rx_engines), 0.0)
+
     def totals(self) -> Window:
         """Every counter since t = 0."""
         stats = [gro.stats for gro in self.gro_engines()]
@@ -265,8 +296,8 @@ class Cell:
             sum(s.batched_mtus for s in stats),
             sum(s.ooo_segments for s in stats),
             sum(s.total_evictions for s in stats),
-            self.cpu.rx_meter.busy_ns if self.cpu else 0.0,
-            self.cpu.app_core.meter.busy_ns if self.cpu else 0.0,
+            self.rx_busy_ns() if self.app_core else 0.0,
+            self.app_core.busy_ns if self.app_core else 0.0,
         )
 
     def measure(self, warmup_ns: int, stop_ns: int) -> Window:

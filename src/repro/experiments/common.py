@@ -1,6 +1,5 @@
-"""Helpers shared by the per-figure experiment modules: the host CPU model
-a :class:`~repro.experiments.cell.Cell` attaches on request, the one sweep
-loop every family runs through, and the Gb/s conversion.  Cell construction
+"""Helpers shared by the per-figure experiment modules: the one sweep loop
+every family runs through and the Gb/s conversion.  Cell construction
 and the measurement window live in :mod:`repro.experiments.cell`.
 
 A family module is a grid: ``POINT_AXES`` (its ordered ``(axis, params
@@ -14,31 +13,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Sequence, Tuple, get_type_hints
 
-from repro.fabric.host import Host
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
 
 #: Adaptive-style coalescing on the 40G testbeds: a short time window, so
 #: ACK-side latency does not dominate the (tiny) fabric RTT.
 SHORT_COALESCING = NicConfig(num_queues=1, coalesce_ns=30_000,
                              coalesce_frames=32)
-
-
-class HostCpu:
-    """RX-core accountant + application core for one measured host."""
-
-    def __init__(self, engine: Engine, name: str = "host"):
-        from repro.cpu.accounting import GroCpuAccountant
-        from repro.cpu.core import CpuCore
-        from repro.cpu.meter import CoreMeter
-
-        self.rx_meter = CoreMeter(f"{name}.rx")
-        self.accountant = GroCpuAccountant(self.rx_meter)
-        self.app_core = CpuCore(engine, f"{name}.app")
-
-    def attach(self, host: Host) -> None:
-        """Couple the app core to the host's TCP endpoints."""
-        host.app_core = self.app_core
 
 
 def grid_points(axes: Sequence[Tuple[str, str]],

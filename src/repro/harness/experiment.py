@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
 from repro.core.standard_gro import StandardGRO
 from repro.nic.nic import GroFactory
-
-if TYPE_CHECKING:
-    from repro.cpu.accounting import GroCpuAccountant
 
 
 class GroKind(enum.Enum):
@@ -39,26 +36,21 @@ class GroKind(enum.Enum):
 def make_gro_factory(
     kind: Union[GroKind, str],
     config: Optional[JugglerConfig] = None,
-    accountant: Optional[GroCpuAccountant] = None,
 ) -> GroFactory:
     """Build a per-RX-queue GRO factory for the requested engine.
 
     ``kind`` goes through :meth:`GroKind.of`, so an unknown name raises
     here, when the factory is built, not when the first queue is.
-
-    When an ``accountant`` is given, all queues share it, so its meter
-    reports the host's total RX-core work — matching the paper's setup of
-    aiming "all flows on a single RX queue".
     """
     kind = GroKind.of(kind)
     if kind is GroKind.JUGGLER:
-        return lambda deliver: JugglerGRO(deliver, config, accountant)
+        return lambda deliver: JugglerGRO(deliver, config)
     if kind is GroKind.VANILLA:
-        return lambda deliver: StandardGRO(deliver, accountant)
+        return lambda deliver: StandardGRO(deliver)
     if kind is GroKind.CHAINED:
         from repro.core.chained_gro import ChainedGRO
 
-        return lambda deliver: ChainedGRO(deliver, accountant)
+        return lambda deliver: ChainedGRO(deliver)
     from repro.core.presto_gro import PrestoGRO
 
-    return lambda deliver: PrestoGRO(deliver, config, accountant)
+    return lambda deliver: PrestoGRO(deliver, config)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cpu.costs import CostTable, DEFAULT_COSTS
 from repro.fabric.host import Host
 from repro.net.addr import FiveTuple
 from repro.sim.engine import Engine
@@ -25,7 +24,6 @@ class Connection:
         dport: int,
         config: Optional[TcpConfig] = None,
         *,
-        costs: CostTable = DEFAULT_COSTS,
         priority_fn: Optional[PriorityFn] = None,
         pacing_gbps: Optional[float] = None,
         on_bytes: Optional[BytesCallback] = None,
@@ -33,8 +31,7 @@ class Connection:
         self.flow = FiveTuple(src_host.host_id, dst_host.host_id, sport, dport)
         self.config = config if config is not None else TcpConfig()
         self.receiver = TcpReceiver(
-            engine, dst_host, self.flow, self.config, costs=costs,
-            on_bytes=on_bytes,
+            engine, dst_host, self.flow, self.config, on_bytes=on_bytes,
         )
         self.sender = TcpSender(
             engine, src_host, self.flow, self.config,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.cpu.costs import CostTable, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.fabric.host import Host
 from repro.net.addr import FiveTuple
 from repro.net.constants import PRIORITY_HIGH
@@ -41,7 +41,6 @@ class TcpReceiver:
         host: Host,
         flow: FiveTuple,
         config: Optional[TcpConfig] = None,
-        costs: CostTable = DEFAULT_COSTS,
         on_bytes: Optional[BytesCallback] = None,
     ):
         self._engine = engine
@@ -50,7 +49,6 @@ class TcpReceiver:
         #: The five-tuple every ACK carries, built once.
         self._ack_flow = flow.reversed()
         self.config = config if config is not None else TcpConfig()
-        self.costs = costs
         self.on_bytes = on_bytes
         self.tracer = trace_runtime.current()
         host.register_handler(flow, self.on_segment)
@@ -91,15 +89,16 @@ class TcpReceiver:
         if payload == 0:
             return  # stray zero-payload packet; nothing to do
         self.occupancy += payload
+        costs = DEFAULT_COSTS
         cost = (
-            self.costs.app_per_segment
-            + self.costs.app_per_byte * payload
-            + self.costs.app_per_ack
+            costs.app_per_segment
+            + costs.app_per_byte * payload
+            + costs.app_per_ack
         )
         if segment.mode is BatchingMode.LINKED_LIST:
-            cost += self.costs.app_per_chain_element * segment.mtus
+            cost += costs.app_per_chain_element * segment.mtus
         if segment.seq != self.rcv_nxt:
-            cost += self.costs.app_per_ooo_segment
+            cost += costs.app_per_ooo_segment
         core = self._host.app_core
         if core is not None:
             core.submit(cost, self._process, segment)

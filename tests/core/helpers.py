@@ -11,7 +11,6 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 from repro.net.segment import Segment
-from repro.sim.time import US
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 FLOW_B = FiveTuple(3, 2, 2000, 80)

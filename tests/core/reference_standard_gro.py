@@ -12,17 +12,13 @@ from repro.core.base import GroEngine
 from repro.core.flush import FlushReason
 from repro.core.standard_gro import StandardGRO
 from repro.net.constants import MSS
-from repro.net.segment import BatchingMode, Segment
+from repro.net.segment import Segment
 
 
 class ReferenceStandardGRO(StandardGRO):
     receive_batch = GroEngine.receive_batch
 
     def receive(self, packet, now):
-        accountant = self.accountant
-        if accountant is not None:
-            accountant.on_rx_packet()
-            accountant.on_gro_packet()
         if packet.payload_len == 0:
             self._passthrough(packet, now)
             return
@@ -33,8 +29,6 @@ class ReferenceStandardGRO(StandardGRO):
             if held.can_append(packet, self.max_segment_bytes):
                 held.append(packet)
                 self.stats.merges += 1
-                if accountant is not None:
-                    accountant.on_merge(BatchingMode.FRAGS_ARRAY)
                 if held.closed:
                     self._flush(packet.flow, FlushReason.FLAGS, now)
                 elif held.payload_len + MSS > self.max_segment_bytes:

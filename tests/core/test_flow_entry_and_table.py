@@ -45,10 +45,10 @@ def test_has_hole_and_head_in_sequence():
     e.seq_next = 0
     e.ofo.insert(Packet(e.key, MSS, MSS))
     assert e.has_hole
-    assert not e.head_in_sequence
+    assert e.ofo.head.seq != e.seq_next
     e.ofo.insert(Packet(e.key, 0, MSS))
     assert not e.has_hole
-    assert e.head_in_sequence
+    assert e.ofo.head.seq == e.seq_next
 
 
 def test_refresh_hole_state_keeps_original_clock():
@@ -77,12 +77,6 @@ def test_phase_list_mapping():
     assert Phase.POST_MERGE.list_name == "inactive"
     assert Phase.LOSS_RECOVERY.list_name == "loss_recovery"
     assert Phase.INITIAL.list_name == "none"
-
-
-def test_evictable_rank_ordering():
-    assert (Phase.POST_MERGE.evictable_rank
-            < Phase.ACTIVE_MERGE.evictable_rank
-            < Phase.LOSS_RECOVERY.evictable_rank)
 
 
 # --- GroTable ----------------------------------------------------------------

@@ -8,15 +8,8 @@ from repro.core.base import GroEngine
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.packet import Packet
-from repro.net.segment import Segment
 
 FLOW = FiveTuple(1, 2, 1000, 80)
-
-
-def test_default_accountant_is_null():
-    gro = StandardGRO(lambda s: None)
-    gro.receive(Packet(FLOW, 0, MSS), now=0)
-    assert gro.accountant is None
 
 
 def test_deliver_segment_stamps_flush_time():

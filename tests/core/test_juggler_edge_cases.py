@@ -1,6 +1,6 @@
 """Edge cases and failure injection for the Juggler engine."""
 
-from tests.core.helpers import FLOW, JugglerHarness, pkt
+from tests.core.helpers import JugglerHarness, pkt
 
 from repro.analysis.runtime import sanitizing
 from repro.core.config import JugglerConfig

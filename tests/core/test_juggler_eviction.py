@@ -1,6 +1,6 @@
 """Flow eviction under table pressure (§4.3, Figure 8)."""
 
-from tests.core.helpers import FLOW, JugglerHarness, pkt
+from tests.core.helpers import JugglerHarness, pkt
 
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason

@@ -1,8 +1,7 @@
 """The six flushing conditions of Table 2."""
 
-from tests.core.helpers import FLOW, JugglerHarness, pkt
+from tests.core.helpers import pkt
 
-from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.net.constants import MSS, MAX_GRO_SEGMENT
 from repro.net.flags import TcpFlags

@@ -1,6 +1,6 @@
 """The five-phase flow lifecycle (Table 1 / Figure 5)."""
 
-from tests.core.helpers import FLOW, JugglerHarness, pkt
+from tests.core.helpers import JugglerHarness, pkt
 
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason

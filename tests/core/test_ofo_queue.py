@@ -84,7 +84,7 @@ def test_max_payload_limits_merging():
     for i in range(4):
         q.insert(pkt(i * MSS))
     assert all(n.payload_len <= 2 * MSS for n in q.nodes)
-    assert q.buffered_packets == 4
+    assert sum(n.mtus for n in q.nodes) == 4
 
 
 def test_psh_closes_node():
@@ -143,30 +143,12 @@ def test_pop_all_drains_in_order():
     assert not q
 
 
-def test_covers():
-    q = OfoQueue()
-    q.insert(pkt(MSS))
-    assert q.covers(MSS)
-    assert q.covers(2 * MSS - 1)
-    assert not q.covers(0)
-    assert not q.covers(2 * MSS)
-
-
 def test_buffered_bytes_and_packets():
     q = OfoQueue()
     q.insert(pkt(0))
     q.insert(pkt(2 * MSS, 100))
     assert q.buffered_bytes == MSS + 100
-    assert q.buffered_packets == 2
-
-
-def test_min_seq_max_end_seq():
-    q = OfoQueue()
-    assert q.min_seq is None and q.max_end_seq is None
-    q.insert(pkt(MSS))
-    q.insert(pkt(5 * MSS))
-    assert q.min_seq == MSS
-    assert q.max_end_seq == 6 * MSS
+    assert [n.mtus for n in q.nodes] == [1, 1]
 
 
 def test_scan_count_small_for_near_head_insert():

@@ -13,7 +13,7 @@ table probe's ``FiveTuple.__hash__`` — before, then now:
                                    can_extend, extend
                               2  insert -> extend
     tracked flow, per walk    3  the iter_with_deadlines resume,
-      of next_deadline and         head_in_sequence -> head
+      of next_deadline and         a head-in-sequence property -> head
       check_timeouts          0
     in-sequence packet,       6  StandardGRO.receive -> can_append,
       StandardGRO                  append -> Packet.end_seq, closed,

@@ -3,7 +3,7 @@ engine is built under JSAN, whose shadow runs :mod:`repro.analysis.spec`
 (Tables 1-2 and §4.3, written from the paper) beside it and compares
 deliveries, phase transitions, flow state, lists, deadlines and counters
 after every poll, completion, hrtimer sweep and ``flush_all``.  What the
-spec cannot see — ``nodes_scanned``, CPU charges, trace events — is pinned
+spec cannot see — ``nodes_scanned``, ``polls``, trace events — is pinned
 by ``test_receive_budget.py``, ``test_receive_path_spec.py``, the golden
 rows and the e2e digests."""
 
@@ -22,10 +22,10 @@ from repro.sim.time import US
 from ..differential import PSH, Side, feed, replay, spiced_polls
 
 
-def against_spec(polls, config, accounted=False, traced=False):
+def against_spec(polls, config, traced=False):
     """One engine under its JSAN shadow through ``polls``: engine and spec."""
-    side = Side(lambda deliver, cpu: JugglerGRO(deliver, config, cpu),
-                "receive_batch", accounted, traced)
+    side = Side(lambda deliver: JugglerGRO(deliver, config),
+                "receive_batch", traced)
     replay([side], polls)
     assert side.sanitizer.checks_run > len(polls)  # the shadow compared
     return side
@@ -36,15 +36,15 @@ def against_spec(polls, config, accounted=False, traced=False):
        spice=st.sampled_from((0.0, 0.05, 0.2)),
        capacity=st.sampled_from((2, 4, 64)),
        segment_mss=st.sampled_from((3, 8, 44)),
-       buildup=st.booleans(), accounted=st.booleans(), traced=st.booleans())
+       buildup=st.booleans(), traced=st.booleans())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_engine_equals_the_spec(seed, flows, pkts, window, spice,
                                            capacity, segment_mss, buildup,
-                                           accounted, traced):
+                                           traced):
     config = JugglerConfig(table_capacity=capacity, enable_buildup=buildup,
                            max_segment_bytes=segment_mss * MSS + 100)
     against_spec(spiced_polls(seed, flows, pkts, window, spice), config,
-             accounted=accounted, traced=traced)
+             traced=traced)
 
 
 def test_mix_reaches_every_branch():

@@ -39,9 +39,8 @@ SHAPES = (
 )
 
 ENGINES = {
-    "juggler": lambda deliver, cpu=None: JugglerGRO(deliver, JugglerConfig(),
-                                                    cpu),
-    "standard": lambda deliver, cpu=None: StandardGRO(deliver, cpu),
+    "juggler": lambda deliver: JugglerGRO(deliver, JugglerConfig()),
+    "standard": StandardGRO,
 }
 
 
@@ -55,7 +54,7 @@ def per_packet_vs_batch(engine, shape, traced=False):
     seed, flows, pkts, window = shape
     return assert_equivalent(ENGINES[engine], ENGINES[engine],
                              spiced_polls(seed, flows, pkts, window, 0.05),
-                             feed_a="receive", accounted=True, traced=traced)
+                             feed_a="receive", traced=traced)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"seed{s[0]}")

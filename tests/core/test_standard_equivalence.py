@@ -17,8 +17,8 @@ from .reference_standard_gro import ReferenceStandardGRO
 
 def run_both(polls, max_bytes, **kw):
     return assert_equivalent(
-        lambda deliver, cpu: StandardGRO(deliver, cpu, max_bytes),
-        lambda deliver, cpu: ReferenceStandardGRO(deliver, cpu, max_bytes),
+        lambda deliver: StandardGRO(deliver, max_bytes),
+        lambda deliver: ReferenceStandardGRO(deliver, max_bytes),
         polls, **kw)
 
 
@@ -30,26 +30,24 @@ CAPS = (MAX_GRO_SEGMENT, 3 * MSS, 5 * MSS + 700, 44 * MSS + 100)
 @given(seed=st.integers(0, 1 << 16), flows=st.integers(1, 12),
        pkts=st.integers(1, 60), window=st.integers(1, 12),
        spice=st.sampled_from((0.0, 0.05, 0.2, 0.5)),
-       max_bytes=st.sampled_from(CAPS),
-       accounted=st.booleans(), traced=st.booleans())
+       max_bytes=st.sampled_from(CAPS), traced=st.booleans())
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_one_body_equals_the_helper_chain(seed, flows, pkts, window, spice,
-                                          max_bytes, accounted, traced):
+                                          max_bytes, traced):
     run_both(spiced_polls(seed, flows, pkts, window, spice), max_bytes,
-             accounted=accounted, traced=traced)
+             traced=traced)
 
 
 def test_mix_reaches_every_branch():
     """The generator is not vacuous: one mid-sized draw fires every flush
-    reason standard GRO has, merges, and passes ACKs through — with the CPU
-    model charged for all of it."""
+    reason standard GRO has, merges, polls, and passes ACKs through."""
     stats = run_both(spiced_polls(13, 6, 50, 1, 0.2), 5 * MSS + 700,
-                     accounted=True, traced=True).gro.stats
+                     traced=True).gro.stats
     assert set(stats.flush_reasons) == {
         FlushReason.FLAGS, FlushReason.SEGMENT_FULL, FlushReason.UNMERGEABLE,
         FlushReason.OUT_OF_SEQUENCE, FlushReason.POLL_END,
         FlushReason.SHUTDOWN}
-    assert stats.merges and stats.passthrough_packets
+    assert stats.merges and stats.polls and stats.passthrough_packets
 
 
 def test_psh_opening_a_run_is_never_held():

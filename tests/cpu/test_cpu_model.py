@@ -1,41 +1,41 @@
-"""Cost table, meters, saturating cores and GRO accounting."""
+"""Cost table, saturating cores, and the RX core priced from GRO counters."""
 
 import pytest
 
-from repro.cpu.accounting import GroCpuAccountant
+from repro.core.chained_gro import ChainedGRO
+from repro.core.config import JugglerConfig
+from repro.core.standard_gro import StandardGRO
 from repro.cpu.core import CpuCore
 from repro.cpu.costs import DEFAULT_COSTS
-from repro.cpu.meter import CoreMeter
+from repro.harness.experiment import GroKind, make_gro_factory
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.packet import Packet
-from repro.net.segment import BatchingMode, Segment
+from repro.net.segment import BatchingMode
+from repro.nic.nic import Nic, NicConfig
 from repro.sim.engine import Engine
+from repro.sim.time import US
+
+from ..differential import reordered_stream
 
 FLOW = FiveTuple(1, 2, 1000, 80)
 
 
-def seg(n=1):
-    packets = [Packet(FLOW, i * MSS, MSS) for i in range(n)]
-    return Segment(packets)
-
-
-# --- CoreMeter -----------------------------------------------------------------
+# --- CpuCore --------------------------------------------------------------------
 
 
 def test_meter_accumulates():
-    meter = CoreMeter()
-    meter.charge(100)
-    meter.charge(50)
-    assert meter.busy_ns == 150
+    core = CpuCore(Engine())
+    core.submit(100)
+    core.submit(50.5)
+    assert core.busy_ns == 150.5
 
 
 def test_meter_rejects_negative():
+    core = CpuCore(Engine())
     with pytest.raises(ValueError):
-        CoreMeter().charge(-1)
-
-
-# --- CpuCore --------------------------------------------------------------------
+        core.submit(-1)
+    assert core.busy_ns == 0.0
 
 
 def test_core_serialises_jobs():
@@ -84,49 +84,48 @@ def test_core_rejects_negative_work():
         CpuCore(Engine()).submit(-5)
 
 
-def test_core_charge_without_queueing():
+# --- the RX core: cost x counter ------------------------------------------------
+
+
+def one_poll(gro):
+    """Four in-order MSS packets and one pure ACK, one poll."""
+    gro.receive_batch([Packet(FLOW, k * MSS, MSS) for k in range(4)]
+                      + [Packet(FLOW.reversed(), 0, 0)], now=0)
+    gro.poll_complete(now=0)
+    return gro.stats
+
+
+@pytest.mark.parametrize("make, mode, expected", [
+    # 5 packets x (220 rx + 60 gro) + 3 merges x 25 frag + 1 segment x 450
+    # + 1 poll x 1500 = 1400 + 75 + 450 + 1500
+    (StandardGRO, BatchingMode.FRAGS_ARRAY, 3425.0),
+    # the same, each merge a 180 ns chain link: 1400 + 540 + 450 + 1500
+    (ChainedGRO, BatchingMode.LINKED_LIST, 3890.0),
+], ids=["frags_array", "linked_list"])
+def test_rx_busy_ns_prices_one_poll(make, mode, expected):
+    stats = one_poll(make(lambda segment: None))
+    assert (stats.packets, stats.passthrough_packets, stats.merges,
+            stats.nodes_scanned, stats.segments, stats.polls) == (
+                4, 1, 3, 0, 1, 1)
+    assert DEFAULT_COSTS.rx_busy_ns(stats, mode) == expected
+
+
+@pytest.mark.parametrize("kind", list(GroKind), ids=lambda k: k.value)
+def test_gro_polls_equal_napi_polls(kind):
+    """``GroStats.polls`` is the poll term of the RX price: one per NAPI
+    poll the queue ran, whichever engine it feeds."""
     engine = Engine()
-    core = CpuCore(engine)
-    core.charge(500)
-    assert core.meter.busy_ns == 500
-
-
-# --- accounting -----------------------------------------------------------------
-
-
-def test_accountant_prices_operations():
-    meter = CoreMeter()
-    acct = GroCpuAccountant(meter)
-    acct.on_rx_packet()
-    acct.on_gro_packet()
-    expected = DEFAULT_COSTS.rx_per_packet + DEFAULT_COSTS.gro_per_packet
-    assert meter.busy_ns == pytest.approx(expected)
-
-
-def test_accountant_chain_merge_costs_more():
-    meter = CoreMeter()
-    acct = GroCpuAccountant(meter)
-    acct.on_merge(BatchingMode.FRAGS_ARRAY)
-    frag_cost = meter.busy_ns
-    acct.on_merge(BatchingMode.LINKED_LIST)
-    chain_cost = meter.busy_ns - frag_cost
-    assert chain_cost > 3 * frag_cost  # the Figure 3 cache-miss penalty
-
-
-def test_accountant_node_scans_scale():
-    meter = CoreMeter()
-    acct = GroCpuAccountant(meter)
-    acct.on_node_scan(10)
-    assert meter.busy_ns == pytest.approx(10 * DEFAULT_COSTS.gro_node_scan)
-    acct.on_node_scan(0)  # free
-    assert meter.busy_ns == pytest.approx(10 * DEFAULT_COSTS.gro_node_scan)
-
-
-def test_accountant_flush_segment():
-    meter = CoreMeter()
-    acct = GroCpuAccountant(meter)
-    acct.on_flush_segment(seg())
-    assert meter.busy_ns == pytest.approx(DEFAULT_COSTS.rx_per_segment)
+    nic = Nic(engine, lambda segment: None,
+              make_gro_factory(kind, JugglerConfig()),
+              NicConfig(num_queues=4, coalesce_ns=10 * US))
+    stream = reordered_stream(16, 24, window=4, seed=7)
+    for k in range(0, len(stream), 32):
+        for p in stream[k:k + 32]:
+            nic.receive(p)
+        engine.run_until(engine.now + 20 * US)
+    assert sum(queue.polls for queue in nic.queues) > 4
+    for queue in nic.queues:
+        assert queue.gro.stats.polls == queue.polls
 
 
 def test_cost_table_immutable():

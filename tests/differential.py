@@ -11,7 +11,7 @@ held to the spec (:mod:`repro.analysis.spec`) after every step; one side
 alone through :func:`replay` is the engine-against-spec check.
 
 A new pair is one call, ``assert_equivalent(make_a, make_b, polls)``, with
-``make(deliver, accountant)`` building an engine.  Two links are one call
+``make(deliver)`` building an engine.  Two links are one call
 too, ``assert_links_equivalent(link_a, link_b, schedule, ...)``: the
 arrivals are posted on a simulation engine that logs every event, and the
 snapshot is the deliveries, ``LinkStats`` and that event log.
@@ -23,8 +23,6 @@ import random
 from repro.analysis.runtime import sanitizing
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
-from repro.cpu.accounting import GroCpuAccountant
-from repro.cpu.meter import CoreMeter
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.flags import TcpFlags
@@ -135,18 +133,6 @@ def feed(gro, packets, now, how):
         gro.receive_batch(packets, now)
 
 
-class RecordingMeter(CoreMeter):
-    """A core meter that keeps every charge, in order."""
-
-    def __init__(self):
-        super().__init__()
-        self.charges = []
-
-    def charge(self, ns):
-        self.charges.append(ns)
-        super().charge(ns)
-
-
 def _run(segment):
     return (segment.seq, segment.end_seq, segment.mtus, str(segment.flow),
             segment._payload, segment._closed, segment.first_sent_at,
@@ -155,14 +141,12 @@ def _run(segment):
 
 class Side:
     """One engine fed ``how``, with its deliveries (flush reason and
-    ``flushed_at`` included), CPU charges and trace events logged."""
+    ``flushed_at`` included) and trace events logged."""
 
-    def __init__(self, make, how, accounted, traced):
+    def __init__(self, make, how, traced):
         self.how, self.delivered, self.events = how, [], []
-        self.meter = RecordingMeter()
         with sanitizing() as self.sanitizer:
-            self.gro = make(self._deliver, GroCpuAccountant(self.meter)
-                            if accounted else None)
+            self.gro = make(self._deliver)
         if traced:
             self.gro.attach_tracer(Tracer([CallbackSink(
                 lambda e: self.events.append(
@@ -183,9 +167,10 @@ class Side:
 
 
 def snapshot(side):
-    """Everything compared: stats, the flow table in eviction order (list by
-    list, OOO nodes with their packets, then the flow index), the held
-    ``_batch``, ``next_deadline()``, deliveries, charges and events."""
+    """Everything compared: stats (every counter the CPU model prices
+    included), the flow table in eviction order (list by list, OOO nodes
+    with their packets, then the flow index), the held ``_batch``,
+    ``next_deadline()``, deliveries and events."""
     gro = side.gro
     state = {f"stats.{f.name}": getattr(gro.stats, f.name)
              for f in dataclasses.fields(GroStats)}
@@ -198,16 +183,15 @@ def snapshot(side):
     state["held"] = [(str(flow), _run(segment))
                      for flow, segment in getattr(gro, "_batch", {}).items()]
     state.update(next_deadline=gro.next_deadline(), events=side.events,
-                 delivered=side.delivered, charges=side.meter.charges)
+                 delivered=side.delivered)
     return state
 
 
 def assert_equivalent(make_a, make_b, polls, *, feed_a="receive_batch",
-                      feed_b="receive_batch", accounted=False, traced=False):
+                      feed_b="receive_batch", traced=False):
     """Drive both engines through ``polls``, comparing after every step;
     returns side A for the caller's own assertions."""
-    sides = (Side(make_a, feed_a, accounted, traced),
-             Side(make_b, feed_b, accounted, traced))
+    sides = (Side(make_a, feed_a, traced), Side(make_b, feed_b, traced))
 
     def compare(when):
         left, right = map(snapshot, sides)

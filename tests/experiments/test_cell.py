@@ -60,7 +60,9 @@ def test_measure_host_restricts_gro_counters_and_cpu():
     receiver = net.hosts[2]
     cell.measure_host(receiver)
     assert cell.gro_engines() == receiver.gro_engines
-    assert receiver.app_core is cell.cpu.app_core
+    assert receiver.app_core is cell.app_core
+    # The RX core is priced from every engine the factory built.
+    assert cell.rx_engines == [g for h in net.hosts for g in h.gro_engines]
     assert all(h.app_core is None for h in net.hosts if h is not receiver)
 
     for conn in cell.flows(net.hosts[0], net.hosts[3], 1, 1000):

@@ -1,13 +1,15 @@
-"""Experiment-support helpers: the measurement window, HostCpu, unit
-conversions."""
+"""Experiment-support helpers: the measurement window, the CPU model,
+unit conversions."""
 
 import pytest
 
 from repro.experiments.cell import Cell, Window
-from repro.experiments.common import HostCpu, gbps
+from repro.experiments.common import gbps
 from repro.harness.experiment import GroKind
+from repro.net.addr import FiveTuple
+from repro.net.constants import MSS
+from repro.net.packet import Packet
 from repro.nic.nic import NicConfig
-from repro.sim.engine import Engine
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 
@@ -82,14 +84,28 @@ def test_merged_stats_sums_engines():
 
 
 def test_host_cpu_windows():
-    cell = Cell(0, GroKind.JUGGLER, cpu=True, **TIMEOUTS)
+    """The RX core is priced from the counters of every engine the
+    cell's factory built, measured host or not (here none is)."""
+    cell = Cell(0, GroKind.VANILLA, cpu=True, **TIMEOUTS)
+    engines = [cell.gro_factory(lambda segment: None) for _ in range(2)]
+    assert cell.rx_engines == engines and cell.gro_engines() == []
+    warmup = engines[0]
+    warmup.receive(Packet(FiveTuple(3, 2, 1000, 80), 0, MSS), 0)
+    warmup.poll_complete(0)
     before = cell.totals()
-    cell.cpu.rx_meter.charge(500)
-    cell.cpu.app_core.meter.charge(250)
-    cell.engine.run_until(1000)
+    flow = FiveTuple(1, 2, 1000, 80)
+    for gro in engines:
+        # 4 in-order MSS packets + 1 pure ACK, one poll: 3425 ns each
+        # (see tests/cpu/test_cpu_model.py).
+        gro.receive_batch([Packet(flow, k * MSS, MSS) for k in range(4)]
+                          + [Packet(flow.reversed(), 0, 0)], 0)
+        gro.poll_complete(0)
+    cell.app_core.submit(250)
+    cell.engine.run_until(10_000)
     window = cell.totals() - before
-    assert window.rx_core_pct == 50.0
-    assert window.app_core_pct == 25.0
+    assert window.rx_busy_ns == 2 * 3425.0
+    assert window.rx_core_pct == pytest.approx(68.5)
+    assert window.app_core_pct == pytest.approx(2.5)
     assert Cell(0, GroKind.JUGGLER, **TIMEOUTS).measure(0, 1000).rx_core_pct == 0.0
 
 
@@ -97,11 +113,13 @@ def test_host_cpu_attach():
     from repro.core.standard_gro import StandardGRO
     from repro.fabric.host import Host
 
-    engine = Engine()
-    cpu = HostCpu(engine)
-    host = Host(engine, 1, lambda d: StandardGRO(d))
-    cpu.attach(host)
-    assert host.app_core is cpu.app_core
+    cell = Cell(0, GroKind.VANILLA, cpu=True, **TIMEOUTS)
+    host = Host(cell.engine, 1, lambda d: StandardGRO(d))
+    cell.measure_host(host)
+    assert host.app_core is cell.app_core
+    bare = Host(cell.engine, 2, lambda d: StandardGRO(d))
+    Cell(0, GroKind.VANILLA, **TIMEOUTS).measure_host(bare)
+    assert bare.app_core is None
 
 
 def test_gbps_conversion():

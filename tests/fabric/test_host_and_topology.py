@@ -18,7 +18,7 @@ from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 from repro.sim.engine import Engine
-from repro.sim.time import MS, US
+from repro.sim.time import MS
 
 FLOW = FiveTuple(0, 1, 1000, 80)
 

@@ -1,7 +1,5 @@
 """The juggler-repro command-line entry point."""
 
-import pytest
-
 from repro.cli import EXPERIMENTS, main
 
 

@@ -6,8 +6,6 @@ from repro.core.chained_gro import ChainedGRO
 from repro.core.juggler import JugglerGRO
 from repro.core.presto_gro import PrestoGRO
 from repro.core.standard_gro import StandardGRO
-from repro.cpu.accounting import GroCpuAccountant
-from repro.cpu.meter import CoreMeter
 from repro.harness.experiment import GroKind, make_gro_factory
 from repro.harness.metrics import (
     Histogram,
@@ -151,10 +149,3 @@ def test_factory_builds_each_kind():
         engine = make_gro_factory(kind)(lambda s: None)
         assert isinstance(engine, cls)
 
-
-def test_factory_shares_accountant():
-    acct = GroCpuAccountant(CoreMeter())
-    factory = make_gro_factory(GroKind.JUGGLER, accountant=acct)
-    a = factory(lambda s: None)
-    b = factory(lambda s: None)
-    assert a.accountant is acct and b.accountant is acct

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.harness.reorder_metrics import (
     ReorderObserver,
     recommend_ofo_timeout,

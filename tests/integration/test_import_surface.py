@@ -24,8 +24,8 @@ ABSENT = ("concurrent.futures", "multiprocessing", "socket", "logging",
           "repro.trace.tracer", "repro.analysis.sanitizer",
           "repro.analysis.spec",
           "repro.cc.cubic", "repro.cc.dctcp", "repro.core.chained_gro",
-          "repro.core.presto_gro", "repro.cpu.accounting", "repro.cpu.core",
-          "repro.cpu.meter", "repro.fabric.flowcut", "repro.faults.injectors",
+          "repro.core.presto_gro", "repro.cpu.core", "repro.fabric.flowcut",
+          "repro.faults.injectors",
           "repro.steer.flow_director", "repro.steer.static",
           "repro.workloads.background")
 

@@ -32,9 +32,9 @@ def run(gro_kind, reorder_us=250, duration_ms=20, with_cpu=False):
                              reorder_delay_ns=reorder_us * US,
                              nic_config=NicConfig(coalesce_frames=25))
     if with_cpu:
-        from repro.experiments.common import HostCpu
+        from repro.cpu.core import CpuCore
 
-        HostCpu(engine).attach(bed.receiver)
+        bed.receiver.app_core = CpuCore(engine)
     conn = Connection(engine, bed.sender, bed.receiver, 1000, 80,
                       TcpConfig(init_cwnd=1 << 20, rx_buffer=8 << 20))
     conn.send(1 << 40)

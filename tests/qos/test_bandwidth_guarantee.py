@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from tests.tcp.helpers import DirectPair
-
 from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW, MSS
 from repro.net.addr import FiveTuple
 from repro.net.packet import Packet

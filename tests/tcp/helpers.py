@@ -9,7 +9,6 @@ from repro.fabric.host import Host
 from repro.fabric.link import QueuedLink
 from repro.nic.nic import NicConfig
 from repro.sim.engine import Engine
-from repro.sim.time import US
 
 
 class DirectPair:

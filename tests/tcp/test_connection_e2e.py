@@ -1,7 +1,5 @@
 """End-to-end transport behaviour over the simulated wire."""
 
-import pytest
-
 from tests.tcp.helpers import DirectPair
 
 from repro.sim.engine import Engine

@@ -1,7 +1,5 @@
 """TCP receiver: reassembly, ACK generation, flow control, DSACK, ECN echo."""
 
-import pytest
-
 from tests.tcp.helpers import DirectPair
 
 from repro.cpu.core import CpuCore

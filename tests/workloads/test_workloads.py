@@ -7,8 +7,7 @@ import pytest
 from tests.tcp.helpers import DirectPair
 
 from repro.sim.engine import Engine
-from repro.sim.time import MS, US
-from repro.tcp.config import TcpConfig
+from repro.sim.time import MS
 from repro.tcp.connection import Connection
 from repro.workloads.background import PoissonPacketSource, DiscardSink
 from repro.workloads.rpc import PingPongRpc, RpcWorkload
