@@ -1,21 +1,24 @@
-"""JSAN — the Juggler sanitizer: every engine in lockstep with the spec.
+"""JSAN — the Juggler sanitizer: every GRO engine in lockstep with its spec.
 
 Like ASan, JSAN stops a run at the step that goes wrong, not where the
 damage finally shows.  With ``JUGGLER_SANITIZE=1`` (or an install through
-:mod:`repro.analysis.runtime`) each :class:`~repro.core.juggler.JugglerGRO`
-(so each ``PrestoGRO`` too) hands itself to :meth:`Sanitizer.arm` when
-built.  Its ``receive_batch``, ``poll_complete``, ``check_timeouts`` and
-``flush_all`` are then wrapped to feed a :class:`~repro.analysis.spec.Spec`
-the same input, and after every step the engine must match it: the step's
-deliveries with their reasons; its transitions, admissions and removals
-(transient ones too, in order); each touched flow's fields and runs; the
-three lists and the flow index in FIFO order; ``next_deadline()``; and the
-spec-level ``GroStats`` counters.  With JSAN off nothing is wrapped.
+:mod:`repro.analysis.runtime`) every GRO engine hands itself to
+:meth:`Sanitizer.arm` when built, with the spec that models it: a
+:class:`~repro.analysis.spec.Spec` for ``JugglerGRO`` (so ``PrestoGRO``
+too), a :class:`~repro.analysis.spec.GroSpec` for ``StandardGRO`` and
+``ChainedGRO``.  Its ``receive_batch``, ``poll_complete``,
+``check_timeouts`` and ``flush_all`` are then wrapped to feed the spec the
+same input, and after every step the engine must match it: the step's
+deliveries with their reasons; ``next_deadline()``; and the ``GroStats``
+counters the spec keeps.  Juggler's flow table is held to more: its
+transitions, admissions and removals (transient ones too, in order), each
+touched flow's fields and runs, and the three lists and the flow index in
+FIFO order.  With JSAN off nothing is wrapped.
 """
 
 from __future__ import annotations
 
-from repro.analysis.spec import TRANSITIONS, Spec
+from repro.analysis.spec import TRANSITIONS
 from repro.core.phases import Phase
 
 
@@ -32,23 +35,24 @@ class Sanitizer:
     def __init__(self) -> None:
         self.checks_run = 0
 
-    def arm(self, gro) -> None:
-        """Shadow ``gro`` with a spec of its own from now on."""
-        Shadow(self, gro)
+    def arm(self, gro, spec, table=None) -> None:
+        """Shadow ``gro`` from now on with ``spec``, a fresh model of it;
+        ``table``, Juggler's flow table, is compared too."""
+        Shadow(self, gro, spec, table)
 
 
 class Shadow:
     """One engine and its spec, compared step by step."""
 
-    def __init__(self, sanitizer: Sanitizer, gro) -> None:
-        self.sanitizer, self.gro, self.spec = sanitizer, gro, Spec(gro.config)
+    def __init__(self, sanitizer: Sanitizer, gro, spec, table) -> None:
+        self.sanitizer, self.gro, self.spec, self.table = sanitizer, gro, spec, table
         self.delivered: list = []
         self.log: list = []
         self.busy = False
-        for what, model in (("receive_batch", self.spec.poll),
-                            ("poll_complete", self.spec.poll_complete),
-                            ("check_timeouts", self.spec.timer),
-                            ("flush_all", self.spec.flush_all)):
+        for what, model in (("receive_batch", spec.poll),
+                            ("poll_complete", spec.poll_complete),
+                            ("check_timeouts", spec.timer),
+                            ("flush_all", spec.flush_all)):
             setattr(gro, what, self._stepper(what, getattr(gro, what), model))
         deliver_segment, log = gro._deliver_segment, self.log
 
@@ -57,8 +61,9 @@ class Shadow:
             deliver_segment(segment, reason, now)
 
         gro._deliver_segment = delivered
+        if table is None:
+            return
         # The table's own transitions, admissions and removals, in order.
-        table = gro.table
         add, move, remove = table.add, table.move, table.remove
         table.add = lambda e: (add(e), log.append((e.key, Phase.INITIAL, e.phase)))
         table.move = lambda e, phase, now=0: (log.append((e.key, e.phase, phase)),
@@ -93,9 +98,20 @@ class Shadow:
                   + " (Table 1 / Figure 5)", self.log, spec.log)
         _same(where, "deliveries (flow, seq, end_seq, reason)", self.delivered, spec.delivered)
         _same(where, "phase transitions (flow, old, new)", self.log, spec.log)
+        if self.table is not None:
+            self._compare_table(where, packets)
+        _same(where, "next_deadline()", gro.next_deadline(), spec.next_deadline())
+        names = spec.COUNTERS
+        _same(where, f"GroStats ({', '.join(names)})",
+              [getattr(gro.stats, name) for name in names],
+              [getattr(spec, name) for name in names])
+        for log in (self.delivered, self.log, spec.delivered, spec.log):
+            log.clear()
+
+    def _compare_table(self, where, packets) -> None:
+        spec, flows = self.spec, self.table._flows
         touched = dict.fromkeys(p.flow for p in packets)
         touched.update((row[0], None) for row in spec.delivered + spec.log)
-        flows = gro.table._flows
         for key in touched:
             entry = flows.get(key)
             state = None if entry is None else (
@@ -104,21 +120,11 @@ class Shadow:
             if state != spec.state(key):
                 _fail(where, f"flow {key} (phase, seq_next, lost_seq, hole_since, "
                       "flush_timestamp, runs) differs from the spec", state, spec.state(key))
-        for name, bucket in gro.table._lists.items():
+        for name, bucket in self.table._lists.items():
             if list(bucket) != list(spec.lists[name]):
                 _fail(where, f"the {name} list differs from the spec (Figure 4, FIFO "
                       "order)", list(bucket), list(spec.lists[name]))
         _same(where, "the flow index", list(flows), list(spec.flows))
-        _same(where, "next_deadline()", gro.next_deadline(), spec.next_deadline())
-        stats = gro.stats
-        _same(where, "GroStats (packets, flows_created, merges, duplicates, segments, "
-              "flush_reasons, evictions)",
-              (stats.packets, stats.flows_created, stats.merges, stats.duplicates,
-               stats.segments, stats.flush_reasons, stats.evictions),
-              (spec.packets, spec.flows_created, spec.merges, spec.duplicates,
-               sum(spec.reasons.values()), spec.reasons, spec.evictions))
-        for log in (self.delivered, self.log, spec.delivered, spec.log):
-            log.clear()
 
 
 def _same(where: tuple, what: str, engine, spec) -> None:

@@ -1,9 +1,11 @@
-"""Juggler's spec as a model: Table 1, Table 2 and §4.3 of the paper.
+"""The GRO engines' specs as models, written from the paper.
 
-A :class:`Spec` holds one engine's flows in plain lists and ints, written
-from the paper rather than from :mod:`repro.core`: it reads packet headers
-and ``JugglerConfig`` values only.  JSAN (:mod:`repro.analysis.sanitizer`)
-runs one beside every engine and compares what the two deliver and become.
+A :class:`Spec` is Juggler: Table 1, Table 2 and §4.3.  A :class:`GroSpec`
+is §3.1's two baselines, standard GRO and linked-list GRO.  Each holds one
+engine's flows in plain lists and ints, written from the paper rather than
+from :mod:`repro.core`: it reads packet headers and ``JugglerConfig`` values
+only.  JSAN (:mod:`repro.analysis.sanitizer`) runs one beside every engine
+and compares what the two deliver and become.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import Counter
 
 from repro.core.flush import FlushReason as R
 from repro.core.phases import Phase as P
-from repro.net.constants import MSS
+from repro.net.constants import MAX_GRO_SEGMENT, MSS
 
 #: Table 1 / Figure 5: the legal phase transitions.
 TRANSITIONS = frozenset({(P.INITIAL, P.BUILD_UP), (P.INITIAL, P.ACTIVE_MERGE),  # admission
@@ -40,12 +42,20 @@ class Flow:
 class Spec:
     """The flows of one GRO table, driven step by step."""
 
+    #: The ``GroStats`` counters the spec keeps too (``segments``: deliveries).
+    COUNTERS = ("packets", "flows_created", "merges", "duplicates", "segments",
+                "flush_reasons", "evictions")
+
     def __init__(self, config):
         self.config = config
         self.flows, self.delivered, self.log = {}, [], []  # admission order
         self.lists = {"active": {}, "inactive": {}, "loss_recovery": {}}
         self.packets = self.flows_created = self.merges = self.duplicates = 0
-        self.reasons, self.evictions = Counter(), Counter()
+        self.flush_reasons, self.evictions = Counter(), Counter()
+
+    @property
+    def segments(self) -> int:
+        return sum(self.flush_reasons.values())
 
     def state(self, key):
         """A flow's fields and ``(seq, end)`` runs; None when untracked."""
@@ -126,7 +136,7 @@ class Spec:
 
     def _emit(self, key, seq: int, end: int, reason: R) -> None:
         self.delivered.append((key, seq, end, reason))
-        self.reasons[reason] += 1
+        self.flush_reasons[reason] += 1
 
     def _flushed(self, key, f: Flow, now: int, runs, reason: R) -> None:
         if f.phase is P.BUILD_UP:  # the first flush ends build-up
@@ -197,3 +207,67 @@ class Spec:
         """``b`` follows run ``a``, same headers, ``a`` unclosed, within the cap."""
         return (a[1] == b[0] and not a[3] and a[2] == b[2]
                 and b[1] - a[0] <= self.config.max_segment_bytes)
+
+
+class GroSpec:
+    """§3.1's baselines.  Standard GRO merges a packet onto its flow's held
+    run while it is next in sequence with the same headers and fits under
+    ``cap``; otherwise the run flushes and the packet opens the next one.
+    Linked-list GRO (``linked``) chains every data packet in arrival order,
+    whatever its sequence, under the kernel's cap.  PSH/FIN flushes a run,
+    even one it opens; both hand every held run up at a poll's end.  No
+    timers, no flow table: a run is ``[seq, end, sig, bytes]``, ``end`` the
+    last packet's."""
+
+    COUNTERS = ("packets", "passthrough_packets", "merges", "polls",
+                "segments", "flush_reasons")
+
+    def __init__(self, linked: bool, cap: int = MAX_GRO_SEGMENT):
+        self.linked, self.cap = linked, cap
+        self.runs, self.delivered, self.log = {}, [], []  # no phases: log stays empty
+        self.packets = self.passthrough_packets = self.merges = self.polls = 0
+        self.flush_reasons = Counter()
+
+    segments = Spec.segments
+
+    def next_deadline(self):
+        return None
+
+    def poll(self, packets, now: int) -> None:
+        for p in packets:
+            size = p.payload_len
+            if size == 0:
+                self.passthrough_packets += 1  # pure ACKs bypass GRO
+                continue
+            self.packets += 1
+            key, seq = p.flow, p.seq
+            run = self.runs.get(key)
+            joins = run is not None and (self.linked or (
+                seq == run[1] and p.sig == run[2] and run[3] + size <= self.cap))
+            if joins:
+                run[1], run[3] = seq + size, run[3] + size
+                self.merges += 1
+            else:
+                if run is not None:
+                    self._flush(key, R.UNMERGEABLE if seq == run[1] else R.OUT_OF_SEQUENCE)
+                run = self.runs[key] = [seq, seq + size, p.sig, size]
+            if p.forces_flush:
+                self._flush(key, R.FLAGS)
+            elif (joins or self.linked) and run[3] + MSS > self.cap:
+                self._flush(key, R.SEGMENT_FULL)  # no room for one more MSS
+
+    def timer(self, now: int) -> None:
+        """No timers: nothing is held past a poll."""
+
+    def poll_complete(self, now: int) -> None:
+        self.polls += 1
+        self.flush_all(now, R.POLL_END)
+
+    def flush_all(self, now: int, reason: R = R.SHUTDOWN) -> None:
+        for key in list(self.runs):
+            self._flush(key, reason)
+
+    def _flush(self, key, reason: R) -> None:
+        seq, end = self.runs.pop(key)[:2]
+        self.delivered.append((key, seq, end, reason))
+        self.flush_reasons[reason] += 1

@@ -1,7 +1,7 @@
 """Common interface and plumbing for all GRO engine variants.
 
-An engine is driven exactly like the kernel GRO path: the NAPI layer calls
-:meth:`receive` once per wire packet during a polling cycle and
+An engine is driven exactly like the kernel GRO path: the NAPI layer hands
+each polling cycle's wire packets to :meth:`receive_batch` and calls
 :meth:`poll_complete` when the cycle ends; a per-table high-resolution timer
 calls :meth:`check_timeouts` between cycles.  Merged segments leave through
 the ``deliver`` callback, which in the full simulation is the TCP receiver.
@@ -53,20 +53,19 @@ class GroEngine(abc.ABC):
         """Enable (or disable, with None) tracing on a built engine."""
         self.tracer = tracer
 
-    @abc.abstractmethod
     def receive(self, packet: Packet, now: int) -> None:
-        """Process one packet arriving from the driver at time ``now``."""
+        """Process one packet arriving at time ``now``: a poll of one."""
+        self.receive_batch([packet], now)
 
+    @abc.abstractmethod
     def receive_batch(self, packets: List[Packet], now: int) -> None:
         """Process one NAPI poll's worth of packets, all at time ``now``.
 
         The NAPI layer hands the whole poll batch down at once (the kernel
         equivalent: the driver's poll loop calling ``napi_gro_receive`` per
-        descriptor inside one softirq).  Engines may override this to hoist
-        per-packet overhead out of the loop; the default just loops.
+        descriptor inside one softirq); each engine's per-packet body lives
+        here.
         """
-        for packet in packets:
-            self.receive(packet, now)
 
     @abc.abstractmethod
     def poll_complete(self, now: int) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
 from repro.net.addr import FiveTuple
@@ -33,27 +34,34 @@ class ChainedGRO(GroEngine):
         super().__init__(deliver)
         self._chains: Dict[FiveTuple, List[Packet]] = {}
         self._chain_bytes: Dict[FiveTuple, int] = {}
+        sanitizer = sanitize_runtime.current()
+        if sanitizer is not None:  # JSAN: §3.1's rule shadows this instance
+            from repro.analysis.spec import GroSpec
 
-    def receive(self, packet: Packet, now: int) -> None:
-        """Chain the packet onto its flow's batch, whatever its sequence."""
-        if packet.payload_len == 0:
-            self._passthrough(packet, now)
-            return
-        self.stats.packets += 1
+            sanitizer.arm(self, GroSpec(linked=True))
 
-        chain = self._chains.get(packet.flow)
-        if chain is None:
-            self._chains[packet.flow] = [packet]
-            self._chain_bytes[packet.flow] = packet.payload_len
-        else:
-            chain.append(packet)
-            self._chain_bytes[packet.flow] += packet.payload_len
-            self.stats.merges += 1
-
-        if packet.forces_flush:
-            self._flush(packet.flow, FlushReason.FLAGS, now)
-        elif self._chain_bytes[packet.flow] + MSS > MAX_GRO_SEGMENT:
-            self._flush(packet.flow, FlushReason.SEGMENT_FULL, now)
+    def receive_batch(self, packets: List[Packet], now: int) -> None:
+        """Chain each packet onto its flow's batch, whatever its sequence."""
+        stats = self.stats
+        chains, chain_bytes = self._chains, self._chain_bytes
+        for packet in packets:
+            if packet.payload_len == 0:
+                self._passthrough(packet, now)
+                continue
+            stats.packets += 1
+            flow = packet.flow
+            chain = chains.get(flow)
+            if chain is None:
+                chains[flow] = [packet]
+                chain_bytes[flow] = packet.payload_len
+            else:
+                chain.append(packet)
+                chain_bytes[flow] += packet.payload_len
+                stats.merges += 1
+            if packet.forces_flush:
+                self._flush(flow, FlushReason.FLAGS, now)
+            elif chain_bytes[flow] + MSS > MAX_GRO_SEGMENT:
+                self._flush(flow, FlushReason.SEGMENT_FULL, now)
 
     def _flush(self, flow: FiveTuple, reason: FlushReason, now: int) -> None:
         chain = self._chains.pop(flow)

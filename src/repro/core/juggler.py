@@ -41,8 +41,10 @@ class JugglerGRO(GroEngine):
         self.table = GroTable(self.config.table_capacity)
         self.table.tracer = self.tracer
         sanitizer = sanitize_runtime.current()
-        if sanitizer is not None:
-            sanitizer.arm(self)  # JSAN: the spec shadows this instance
+        if sanitizer is not None:  # JSAN: Tables 1-2 shadow this instance
+            from repro.analysis.spec import Spec
+
+            sanitizer.arm(self, Spec(self.config), self.table)
 
     def attach_tracer(self, tracer) -> None:
         """Enable tracing on engine and table together."""
@@ -55,11 +57,6 @@ class JugglerGRO(GroEngine):
     def active_list_len(self) -> int:
         """Flows currently in build-up or active merging."""
         return self.table.active_len
-
-    @property
-    def inactive_list_len(self) -> int:
-        """Flows parked in post-merge."""
-        return self.table.inactive_len
 
     @property
     def loss_recovery_list_len(self) -> int:
@@ -84,10 +81,6 @@ class JugglerGRO(GroEngine):
         return 96 * len(self.table) + self.buffered_bytes
 
     # -- the receive path ----------------------------------------------------
-
-    def receive(self, packet: Packet, now: int) -> None:
-        """Per-packet entry point: a length-1 batch."""
-        self.receive_batch([packet], now)
 
     def receive_batch(self, packets: List[Packet], now: int) -> None:
         """One NAPI poll's packets through the per-packet pipeline.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.analysis import runtime as sanitize_runtime
 from repro.core.base import DeliverFn, GroEngine
 from repro.core.flush import FlushReason
 from repro.net.addr import FiveTuple
@@ -35,15 +36,11 @@ class StandardGRO(GroEngine):
         super().__init__(deliver)
         self.max_segment_bytes = max_segment_bytes
         self._batch: Dict[FiveTuple, Segment] = {}
+        sanitizer = sanitize_runtime.current()
+        if sanitizer is not None:  # JSAN: §3.1's rule shadows this instance
+            from repro.analysis.spec import GroSpec
 
-    @property
-    def held_flows(self) -> int:
-        """Flows with a partially merged segment in the current batch."""
-        return len(self._batch)
-
-    def receive(self, packet: Packet, now: int) -> None:
-        """One packet: a poll of one (see :meth:`receive_batch`)."""
-        self.receive_batch([packet], now)
+            sanitizer.arm(self, GroSpec(linked=False, cap=max_segment_bytes))
 
     def receive_batch(self, packets: List[Packet], now: int) -> None:
         """Merge each packet if next-in-sequence; otherwise flush and restart.

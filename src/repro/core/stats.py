@@ -96,17 +96,3 @@ class GroStats:
     def total_evictions(self) -> int:
         """Evictions across all phases."""
         return sum(self.evictions.values())
-
-    def summary(self) -> dict:
-        """A plain-dict snapshot for harness reporting."""
-        return {
-            "packets": self.packets,
-            "segments": self.segments,
-            "batching_extent": round(self.batching_extent, 2),
-            "ooo_fraction": round(self.ooo_fraction, 4),
-            "flows_created": self.flows_created,
-            "evictions": self.total_evictions,
-            "merges": self.merges,
-            "duplicates": self.duplicates,
-            "flush_reasons": {r.value: n for r, n in self.flush_reasons.items()},
-        }

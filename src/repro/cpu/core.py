@@ -28,17 +28,6 @@ class CpuCore:
         # det: allow(float-ns) -- accumulator of fractional modeled work, not an event timestamp; never feeds back into scheduling
         self.busy_ns = 0.0
         self._busy_until = 0
-        self._jobs_completed = 0
-
-    @property
-    def backlog_ns(self) -> int:
-        """Queued-but-unfinished work, in ns, as of now."""
-        return max(0, self._busy_until - self._engine.now)
-
-    @property
-    def jobs_completed(self) -> int:
-        """Number of submitted work items that have finished."""
-        return self._jobs_completed
 
     def submit(
         self,
@@ -58,11 +47,5 @@ class CpuCore:
         done = start + max(1, round(work_ns))
         self._busy_until = done
         if callback is not None:
-            self._engine.schedule_at(done, self._complete, callback, args)
-        else:
-            self._jobs_completed += 1
+            self._engine.schedule_at(done, callback, *args)
         return done
-
-    def _complete(self, callback: Callable[..., Any], args: tuple) -> None:
-        self._jobs_completed += 1
-        callback(*args)

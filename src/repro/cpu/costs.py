@@ -1,10 +1,10 @@
 """Calibrated per-operation CPU costs.
 
-Costs are nanoseconds of core time per operation.  The constants are
-calibrated so the *vanilla kernel, in-order traffic, 20 Gb/s into one RX
-queue* operating point of Figure 9 lands near the paper's reported bars
-(RX core ≈ 45%, application core ≈ 60%); every other number in the
-reproduction is emergent from these same constants.
+Costs are nanoseconds of core time per operation, anchored on the *vanilla
+kernel, in-order traffic, 20 Gb/s into one RX queue* point of Figure 9 (the
+paper's bars: RX core ≈ 45%, application core ≈ 60%).  They overshoot it:
+``juggler-repro fig09``'s 1-flow ECMP vanilla row reads RX core 65.2% and
+application core 65.4%.  Every other number is emergent from them.
 
 Where the calibration anchors come from:
 

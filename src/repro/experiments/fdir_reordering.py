@@ -132,20 +132,10 @@ def churn_plan(churn: int, *, start_us: int, stop_us: int,
     if preset is None:
         return None
     params, period_us = preset
-    repeats = max(1, (stop_us - start_us) // period_us)
-    return FaultPlan.from_dict({
-        "name": f"fdir-churn-l{churn}",
-        "seed": seed,
-        "faults": [{
-            "name": f"steering-churn-l{churn}",
-            "kind": "steering_churn",
-            "at_us": start_us,
-            "duration_us": min(100, period_us),
-            "every_us": period_us,
-            "repeats": repeats,
-            "params": params,
-        }],
-    })
+    return FaultPlan.periodic(
+        f"fdir-churn-l{churn}", f"steering-churn-l{churn}", "steering_churn",
+        params, start_us=start_us, stop_us=stop_us,
+        window_us=min(100, period_us), every_us=period_us, seed=seed)
 
 
 def build_policy(policy: str, params: FdirParams, rng,

@@ -159,28 +159,6 @@ def _policy_factory(routing: str, cell: Cell):
     raise ValueError(f"unknown routing {routing!r}; known: {ROUTINGS}")
 
 
-def _fault_plan(level: int, *, start_us: int, stop_us: int,
-                seed: int) -> Optional[FaultPlan]:
-    preset = FAULT_LEVELS[level]
-    if preset is None:
-        return None
-    fault_params, window_us = preset
-    repeats = max(1, (stop_us - start_us) // _PERIOD_US)
-    return FaultPlan.from_dict({
-        "name": f"host-vs-fabric-l{level}",
-        "seed": seed,
-        "faults": [{
-            "name": f"uplink-saturation-l{level}",
-            "kind": "queue_saturation",
-            "at_us": start_us,
-            "duration_us": window_us,
-            "every_us": _PERIOD_US,
-            "repeats": repeats,
-            "params": fault_params,
-        }],
-    })
-
-
 def run_point(params: HostFabricParams, *, engine: str, routing: str,
               load: int, fault: int) -> HostFabricPoint:
     """One grid cell, independently schedulable (see repro.campaign)."""
@@ -213,9 +191,13 @@ def run_point(params: HostFabricParams, *, engine: str, routing: str,
 
     warmup_cut = params.warmup_ms * MS
     stop_us = (params.warmup_ms + params.measure_ms) * 1_000
-    plan = _fault_plan(fault, start_us=params.warmup_ms * 1_000,
-                       stop_us=stop_us, seed=cell_seed)
-    if plan is not None:
+    if FAULT_LEVELS[fault] is not None:
+        fault_params, window_us = FAULT_LEVELS[fault]
+        plan = FaultPlan.periodic(
+            f"host-vs-fabric-l{fault}", f"uplink-saturation-l{fault}",
+            "queue_saturation", fault_params, start_us=params.warmup_ms * 1_000,
+            stop_us=stop_us, window_us=window_us, every_us=_PERIOD_US,
+            seed=cell_seed)
         fault_engine = FaultEngine(cell.engine, plan)
         # The sick path: one specific uplink, same one in every arm.
         fault_engine.bind(links=[net.uplinks[0][0]])

@@ -38,12 +38,6 @@ class LinkStats:
     max_queue_bytes: int = 0
     ce_marked: int = 0
 
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of the window the transmitter was busy."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.busy_ns / elapsed_ns
-
 
 class _TxNs(Dict[int, int]):
     """``wire_len`` -> serialisation ns at one rate, filled on first use."""

@@ -59,7 +59,6 @@ def build_netfpga_pair(
     reorder_delay_ns: int = 250_000,
     drop_p: float = 0.0,
     nic_config: Optional[NicConfig] = None,
-    sender_gro_factory: Optional[GroFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     receiver_steering: Optional[SteeringPolicy] = None,
 ) -> NetfpgaTestbed:
@@ -82,13 +81,7 @@ def build_netfpga_pair(
     """
     receiver = Host(engine, 1, gro_factory, nic_config=nic_config,
                     name="receiver", steering=receiver_steering)
-    sender = Host(
-        engine,
-        0,
-        sender_gro_factory if sender_gro_factory is not None else gro_factory,
-        nic_config=nic_config,
-        name="sender",
-    )
+    sender = Host(engine, 0, gro_factory, nic_config=nic_config, name="sender")
 
     faults: Optional[FaultEngine] = None
     into_receiver = receiver
@@ -142,15 +135,13 @@ def build_priority_dumbbell(
     engine: Engine,
     gro_factory: GroFactory,
     *,
-    n_senders: int = 2,
-    n_receivers: int = 2,
     host_rate_gbps: float = 40.0,
     bottleneck_gbps: float = 40.0,
     queue_capacity_bytes: Optional[int] = 512 * 1024,
     ecn_threshold_bytes: Optional[int] = 100 * 1024,
     nic_config: Optional[NicConfig] = None,
 ) -> PriorityDumbbell:
-    """Senders on the left ToR, receivers on the right, one shared
+    """Two senders on the left ToR, two receivers on the right, one shared
     two-priority bottleneck between the ToRs.
 
     The bottleneck's queues have finite buffers (``queue_capacity_bytes``
@@ -161,7 +152,7 @@ def build_priority_dumbbell(
     right_tor = Switch("right-tor")
 
     senders: List[Host] = []
-    for i in range(n_senders):
+    for i in range(2):
         host = Host(engine, i, gro_factory, nic_config=nic_config,
                     name=f"sender{i}")
         # Host access links do not ECN-mark: marking is a switch-queue
@@ -178,7 +169,7 @@ def build_priority_dumbbell(
         senders.append(host)
 
     receivers: List[Host] = []
-    for i in range(n_receivers):
+    for i in range(2):
         host_id = 100 + i
         host = Host(engine, host_id, gro_factory, nic_config=nic_config,
                     name=f"receiver{i}")

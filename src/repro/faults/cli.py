@@ -73,7 +73,8 @@ def cmd_run(argv) -> int:
     for key, value in report.items():
         print(f"  {key:22s} {value}")
     if sanitize:
-        print("\nsanitizer: zero invariant violations")
+        print("\nsanitizer: zero invariant violations in "
+              f"{sanitize_runtime.current().checks_run:,} steps checked")
     if args.json:
         payload = {"plan": plan.to_dict(), "gro": args.gro,
                    "duration_ms": params.duration_ms, "report": report}

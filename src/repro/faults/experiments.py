@@ -142,20 +142,10 @@ def preset_plan(kind: str, intensity: int, *, start_us: int, stop_us: int,
     if intensity not in (1, 2, 3):
         raise ValueError(f"intensity must be 1, 2 or 3, got {intensity}")
     params, window_us = _PRESETS[kind][intensity - 1]
-    repeats = max(1, (stop_us - start_us) // _PERIOD_US)
-    return FaultPlan.from_dict({
-        "name": f"matrix-{kind}-l{intensity}",
-        "seed": seed,
-        "faults": [{
-            "name": f"{kind}-l{intensity}",
-            "kind": kind,
-            "at_us": start_us,
-            "duration_us": window_us,
-            "every_us": _PERIOD_US,
-            "repeats": repeats,
-            "params": params,
-        }],
-    })
+    return FaultPlan.periodic(
+        f"matrix-{kind}-l{intensity}", f"{kind}-l{intensity}", kind, params,
+        start_us=start_us, stop_us=stop_us, window_us=window_us,
+        every_us=_PERIOD_US, seed=seed)
 
 
 def gro_factory(engine_name: str, config: JugglerConfig):

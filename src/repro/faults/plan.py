@@ -141,6 +141,19 @@ class FaultPlan:
                    seed=int(data.get("seed", 0)))
 
     @classmethod
+    def periodic(cls, name: str, fault: str, kind: str, params: Mapping, *,
+                 start_us: int, stop_us: int, window_us: int, every_us: int,
+                 seed: int) -> "FaultPlan":
+        """A one-fault plan: a ``window_us`` window of ``kind`` every
+        ``every_us`` from ``start_us`` on, as many as fit before
+        ``stop_us`` (at least one)."""
+        return cls.from_dict({"name": name, "seed": seed, "faults": [{
+            "name": fault, "kind": kind, "at_us": start_us,
+            "duration_us": window_us, "every_us": every_us,
+            "repeats": max(1, (stop_us - start_us) // every_us),
+            "params": params}]})
+
+    @classmethod
     def from_file(cls, path) -> "FaultPlan":
         """Load a JSON plan file."""
         text = Path(path).read_text(encoding="utf-8")

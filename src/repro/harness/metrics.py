@@ -78,12 +78,6 @@ class Histogram:
         hits = sum(n for b, n in self._counts.items() if b <= limit)
         return hits / self.total
 
-    def buckets(self) -> List[Tuple[int, int]]:
-        """Sorted (bucket_start, count) pairs."""
-        return sorted(
-            (b * self.bin_width, n) for b, n in self._counts.items()
-        )
-
 
 class Sampler:
     """Calls ``probe()`` every ``interval_ns`` and keeps (time, value) pairs."""

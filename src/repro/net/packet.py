@@ -12,16 +12,6 @@ from repro.net.flags import TcpFlags
 _packet_ids = itertools.count()
 
 
-def next_pid() -> int:
-    """Consume and return the next packet id.
-
-    This is also the allocation watermark the zero-allocation guards use:
-    two calls bracketing a region return consecutive values iff no
-    ``Packet`` was constructed (or pool-reset) in between.
-    """
-    return next(_packet_ids)
-
-
 class Packet:
     """One MTU-or-smaller TCP/IP packet.
 

@@ -18,6 +18,7 @@ from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
 from repro.core.juggler import JugglerGRO
 from repro.core.phases import Phase
+from repro.harness.experiment import GroKind, make_gro_factory
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS
 from repro.net.flags import TcpFlags
@@ -405,6 +406,15 @@ def test_env_var_arms_new_components(monkeypatch):
     gro.receive(data(0), 0)
     gro.poll_complete(0)
     assert runtime.current().checks_run == 2
+
+
+@pytest.mark.parametrize("kind", GroKind, ids=lambda kind: kind.value)
+def test_every_engine_kind_is_shadowed(kind):
+    with runtime.sanitizing() as san:
+        gro = make_gro_factory(kind)(lambda segment: None)
+    gro.receive(data(0), 0)
+    gro.poll_complete(0)
+    assert san.checks_run == 2
 
 
 @pytest.mark.parametrize("value", ["", "0", "false", "off", "no"])

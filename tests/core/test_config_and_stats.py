@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import JugglerConfig
 from repro.core.flush import FlushReason
-from repro.core.phases import Phase
 from repro.core.stats import GroStats
 from repro.net.addr import FiveTuple
 
@@ -68,17 +67,5 @@ def test_stats_empty_ratios():
     stats = GroStats()
     assert stats.batching_extent == 0.0
     assert stats.ooo_fraction == 0.0
-
-
-def test_stats_summary_round_trip():
-    stats = GroStats()
-    stats.packets = 10
-    stats.record_delivery(FLOW, 0, 1000, 5, FlushReason.FLAGS)
-    stats.record_eviction(Phase.POST_MERGE)
-    summary = stats.summary()
-    assert summary["packets"] == 10
-    assert summary["segments"] == 1
-    assert summary["evictions"] == 1
-    assert summary["flush_reasons"] == {"flags": 1}
 
 

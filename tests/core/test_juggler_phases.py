@@ -44,7 +44,7 @@ def test_active_merge_while_ooo_queue_nonempty(harness):
 def test_post_merge_flow_parks_on_inactive_list(harness):
     harness.receive(pkt(0))
     harness.engine.check_timeouts(now=20 * US)
-    assert harness.engine.inactive_list_len == 1
+    assert harness.engine.table.inactive_len == 1
     assert harness.engine.active_list_len == 0
 
 

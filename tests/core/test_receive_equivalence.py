@@ -19,16 +19,11 @@ from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.sim.time import US
 
-from ..differential import PSH, Side, feed, replay, spiced_polls
+from ..differential import PSH, against_spec, feed, spiced_polls
 
 
-def against_spec(polls, config, traced=False):
-    """One engine under its JSAN shadow through ``polls``: engine and spec."""
-    side = Side(lambda deliver: JugglerGRO(deliver, config),
-                "receive_batch", traced)
-    replay([side], polls)
-    assert side.sanitizer.checks_run > len(polls)  # the shadow compared
-    return side
+def juggler(config):
+    return lambda deliver: JugglerGRO(deliver, config)
 
 
 @given(seed=st.integers(0, 1 << 16), flows=st.integers(1, 10),
@@ -43,15 +38,15 @@ def test_engine_equals_the_spec(seed, flows, pkts, window, spice,
                                            traced):
     config = JugglerConfig(table_capacity=capacity, enable_buildup=buildup,
                            max_segment_bytes=segment_mss * MSS + 100)
-    against_spec(spiced_polls(seed, flows, pkts, window, spice), config,
-             traced=traced)
+    against_spec(juggler(config), spiced_polls(seed, flows, pkts, window, spice),
+                 traced)
 
 
 def test_mix_reaches_every_branch():
     """The generator is not vacuous: one mid-sized draw fires every flush
     reason, evicts, finds duplicates and scans for stragglers."""
     config = JugglerConfig(table_capacity=4, max_segment_bytes=8 * MSS + 100)
-    stats = against_spec(spiced_polls(2, 12, 40, 6, 0.2), config).gro.stats
+    stats = against_spec(juggler(config), spiced_polls(2, 12, 40, 6, 0.2)).gro.stats
     standard_only = {FlushReason.POLL_END, FlushReason.OUT_OF_SEQUENCE,
                      FlushReason.PASSTHROUGH}
     assert set(stats.flush_reasons) == set(FlushReason) - standard_only
@@ -80,7 +75,7 @@ def test_hole_clock_restarts_after_a_fill_and_flush():
         (t0, [data(2), data(3), data(5)], True, t0),   # hole at 1 since t0
         (t1, [data(1)], True, t1),                     # fills: [1, 4) full
     ]
-    new = against_spec(polls, config)
+    new = against_spec(juggler(config), polls)
     # The harness drained the engines; replay to look at the state between.
     gro = JugglerGRO(lambda segment: None, config)
     for now, packets, _, _ in polls:

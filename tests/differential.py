@@ -1,30 +1,33 @@
 """One differential harness for the receive path and the link hop.
 
-Two GRO engines — two bodies (a live engine against the reference body it
-replaced) or one body fed two ways (per-packet ``receive`` against
-``receive_batch``) — are handed the same ``Packet`` objects (GRO never
-writes to a packet) and must be the same machine after every poll, poll
-completion, hrtimer sweep and the final ``flush_all``: every field of
-:func:`snapshot` equal, where a field an engine lacks reads as empty.  Each
-engine is built under its own JSAN sanitizer, so a Juggler side is also
-held to the spec (:mod:`repro.analysis.spec`) after every step; one side
-alone through :func:`replay` is the engine-against-spec check.
+GRO: an engine is built under its own JSAN sanitizer, so its shadow holds
+it to its spec (:mod:`repro.analysis.spec`: Tables 1-2 for Juggler, §3.1
+for the baselines) after every poll, poll completion, hrtimer sweep and
+the final ``flush_all``; one engine alone through :func:`against_spec` is
+the engine-against-spec check.  Two engines — one body fed two ways,
+per-packet ``receive`` against ``receive_batch`` — are handed the same
+``Packet`` objects (GRO never writes to a packet) and must be the same
+machine after every step: every field of :func:`snapshot` equal, where a
+field an engine lacks reads as empty.  A new pair is one call,
+``assert_equivalent(make_a, make_b, polls)``, with ``make(deliver)``
+building an engine.
 
-A new pair is one call, ``assert_equivalent(make_a, make_b, polls)``, with
-``make(deliver)`` building an engine.  Two links are one call
-too, ``assert_links_equivalent(link_a, link_b, schedule, ...)``: the
-arrivals are posted on a simulation engine that logs every event, and the
-snapshot is the deliveries, ``LinkStats`` and that event log.
+The link: :func:`link_spec` is what a link must do, in closed form; one
+call, ``assert_link_equals_spec(link_class, schedule, ...)``, posts the
+arrivals on a simulation engine that logs every event and compares the
+deliveries and ``LinkStats`` with it.
 """
 
 import dataclasses
 import random
+from collections import deque
 
 from repro.analysis.runtime import sanitizing
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
+from repro.fabric.link import LinkStats
 from repro.net.addr import FiveTuple
-from repro.net.constants import MSS
+from repro.net.constants import MSS, transmit_time_ns, wire_bytes
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.sim.engine import Engine
@@ -201,10 +204,17 @@ def assert_equivalent(make_a, make_b, polls, *, feed_a="receive_batch",
     return replay(sides, polls, compare)[0]
 
 
+def against_spec(make, polls, traced=False):
+    """One engine under its JSAN shadow through ``polls``; returns its side."""
+    side = Side(make, "receive_batch", traced)
+    replay([side], polls)
+    assert side.sanitizer.checks_run > len(polls)  # the shadow compared
+    return side
+
+
 def replay(sides, polls, check=lambda when: None):
     """Hand every side each poll, completion, hrtimer sweep and the final
-    ``flush_all``, calling ``check(when)`` after each; returns ``sides``.
-    A Juggler side alone is checked against the spec by its JSAN shadow."""
+    ``flush_all``, calling ``check(when)`` after each; returns ``sides``."""
 
     def step(when, act):
         for side in sides:
@@ -225,6 +235,7 @@ def replay(sides, polls, check=lambda when: None):
 # -- the link hop ----------------------------------------------------------------
 
 LINK_FLOW = FiveTuple(1, 2, 1000, 80)
+LINK_GBPS = 10.0
 
 
 class RecordingEngine(Engine):
@@ -248,8 +259,8 @@ def link_run(link_class, schedule, priorities, capacity, ecn, prop_delay_ns,
              clamp):
     """Feed ``schedule`` — ``(gap ns, priority, payload)`` arrivals — into a
     link from the engine, with an optional ``(at, for, capacity)``
-    ``queue_saturation`` clamp; returns the snapshot: ``(seq, time, ce)``
-    per delivery, ``astuple(LinkStats)`` and the engine's event log."""
+    ``queue_saturation`` clamp; returns ``(seq, time, ce)`` per delivery,
+    ``astuple(LinkStats)`` and the engine's event log."""
     engine = RecordingEngine()
     delivered = []
 
@@ -257,7 +268,7 @@ def link_run(link_class, schedule, priorities, capacity, ecn, prop_delay_ns,
         def receive(self, packet):
             delivered.append((packet.seq, engine.now, packet.ce))
 
-    link = link_class(engine, 10.0, Sink(), prop_delay_ns=prop_delay_ns,
+    link = link_class(engine, LINK_GBPS, Sink(), prop_delay_ns=prop_delay_ns,
                       priorities=priorities, capacity_bytes=capacity,
                       ecn_threshold_bytes=ecn)
 
@@ -280,12 +291,68 @@ def link_run(link_class, schedule, priorities, capacity, ecn, prop_delay_ns,
     return delivered, dataclasses.astuple(link.stats), engine.log
 
 
-def assert_links_equivalent(link_a, link_b, *config):
-    """Both links through the same arrivals: every delivery instant, drop,
-    CE mark, counter and posted event equal; returns A's snapshot."""
-    delivered, stats, log = link_run(link_a, *config)
-    ref_delivered, ref_stats, ref_log = link_run(link_b, *config)
-    assert delivered == ref_delivered
-    assert stats == ref_stats
-    assert log == ref_log
+def link_spec(schedule, priorities, capacity, ecn, prop_delay_ns, clamp):
+    """What :func:`link_run` must see, in closed form: one pass over the
+    arrivals, no events.
+
+    One FIFO per priority level (a higher priority clamps to the last),
+    served by non-preemptive strict priority: a frame leaves at
+    max(arrival, wire free) + tx(wire_len) and reaches the sink
+    ``prop_delay_ns`` later.  An arrival tail-drops when its level's queued
+    bytes + its wire_len exceed the capacity read at that instant (so a
+    clamp applies); it is CE-marked when its level's queued bytes exceed
+    ``ecn`` and it carries payload.  Queued bytes are the frames waiting,
+    not the one on the wire; ``max_queue_bytes`` counts the arriving frame
+    even when it goes straight onto an idle wire.
+
+    The tie rule, within one nanosecond: the arrivals, in order; then a
+    capacity change; then the departure that ends at that nanosecond.  So
+    a frame arriving as the wire frees is queued: the drop and ECN tests
+    count the frames waiting with it, and it starts then only if it is the
+    highest-priority frame waiting.
+    """
+    queues = [deque() for _ in range(priorities)]
+    depth = [0] * priorities
+    delivered, stats, free = [], LinkStats(), -1
+
+    def start(at):  # the next frame by priority goes on the wire at ``at``
+        nonlocal free
+        level = next(level for level, queue in enumerate(queues) if queue)
+        seq, size, ce = queues[level].popleft()
+        depth[level] -= wire_bytes(size)
+        tx = transmit_time_ns(size, LINK_GBPS)
+        free = at + tx
+        stats.packets += 1
+        stats.bytes += wire_bytes(size)
+        stats.busy_ns += tx
+        delivered.append((seq, free + prop_delay_ns, ce))
+
+    at = 0
+    for seq, (gap, priority, size) in enumerate(schedule):
+        at += gap
+        while free < at and any(depth):  # departures before this instant
+            start(free)
+        level, wire = min(priority, priorities - 1), wire_bytes(size)
+        limit = (clamp[2] if clamp is not None and clamp[0] < at <= clamp[0] + clamp[1]
+                 else capacity)
+        if limit is not None and depth[level] + wire > limit:
+            stats.drops += 1
+            continue
+        ce = ecn is not None and size > 0 and depth[level] > ecn
+        stats.ce_marked += ce
+        queues[level].append((seq, size, ce))
+        depth[level] += wire
+        stats.max_queue_bytes = max(stats.max_queue_bytes, sum(depth))
+        if free < at:  # an idle wire
+            start(at)
+    while any(depth):
+        start(free)
+    return delivered, dataclasses.astuple(stats)
+
+
+def assert_link_equals_spec(link_class, *config):
+    """A link through ``config``'s arrivals: every delivery instant, drop,
+    CE mark and counter as :func:`link_spec` says; returns the run."""
+    delivered, stats, log = link_run(link_class, *config)
+    assert (delivered, stats) == link_spec(*config)
     return delivered, stats, log

@@ -1,4 +1,4 @@
-"""The fused ``QueuedLink`` is the ``reference_link.py`` it replaced, event for event."""
+"""``QueuedLink`` against the link's closed form (``link_spec``)."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -7,8 +7,7 @@ from repro.fabric.link import QueuedLink
 from repro.net.constants import MSS
 from repro.net.packet import Packet
 
-from ..differential import LINK_FLOW, assert_links_equivalent
-from .reference_link import ReferenceLink
+from ..differential import LINK_FLOW, assert_link_equals_spec
 
 WIRE = Packet(LINK_FLOW, 0, MSS).wire_len
 #: (gap ns, priority, payload) arrivals: gaps (0 lands two packets in one
@@ -24,16 +23,16 @@ clamps = st.one_of(st.none(), st.tuples(
 
 @given(arrivals, st.integers(1, 3), limits, limits, st.sampled_from([0, 500]), clamps)
 @settings(max_examples=400, deadline=None)
-def test_fused_link_equals_three_method_link(schedule, levels, cap, ecn, prop, clamp):
-    assert_links_equivalent(QueuedLink, ReferenceLink, schedule, levels, cap, ecn, prop, clamp)
+def test_link_equals_the_spec(schedule, levels, cap, ecn, prop, clamp):
+    assert_link_equals_spec(QueuedLink, schedule, levels, cap, ecn, prop, clamp)
 
 
 def test_burst_into_an_idle_link_event_for_event():
     # A TSO burst on an idle link: the first packet skips the queue, level 0
     # goes next; completion is posted at transmit start, then the arrival.
     schedule = [(0, 1, MSS)] * 4 + [(0, 0, 0)]
-    delivered, stats, log = assert_links_equivalent(
-        QueuedLink, ReferenceLink, schedule, 2, None, None, 500, None)
+    delivered, stats, log = assert_link_equals_spec(
+        QueuedLink, schedule, 2, None, None, 500, None)
     assert [seq for seq, _, _ in delivered] == [0, 4, 1, 2, 3]
     assert stats[4] == 3 * WIRE + Packet(LINK_FLOW, 0, 0).wire_len  # max queue
     names = [name for _, _, name in log[len(schedule):]]

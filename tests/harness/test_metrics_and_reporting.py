@@ -83,15 +83,16 @@ def test_histogram_counts_and_fraction():
         hist.add(v)
     assert hist.total == 5
     assert hist.fraction_at_most(1) == pytest.approx(3 / 5)
+    assert hist.fraction_at_most(4) == pytest.approx(4 / 5)
     assert hist.fraction_at_most(5) == 1.0
-    assert hist.buckets() == [(0, 1), (1, 2), (2, 1), (5, 1)]
 
 
 def test_histogram_bin_width():
     hist = Histogram(bin_width=10)
     hist.add(5)
     hist.add(15)
-    assert hist.buckets() == [(0, 1), (10, 1)]
+    assert hist.fraction_at_most(9) == 0.5  # 9 and 5 share bucket 0
+    assert hist.fraction_at_most(10) == 1.0
 
 
 def test_histogram_empty_fraction():
